@@ -153,6 +153,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.grid_points < 1:
+        raise _CliError("--grid-points must be at least 1", EXIT_FAIL)
     report = run_verification(
         phi_points=args.grid_points, bs_convention=args.bs_convention
     )

@@ -1,6 +1,7 @@
 """Validated, executable circuit plans and the built-in two-source preset."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
@@ -66,6 +67,29 @@ class CircuitPlan:
         merged = dict(self.bindings)
         merged.update({k: float(v) for k, v in params.items()})
         return replace(self, bindings=merged)
+
+    def phase_degree(self, name: str) -> int | None:
+        """Degree D of the detected amplitudes as polynomials in ``e^{i*name}``.
+
+        A ``phase ... value=$name`` statement with a band multiplies one
+        photon by ``e^{i*name}`` and adds 1; with ``band=both`` it can reach
+        both photons and adds 2.  The counts are then real trigonometric
+        polynomials of ``name`` with harmonics 0..D.  Returns ``None`` when
+        ``name`` is not a free parameter or also enters a preparation or a
+        wave plate.
+        """
+        if name not in self.free_parameters:
+            return None
+        ref = ParamRef(name)
+        degree = 0
+        for stmt in self.pipeline:
+            if isinstance(stmt, PhaseStmt) and stmt.value == ref:
+                degree += 2 if stmt.band is None else 1
+            elif isinstance(stmt, PrepareStmt) and ref in (stmt.alpha, stmt.beta, stmt.gamma):
+                return None
+            elif isinstance(stmt, WavePlateStmt) and stmt.angle == ref:
+                return None
+        return degree
 
 
 @dataclass(frozen=True)
@@ -181,9 +205,7 @@ def _resolve_angle(value: Value | None, bindings: Mapping[str, float]) -> float:
     if value is None:
         return 0.0
     if isinstance(value, ParamRef):
-        if value.name not in bindings:
-            raise PlanError("E_UNBOUND_PARAM", f"unbound parameter '{value.name}'")
-        return bindings[value.name]
+        return _resolve_plain(value, bindings)
     return math.radians(value)
 
 
@@ -298,6 +320,14 @@ FIG1_PARAMETERS = ("alpha1", "beta1", "gamma", "alpha2", "beta2", "phi", "theta"
 _NORM_TOL = 1e-10
 
 
+@functools.cache
+def _fig1_plan() -> CircuitPlan:
+    """The unbound preset, compiled on first use; ``bind`` never mutates it."""
+    plan, diagnostics = compile_text(FIG1_SOURCE)
+    assert plan is not None, diagnostics
+    return plan
+
+
 def fig1_preset(params: Mapping[str, float]) -> CircuitPlan:
     """The built-in circuit with all seven parameters bound (angles in radians).
 
@@ -311,6 +341,4 @@ def fig1_preset(params: Mapping[str, float]) -> CircuitPlan:
         norm = params[a] ** 2 + params[b] ** 2
         if abs(norm - 1.0) > _NORM_TOL:
             raise PlanError("E_NORM", f"{a}^2 + {b}^2 = {norm!r}, expected 1")
-    plan, diagnostics = compile_text(FIG1_SOURCE)
-    assert plan is not None, diagnostics
-    return plan.bind({name: params[name] for name in FIG1_PARAMETERS})
+    return _fig1_plan().bind({name: params[name] for name in FIG1_PARAMETERS})

@@ -178,6 +178,13 @@ class TestVerify:
         evolution_line = [ln for ln in out.splitlines() if "evolution" in ln][0]
         assert float(evolution_line.rsplit(" ", 1)[-1]) < 1e-12
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_nonpositive_grid_points_rejected(self, points, capsys):
+        assert cli.main(["verify", "--grid-points", points]) == 1
+        err = capsys.readouterr().err
+        assert "--grid-points must be at least 1" in err
+        assert "zero-size array" not in err
+
     def test_hadamard_convention_also_mismatches(self, capsys):
         assert cli.main(["verify", "--grid-points", "4",
                          "--bs-convention", "hadamard"]) == 3

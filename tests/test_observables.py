@@ -18,12 +18,29 @@ from qiup.observables import (
     fringe_scan,
     visibility,
 )
-from qiup.plan import fig1_preset
+from qiup import observables
+from qiup.plan import PlanError, compile_text, fig1_preset, run_plan
 from qiup.verification import regime_params
 
 H, V = Polarization.H, Polarization.V
 S1 = SourceTag.SOURCE_1
 ROOT8 = 1.0 / (2.0 * math.sqrt(2.0))
+FULL_PERIOD = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+
+#: Source 1 emits both photons on path a, where the swept phase reaches both;
+#: the idlers share one merged mode, so the signal fringe carries cos(2 phi).
+BOTH_BANDS_CIRCUIT = """\
+source 1 signal=a idler=a pol=V
+source 2 signal=r idler=i pol=V
+{phases}
+dm a -> signal: s idler: i
+merge i V idler
+merge s V signal
+merge r V signal
+bs2 s r -> c d
+hwp c angle=$theta band=signal
+detect c signal
+"""
 
 
 def regime_state(beta1, gamma, phi, theta=math.pi / 4):
@@ -122,6 +139,120 @@ class TestFringeScan:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             FringeScan((1.0, 0.5), (CountResult(0, 0), CountResult(0, 0)), "o'")
+
+
+def general_fig1_params(rng):
+    beta1, beta2 = rng.uniform(0, 1, size=2)
+    return {
+        "alpha1": math.sqrt(1 - beta1**2), "beta1": beta1,
+        "gamma": rng.uniform(0, 2 * math.pi),
+        "alpha2": math.sqrt(1 - beta2**2), "beta2": beta2,
+        "phi": rng.uniform(0, 2 * math.pi), "theta": rng.uniform(0, math.pi),
+    }
+
+
+def both_bands_plan(phases="phase a value=$phi band=both"):
+    plan, diagnostics = compile_text(BOTH_BANDS_CIRCUIT.format(phases=phases))
+    assert plan is not None, diagnostics
+    return plan.bind({"theta": 0.3})
+
+
+def loop_scan(plan, sweep, grid, **options):
+    """Reference: the full plan run at every grid point."""
+    rows = []
+    for value in grid:
+        state = run_plan(plan.bind({sweep: float(value)}), **options)
+        result = counts(state, plan.detect_path, plan.detect_band)
+        rows.append((result.n_h, result.n_v))
+    return np.array(rows).reshape(-1, 2)
+
+
+def scan_columns(scan):
+    return np.column_stack([scan.column("h"), scan.column("v")]).reshape(-1, 2)
+
+
+class TestHarmonicScan:
+    """Phase-only sweeps evaluated from 2D + 1 runs against the point loop."""
+
+    @pytest.mark.parametrize("bs_convention", ["symmetric", "hadamard"])
+    @pytest.mark.parametrize("merge_enabled", [True, False])
+    def test_fig1_general_parameters(self, bs_convention, merge_enabled):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            plan = fig1_preset(general_fig1_params(rng))
+            options = dict(merge_enabled=merge_enabled, bs_convention=bs_convention)
+            scan = fringe_scan(plan, "phi", FULL_PERIOD, **options)
+            np.testing.assert_allclose(
+                scan_columns(scan), loop_scan(plan, "phi", FULL_PERIOD, **options),
+                rtol=0, atol=1e-12,
+            )
+
+    @pytest.mark.parametrize("phases", [
+        "phase a value=$phi band=both",
+        "phase a value=$phi band=signal\nphase a value=$phi band=idler",
+    ])
+    def test_degree_two_circuits(self, phases):
+        plan = both_bands_plan(phases)
+        assert plan.phase_degree("phi") == 2
+        want = loop_scan(plan, "phi", FULL_PERIOD)
+        second = np.abs(np.fft.rfft(want[:, 1]))[2] / len(FULL_PERIOD)
+        assert second > 0.1
+        got = scan_columns(fringe_scan(plan, "phi", FULL_PERIOD))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert got.min() >= 0.0
+
+    def test_grid_not_spanning_a_period(self):
+        grid = np.linspace(0.3, 1.1, 7)
+        fig1 = fig1_preset(general_fig1_params(np.random.default_rng(8)))
+        for plan in (both_bands_plan(), fig1):
+            np.testing.assert_allclose(
+                scan_columns(fringe_scan(plan, "phi", grid)),
+                loop_scan(plan, "phi", grid), rtol=0, atol=1e-12,
+            )
+
+    def test_runs_only_the_sample_points(self, monkeypatch):
+        calls = []
+
+        def counting_run_plan(plan, **options):
+            calls.append(plan.bindings["phi"])
+            return run_plan(plan, **options)
+
+        monkeypatch.setattr(observables, "run_plan", counting_run_plan)
+        fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "phi", FULL_PERIOD)
+        assert calls == pytest.approx([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
+        calls.clear()
+        fringe_scan(both_bands_plan(), "phi", FULL_PERIOD)
+        assert len(calls) == 5
+
+    def test_grid_shorter_than_sample_count_runs_each_point(self):
+        plan = both_bands_plan()
+        grid = [0.2, 1.0, 2.5, 4.0]
+        assert np.array_equal(
+            scan_columns(fringe_scan(plan, "phi", grid)), loop_scan(plan, "phi", grid)
+        )
+
+    @pytest.mark.parametrize("sweep", ["theta", "gamma"])
+    def test_other_sweeps_equal_the_loop_exactly(self, sweep):
+        plan = fig1_preset(general_fig1_params(np.random.default_rng(5)))
+        assert np.array_equal(
+            scan_columns(fringe_scan(plan, sweep, FULL_PERIOD)),
+            loop_scan(plan, sweep, FULL_PERIOD),
+        )
+
+    def test_unknown_sweep_name(self):
+        plan = fig1_preset(regime_params(0.5, 0.0))
+        with pytest.raises(PlanError) as err:
+            fringe_scan(plan, "bogus", FULL_PERIOD)
+        assert err.value.code == "E_UNKNOWN_PARAM"
+
+    def test_unbound_parameter_still_surfaces(self):
+        plan, _ = compile_text(
+            BOTH_BANDS_CIRCUIT.format(phases="phase a value=$phi band=both")
+        )
+        with pytest.raises(PlanError) as err:
+            fringe_scan(plan, "phi", FULL_PERIOD)
+        assert err.value.code == "E_UNBOUND_PARAM"
+        assert "theta" in str(err.value)
 
 
 class TestVisibility:

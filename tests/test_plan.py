@@ -12,6 +12,7 @@ from qiup.plan import (
     FIG1_PARAMETERS,
     FIG1_SOURCE,
     PlanError,
+    _fig1_plan,
     compile_text,
     fig1_preset,
     iter_plan,
@@ -112,6 +113,39 @@ def test_bind_unknown_parameter():
     with pytest.raises(PlanError) as err:
         plan.bind({"bogus": 1.0})
     assert err.value.code == "E_UNKNOWN_PARAM"
+
+
+def test_preset_binding_leaves_the_compiled_base_unbound():
+    first = fig1_preset(EXAMPLE_PARAMS)
+    fig1_preset(dict(EXAMPLE_PARAMS, phi=0.1))
+    assert first.bindings["phi"] == EXAMPLE_PARAMS["phi"]
+    assert _fig1_plan().bindings == {}
+
+
+@pytest.mark.parametrize(
+    "phase_lines, expected",
+    [
+        ("phase a value=$phi band=signal\n", 1),
+        ("phase a value=$phi band=both\n", 2),
+        ("phase a value=$phi band=signal\nphase a value=$phi band=idler\n", 2),
+        ("phase a value=$phi band=signal\nphase a value=90 band=both\n", 1),
+        ("phase a value=$phi band=signal\nhwp a angle=$phi band=signal\n", None),
+        ("phase a value=$phi band=signal\n"
+         "prepare a idler alpha=0 beta=1 gamma=$phi\n", None),
+    ],
+)
+def test_phase_degree(phase_lines, expected):
+    plan, _ = compile_text(
+        "source 1 signal=a idler=a pol=V\n" + phase_lines + "detect a signal\n"
+    )
+    assert plan.phase_degree("phi") == expected
+
+
+def test_phase_degree_of_fig1_parameters():
+    plan, _ = compile_text(FIG1_SOURCE)
+    assert plan.phase_degree("phi") == 1
+    for name in ("theta", "gamma", "beta1", "bogus"):
+        assert plan.phase_degree(name) is None
 
 
 def test_run_with_unbound_parameter_names_it():
