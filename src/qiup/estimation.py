@@ -31,6 +31,9 @@ GRID_GAMMA_POINTS = 72
 REFINE_TOL = 1e-10
 MAX_REFINE_EVALS = 500
 GAMMA_IDENTIFIABLE_MIN = 0.02
+#: A first-harmonic fringe per channel has three unknowns (offset, cosine
+#: and sine amplitude), so fewer distinct phases cannot determine it.
+MIN_FIT_PHIS = 3
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,8 @@ class NoisyScan:
             raise ValueError("phis and count columns must have equal length")
         if self.shots < 1:
             raise ValueError("shots must be a positive integer")
+        if any(b <= a for a, b in zip(self.phis, self.phis[1:])):
+            raise ValueError("scan grid must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -167,8 +172,11 @@ def fit(data: ScanLike, weighting: str = "equal") -> FitResult:
     flagged unidentifiable.
     """
     phis, h, v = _channels(data)
-    if len(phis) == 0:
-        raise ValueError("cannot fit an empty scan")
+    # both scan types hold strictly increasing phases, so all are distinct
+    if len(phis) < MIN_FIT_PHIS:
+        raise ValueError(
+            f"fit needs at least {MIN_FIT_PHIS} distinct phi values, got {len(phis)}"
+        )
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(v)) and np.all(np.isfinite(phis))):
         raise ValueError("scan contains non-finite values")
 
@@ -241,9 +249,10 @@ def infer_alpha1(beta1_hat: float) -> float:
 
 # -- measurement CSV ---------------------------------------------------------
 #
-# Format: an initial comment line ``# shots=N``, a header ``phi,counts_h,
-# counts_v`` and one row per grid point.  Counts may be real-valued in
-# synthetic noiseless files.
+# Format: an initial comment line ``# shots=N`` (N >= 1), a header
+# ``phi,counts_h,counts_v`` and one row per grid point, phi strictly
+# increasing.  Counts are nonnegative and may be real-valued in synthetic
+# noiseless files.
 
 
 def format_counts_csv(data: ScanLike, shots: int | None = None) -> str:
@@ -271,7 +280,9 @@ def read_counts_csv(text: str) -> ScanLike:
     ``phi,counts_h,counts_v`` tables (with a ``# shots=N`` comment) yield a
     :class:`NoisyScan` when all counts are integral, otherwise a normalized
     :class:`FringeScan`.  ``phi,n_h,n_v`` expectation tables (as written by
-    ``qiup scan``) yield a :class:`FringeScan` directly.
+    ``qiup scan``) yield a :class:`FringeScan` directly.  A negative count,
+    a phi that does not increase on the previous row's and ``shots`` below 1
+    raise :class:`DataFormatError` with the line number.
     """
     shots = None
     header = None
@@ -289,6 +300,8 @@ def read_counts_csv(text: str) -> ScanLike:
                     shots = int(comment[len("shots="):])
                 except ValueError as exc:
                     raise DataFormatError(f"malformed shots value: {comment!r}", lineno) from exc
+                if shots < 1:
+                    raise DataFormatError(f"shots must be at least 1, got {shots}", lineno)
             continue
         if header is None:
             header = line.replace(" ", "")
@@ -308,6 +321,13 @@ def read_counts_csv(text: str) -> ScanLike:
             raise DataFormatError(f"malformed number in {line!r}", lineno) from exc
         if not all(math.isfinite(x) for x in values):
             raise DataFormatError(f"non-finite value in {line!r}", lineno)
+        if values[1] < 0 or values[2] < 0:
+            raise DataFormatError(f"negative count in {line!r}", lineno)
+        if phis and values[0] <= phis[-1]:
+            raise DataFormatError(
+                f"phi {values[0]!r} does not increase on the previous row's {phis[-1]!r}",
+                lineno,
+            )
         phis.append(values[0])
         hs.append(values[1])
         vs.append(values[2])
@@ -318,7 +338,7 @@ def read_counts_csv(text: str) -> ScanLike:
         return FringeScan(tuple(phis), records, detect_path="")
     if shots is None:
         raise DataFormatError("missing '# shots=N' header comment")
-    if all(c == int(c) and c >= 0 for c in hs + vs):
+    if all(c == int(c) for c in hs + vs):
         return NoisyScan(
             phis=tuple(phis),
             counts_h=tuple(int(c) for c in hs),

@@ -87,14 +87,19 @@ def fringe_scan(
     The swept name must be a free parameter of the plan and every other free
     parameter must already be bound.  Records come back in grid order.
 
-    When ``sweep`` enters only through phase statements (see
-    :meth:`CircuitPlan.phase_degree`, degree D) and the grid has more than
-    ``2D + 1`` points, the plan runs only at the ``2D + 1`` equispaced
-    phases ``2*pi*j/(2D + 1)``: each count is a trigonometric polynomial
-    with harmonics 0..D, so those runs fix it exactly and it is summed at
-    every grid point, whatever range the grid spans.  Every other sweep, a
-    wave-plate angle or a preparation parameter for instance, runs the full
-    plan at each grid point.
+    Each count is a real trigonometric polynomial in ``f*sweep`` with
+    harmonics 0..D, where :meth:`CircuitPlan.harmonic_degree` reads the
+    frequency f and the degree D off the statements that reference the
+    sweep: 1 per banded ``phase`` and 2 per ``band=both`` phase, 4 per
+    banded wave plate and 8 per ``band=both`` plate (exponents -2..2 of
+    ``e^{i*sweep}`` on each photon), 1 per ``prepare ... gamma``; f is 2 when
+    only wave plates reference the sweep, else 1, and D is the span over f.
+    When the grid has more than ``2D + 1`` points, the plan therefore runs
+    only at the ``2D + 1`` equispaced values ``2*pi*j/((2D + 1)*f)``, which
+    fix the series exactly, and the series is summed at every grid point,
+    whatever range the grid spans.  For fig1 that is 3 runs for ``phi``, 3
+    for ``gamma`` and 9 for ``theta``.  Only a sweep that enters a
+    preparation's ``alpha`` or ``beta`` runs the plan at every grid point.
     """
     phis = [float(value) for value in grid]
 
@@ -106,24 +111,27 @@ def fringe_scan(
         )
         return counts(state, plan.detect_path, plan.detect_band)
 
-    degree = plan.phase_degree(sweep)
-    if degree is not None and len(phis) > 2 * degree + 1:
-        records = _harmonic_records(evaluate, degree, phis)
+    harmonics = plan.harmonic_degree(sweep)
+    if harmonics is not None and len(phis) > 2 * harmonics[1] + 1:
+        records = _harmonic_records(evaluate, *harmonics, phis)
     else:
         records = [evaluate(value) for value in phis]
     return FringeScan(tuple(phis), tuple(records), plan.detect_path)
 
 
 def _harmonic_records(
-    evaluate: Callable[[float], CountResult], degree: int, phis: list[float]
+    evaluate: Callable[[float], CountResult],
+    frequency: int,
+    degree: int,
+    phis: list[float],
 ) -> list[CountResult]:
-    """Counts at ``phis`` from ``2*degree + 1`` equispaced evaluations."""
+    """Counts at ``phis`` from ``2*degree + 1`` evaluations over one period."""
     n = 2 * degree + 1
-    samples = [evaluate(2.0 * math.pi * j / n) for j in range(n)]
+    samples = [evaluate(2.0 * math.pi * j / (n * frequency)) for j in range(n)]
     # rfft of n > 2*degree samples gives n * c_m for harmonics m = 0..degree
-    # without aliasing; the count is c_0 + 2 Re sum_m c_m e^{i m phi}.
+    # without aliasing; the count is c_0 + 2 Re sum_m c_m e^{i m f x}.
     coeffs = np.fft.rfft([[r.n_h for r in samples], [r.n_v for r in samples]]) / n
-    waves = np.exp(1j * np.outer(np.arange(1, degree + 1), phis))
+    waves = np.exp(1j * frequency * np.outer(np.arange(1, degree + 1), phis))
     values = coeffs[:, :1].real + 2.0 * (coeffs[:, 1:] @ waves).real
     # squared magnitudes: clip rounding below zero where a count vanishes
     n_h, n_v = np.maximum(values, 0.0).tolist()

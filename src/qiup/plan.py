@@ -68,28 +68,44 @@ class CircuitPlan:
         merged.update({k: float(v) for k, v in params.items()})
         return replace(self, bindings=merged)
 
-    def phase_degree(self, name: str) -> int | None:
-        """Degree D of the detected amplitudes as polynomials in ``e^{i*name}``.
+    def harmonic_degree(self, name: str) -> tuple[int, int] | None:
+        """(frequency f, degree D) of the detected counts in ``name``.
 
-        A ``phase ... value=$name`` statement with a band multiplies one
-        photon by ``e^{i*name}`` and adds 1; with ``band=both`` it can reach
-        both photons and adds 2.  The counts are then real trigonometric
-        polynomials of ``name`` with harmonics 0..D.  Returns ``None`` when
-        ``name`` is not a free parameter or also enters a preparation or a
-        wave plate.
+        Each detected amplitude is a Laurent polynomial in ``z = e^{i*name}``;
+        its count ``|A|^2`` holds harmonics up to the amplitude's exponent
+        span.  Every statement that references ``$name`` widens that span:
+
+        - ``phase ... value=$name`` puts ``z`` on each matching photon: 1 for
+          a banded statement, 2 for ``band=both``;
+        - a wave plate's entries are ``cos 2x``, ``sin 2x`` and constants, so
+          exponents -2..2 on each matching photon: 4 banded, 8 for both;
+        - ``prepare ... gamma=$name`` puts ``z`` on the V column only (the H
+          column never acts on the purely vertical beam it requires): 1.
+
+        Wave-plate exponents step by 2, the others by 1; the frequency f is
+        the gcd of the steps and D = span / f, so each count is a real
+        trigonometric polynomial in ``f*name`` with harmonics 0..D.  Returns
+        ``None`` when ``name`` is not free or enters a preparation's
+        ``alpha`` or ``beta``, whose normalized amplitudes are not of this
+        form.
         """
         if name not in self.free_parameters:
             return None
         ref = ParamRef(name)
-        degree = 0
+        span, frequency = 0, 2
         for stmt in self.pipeline:
             if isinstance(stmt, PhaseStmt) and stmt.value == ref:
-                degree += 2 if stmt.band is None else 1
-            elif isinstance(stmt, PrepareStmt) and ref in (stmt.alpha, stmt.beta, stmt.gamma):
-                return None
+                span += 2 if stmt.band is None else 1
+                frequency = 1
             elif isinstance(stmt, WavePlateStmt) and stmt.angle == ref:
-                return None
-        return degree
+                span += 8 if stmt.band is None else 4
+            elif isinstance(stmt, PrepareStmt):
+                if ref in (stmt.alpha, stmt.beta):
+                    return None
+                if stmt.gamma == ref:
+                    span += 1
+                    frequency = 1
+        return frequency, span // frequency
 
 
 @dataclass(frozen=True)

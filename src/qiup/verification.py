@@ -51,7 +51,7 @@ class VerificationReport:
 
     def lines(self) -> list[str]:
         return [
-            f"count grid: {self.grid_points} evaluations in {self.elapsed_seconds:.2f} s",
+            f"count grid: {self.grid_points} points in {self.elapsed_seconds:.2f} s",
             f"max|dN_H| vs reference closed form: {self.max_dev_nh:.6g} (tolerance {COUNT_TOL:g})",
             f"max|dN_V| vs reference closed form: {self.max_dev_nv:.6g} (tolerance {COUNT_TOL:g})",
             f"max|dN_H| vs evolution closed form:   {self.max_dev_nh_evolution:.6g}",
@@ -83,7 +83,7 @@ def run_verification(
     start = time.perf_counter()
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
     dev_nh = dev_nv = dev_nh_evo = dev_nv_evo = 0.0
-    evaluations = 0
+    grid_points = 0
     for beta1 in betas:
         for gamma in gammas:
             plan = fig1_preset(regime_params(beta1, gamma))
@@ -97,7 +97,7 @@ def run_verification(
             dev_nv_evo = max(
                 dev_nv_evo, float(np.max(np.abs(nv - reference.nv_evolution(beta1, gamma, phis))))
             )
-            evaluations += len(phis)
+            grid_points += len(phis)
 
     dev_vis = 0.0
     vis_points = max(phi_points, 256)
@@ -114,6 +114,6 @@ def run_verification(
         max_dev_nh_evolution=dev_nh_evo,
         max_dev_nv_evolution=dev_nv_evo,
         max_dev_visibility=dev_vis,
-        grid_points=evaluations,
+        grid_points=grid_points,
         elapsed_seconds=time.perf_counter() - start,
     )

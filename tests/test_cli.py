@@ -116,6 +116,23 @@ class TestScan:
         assert "visibility" not in capsys.readouterr().err
         assert len(out.read_text().splitlines()) == 11
 
+    def test_theta_scan_rows_equal_single_runs(self, capsys):
+        general = [
+            "--param", "alpha1=0.8", "--param", "beta1=0.6", "--param", "gamma=1.1",
+            "--param", "alpha2=0.6", "--param", "beta2=0.8", "--param", "phi=0.4",
+        ]
+        assert cli.main(["scan", "--preset", "fig1", *general,
+                         "--sweep", "theta", "--points", "64"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 64
+        for row in (rows[5], rows[23], rows[47]):
+            theta, n_h, n_v = (float(x) for x in row.split(","))
+            assert cli.main(["run", "--preset", "fig1", *general,
+                             "--param", f"theta={theta!r}", "--format", "csv"]) == 0
+            run_h, run_v = (float(x) for x in capsys.readouterr().out.splitlines()[1].split(","))
+            assert n_h == pytest.approx(run_h, abs=1e-12)
+            assert n_v == pytest.approx(run_v, abs=1e-12)
+
     def test_too_few_points(self, capsys):
         assert cli.main(["scan", "--preset", "fig1", "--points", "1"]) == 1
 
@@ -165,12 +182,34 @@ class TestFit:
     def test_missing_file_exit2(self):
         assert cli.main(["fit", "nope.csv"]) == 2
 
+    @pytest.mark.parametrize("text, line, match", [
+        ("# shots=10\nphi,counts_h,counts_v\n0,1,2\n1,-1,3\n2,1,2\n", 4, "negative count"),
+        ("phi,n_h,n_v\n0,0.1,0.2\n1,0.1,-0.2\n2,0.1,0.2\n", 3, "negative count"),
+        ("# shots=10\nphi,counts_h,counts_v\n0,1,2\n2,1,3\n1,1,2\n", 5, "does not increase"),
+        ("# shots=0\nphi,counts_h,counts_v\n0,1,2\n1,1,3\n2,1,2\n", 1, "shots"),
+    ])
+    def test_invalid_counts_exit2(self, tmp_path, capsys, text, line, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert cli.main(["fit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}" in err and match in err
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_fewer_than_three_phis_exit1(self, tmp_path, capsys, rows):
+        path = tmp_path / "short.csv"
+        body = "".join(f"{k},{k + 1},{k + 2}\n" for k in range(rows))
+        path.write_text("# shots=10\nphi,counts_h,counts_v\n" + body)
+        assert cli.main(["fit", str(path)]) == 1
+        assert "at least 3 distinct phi" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_reports_mismatch_with_exit_3(self, capsys):
         code = cli.main(["verify", "--grid-points", "4"])
         out = capsys.readouterr().out
         assert code == 3
+        assert "count grid: 352 points in " in out
         assert "max|dN_H| vs reference closed form" in out
         assert "max|dN_V| vs reference closed form" in out
         assert "MISMATCH" in out

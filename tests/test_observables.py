@@ -19,7 +19,7 @@ from qiup.observables import (
     visibility,
 )
 from qiup import observables
-from qiup.plan import PlanError, compile_text, fig1_preset, run_plan
+from qiup.plan import FIG1_SOURCE, PlanError, compile_text, fig1_preset, run_plan
 from qiup.verification import regime_params
 
 H, V = Polarization.H, Polarization.V
@@ -171,8 +171,29 @@ def scan_columns(scan):
     return np.column_stack([scan.column("h"), scan.column("v")]).reshape(-1, 2)
 
 
+#: fig1 edited so that the swept name reaches more statements: a
+#: quarter-wave plate, theta also in the phase, a second plate on theta, and
+#: gamma also in a phase on both photons of source 1 (before the dichroic).
+FIG1_VARIANTS = {
+    "qwp": ("hwp f angle=$theta band=both", "qwp f angle=$theta band=both"),
+    "theta_phase": ("phase r value=$phi", "phase r value=$theta"),
+    "two_plates": ("hwp f angle=$theta band=both",
+                   "hwp f angle=$theta band=both\nhwp e angle=$theta band=signal"),
+    "gamma_both": ("dm a ->", "phase a value=$gamma band=both\ndm a ->"),
+}
+PARTIAL_GRID = np.linspace(0.3, 1.1, 23)
+
+
+def fig1_variant(name, params):
+    old, new = FIG1_VARIANTS[name]
+    assert old in FIG1_SOURCE
+    plan, diagnostics = compile_text(FIG1_SOURCE.replace(old, new, 1))
+    assert plan is not None, diagnostics
+    return plan.bind({k: v for k, v in params.items() if k in plan.free_parameters})
+
+
 class TestHarmonicScan:
-    """Phase-only sweeps evaluated from 2D + 1 runs against the point loop."""
+    """Sweeps evaluated from 2D + 1 runs against the point loop."""
 
     @pytest.mark.parametrize("bs_convention", ["symmetric", "hadamard"])
     @pytest.mark.parametrize("merge_enabled", [True, False])
@@ -193,7 +214,7 @@ class TestHarmonicScan:
     ])
     def test_degree_two_circuits(self, phases):
         plan = both_bands_plan(phases)
-        assert plan.phase_degree("phi") == 2
+        assert plan.harmonic_degree("phi") == (1, 2)
         want = loop_scan(plan, "phi", FULL_PERIOD)
         second = np.abs(np.fft.rfft(want[:, 1]))[2] / len(FULL_PERIOD)
         assert second > 0.1
@@ -231,13 +252,74 @@ class TestHarmonicScan:
             scan_columns(fringe_scan(plan, "phi", grid)), loop_scan(plan, "phi", grid)
         )
 
-    @pytest.mark.parametrize("sweep", ["theta", "gamma"])
-    def test_other_sweeps_equal_the_loop_exactly(self, sweep):
-        plan = fig1_preset(general_fig1_params(np.random.default_rng(5)))
-        assert np.array_equal(
-            scan_columns(fringe_scan(plan, sweep, FULL_PERIOD)),
-            loop_scan(plan, sweep, FULL_PERIOD),
+    @pytest.mark.parametrize("bs_convention", ["symmetric", "hadamard"])
+    @pytest.mark.parametrize("merge_enabled", [True, False])
+    @pytest.mark.parametrize("circuit, sweep, harmonics", [
+        pytest.param("fig1", "theta", (2, 4), id="fig1-theta"),
+        pytest.param("fig1", "gamma", (1, 1), id="fig1-gamma"),
+        pytest.param("qwp", "theta", (2, 4), id="qwp-theta"),
+        pytest.param("theta_phase", "theta", (1, 9), id="theta_phase-theta"),
+        pytest.param("two_plates", "theta", (2, 6), id="two_plates-theta"),
+        pytest.param("gamma_both", "gamma", (1, 3), id="gamma_both-gamma"),
+    ])
+    def test_angle_sweeps_equal_the_loop(
+        self, circuit, sweep, harmonics, merge_enabled, bs_convention
+    ):
+        rng = np.random.default_rng(17)
+        options = dict(merge_enabled=merge_enabled, bs_convention=bs_convention)
+        for _ in range(3):
+            params = general_fig1_params(rng)
+            plan = fig1_preset(params) if circuit == "fig1" else fig1_variant(circuit, params)
+            assert plan.harmonic_degree(sweep) == harmonics
+            for grid in (FULL_PERIOD, PARTIAL_GRID):
+                np.testing.assert_allclose(
+                    scan_columns(fringe_scan(plan, sweep, grid, **options)),
+                    loop_scan(plan, sweep, grid, **options),
+                    rtol=0, atol=1e-12,
+                )
+
+    def test_wave_plate_reaches_its_top_harmonic(self):
+        plan, _ = compile_text(
+            BOTH_BANDS_CIRCUIT.format(phases="phase a value=$phi band=both")
         )
+        plan = plan.bind({"phi": 0.7})
+        assert plan.harmonic_degree("theta") == (2, 2)
+        want = loop_scan(plan, "theta", FULL_PERIOD)
+        fourth = np.abs(np.fft.rfft(want[:, 0]))[4] / len(FULL_PERIOD)
+        assert fourth > 0.1
+        np.testing.assert_allclose(
+            scan_columns(fringe_scan(plan, "theta", FULL_PERIOD)), want, rtol=0, atol=1e-12
+        )
+
+    def test_angle_sweeps_run_only_the_sample_points(self, monkeypatch):
+        calls = []
+
+        def counting_run_plan(plan, **options):
+            calls.append(plan.bindings)
+            return run_plan(plan, **options)
+
+        monkeypatch.setattr(observables, "run_plan", counting_run_plan)
+        plan = fig1_preset(general_fig1_params(np.random.default_rng(3)))
+        fringe_scan(plan, "theta", FULL_PERIOD)
+        assert [c["theta"] for c in calls] == pytest.approx(
+            [math.pi * j / 9 for j in range(9)]
+        )
+        calls.clear()
+        fringe_scan(plan, "gamma", FULL_PERIOD)
+        assert [c["gamma"] for c in calls] == pytest.approx(
+            [0.0, 2 * math.pi / 3, 4 * math.pi / 3]
+        )
+
+    def test_theta_sweep_matches_the_dense_oracle(self):
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            params = general_fig1_params(rng)
+            scan = fringe_scan(fig1_preset(params), "theta", FULL_PERIOD)
+            for k in rng.choice(len(FULL_PERIOD), size=4, replace=False):
+                dense = dense_model.run_fig1(**dict(params, theta=float(FULL_PERIOD[k])))
+                want_h, want_v = dense.counts("o'")
+                assert scan.records[k].n_h == pytest.approx(want_h, abs=1e-12)
+                assert scan.records[k].n_v == pytest.approx(want_v, abs=1e-12)
 
     def test_unknown_sweep_name(self):
         plan = fig1_preset(regime_params(0.5, 0.0))

@@ -122,6 +122,14 @@ def test_preset_binding_leaves_the_compiled_base_unbound():
     assert _fig1_plan().bindings == {}
 
 
+def single_path_plan(lines):
+    plan, diagnostics = compile_text(
+        "source 1 signal=a idler=a pol=V\n" + lines + "detect a signal\n"
+    )
+    assert plan is not None, diagnostics
+    return plan
+
+
 @pytest.mark.parametrize(
     "phase_lines, expected",
     [
@@ -129,23 +137,54 @@ def test_preset_binding_leaves_the_compiled_base_unbound():
         ("phase a value=$phi band=both\n", 2),
         ("phase a value=$phi band=signal\nphase a value=$phi band=idler\n", 2),
         ("phase a value=$phi band=signal\nphase a value=90 band=both\n", 1),
-        ("phase a value=$phi band=signal\nhwp a angle=$phi band=signal\n", None),
-        ("phase a value=$phi band=signal\n"
-         "prepare a idler alpha=0 beta=1 gamma=$phi\n", None),
     ],
 )
 def test_phase_degree(phase_lines, expected):
-    plan, _ = compile_text(
-        "source 1 signal=a idler=a pol=V\n" + phase_lines + "detect a signal\n"
-    )
-    assert plan.phase_degree("phi") == expected
+    """Phase statements alone give frequency 1 and their photon count as D."""
+    assert single_path_plan(phase_lines).harmonic_degree("phi") == (1, expected)
 
 
-def test_phase_degree_of_fig1_parameters():
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        pytest.param("hwp a angle=$x band=signal\n", (2, 2), id="hwp-banded"),
+        pytest.param("hwp a angle=$x band=both\n", (2, 4), id="hwp-both"),
+        pytest.param("qwp a angle=$x band=idler\n", (2, 2), id="qwp-banded"),
+        pytest.param("qwp a angle=$x band=both\n", (2, 4), id="qwp-both"),
+        pytest.param("prepare a idler alpha=0 beta=1 gamma=$x\n", (1, 1), id="gamma"),
+        pytest.param("phase a value=$x band=signal\nhwp a angle=$x band=signal\n",
+                     (1, 5), id="phase-hwp-banded"),
+        pytest.param("phase a value=$x band=signal\n"
+                     "prepare a idler alpha=0 beta=1 gamma=$x\n", (1, 2), id="phase-gamma"),
+        pytest.param("phase a value=$x band=signal\nhwp a angle=$x band=both\n",
+                     (1, 9), id="phase-hwp-both"),
+        pytest.param("hwp a angle=$x band=both\nqwp a angle=$x band=signal\n",
+                     (2, 6), id="two-plates"),
+        pytest.param("hwp a angle=$x band=signal\nhwp a angle=30 band=both\n",
+                     (2, 2), id="literal-angle-ignored"),
+        pytest.param("prepare a idler alpha=$x beta=1 gamma=0\n", None, id="alpha"),
+        pytest.param("prepare a idler alpha=0 beta=$x gamma=0\n", None, id="beta"),
+        pytest.param("hwp a angle=$x band=both\nprepare a idler alpha=0 beta=$x gamma=0\n",
+                     None, id="hwp-beta"),
+    ],
+)
+def test_harmonic_degree(lines, expected):
+    assert single_path_plan(lines).harmonic_degree("x") == expected
+
+
+def test_harmonic_degree_of_a_name_that_is_not_free():
+    plan = single_path_plan("hwp a angle=$x band=both\n")
+    assert plan.harmonic_degree("y") is None
+    assert plan.bind({"x": 0.3}).harmonic_degree("y") is None
+
+
+def test_harmonic_degree_of_fig1_parameters():
     plan, _ = compile_text(FIG1_SOURCE)
-    assert plan.phase_degree("phi") == 1
-    for name in ("theta", "gamma", "beta1", "bogus"):
-        assert plan.phase_degree(name) is None
+    assert plan.harmonic_degree("theta") == (2, 4)
+    assert plan.harmonic_degree("gamma") == (1, 1)
+    assert plan.harmonic_degree("phi") == (1, 1)
+    for name in ("beta1", "bogus"):
+        assert plan.harmonic_degree(name) is None
 
 
 def test_run_with_unbound_parameter_names_it():
