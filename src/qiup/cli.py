@@ -119,6 +119,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise _CliError("--points must be at least 2", EXIT_FAIL)
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise _CliError("--from and --to must be finite", EXIT_FAIL)
     plan = _load_plan(args)
     grid = args.start + (args.stop - args.start) * np.arange(args.points) / args.points
     scan = fringe_scan(

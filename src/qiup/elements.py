@@ -64,12 +64,15 @@ class PreparationSpec:
     rel_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
+        # written so that NaN fails each check
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ValueError("preparation amplitudes must be nonnegative")
-        if abs(self.alpha**2 + self.beta**2 - 1.0) > 1e-10:
+        if not abs(self.alpha**2 + self.beta**2 - 1.0) <= 1e-10:
             raise ValueError(
                 f"alpha^2 + beta^2 must be 1, got {self.alpha**2 + self.beta**2!r}"
             )
+        if not math.isfinite(self.rel_phase):
+            raise ValueError(f"relative phase must be finite, got {self.rel_phase!r}")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ normalization constraint afterwards.
 
 Fits are independent per dataset and safe to run in parallel; the Poisson
 generator is constructed per call and never shared.
+
+``scipy.optimize`` is imported on the first :func:`fit` that needs its
+refinement, not with this module, so simulating, scanning and reading CSVs
+never load scipy.
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from typing import IO, Union
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DataFormatError, QiupWarning, SparseScanError
 from .observables import CountResult, FringeScan
@@ -51,7 +54,7 @@ class NoisyScan:
             raise ValueError("phis and count columns must have equal length")
         if self.shots < 1:
             raise ValueError("shots must be a positive integer")
-        if any(b <= a for a, b in zip(self.phis, self.phis[1:])):
+        if not all(b > a for a, b in zip(self.phis, self.phis[1:])):  # NaN fails
             raise ValueError("scan grid must be strictly increasing")
 
 
@@ -211,6 +214,10 @@ def fit(data: ScanLike, weighting: str = "equal") -> FitResult:
         rss = float(np.sum(start**2))
         converged = True
     else:
+        # imported here: scipy.optimize is most of a cold `import qiup`, and
+        # only this refinement needs it
+        from scipy.optimize import least_squares
+
         with np.errstate(invalid="ignore", divide="ignore"):
             # unidentifiable directions give TRF zero gradients; it recovers,
             # but numpy would warn about the internal divisions

@@ -43,7 +43,7 @@ class FringeScan:
     def __post_init__(self) -> None:
         if len(self.phis) != len(self.records):
             raise ValueError("phis and records must have equal length")
-        if any(b <= a for a, b in zip(self.phis, self.phis[1:])):
+        if not all(b > a for a, b in zip(self.phis, self.phis[1:])):  # NaN fails
             raise ValueError("scan grid must be strictly increasing")
 
     def column(self, channel: str) -> np.ndarray:

@@ -57,15 +57,27 @@ class CircuitPlan:
     bindings: dict
 
     def bind(self, params: Mapping[str, float]) -> "CircuitPlan":
-        """Attach parameter values (radians for angles); unknown names fail."""
+        """Attach parameter values (radians for angles).
+
+        Unknown names fail with ``E_UNKNOWN_PARAM``, and NaN or infinite
+        values with ``E_NONFINITE_PARAM``: the engine would carry them through
+        to counts that look valid.
+        """
         unknown = sorted(set(params) - self.free_parameters)
         if unknown:
             raise PlanError(
                 "E_UNKNOWN_PARAM",
                 f"not free parameters of this plan: {', '.join(unknown)}",
             )
+        values = {k: float(v) for k, v in params.items()}
+        nonfinite = [f"{k}={v!r}" for k, v in values.items() if not math.isfinite(v)]
+        if nonfinite:
+            raise PlanError(
+                "E_NONFINITE_PARAM",
+                f"parameter values must be finite: {', '.join(nonfinite)}",
+            )
         merged = dict(self.bindings)
-        merged.update({k: float(v) for k, v in params.items()})
+        merged.update(values)
         return replace(self, bindings=merged)
 
     def harmonic_degree(self, name: str) -> tuple[int, int] | None:
@@ -355,6 +367,6 @@ def fig1_preset(params: Mapping[str, float]) -> CircuitPlan:
         raise PlanError("E_MISSING_PARAM", f"missing parameter(s): {', '.join(missing)}")
     for a, b in (("alpha1", "beta1"), ("alpha2", "beta2")):
         norm = params[a] ** 2 + params[b] ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails too
             raise PlanError("E_NORM", f"{a}^2 + {b}^2 = {norm!r}, expected 1")
     return _fig1_plan().bind({name: params[name] for name in FIG1_PARAMETERS})

@@ -153,16 +153,16 @@ class BiphotonState:
             raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
         u00, u01 = complex(u[0, 0]), complex(u[0, 1])
         u10, u11 = complex(u[1, 0]), complex(u[1, 1])
-        # max |U^H U - I| computed by hand; this sits on the hot path
+        # |U^H U - I| computed by hand; this sits on the hot path.  Each entry
+        # is compared on its own, so that a NaN fails: max() could drop it.
         cross = u00.conjugate() * u01 + u10.conjugate() * u11
-        defect = max(
-            abs(abs(u00) ** 2 + abs(u10) ** 2 - 1.0),
-            abs(abs(u01) ** 2 + abs(u11) ** 2 - 1.0),
-            abs(cross),
-        )
-        if defect > UNITARITY_TOL:
+        col0 = abs(abs(u00) ** 2 + abs(u10) ** 2 - 1.0)
+        col1 = abs(abs(u01) ** 2 + abs(u11) ** 2 - 1.0)
+        off = abs(cross)
+        if not (col0 <= UNITARITY_TOL and col1 <= UNITARITY_TOL and off <= UNITARITY_TOL):
             raise UnitarityError(
-                f"matrix is not unitary: max |U^H U - I| = {defect:.3e}"
+                "matrix is not unitary: |U^H U - I| entries "
+                f"{col0:.3e}, {col1:.3e}, {off:.3e}"
             )
         return self._map_slots(
             band,

@@ -1,11 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import CIRCUITS_DIR
+from conftest import CIRCUITS_DIR, REPO_ROOT
 from qiup import cli
-from qiup.estimation import format_counts_csv, read_counts_csv
+from qiup.estimation import fit, format_counts_csv, read_counts_csv, simulate_measurement
 from qiup.observables import CountResult, FringeScan
 from qiup.reference import nh_closed, nv_closed
 
@@ -79,6 +83,25 @@ class TestRun:
         assert cli.main(["run", str(bad)]) == 1
         assert "E_ARITY" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_phase_exit1(self, value, capsys):
+        # NaN amplitudes used to be pruned away, printing n_h=0 n_v=0.5
+        code = cli.main(["run", "--preset", "fig1", *REGIME, "--param", f"phi={value}"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"parameter values must be finite: phi={float(value)!r}" in captured.err
+
+    def test_nonfinite_amplitude_exit1(self, capsys):
+        # used to print n_h=0.121389 n_v=0.585507
+        code = cli.main(
+            ["run", "--preset", "fig1", "--param", "alpha1=nan", "--param", "beta1=0.8",
+             "--param", "gamma=0", "--param", "alpha2=0", "--param", "beta2=1",
+             "--param", "theta=0.7", "--param", "phi=0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "parameter values must be finite: alpha1=nan" in captured.err
+
 
 class TestScan:
     def test_phi_sweep_visibility(self, tmp_path, capsys):
@@ -135,6 +158,15 @@ class TestScan:
 
     def test_too_few_points(self, capsys):
         assert cli.main(["scan", "--preset", "fig1", "--points", "1"]) == 1
+
+    @pytest.mark.parametrize("bounds", [["--from", "nan"], ["--to", "inf"],
+                                        ["--from=-inf", "--to", "0"]])
+    def test_nonfinite_range_exit1(self, bounds, capsys):
+        # --from nan used to print rows of nan,nan,nan and visibility=nan
+        code = cli.main(["scan", "--preset", "fig1", *REGIME, *bounds])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "--from and --to must be finite" in captured.err
 
     def test_shots_emit_measurement_csv(self, tmp_path, capsys):
         out = tmp_path / "noisy.csv"
@@ -202,6 +234,74 @@ class TestFit:
         path.write_text("# shots=10\nphi,counts_h,counts_v\n" + body)
         assert cli.main(["fit", str(path)]) == 1
         assert "at least 3 distinct phi" in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter: calls cli.main for each argv on stdin and
+# reports its exit code, its stdout and whether scipy has been imported.
+COLD_SCRIPT = """
+import contextlib, io, json, sys
+import qiup, qiup.cli
+report = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = qiup.cli.main(argv)
+    report.append([code, out.getvalue(), "scipy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def cold_cli(commands):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_SCRIPT], input=json.dumps(commands),
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestColdImport:
+    def test_only_fit_loads_scipy(self, tmp_path):
+        # off the fit's grid, with noise, so the refinement runs
+        phis = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+        records = tuple(
+            CountResult(float(nh_closed(0.6, 1.0, p)), float(nv_closed(0.6, 1.0, p)))
+            for p in phis
+        )
+        noisy = simulate_measurement(FringeScan(tuple(phis.tolist()), records, "o'"), 10000, 3)
+        data = tmp_path / "noisy.csv"
+        data.write_text(format_counts_csv(noisy))
+        out = str(tmp_path / "scan.csv")
+        scan = ["scan", "--preset", "fig1", *REGIME, "--out", out]
+        commands = [
+            ["check", FIG1],
+            ["run", "--preset", "fig1", *REGIME, "--param", "phi=0"],
+            scan,
+            [*scan, "--shots", "1000", "--seed", "1"],
+            ["verify", "--grid-points", "4"],
+            ["fit", str(data)],
+        ]
+        report = cold_cli(commands)
+        assert [code for code, _, _ in report] == [0, 0, 0, 0, 3, 0]
+        assert [loaded for _, _, loaded in report] == [False] * 5 + [True]
+        fit_line = report[-1][1].strip()
+        assert fit_line == fit(read_counts_csv(data.read_text())).summary()
+        # pinned figures: loading the solver lazily must not change them
+        fields = dict(kv.split("=") for kv in fit_line.split())
+        assert float(fields["beta1"]) == pytest.approx(0.59776446, abs=1e-9)
+        assert float(fields["gamma"]) == pytest.approx(0.994396383166, abs=1e-9)
+        assert float(fields["rss"]) == pytest.approx(0.00387559832187, rel=1e-9)
+        assert fields["converged"] == "true"
+
+    def test_exact_grid_fit_skips_the_solver(self, tmp_path):
+        # a noiseless scan on a grid node returns before the refinement
+        data = oracle_csv(tmp_path, beta1=0.6, gamma=0.0)
+        [[code, out, loaded]] = cold_cli([["fit", str(data)]])
+        assert code == 0 and out.startswith("beta1=0.6 gamma=0 ") and not loaded
 
 
 class TestVerify:

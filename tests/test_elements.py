@@ -120,6 +120,17 @@ class TestPreparation:
         with pytest.raises(ValueError, match="nonnegative"):
             PreparationSpec(-0.6, 0.8)
 
+    @pytest.mark.parametrize("args, match", [
+        ((math.nan, 0.8), "nonnegative"),
+        ((0.6, math.nan), "nonnegative"),
+        ((math.inf, 0.8), "alpha"),
+        ((0.6, 0.8, math.nan), "relative phase"),
+        ((0.6, 0.8, math.inf), "relative phase"),
+    ])
+    def test_spec_rejects_nonfinite(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            PreparationSpec(*args)
+
     def test_prepare_splits_v(self):
         state = initial_state([SourceSpec(1, "a", "a")])
         spec = PreparationSpec(0.6, 0.8, 1.0)

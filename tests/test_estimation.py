@@ -84,7 +84,9 @@ class TestNoisyScan:
         with pytest.raises(ValueError):
             NoisyScan((0.0,), (1,), (1,), shots=0, seed=0)
 
-    @pytest.mark.parametrize("phis", [(0.0, 1.0, 0.5), (0.0, 1.0, 1.0)])
+    @pytest.mark.parametrize("phis", [
+        (0.0, 1.0, 0.5), (0.0, 1.0, 1.0), (0.0, math.nan, 2.0), (math.nan, math.nan, math.nan),
+    ])
     def test_phi_must_increase(self, phis):
         with pytest.raises(ValueError, match="strictly increasing"):
             NoisyScan(phis, (1, 1, 1), (1, 1, 1), shots=10, seed=0)

@@ -131,6 +131,12 @@ class TestFringeScan:
         scan = fringe_scan(plan, "phi", [])
         assert scan.phis == () and scan.records == ()
 
+    @pytest.mark.parametrize("phis", [(0.0, math.nan, 2.0), (math.nan, math.nan)])
+    def test_nan_grid_rejected(self, phis):
+        records = tuple(CountResult(0.1, 0.2) for _ in phis)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FringeScan(phis, records, "o'")
+
     def test_sweeping_other_parameters_is_allowed(self):
         plan = fig1_preset(regime_params(0.5, 0.0)).bind({"phi": 0.3})
         scan = fringe_scan(plan, "theta", np.linspace(0.1, 1.2, 5))

@@ -108,11 +108,28 @@ def test_preset_norm_violation():
     assert err.value.code == "E_NORM"
 
 
+@pytest.mark.parametrize("name", ["alpha1", "beta2"])
+def test_preset_norm_violation_by_nan(name):
+    with pytest.raises(PlanError) as err:
+        fig1_preset(dict(EXAMPLE_PARAMS, **{name: math.nan}))
+    assert err.value.code == "E_NORM"
+
+
 def test_bind_unknown_parameter():
     plan, _ = compile_text(FIG1_SOURCE)
     with pytest.raises(PlanError) as err:
         plan.bind({"bogus": 1.0})
     assert err.value.code == "E_UNKNOWN_PARAM"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_bind_rejects_nonfinite_values(value):
+    plan, _ = compile_text(FIG1_SOURCE)
+    with pytest.raises(PlanError) as err:
+        plan.bind({"gamma": 1.0, "phi": value})
+    assert err.value.code == "E_NONFINITE_PARAM"
+    assert f"phi={value!r}" in str(err.value) and "gamma" not in str(err.value)
+    assert plan.bindings == {}
 
 
 def test_preset_binding_leaves_the_compiled_base_unbound():

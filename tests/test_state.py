@@ -89,6 +89,16 @@ class TestApplyPolUnitary:
         with pytest.raises(UnitarityError):
             two_source_state().apply_pol_unitary("a", [[1, 0], [0, 0.5]])
 
+    @pytest.mark.parametrize("u", [
+        [[math.nan, 0], [0, 1]],
+        [[1, 0], [0, math.nan]],  # NaN in the second column only
+        [[0, 1], [math.nan, 0]],
+        [[1, 0], [0, math.inf]],
+    ])
+    def test_nonfinite_matrix_rejected(self, u):
+        with pytest.raises(UnitarityError, match="not unitary"):
+            two_source_state().apply_pol_unitary("a", u)
+
     def test_band_filter_leaves_other_band_alone(self):
         state = initial_state([SourceSpec(1, "a", "a")])
         out = state.apply_pol_unitary("a", hwp_matrix(math.pi / 4), Band.IDLER)
