@@ -1,53 +1,3 @@
-"""Kernel backend selection.
+"""Kernel backend name; perfbench's environment record reads it."""
 
-The compiled extension is preferred when it imports; the pure-Python kernels
-are a complete fallback.  ``QIUP_BACKEND`` may be set to ``compiled`` or
-``python`` to force a choice (``compiled`` raises if the extension is
-missing).  ``set_backend`` exists for benchmarks and tests.
-"""
-from __future__ import annotations
-
-import os
-
-from . import pykernels
-
-kernels = pykernels
 name = "python"
-
-
-def _load_compiled():
-    from . import _ckernels  # noqa: PLC0415 - optional extension
-
-    return _ckernels
-
-
-def set_backend(which: str) -> None:
-    global kernels, name
-    if which == "python":
-        kernels = pykernels
-        name = "python"
-    elif which == "compiled":
-        kernels = _load_compiled()
-        name = "compiled"
-    else:
-        raise ValueError(f"unknown backend {which!r} (use 'compiled' or 'python')")
-
-
-def available_backends() -> list[str]:
-    out = ["python"]
-    try:
-        _load_compiled()
-        out.insert(0, "compiled")
-    except ImportError:
-        pass
-    return out
-
-
-_requested = os.environ.get("QIUP_BACKEND", "").strip().lower()
-if _requested in ("compiled", "python"):
-    set_backend(_requested)
-else:
-    try:
-        set_backend("compiled")
-    except ImportError:
-        pass

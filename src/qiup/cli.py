@@ -83,9 +83,15 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _default_seed(value: int | None) -> int:
     if value is not None:
+        if value < 0:
+            raise _CliError(f"--seed must be a non-negative integer, got {value}", EXIT_FAIL)
         return value
     env = os.environ.get("QIUP_SEED", "").strip()
-    return int(env) if env else 0
+    if not env:
+        return 0
+    if not env.isdecimal():
+        raise _CliError(f"QIUP_SEED must be a non-negative integer, got {env!r}", EXIT_FAIL)
+    return int(env)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -121,8 +127,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise _CliError("--points must be at least 2", EXIT_FAIL)
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise _CliError("--from and --to must be finite", EXIT_FAIL)
-    plan = _load_plan(args)
     grid = args.start + (args.stop - args.start) * np.arange(args.points) / args.points
+    if not np.all(np.diff(grid) > 0):
+        raise _CliError("--to must be greater than --from", EXIT_FAIL)
+    seed = None if args.shots is None else _default_seed(args.seed)
+    plan = _load_plan(args)
     scan = fringe_scan(
         plan,
         args.sweep,
@@ -131,7 +140,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         bs_convention=args.bs_convention,
     )
     if args.shots is not None:
-        noisy = simulate_measurement(scan, args.shots, _default_seed(args.seed))
+        noisy = simulate_measurement(scan, args.shots, seed)
         _write_output(format_counts_csv(noisy), args.out)
     else:
         _write_output(format_scan_csv(scan), args.out)

@@ -3,7 +3,9 @@
 Wave plates, one- and two-input beamsplitters, dichroic mirrors, phase
 shifters, beam preparation and the indistinguishability merge.  Every element
 returns a new state and preserves ``norm_sq`` (the merge included, as long as
-its relabelings are injective on the occupied support).
+its relabelings are injective on the occupied support).  Each is built from
+the single-photon transforms of :class:`~qiup.state.BiphotonState`, which act
+on every product term, so no element adds a term.
 """
 from __future__ import annotations
 
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreparationConflictError, QiupWarning
-from .modes import IDLER_SHIFT, SIGNAL_SHIFT, Band, Polarization, intern_path
+from .modes import Band, Polarization
 from .state import BiphotonState
-from . import backend
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
@@ -134,8 +135,7 @@ def prepare_beam(
     The targeted beam must be purely vertical (the emission convention); an
     existing H occupation raises :class:`PreparationConflictError`.
     """
-    nh, _ = state.counts_at(path, band)
-    if nh > 0.0:
+    if state.path_occupied(path, band, Polarization.H):
         raise PreparationConflictError(
             f"path {path!r} ({band}) already carries a horizontal component"
         )
@@ -163,19 +163,7 @@ def apply_bs_single(
             stacklevel=2,
         )
         return state
-    m = BS_CONVENTIONS[convention]
-    return state._map_slots(
-        None,
-        backend.kernels.slot_bs2,
-        intern_path(in_path),
-        -1,
-        intern_path(out_t),
-        intern_path(out_r),
-        complex(m[0, 0]),
-        complex(m[1, 0]),
-        complex(m[0, 1]),
-        complex(m[1, 1]),
-    )
+    return state.route_two_port(in_path, None, out_t, out_r, BS_CONVENTIONS[convention])
 
 
 def apply_bs_dual(
@@ -189,19 +177,7 @@ def apply_bs_dual(
     """Two-input beamsplitter over (in_a, in_b) -> (out_a, out_b), both bands."""
     if out_a == out_b:
         raise ValueError("beamsplitter outputs must be distinct")
-    m = BS_CONVENTIONS[convention]
-    return state._map_slots(
-        None,
-        backend.kernels.slot_bs2,
-        intern_path(in_a),
-        intern_path(in_b),
-        intern_path(out_a),
-        intern_path(out_b),
-        complex(m[0, 0]),
-        complex(m[1, 0]),
-        complex(m[0, 1]),
-        complex(m[1, 1]),
-    )
+    return state.route_two_port(in_a, in_b, out_a, out_b, BS_CONVENTIONS[convention])
 
 
 def apply_dichroic(
@@ -221,19 +197,11 @@ def apply_phase(
 
     An entry whose two photons both match picks up the factor twice.
     """
-    factor = cmath.exp(1j * phi)
-    return state._map_slots(
-        band, backend.kernels.slot_phase, intern_path(path), factor
-    )
+    return state.apply_phase_factor(path, cmath.exp(1j * phi), band)
 
 
 def apply_merge(state: BiphotonState, rules: list[MergeRule]) -> BiphotonState:
     """Drop source tags on every mode matching a rule; collisions sum."""
-    entries = state._entries
-    eps = state.prune_epsilon
     for rule in rules:
-        shift = SIGNAL_SHIFT if rule.band is Band.SIGNAL else IDLER_SHIFT
-        entries = backend.kernels.slot_retag(
-            entries, shift, intern_path(rule.path), rule.pol.value, 0, eps
-        )
-    return BiphotonState._wrap(entries, eps)
+        state = state.merge_tags(rule.path, rule.pol, rule.band)
+    return state

@@ -1,5 +1,18 @@
-"""Sparse two-photon state: a map from (signal mode, idler mode) pairs to
-complex amplitudes.
+"""Two-photon state as a sum of signal ⊗ idler product terms.
+
+A state is ``Σ_k u_k ⊗ w_k``: each term pairs a signal amplitude map ``u_k``
+with an idler amplitude map ``w_k``, both sparse dicts keyed by packed
+single-photon modes (:func:`qiup.modes.pack_mode`).  Every element acts on one
+photon at a time, so no element adds a term: a pipeline holds one term per
+source.  Norms and counts come from the Gram matrices of the term vectors:
+the idler overlap ``⟨w_k|w_l⟩`` is the induced-coherence factor that sets the
+signal fringes.
+
+Queries that name pair entries (``items``, ``amplitude``, ``len``, ``==``,
+``serialize`` and friends) read the pair map ``Σ_k u_k(s) w_k(i)``, built on
+demand; entries at or below ``prune_epsilon`` in magnitude are dropped there,
+and single-photon amplitudes are dropped by the same rule after each
+transform.
 
 States are immutable from the caller's perspective; every operation returns a
 new state.  Amplitudes follow the unnormalized source convention: each source
@@ -14,11 +27,15 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import backend
 from .errors import UnitarityError
 from .modes import (
     IDLER_SHIFT,
+    MODE_MASK,
+    PATH_SHIFT,
+    POL_MASK,
     SIGNAL_SHIFT,
+    TAG_MASK,
+    TAG_SHIFT,
     Band,
     ModePair,
     Polarization,
@@ -30,6 +47,8 @@ from .modes import (
 DEFAULT_PRUNE_EPSILON = 1e-14
 UNITARITY_TOL = 1e-10
 TWO_PI = 2.0 * math.pi
+
+_REST_MASK = (1 << PATH_SHIFT) - 1  # polarization and tag bits of a mode
 
 
 @dataclass(frozen=True)
@@ -48,18 +67,114 @@ class SourceSpec:
         object.__setattr__(self, "phase", self.phase % TWO_PI)
 
 
-def _shifts(band: Band | None) -> tuple[int, ...]:
-    if band is Band.SIGNAL:
-        return (SIGNAL_SHIFT,)
-    if band is Band.IDLER:
-        return (IDLER_SHIFT,)
-    return (SIGNAL_SHIFT, IDLER_SHIFT)
+# -- single-photon transforms --------------------------------------------------
+#
+# Each takes an amplitude map ``dict[int, complex]`` over packed modes and
+# returns a new one; inputs are never mutated.
+
+
+def _pruned(amps: dict, eps: float) -> dict:
+    eps2 = eps * eps
+    return {
+        k: a for k, a in amps.items()
+        if a.real * a.real + a.imag * a.imag > eps2
+    }
+
+
+def _unitary(amps: dict, path_idx: int, u00: complex, u01: complex,
+             u10: complex, u11: complex, eps: float) -> dict:
+    out: dict = {}
+    get = out.get
+    for mode, amp in amps.items():
+        if mode >> PATH_SHIFT != path_idx:
+            out[mode] = amp
+            continue
+        kh = mode & ~POL_MASK
+        kv = kh | POL_MASK
+        if mode & POL_MASK:
+            ah, av = u01 * amp, u11 * amp
+        else:
+            ah, av = u00 * amp, u10 * amp
+        out[kh] = get(kh, 0j) + ah
+        out[kv] = get(kv, 0j) + av
+    return _pruned(out, eps)
+
+
+def _route(amps: dict, in_a: int, in_b: int, out_a: int, out_b: int,
+           m_aa: complex, m_ba: complex, m_ab: complex, m_bb: complex,
+           eps: float) -> dict:
+    """Path in_a -> m_aa*out_a + m_ba*out_b, in_b likewise; in_b may be -1."""
+    out: dict = {}
+    get = out.get
+    for mode, amp in amps.items():
+        path = mode >> PATH_SHIFT
+        if path == in_a:
+            ca, cb = m_aa * amp, m_ba * amp
+        elif path == in_b:
+            ca, cb = m_ab * amp, m_bb * amp
+        else:
+            out[mode] = get(mode, 0j) + amp
+            continue
+        rest = mode & _REST_MASK
+        ka = (out_a << PATH_SHIFT) | rest
+        kb = (out_b << PATH_SHIFT) | rest
+        out[ka] = get(ka, 0j) + ca
+        out[kb] = get(kb, 0j) + cb
+    return _pruned(out, eps)
+
+
+def _relabel(amps: dict, from_idx: int, to_idx: int, pol_filter: int,
+             eps: float) -> dict:
+    """Move modes from one path to another; pol_filter is 0, 1 or -1 (any)."""
+    out: dict = {}
+    get = out.get
+    for mode, amp in amps.items():
+        if mode >> PATH_SHIFT == from_idx and (pol_filter < 0 or mode & POL_MASK == pol_filter):
+            mode = (to_idx << PATH_SHIFT) | (mode & _REST_MASK)
+        out[mode] = get(mode, 0j) + amp
+    return _pruned(out, eps)
+
+
+def _merge_tags(amps: dict, path_idx: int, pol: int, eps: float) -> dict:
+    """Set matching modes' tag to MERGED (0); colliding amplitudes sum."""
+    out: dict = {}
+    get = out.get
+    tag_clear = ~(TAG_MASK << TAG_SHIFT)
+    for mode, amp in amps.items():
+        if mode >> PATH_SHIFT == path_idx and mode & POL_MASK == pol:
+            mode &= tag_clear
+        out[mode] = get(mode, 0j) + amp
+    return _pruned(out, eps)
+
+
+def _phase(amps: dict, path_idx: int, factor: complex, eps: float) -> dict:
+    return _pruned(
+        {m: factor * a if m >> PATH_SHIFT == path_idx else a for m, a in amps.items()},
+        eps,
+    )
+
+
+def _select(amps: dict, path_idx: int) -> dict:
+    return {m: a for m, a in amps.items() if m >> PATH_SHIFT == path_idx}
+
+
+def _inner(x: dict, y: dict) -> complex:
+    """⟨x|y⟩."""
+    if len(x) > len(y):
+        return _inner(y, x).conjugate()
+    total = 0j
+    get = y.get
+    for mode, a in x.items():
+        b = get(mode)
+        if b is not None:
+            total += a.conjugate() * b
+    return total
 
 
 class BiphotonState:
-    """Amplitude map over :class:`~qiup.modes.ModePair` keys."""
+    """Sum of signal ⊗ idler product terms over packed single-photon modes."""
 
-    __slots__ = ("_entries", "prune_epsilon")
+    __slots__ = ("_terms", "_pair_map", "prune_epsilon")
 
     def __init__(
         self,
@@ -75,40 +190,74 @@ class BiphotonState:
                 raise ValueError(f"non-finite amplitude for {pair}")
             key = pair.packed()
             packed[key] = packed.get(key, 0j) + amp
-        self._entries = backend.kernels.prune(packed, prune_epsilon)
-        self.prune_epsilon = prune_epsilon
+        self._set_pairs(_pruned(packed, prune_epsilon), prune_epsilon)
+
+    def _set_pairs(self, pairs: dict[int, complex], eps: float) -> None:
+        """One product term per (already pruned) pair entry."""
+        self._terms = tuple(
+            ({key >> SIGNAL_SHIFT: amp}, {key & MODE_MASK: 1 + 0j})
+            for key, amp in pairs.items()
+        )
+        self._pair_map = pairs
+        self.prune_epsilon = eps
 
     @classmethod
-    def _wrap(cls, packed: dict[int, complex], eps: float) -> "BiphotonState":
+    def _wrap(cls, terms: tuple, eps: float) -> "BiphotonState":
         state = cls.__new__(cls)
-        state._entries = packed
+        state._terms = terms
+        state._pair_map = None
         state.prune_epsilon = eps
         return state
+
+    def _pairs(self) -> dict[int, complex]:
+        """Packed pair map ``Σ_k u_k(s) w_k(i)``, pruned; built once per state."""
+        if self._pair_map is None:
+            out: dict[int, complex] = {}
+            get = out.get
+            for u, w in self._terms:
+                for s, a in u.items():
+                    s <<= SIGNAL_SHIFT
+                    for i, b in w.items():
+                        key = s | i
+                        out[key] = get(key, 0j) + a * b
+            self._pair_map = _pruned(out, self.prune_epsilon)
+        return self._pair_map
 
     # -- inspection -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._pairs())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiphotonState):
             return NotImplemented
-        return self._entries == other._entries
+        return self._pairs() == other._pairs()
 
     def __repr__(self) -> str:
         return f"BiphotonState({len(self)} entries, norm_sq={self.norm_sq():.6g})"
 
     def items(self) -> list[tuple[ModePair, complex]]:
         """Entries in canonical mode-pair order."""
-        decoded = [(ModePair.from_packed(k), a) for k, a in self._entries.items()]
+        decoded = [(ModePair.from_packed(k), a) for k, a in self._pairs().items()]
         decoded.sort(key=lambda item: item[0].sort_key())
         return decoded
 
     def amplitude(self, pair: ModePair) -> complex:
-        return self._entries.get(pair.packed(), 0j)
+        return self._pairs().get(pair.packed(), 0j)
 
     def norm_sq(self) -> float:
-        return backend.kernels.norm_sq(self._entries)
+        """``Σ_{k,l} ⟨u_k|u_l⟩⟨w_k|w_l⟩``, clipped at 0."""
+        terms = self._terms
+        total = 0.0
+        for k, (uk, wk) in enumerate(terms):
+            for l in range(k, len(terms)):
+                ul, wl = terms[l]
+                g = _inner(uk, ul)
+                if g:
+                    g *= _inner(wk, wl)
+                    total += g.real if l == k else 2.0 * g.real
+        # rounding can push a vanishing sum just below zero
+        return max(total, 0.0)
 
     def tags_present(self) -> frozenset[SourceTag]:
         tags = set()
@@ -124,21 +273,37 @@ class BiphotonState:
             paths.add(pair.idler.path)
         return frozenset(paths)
 
-    def path_occupied(self, path: str, band: Band | None = None) -> bool:
-        mask = backend.kernels.path_slots(self._entries, intern_path(path))
-        if band is Band.SIGNAL:
-            return bool(mask & 1)
-        if band is Band.IDLER:
-            return bool(mask & 2)
-        return mask != 0
+    def path_occupied(
+        self, path: str, band: Band | None = None, pol: Polarization | None = None
+    ) -> bool:
+        """Whether a pair entry has its ``band`` photon (either, if None) at
+        ``path``, with polarization ``pol`` if given."""
+        idx = intern_path(path)
+        shifts = [shift for shift, b in ((SIGNAL_SHIFT, Band.SIGNAL), (IDLER_SHIFT, Band.IDLER))
+                  if band in (None, b)]
+        for key in self._pairs():
+            for shift in shifts:
+                mode = (key >> shift) & MODE_MASK
+                if mode >> PATH_SHIFT == idx and (pol is None or mode & POL_MASK == pol.value):
+                    return True
+        return False
 
     # -- transforms -------------------------------------------------------
 
-    def _map_slots(self, band: Band | None, fn, *args) -> "BiphotonState":
-        entries = self._entries
-        for shift in _shifts(band):
-            entries = fn(entries, shift, *args, self.prune_epsilon)
-        return BiphotonState._wrap(entries, self.prune_epsilon)
+    def _map(self, band: Band | None, fn, *args) -> "BiphotonState":
+        """Apply a single-photon transform to the ``band`` photon of every term."""
+        eps = self.prune_epsilon
+        on_signal = band is not Band.IDLER
+        on_idler = band is not Band.SIGNAL
+        terms = []
+        for u, w in self._terms:
+            if on_signal:
+                u = fn(u, *args, eps)
+            if on_idler:
+                w = fn(w, *args, eps)
+            if u and w:
+                terms.append((u, w))
+        return BiphotonState._wrap(tuple(terms), eps)
 
     def apply_pol_unitary(
         self, path: str, u, band: Band | None = None
@@ -164,14 +329,27 @@ class BiphotonState:
                 "matrix is not unitary: |U^H U - I| entries "
                 f"{col0:.3e}, {col1:.3e}, {off:.3e}"
             )
-        return self._map_slots(
-            band,
-            backend.kernels.slot_unitary,
-            intern_path(path),
-            u00,
-            u01,
-            u10,
-            u11,
+        return self._map(band, _unitary, intern_path(path), u00, u01, u10, u11)
+
+    def route_two_port(
+        self, in_a: str, in_b: str | None, out_a: str, out_b: str, m
+    ) -> "BiphotonState":
+        """Route both photons through a two-port: ``m`` is 2x2 over (out_a, out_b).
+
+        A mode on ``in_a`` goes to ``m[0,0]·out_a + m[1,0]·out_b``, one on
+        ``in_b`` to ``m[0,1]·out_a + m[1,1]·out_b``; ``in_b`` may be None.
+        """
+        return self._map(
+            None,
+            _route,
+            intern_path(in_a),
+            -1 if in_b is None else intern_path(in_b),
+            intern_path(out_a),
+            intern_path(out_b),
+            complex(m[0, 0]),
+            complex(m[1, 0]),
+            complex(m[0, 1]),
+            complex(m[1, 1]),
         )
 
     def relabel_path(
@@ -182,34 +360,77 @@ class BiphotonState:
         pol: Polarization | None = None,
     ) -> "BiphotonState":
         """Re-key matching modes onto ``to_path``; colliding amplitudes sum."""
-        return self._map_slots(
+        return self._map(
             band,
-            backend.kernels.slot_relabel,
+            _relabel,
             intern_path(from_path),
             intern_path(to_path),
             -1 if pol is None else pol.value,
         )
 
+    def merge_tags(self, path: str, pol: Polarization, band: Band) -> "BiphotonState":
+        """Drop the source tag of matching modes; colliding amplitudes sum."""
+        return self._map(band, _merge_tags, intern_path(path), pol.value)
+
+    def apply_phase_factor(
+        self, path: str, factor: complex, band: Band | None = None
+    ) -> "BiphotonState":
+        """Multiply each matching photon's amplitude by ``factor``."""
+        return self._map(band, _phase, intern_path(path), factor)
+
     def prune(self) -> "BiphotonState":
-        return BiphotonState._wrap(
-            backend.kernels.prune(self._entries, self.prune_epsilon),
-            self.prune_epsilon,
-        )
+        """A state with one product term per entry of the pruned pair map."""
+        state = BiphotonState.__new__(BiphotonState)
+        state._set_pairs(self._pairs(), self.prune_epsilon)
+        return state
 
     # -- queries used by observables --------------------------------------
 
     def restrict_to(self, path: str, band: Band) -> "BiphotonState":
         """Keep only entries whose ``band`` photon sits at ``path``."""
-        shift = SIGNAL_SHIFT if band is Band.SIGNAL else IDLER_SHIFT
+        idx = intern_path(path)
+        if band is Band.SIGNAL:
+            terms = ((_select(u, idx), w) for u, w in self._terms)
+        else:
+            terms = ((u, _select(w, idx)) for u, w in self._terms)
         return BiphotonState._wrap(
-            backend.kernels.slot_select(self._entries, shift, intern_path(path)),
-            self.prune_epsilon,
+            tuple((u, w) for u, w in terms if u and w), self.prune_epsilon
         )
 
     def counts_at(self, path: str, band: Band) -> tuple[float, float]:
-        """(H, V) squared-magnitude sums for the ``band`` photon at ``path``."""
-        shift = SIGNAL_SHIFT if band is Band.SIGNAL else IDLER_SHIFT
-        return backend.kernels.slot_counts(self._entries, shift, intern_path(path))
+        """(H, V) squared-magnitude sums for the ``band`` photon at ``path``.
+
+        Each is ``Σ_{k,l} ⟨x_k|P x_l⟩⟨y_k|y_l⟩``: ``x`` the ``band`` photon's
+        vectors, ``P`` the projector onto one polarization at ``path``, ``y``
+        the other photon's vectors (their Gram matrix).
+        """
+        idx = intern_path(path)
+        mine, other = (0, 1) if band is Band.SIGNAL else (1, 0)
+        terms = self._terms
+        nh = nv = 0.0
+        for k, tk in enumerate(terms):
+            here = [(m, a.conjugate()) for m, a in tk[mine].items() if m >> PATH_SHIFT == idx]
+            if not here:
+                continue
+            for l in range(k, len(terms)):
+                tl = terms[l]
+                get = tl[mine].get
+                ch = cv = 0j
+                for m, ca in here:
+                    b = get(m)
+                    if b is not None:
+                        if m & POL_MASK:
+                            cv += ca * b
+                        else:
+                            ch += ca * b
+                if ch or cv:
+                    g = _inner(tk[other], tl[other])
+                    if l != k:
+                        g *= 2.0
+                    nh += (ch * g).real
+                    nv += (cv * g).real
+        # rounding can push a vanishing count just below zero
+        return max(nh, 0.0), max(nv, 0.0)
 
     # -- serialization -----------------------------------------------------
 
@@ -234,12 +455,12 @@ def initial_state(
     sources: Iterable[SourceSpec],
     prune_epsilon: float = DEFAULT_PRUNE_EPSILON,
 ) -> BiphotonState:
-    """Sum of one unit-magnitude pair term per source, tagged by source id."""
+    """Sum of one unit-magnitude product term per source, tagged by source id."""
     sources = list(sources)
     if not sources:
         raise ValueError("at least one source is required")
     seen: set[int] = set()
-    packed: dict[int, complex] = {}
+    terms = []
     for spec in sources:
         if spec.source_id in seen:
             raise ValueError(f"duplicate source id {spec.source_id}")
@@ -248,5 +469,5 @@ def initial_state(
                         spec.source_id)
         idl = pack_mode(intern_path(spec.idler_path), spec.emitted_pol.value,
                         spec.source_id)
-        packed[(sig << SIGNAL_SHIFT) | idl] = cmath.exp(1j * spec.phase)
-    return BiphotonState._wrap(packed, prune_epsilon)
+        terms.append(({sig: cmath.exp(1j * spec.phase)}, {idl: 1 + 0j}))
+    return BiphotonState._wrap(tuple(terms), prune_epsilon)

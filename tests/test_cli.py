@@ -168,6 +168,25 @@ class TestScan:
         assert code == 1 and captured.out == ""
         assert "--from and --to must be finite" in captured.err
 
+    @pytest.mark.parametrize("argv, env, message", [
+        (["--shots", "100", "--seed", "-1"], None, "--seed must be a non-negative integer"),
+        (["--shots", "100"], "-3", "QIUP_SEED must be a non-negative integer, got '-3'"),
+        (["--shots", "100"], "x", "QIUP_SEED must be a non-negative integer, got 'x'"),
+        (["--from", "2", "--to", "1"], None, "--to must be greater than --from"),
+        (["--from", "1", "--to", "1"], None, "--to must be greater than --from"),
+    ], ids=["negative-seed", "negative-env-seed", "non-integer-env-seed",
+            "reversed-range", "empty-range"])
+    def test_bad_option_is_named(self, argv, env, message, monkeypatch, capsys):
+        # these used to exit 1 with numpy's or int()'s message, naming no option
+        if env is None:
+            monkeypatch.delenv("QIUP_SEED", raising=False)
+        else:
+            monkeypatch.setenv("QIUP_SEED", env)
+        code = cli.main(["scan", "--preset", "fig1", *REGIME, "--points", "4", *argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert message in captured.err
+
     def test_shots_emit_measurement_csv(self, tmp_path, capsys):
         out = tmp_path / "noisy.csv"
         code = cli.main(

@@ -158,6 +158,19 @@ class TestPreparation:
         with pytest.raises(PreparationConflictError):
             prepare_beam(once, "a", Band.IDLER, PreparationSpec(0.6, 0.8, 0.0))
 
+    def test_cancelled_h_component_does_not_conflict(self):
+        # the H entries cancel in the pair map, though a Gram count of the
+        # two product terms rounds to 1.7e-18 rather than 0
+        state = BiphotonState(
+            {
+                pair("p", H, S1, "w", V, S2): complex(-0.077, 0.061),
+                pair("p", H, S1, "q", V, S2): complex(0.077, -0.060999999999999985),
+            }
+        ).relabel_path("q", "w", band=Band.IDLER)
+        assert len(state) == 0
+        out = prepare_beam(state, "p", Band.SIGNAL, PreparationSpec(0.6, 0.8, 0.0))
+        assert len(out) == 0
+
 
 class TestWavePlatesToPreparation:
     def test_zero_angles_stay_vertical(self):

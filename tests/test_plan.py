@@ -267,6 +267,18 @@ def test_iter_plan_yields_every_step():
     assert len(labels) == 1 + len(plan.pipeline)
 
 
+@pytest.mark.parametrize("merge", [True, False])
+@pytest.mark.parametrize("convention", ["symmetric", "hadamard"])
+def test_fig1_keeps_one_product_term_per_source(merge, convention):
+    # every element acts on one photon at a time, so the state stays
+    # u_1 ⊗ w_1 + u_2 ⊗ w_2 while its pair entries multiply
+    params = dict(EXAMPLE_PARAMS, alpha2=0.8, beta2=0.6, theta=0.3)
+    steps = [state for _, state in iter_plan(
+        fig1_preset(params), merge_enabled=merge, bs_convention=convention)]
+    assert [len(state._terms) for state in steps] == [2] * len(steps)
+    assert len(steps[-1]) == (48 if merge else 40)
+
+
 def test_waveplate_prep_circuit_runs():
     plan, diagnostics = compile_text((CIRCUITS_DIR / "waveplate_prep.qiup").read_text())
     assert plan is not None and not [d for d in diagnostics if d.severity == "error"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qiup.errors import UnitarityError
 from qiup.modes import Band, Mode, ModePair, Polarization, SourceTag
 from qiup.state import BiphotonState, SourceSpec, initial_state
-from qiup.elements import hwp_matrix
+from qiup.elements import BS_CONVENTIONS, hwp_matrix
 
 H, V = Polarization.H, Polarization.V
 M1, M2, MM = SourceTag.SOURCE_1, SourceTag.SOURCE_2, SourceTag.MERGED
@@ -67,6 +67,20 @@ class TestNormSq:
             }
         )
         assert scaled.norm_sq() == pytest.approx(1.0, abs=1e-15)
+
+    def test_cancelled_terms_never_go_negative(self):
+        # two product terms that cancel up to one ulp: their Gram contraction
+        # rounds to -2.2e-16 before clipping
+        state = BiphotonState(
+            {
+                pair("p", V, M1, "w", V, M2): complex(-0.731, 0.695),
+                pair("p", V, M1, "q", V, M2): complex(0.7310000000000001, -0.6950000000000001),
+            }
+        ).relabel_path("q", "w", band=Band.IDLER)
+        assert len(state) == 0
+        assert state.norm_sq() == 0.0
+        assert state.counts_at("p", Band.SIGNAL) == (0.0, 0.0)
+        assert state.counts_at("w", Band.IDLER) == (0.0, 0.0)
 
 
 class TestApplyPolUnitary:
@@ -253,6 +267,57 @@ def test_tag_multiset_never_grows(entries, theta, phi, lam):
     out = state.apply_pol_unitary("p", su2(theta, phi, lam))
     out = out.relabel_path("w", "p", band=Band.IDLER)
     assert out.tags_present() <= state.tags_present()
+
+
+PATHS = ("p", "q", "w", "z")
+bands = st.sampled_from([None, Band.SIGNAL, Band.IDLER])
+paths = st.sampled_from(PATHS)
+ops = st.one_of(
+    st.tuples(st.just("unitary"), paths, bands, angles, angles, angles),
+    st.tuples(st.just("relabel"), paths, paths, bands, st.sampled_from([None, H, V])),
+    st.tuples(st.just("merge"), paths, st.sampled_from([H, V]),
+              st.sampled_from([Band.SIGNAL, Band.IDLER])),
+    st.tuples(st.just("phase"), paths, bands, angles),
+    st.tuples(st.just("route"), paths, st.sampled_from((None,) + PATHS), paths, paths,
+              st.sampled_from(["symmetric", "hadamard"])),
+)
+
+
+def apply_op(state, op):
+    kind, *args = op
+    if kind == "unitary":
+        path, band, theta, phi, lam = args
+        return state.apply_pol_unitary(path, su2(theta, phi, lam), band)
+    if kind == "relabel":
+        from_path, to_path, band, pol = args
+        return state.relabel_path(from_path, to_path, band, pol)
+    if kind == "merge":
+        return state.merge_tags(*args)
+    if kind == "phase":
+        path, band, phi = args
+        return state.apply_phase_factor(path, cmath.exp(1j * phi), band)
+    in_a, in_b, out_a, out_b, convention = args
+    return state.route_two_port(in_a, in_b, out_a, out_b, BS_CONVENTIONS[convention])
+
+
+@given(entries=states, sequence=st.lists(ops, max_size=6))
+def test_gram_reductions_equal_pair_entry_sums(entries, sequence):
+    # norm_sq and counts_at contract Gram matrices of the product terms; items()
+    # reads the pair map.  Both must give the same sums.
+    state = BiphotonState(entries)
+    for op in sequence:
+        state = apply_op(state, op)
+    items = state.items()
+    assert state.norm_sq() == pytest.approx(
+        math.fsum(abs(a) ** 2 for _, a in items), rel=0, abs=1e-12)
+    for path in PATHS:
+        for band in (Band.SIGNAL, Band.IDLER):
+            modes = [(pr.signal if band is Band.SIGNAL else pr.idler, a) for pr, a in items]
+            nh, nv = state.counts_at(path, band)
+            assert nh >= 0.0 and nv >= 0.0
+            for got, pol in ((nh, H), (nv, V)):
+                want = math.fsum(abs(a) ** 2 for m, a in modes if m.path == path and m.pol is pol)
+                assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_amplitude_of_absent_pair_is_zero():
