@@ -6,6 +6,10 @@ returns a new state and preserves ``norm_sq`` (the merge included, as long as
 its relabelings are injective on the occupied support).  Each is built from
 the single-photon transforms of :class:`~qiup.state.BiphotonState`, which act
 on every product term, so no element adds a term.
+
+An angle or amplitude may be a length-B array, one value per member of a
+batched state; the element then applies B settings at once, and its checks
+must hold for every member.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import numpy as np
 
 from .errors import PreparationConflictError, QiupWarning
 from .modes import Band, Polarization
-from .state import BiphotonState
+from .state import BiphotonState, _at_failure, _holds
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
@@ -65,15 +69,21 @@ class PreparationSpec:
     rel_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        # written so that NaN fails each check
-        if not (self.alpha >= 0 and self.beta >= 0):
-            raise ValueError("preparation amplitudes must be nonnegative")
-        if not abs(self.alpha**2 + self.beta**2 - 1.0) <= 1e-10:
+        # written so that NaN fails each check, member by member for a batch
+        ok = (self.alpha >= 0) & (self.beta >= 0)
+        if not _holds(ok):
             raise ValueError(
-                f"alpha^2 + beta^2 must be 1, got {self.alpha**2 + self.beta**2!r}"
+                "preparation amplitudes must be nonnegative" + _at_failure(ok)[-1]
             )
-        if not math.isfinite(self.rel_phase):
-            raise ValueError(f"relative phase must be finite, got {self.rel_phase!r}")
+        norm = self.alpha**2 + self.beta**2
+        ok = abs(norm - 1.0) <= 1e-10
+        if not _holds(ok):
+            norm, note = _at_failure(ok, norm)
+            raise ValueError(f"alpha^2 + beta^2 must be 1, got {norm!r}{note}")
+        ok = abs(self.rel_phase) < math.inf  # false for NaN and ±inf
+        if not _holds(ok):
+            rel_phase, note = _at_failure(ok, self.rel_phase)
+            raise ValueError(f"relative phase must be finite, got {rel_phase!r}{note}")
 
 
 @dataclass(frozen=True)
@@ -85,16 +95,38 @@ class MergeRule:
     band: Band
 
 
-def hwp_matrix(h: float) -> np.ndarray:
-    """Half-wave plate with fast axis at angle ``h``: det -1, unitary."""
-    c, s = math.cos(2.0 * h), math.sin(2.0 * h)
-    return np.array([[c, -s], [-s, -c]], dtype=complex)
+def _cos_sin(x) -> tuple:
+    if isinstance(x, np.ndarray):
+        return np.cos(x), np.sin(x)
+    return math.cos(x), math.sin(x)
 
 
-def qwp_matrix(q: float) -> np.ndarray:
+def _expi(x):
+    """``e^{ix}``, member by member for a batch."""
+    return np.exp(1j * x) if isinstance(x, np.ndarray) else cmath.exp(1j * x)
+
+
+def _matrix(m00, m01, m10, m11) -> np.ndarray:
+    """A 2x2 complex matrix, or 2x2xB when an entry is a batch of B."""
+    entries = (m00, m01, m10, m11)
+    if any(isinstance(m, np.ndarray) for m in entries):
+        return np.array(np.broadcast_arrays(*entries), dtype=complex).reshape(2, 2, -1)
+    return np.array([[m00, m01], [m10, m11]], dtype=complex)
+
+
+def hwp_matrix(h: float | np.ndarray) -> np.ndarray:
+    """Half-wave plate with fast axis at angle ``h``: det -1, unitary.
+
+    An array of B angles gives a 2x2xB stack, one matrix per member.
+    """
+    c, s = _cos_sin(2.0 * h)
+    return _matrix(c, -s, -s, -c)
+
+
+def qwp_matrix(q: float | np.ndarray) -> np.ndarray:
     """Quarter-wave plate with fast axis at angle ``q`` (unitary form)."""
-    c, s = math.cos(2.0 * q), math.sin(2.0 * q)
-    return np.array([[1j - c, s], [s, 1j + c]], dtype=complex) * SQRT_HALF
+    c, s = _cos_sin(2.0 * q)
+    return _matrix(1j - c, s, s, 1j + c) * SQRT_HALF
 
 
 def apply_waveplate(
@@ -139,10 +171,10 @@ def prepare_beam(
         raise PreparationConflictError(
             f"path {path!r} ({band}) already carries a horizontal component"
         )
-    bv = spec.beta * cmath.exp(1j * spec.rel_phase)
+    bv = spec.beta * _expi(spec.rel_phase)
     # Unitary completion of the V column (alpha, beta e^{i rel_phase}); the H
     # column never acts because the precondition rules out H occupation.
-    u = np.array([[bv.conjugate(), spec.alpha], [-spec.alpha, bv]])
+    u = _matrix(bv.conjugate(), spec.alpha, -spec.alpha, bv)
     return state.apply_pol_unitary(path, u, band)
 
 
@@ -197,7 +229,7 @@ def apply_phase(
 
     An entry whose two photons both match picks up the factor twice.
     """
-    return state.apply_phase_factor(path, cmath.exp(1j * phi), band)
+    return state.apply_phase_factor(path, _expi(phi), band)
 
 
 def apply_merge(state: BiphotonState, rules: list[MergeRule]) -> BiphotonState:

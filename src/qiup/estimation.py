@@ -48,6 +48,7 @@ class NoisyScan:
     counts_v: tuple[int, ...]
     shots: int
     seed: int
+    sweep: str = "phi"
 
     def __post_init__(self) -> None:
         if not (len(self.phis) == len(self.counts_h) == len(self.counts_v)):
@@ -111,11 +112,14 @@ def simulate_measurement(scan: FringeScan, shots: int, seed: int) -> NoisyScan:
         counts_v=tuple(int(c) for c in counts_v),
         shots=shots,
         seed=seed,
+        sweep=scan.sweep,
     )
 
 
 def _channels(data: ScanLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(phis, h, v) with counts normalized by shots."""
+    if data.sweep != "phi":
+        raise ValueError(f"fringe analysis needs a phi scan, got a {data.sweep} scan")
     if isinstance(data, NoisyScan):
         phis = np.asarray(data.phis, dtype=float)
         h = np.asarray(data.counts_h, dtype=float) / data.shots
@@ -259,7 +263,8 @@ def infer_alpha1(beta1_hat: float) -> float:
 # Format: an initial comment line ``# shots=N`` (N >= 1), a header
 # ``phi,counts_h,counts_v`` and one row per grid point, phi strictly
 # increasing.  Counts are nonnegative and may be real-valued in synthetic
-# noiseless files.
+# noiseless files.  A scan over another parameter is written with that
+# name in place of ``phi``, which the reader rejects.
 
 
 def format_counts_csv(data: ScanLike, shots: int | None = None) -> str:
@@ -274,7 +279,8 @@ def format_counts_csv(data: ScanLike, shots: int | None = None) -> str:
             f"{p:.17g},{r.n_h * shots:.17g},{r.n_v * shots:.17g}"
             for p, r in zip(data.phis, data.records)
         ]
-    return "\n".join([f"# shots={shots}", "phi,counts_h,counts_v", *body]) + "\n"
+    header = f"{data.sweep},counts_h,counts_v"
+    return "\n".join([f"# shots={shots}", header, *body]) + "\n"
 
 
 def write_counts_csv(data: ScanLike, stream: IO[str], shots: int | None = None) -> None:

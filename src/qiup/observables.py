@@ -4,13 +4,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .errors import QiupWarning
 from .modes import Band
-from .plan import CircuitPlan, run_plan
+from .plan import CircuitPlan, PlanError, run_plan
 from .state import BiphotonState
 
 
@@ -32,13 +32,15 @@ class VisibilityResult:
 class FringeScan:
     """Sampled (phi, counts) records for one detection path.
 
-    ``phis`` must be strictly increasing; fringe analysis additionally assumes
-    they cover a full period within [0, 2pi).
+    ``phis`` holds the values of the swept parameter ``sweep`` and must be
+    strictly increasing; fringe analysis needs a ``phi`` sweep and
+    additionally assumes it covers a full period within [0, 2pi).
     """
 
     phis: tuple[float, ...]
     records: tuple[CountResult, ...]
     detect_path: str
+    sweep: str = "phi"
 
     def __post_init__(self) -> None:
         if len(self.phis) != len(self.records):
@@ -85,7 +87,8 @@ def fringe_scan(
     """Evaluate the plan's detect-path counts over a parameter grid.
 
     The swept name must be a free parameter of the plan and every other free
-    parameter must already be bound.  Records come back in grid order.
+    parameter must already be bound to a scalar (an array binding raises
+    ``E_BATCH_SHAPE``).  Records come back in grid order.
 
     Each count is a real trigonometric polynomial in ``f*sweep`` with
     harmonics 0..D, where :meth:`CircuitPlan.harmonic_degree` reads the
@@ -94,48 +97,75 @@ def fringe_scan(
     banded wave plate and 8 per ``band=both`` plate (exponents -2..2 of
     ``e^{i*sweep}`` on each photon), 1 per ``prepare ... gamma``; f is 2 when
     only wave plates reference the sweep, else 1, and D is the span over f.
-    When the grid has more than ``2D + 1`` points, the plan therefore runs
-    only at the ``2D + 1`` equispaced values ``2*pi*j/((2D + 1)*f)``, which
-    fix the series exactly, and the series is summed at every grid point,
-    whatever range the grid spans.  For fig1 that is 3 runs for ``phi``, 3
-    for ``gamma`` and 9 for ``theta``.  Only a sweep that enters a
-    preparation's ``alpha`` or ``beta`` runs the plan at every grid point.
+    When the grid has more than ``2D + 1`` points, the sweep is therefore
+    bound to the ``2D + 1`` equispaced values ``2*pi*j/((2D + 1)*f)``, which
+    fix the series exactly, the plan makes one batched run over them, and
+    the series is summed at every grid point, whatever range the grid spans.
+    For fig1 that batch holds 3 values for ``phi``, 3 for ``gamma`` and 9
+    for ``theta``.  A shorter grid, and a sweep that enters a preparation's
+    ``alpha`` or ``beta``, run the plan once per grid point.
     """
-    phis = [float(value) for value in grid]
-
-    def evaluate(value: float) -> CountResult:
-        state = run_plan(
-            plan.bind({sweep: value}),
-            merge_enabled=merge_enabled,
-            bs_convention=bs_convention,
+    batched = sorted(k for k, v in plan.bindings.items() if isinstance(v, np.ndarray))
+    if batched:
+        # the sweep's own batch would pair member j with the j-th sample
+        raise PlanError(
+            "E_BATCH_SHAPE",
+            f"fringe_scan needs scalar bindings, got arrays for {', '.join(batched)}",
         )
-        return counts(state, plan.detect_path, plan.detect_band)
-
+    phis = [float(value) for value in grid]
     harmonics = plan.harmonic_degree(sweep)
     if harmonics is not None and len(phis) > 2 * harmonics[1] + 1:
-        records = _harmonic_records(evaluate, *harmonics, phis)
+        frequency, degree = harmonics
+        samples = _harmonic_samples(frequency, degree)
+        sampled = _batch_counts(plan.bind({sweep: samples}), len(samples),
+                                merge_enabled, bs_convention)
+        h_col, v_col = _harmonic_series(sampled, frequency, phis).tolist()
+        records = [CountResult(h, v) for h, v in zip(h_col, v_col)]
     else:
-        records = [evaluate(value) for value in phis]
-    return FringeScan(tuple(phis), tuple(records), plan.detect_path)
+        records = [
+            CountResult(*_run_counts(plan.bind({sweep: value}), merge_enabled, bs_convention))
+            for value in phis
+        ]
+    return FringeScan(tuple(phis), tuple(records), plan.detect_path, sweep)
 
 
-def _harmonic_records(
-    evaluate: Callable[[float], CountResult],
-    frequency: int,
-    degree: int,
-    phis: list[float],
-) -> list[CountResult]:
-    """Counts at ``phis`` from ``2*degree + 1`` evaluations over one period."""
+def _run_counts(plan: CircuitPlan, merge_enabled: bool, bs_convention: str) -> tuple:
+    """(H, V) detect-path counts of one run: floats, or arrays for a batch."""
+    state = run_plan(plan, merge_enabled=merge_enabled, bs_convention=bs_convention)
+    return state.counts_at(plan.detect_path, plan.detect_band)
+
+
+def _batch_counts(
+    plan: CircuitPlan, size: int, merge_enabled: bool, bs_convention: str
+) -> np.ndarray:
+    """(2, size) H and V detect-path counts of one run of a batch of ``size``."""
+    counts = np.empty((2, size))
+    # a channel that no batched amplitude reaches comes back as one float
+    counts[0], counts[1] = _run_counts(plan, merge_enabled, bs_convention)
+    return counts
+
+
+def _harmonic_samples(frequency: int, degree: int) -> np.ndarray:
+    """The ``2*degree + 1`` equispaced sweep values over one period."""
     n = 2 * degree + 1
-    samples = [evaluate(2.0 * math.pi * j / (n * frequency)) for j in range(n)]
+    return 2.0 * math.pi * np.arange(n) / (n * frequency)
+
+
+def _harmonic_series(samples: np.ndarray, frequency: int, phis) -> np.ndarray:
+    """Counts at ``phis`` from counts at :func:`_harmonic_samples`.
+
+    ``samples`` has shape (..., 2D + 1), its last axis over the sample
+    values; the result has shape (..., len(phis)).
+    """
+    n = samples.shape[-1]
+    degree = n // 2
     # rfft of n > 2*degree samples gives n * c_m for harmonics m = 0..degree
     # without aliasing; the count is c_0 + 2 Re sum_m c_m e^{i m f x}.
-    coeffs = np.fft.rfft([[r.n_h for r in samples], [r.n_v for r in samples]]) / n
+    coeffs = np.fft.rfft(samples, axis=-1) / n
     waves = np.exp(1j * frequency * np.outer(np.arange(1, degree + 1), phis))
-    values = coeffs[:, :1].real + 2.0 * (coeffs[:, 1:] @ waves).real
+    values = coeffs[..., :1].real + 2.0 * (coeffs[..., 1:] @ waves).real
     # squared magnitudes: clip rounding below zero where a count vanishes
-    n_h, n_v = np.maximum(values, 0.0).tolist()
-    return [CountResult(h, v) for h, v in zip(n_h, n_v)]
+    return np.maximum(values, 0.0)
 
 
 def visibility(
@@ -163,8 +193,9 @@ def visibility(
 
 
 def format_scan_csv(scan: FringeScan) -> str:
-    """Scan CSV: header ``phi,n_h,n_v``, 17 significant digits, LF endings."""
-    lines = ["phi,n_h,n_v"]
+    """Scan CSV: header ``<sweep>,n_h,n_v`` (``phi,n_h,n_v`` for a phi scan),
+    17 significant digits, LF endings."""
+    lines = [f"{scan.sweep},n_h,n_v"]
     for phi, rec in zip(scan.phis, scan.records):
         lines.append(f"{phi:.17g},{rec.n_h:.17g},{rec.n_v:.17g}")
     return "\n".join(lines) + "\n"

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from . import dsl
 from .dsl import (
     Bs2Stmt,
@@ -36,7 +38,14 @@ from .elements import (
     prepare_beam,
 )
 from .modes import Band
-from .state import DEFAULT_PRUNE_EPSILON, BiphotonState, SourceSpec, initial_state
+from .state import (
+    DEFAULT_PRUNE_EPSILON,
+    BiphotonState,
+    SourceSpec,
+    _at_failure,
+    _holds,
+    initial_state,
+)
 
 
 class PlanError(ValueError):
@@ -56,12 +65,18 @@ class CircuitPlan:
     free_parameters: frozenset[str]
     bindings: dict
 
-    def bind(self, params: Mapping[str, float]) -> "CircuitPlan":
+    def bind(self, params: Mapping[str, float | np.ndarray]) -> "CircuitPlan":
         """Attach parameter values (radians for angles).
 
-        Unknown names fail with ``E_UNKNOWN_PARAM``, and NaN or infinite
-        values with ``E_NONFINITE_PARAM``: the engine would carry them through
-        to counts that look valid.
+        A value may be a 1-D array: the plan then runs as a batch, one member
+        per element, and every array bound to the plan must have the same
+        length B (scalars broadcast).  A run gives one count per member.
+
+        Unknown names fail with ``E_UNKNOWN_PARAM``; NaN or infinite values,
+        in any member, with ``E_NONFINITE_PARAM``, since the engine would
+        carry them through to counts that look valid; and an array that is
+        not 1-D and nonempty, or whose length differs from another bound
+        array's, with ``E_BATCH_SHAPE``.
         """
         unknown = sorted(set(params) - self.free_parameters)
         if unknown:
@@ -69,8 +84,14 @@ class CircuitPlan:
                 "E_UNKNOWN_PARAM",
                 f"not free parameters of this plan: {', '.join(unknown)}",
             )
-        values = {k: float(v) for k, v in params.items()}
-        nonfinite = [f"{k}={v!r}" for k, v in values.items() if not math.isfinite(v)]
+        values = {k: _binding_value(k, v) for k, v in params.items()}
+        nonfinite = []
+        for k, v in values.items():
+            if isinstance(v, np.ndarray):
+                bad = np.flatnonzero(~np.isfinite(v))
+                nonfinite += [f"{k}[{i}]={v[i].item()!r}" for i in bad]
+            elif not math.isfinite(v):
+                nonfinite.append(f"{k}={v!r}")
         if nonfinite:
             raise PlanError(
                 "E_NONFINITE_PARAM",
@@ -78,6 +99,12 @@ class CircuitPlan:
             )
         merged = dict(self.bindings)
         merged.update(values)
+        lengths = {k: len(v) for k, v in merged.items() if isinstance(v, np.ndarray)}
+        if len(set(lengths.values())) > 1:
+            listed = ", ".join(f"{k}: {n}" for k, n in sorted(lengths.items()))
+            raise PlanError(
+                "E_BATCH_SHAPE", f"batched parameters must share one length, got {listed}"
+            )
         return replace(self, bindings=merged)
 
     def harmonic_degree(self, name: str) -> tuple[int, int] | None:
@@ -118,6 +145,23 @@ class CircuitPlan:
                     span += 1
                     frequency = 1
         return frequency, span // frequency
+
+
+def _binding_value(name: str, value) -> float | np.ndarray:
+    """A float, or a read-only float copy of a 1-D nonempty array."""
+    if not isinstance(value, np.ndarray):
+        return float(value)
+    arr = np.array(value, dtype=float)
+    if arr.ndim == 0:
+        return float(arr)
+    if arr.ndim != 1 or not arr.size:
+        raise PlanError(
+            "E_BATCH_SHAPE",
+            f"a batched parameter must be a nonempty 1-D array, got {name} "
+            f"with shape {arr.shape}",
+        )
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -359,6 +403,7 @@ def _fig1_plan() -> CircuitPlan:
 def fig1_preset(params: Mapping[str, float]) -> CircuitPlan:
     """The built-in circuit with all seven parameters bound (angles in radians).
 
+    Values may be 1-D arrays of one length, as for :meth:`CircuitPlan.bind`.
     Raises :class:`PlanError` with code ``E_MISSING_PARAM`` when a parameter
     is absent and ``E_NORM`` when either amplitude pair is not normalized.
     """
@@ -367,6 +412,8 @@ def fig1_preset(params: Mapping[str, float]) -> CircuitPlan:
         raise PlanError("E_MISSING_PARAM", f"missing parameter(s): {', '.join(missing)}")
     for a, b in (("alpha1", "beta1"), ("alpha2", "beta2")):
         norm = params[a] ** 2 + params[b] ** 2
-        if not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails too
-            raise PlanError("E_NORM", f"{a}^2 + {b}^2 = {norm!r}, expected 1")
+        ok = abs(norm - 1.0) <= _NORM_TOL  # NaN fails too
+        if not _holds(ok):
+            norm, note = _at_failure(ok, norm)
+            raise PlanError("E_NORM", f"{a}^2 + {b}^2 = {norm!r}, expected 1{note}")
     return _fig1_plan().bind({name: params[name] for name in FIG1_PARAMETERS})

@@ -14,6 +14,13 @@ demand; entries at or below ``prune_epsilon`` in magnitude are dropped there,
 and single-photon amplitudes are dropped by the same rule after each
 transform.
 
+A state may also carry a batch: a single-photon amplitude is then a complex
+scalar or a length-B complex array, one member per batch element (see
+:meth:`qiup.plan.CircuitPlan.bind`).  The transforms only multiply and add,
+so they broadcast as written; pruning keeps a mode while any member is above
+``prune_epsilon``, so the support is the union over the batch, and
+``norm_sq`` and ``counts_at`` return one value per member.
+
 States are immutable from the caller's perspective; every operation returns a
 new state.  Amplitudes follow the unnormalized source convention: each source
 term starts with unit magnitude, so a two-source state has ``norm_sq() == 2``.
@@ -74,11 +81,42 @@ class SourceSpec:
 
 
 def _pruned(amps: dict, eps: float) -> dict:
+    """Drop amplitudes at or below ``eps``; a batched one only when every
+    member is."""
     eps2 = eps * eps
-    return {
-        k: a for k, a in amps.items()
-        if a.real * a.real + a.imag * a.imag > eps2
-    }
+    out = {}
+    for k, a in amps.items():
+        m = a.real * a.real + a.imag * a.imag
+        if m > eps2 if m.__class__ is float else (m > eps2).any():
+            out[k] = a
+    return out
+
+
+def _nonzero(x) -> bool:
+    """Whether an amplitude, or any member of a batched one, is nonzero."""
+    return bool(x.any()) if isinstance(x, np.ndarray) else x != 0
+
+
+def _clipped(x):
+    """``x`` clipped at 0, member by member for a batch."""
+    return np.maximum(x, 0.0) if isinstance(x, np.ndarray) else max(x, 0.0)
+
+
+def _holds(ok) -> bool:
+    """Whether a check holds: a bool, or every member of a batched check."""
+    return bool(ok.all()) if isinstance(ok, np.ndarray) else ok
+
+
+def _at_failure(ok, *values) -> tuple:
+    """``values`` at the first member that fails ``ok``, then a note naming it.
+
+    A scalar check hands the values back as they are, with an empty note.
+    """
+    if not isinstance(ok, np.ndarray):
+        return (*values, "")
+    i = int(np.argmin(ok))
+    picked = (v[i].item() if isinstance(v, np.ndarray) else v for v in values)
+    return (*picked, f" (batch member {i})")
 
 
 def _unitary(amps: dict, path_idx: int, u00: complex, u01: complex,
@@ -234,7 +272,10 @@ class BiphotonState:
         return self._pairs() == other._pairs()
 
     def __repr__(self) -> str:
-        return f"BiphotonState({len(self)} entries, norm_sq={self.norm_sq():.6g})"
+        norm = self.norm_sq()
+        if isinstance(norm, np.ndarray):
+            return f"BiphotonState({len(self)} entries, batch of {norm.size})"
+        return f"BiphotonState({len(self)} entries, norm_sq={norm:.6g})"
 
     def items(self) -> list[tuple[ModePair, complex]]:
         """Entries in canonical mode-pair order."""
@@ -245,19 +286,19 @@ class BiphotonState:
     def amplitude(self, pair: ModePair) -> complex:
         return self._pairs().get(pair.packed(), 0j)
 
-    def norm_sq(self) -> float:
-        """``Σ_{k,l} ⟨u_k|u_l⟩⟨w_k|w_l⟩``, clipped at 0."""
+    def norm_sq(self):
+        """``Σ_{k,l} ⟨u_k|u_l⟩⟨w_k|w_l⟩``, clipped at 0; an array for a batch."""
         terms = self._terms
         total = 0.0
         for k, (uk, wk) in enumerate(terms):
             for l in range(k, len(terms)):
                 ul, wl = terms[l]
                 g = _inner(uk, ul)
-                if g:
+                if _nonzero(g):
                     g *= _inner(wk, wl)
                     total += g.real if l == k else 2.0 * g.real
         # rounding can push a vanishing sum just below zero
-        return max(total, 0.0)
+        return _clipped(total)
 
     def tags_present(self) -> frozenset[SourceTag]:
         tags = set()
@@ -310,24 +351,30 @@ class BiphotonState:
     ) -> "BiphotonState":
         """Transform the H/V amplitude pairs of every matching mode by ``u``.
 
-        ``u`` must be 2x2 and unitary within ``UNITARITY_TOL``; tags and all
-        non-matching modes are untouched.
+        ``u`` must be 2x2, or 2x2xB for a batch of B matrices, and unitary
+        within ``UNITARITY_TOL`` (every member); tags and all non-matching
+        modes are untouched.
         """
         u = np.asarray(u, dtype=complex)
-        if u.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-        u00, u01 = complex(u[0, 0]), complex(u[0, 1])
-        u10, u11 = complex(u[1, 0]), complex(u[1, 1])
+        if u.ndim == 2 and u.shape == (2, 2):
+            u00, u01 = complex(u[0, 0]), complex(u[0, 1])
+            u10, u11 = complex(u[1, 0]), complex(u[1, 1])
+        elif u.ndim == 3 and u.shape[:2] == (2, 2):
+            u00, u01, u10, u11 = u[0, 0], u[0, 1], u[1, 0], u[1, 1]
+        else:
+            raise ValueError(f"expected a 2x2 matrix or a 2x2xB batch, got shape {u.shape}")
         # |U^H U - I| computed by hand; this sits on the hot path.  Each entry
         # is compared on its own, so that a NaN fails: max() could drop it.
         cross = u00.conjugate() * u01 + u10.conjugate() * u11
         col0 = abs(abs(u00) ** 2 + abs(u10) ** 2 - 1.0)
         col1 = abs(abs(u01) ** 2 + abs(u11) ** 2 - 1.0)
         off = abs(cross)
-        if not (col0 <= UNITARITY_TOL and col1 <= UNITARITY_TOL and off <= UNITARITY_TOL):
+        ok = (col0 <= UNITARITY_TOL) & (col1 <= UNITARITY_TOL) & (off <= UNITARITY_TOL)
+        if not _holds(ok):
+            col0, col1, off, note = _at_failure(ok, col0, col1, off)
             raise UnitarityError(
                 "matrix is not unitary: |U^H U - I| entries "
-                f"{col0:.3e}, {col1:.3e}, {off:.3e}"
+                f"{col0:.3e}, {col1:.3e}, {off:.3e}{note}"
             )
         return self._map(band, _unitary, intern_path(path), u00, u01, u10, u11)
 
@@ -397,8 +444,11 @@ class BiphotonState:
             tuple((u, w) for u, w in terms if u and w), self.prune_epsilon
         )
 
-    def counts_at(self, path: str, band: Band) -> tuple[float, float]:
+    def counts_at(self, path: str, band: Band) -> tuple:
         """(H, V) squared-magnitude sums for the ``band`` photon at ``path``.
+
+        For a batched state each is an array over the members, or a float
+        when no batched amplitude reaches that channel.
 
         Each is ``Σ_{k,l} ⟨x_k|P x_l⟩⟨y_k|y_l⟩``: ``x`` the ``band`` photon's
         vectors, ``P`` the projector onto one polarization at ``path``, ``y``
@@ -423,14 +473,14 @@ class BiphotonState:
                             cv += ca * b
                         else:
                             ch += ca * b
-                if ch or cv:
+                if _nonzero(ch) or _nonzero(cv):
                     g = _inner(tk[other], tl[other])
                     if l != k:
                         g *= 2.0
                     nh += (ch * g).real
                     nv += (cv * g).real
         # rounding can push a vanishing count just below zero
-        return max(nh, 0.0), max(nv, 0.0)
+        return _clipped(nh), _clipped(nv)
 
     # -- serialization -----------------------------------------------------
 

@@ -6,6 +6,12 @@ theta = 45 deg regime over a (beta1, gamma, phi) grid and reports maximum
 absolute deviations of the engine counts from both closed-form families in
 :mod:`qiup.reference`, plus the vertical-channel visibility error at
 gamma = 0.
+
+Every cell's counts are a first-order trigonometric series in phi, so the
+whole comparison is one batched run of the circuit: each (beta1, gamma) cell
+and each visibility cell at the 2D + 1 = 3 harmonic sample values of phi
+(see :func:`qiup.observables.fringe_scan`), or at the grid itself when it has
+no more points.  The series is then summed on every cell's grid.
 """
 from __future__ import annotations
 
@@ -16,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference
-from .observables import fringe_scan, visibility
-from .plan import fig1_preset
+from .observables import _batch_counts, _harmonic_samples, _harmonic_series, visibility
+from .plan import FIG1_PARAMETERS, fig1_preset
 
 DEFAULT_PHI_POINTS = 64
 DEFAULT_BETAS = tuple(round(0.1 * k, 10) for k in range(11))
@@ -82,38 +88,53 @@ def run_verification(
 ) -> VerificationReport:
     start = time.perf_counter()
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
-    dev_nh = dev_nv = dev_nh_evo = dev_nv_evo = 0.0
-    grid_points = 0
-    for beta1 in betas:
-        for gamma in gammas:
-            plan = fig1_preset(regime_params(beta1, gamma))
-            scan = fringe_scan(plan, "phi", phis, bs_convention=bs_convention)
-            nh, nv = scan.column("h"), scan.column("v")
-            dev_nh = max(dev_nh, float(np.max(np.abs(nh - reference.nh_closed(beta1, gamma, phis)))))
-            dev_nv = max(dev_nv, float(np.max(np.abs(nv - reference.nv_closed(beta1, gamma, phis)))))
-            dev_nh_evo = max(
-                dev_nh_evo, float(np.max(np.abs(nh - reference.nh_evolution(beta1, gamma, phis))))
-            )
-            dev_nv_evo = max(
-                dev_nv_evo, float(np.max(np.abs(nv - reference.nv_evolution(beta1, gamma, phis))))
-            )
-            grid_points += len(phis)
+    vis_phis = np.linspace(0.0, 2.0 * math.pi, max(phi_points, 256), endpoint=False)
+    count_cells = [(beta1, gamma) for beta1 in betas for gamma in gammas]
+    vis_cells = [(beta1, 0.0) for beta1 in VISIBILITY_BETAS]
+
+    # One batched run for every cell: each cell at the 2D + 1 harmonic sample
+    # values of phi, or at the grid itself when that is no longer.
+    frequency, degree = fig1_preset(regime_params(0.0, 0.0)).harmonic_degree("phi")
+    harmonic = _harmonic_samples(frequency, degree)
+    series = len(phis) > len(harmonic)
+    count_samples = harmonic if series else phis
+    rows = [
+        (regime_params(beta1, gamma), samples)
+        for cells, samples in ((count_cells, count_samples), (vis_cells, harmonic))
+        for beta1, gamma in cells
+    ]
+    sizes = [len(samples) for _, samples in rows]
+    batch = {name: np.repeat([params[name] for params, _ in rows], sizes)
+             for name in FIG1_PARAMETERS}
+    batch["phi"] = np.concatenate([samples for _, samples in rows])
+    sampled = _batch_counts(fig1_preset(batch), len(batch["phi"]), True, bs_convention)
+    split = len(count_cells) * len(count_samples)
+    counts = sampled[:, :split].reshape(2, len(count_cells), len(count_samples))
+    if series:
+        counts = _harmonic_series(counts, frequency, phis)
+    vis_counts = _harmonic_series(
+        sampled[1, split:].reshape(len(vis_cells), len(harmonic)), frequency, vis_phis
+    )
+
+    # a (cells, 1) column of each parameter against the phi row
+    cell_betas = np.array([beta1 for beta1, _ in count_cells]).reshape(-1, 1)
+    cell_gammas = np.array([gamma for _, gamma in count_cells]).reshape(-1, 1)
+
+    def max_dev(engine: np.ndarray, closed) -> float:
+        deviation = np.abs(engine - closed(cell_betas, cell_gammas, phis))
+        return float(np.max(deviation, initial=0.0))
 
     dev_vis = 0.0
-    vis_points = max(phi_points, 256)
-    vis_phis = np.linspace(0.0, 2.0 * math.pi, vis_points, endpoint=False)
-    for beta1 in VISIBILITY_BETAS:
-        plan = fig1_preset(regime_params(beta1, 0.0))
-        scan = fringe_scan(plan, "phi", vis_phis, bs_convention=bs_convention)
-        vis = visibility(scan.column("v"), scan.phis)
+    for (beta1, _), nv in zip(vis_cells, vis_counts):
+        vis = visibility(nv, vis_phis)
         dev_vis = max(dev_vis, abs(vis.value - float(reference.visibility_closed(beta1))))
 
     return VerificationReport(
-        max_dev_nh=dev_nh,
-        max_dev_nv=dev_nv,
-        max_dev_nh_evolution=dev_nh_evo,
-        max_dev_nv_evolution=dev_nv_evo,
+        max_dev_nh=max_dev(counts[0], reference.nh_closed),
+        max_dev_nv=max_dev(counts[1], reference.nv_closed),
+        max_dev_nh_evolution=max_dev(counts[0], reference.nh_evolution),
+        max_dev_nv_evolution=max_dev(counts[1], reference.nv_evolution),
         max_dev_visibility=dev_vis,
-        grid_points=grid_points,
+        grid_points=len(count_cells) * len(phis),
         elapsed_seconds=time.perf_counter() - start,
     )

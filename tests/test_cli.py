@@ -246,6 +246,28 @@ class TestFit:
         err = capsys.readouterr().err
         assert f"line {line}" in err and match in err
 
+    @pytest.mark.parametrize("shots, header", [
+        ([], "theta,n_h,n_v"),
+        (["--shots", "100000", "--seed", "4"], "theta,counts_h,counts_v"),
+    ])
+    def test_theta_scan_is_not_fitted_as_a_phi_fringe(self, tmp_path, capsys, shots, header):
+        # the theta column used to be labelled phi, and fit printed
+        # beta1=1 gamma=2.8198... converged=true with exit 0
+        out = tmp_path / "theta.csv"
+        code = cli.main(
+            ["scan", "--preset", "fig1",
+             "--param", "alpha1=0.6", "--param", "beta1=0.8", "--param", "gamma=1",
+             "--param", "alpha2=0", "--param", "beta2=1", "--param", "phi=0.3",
+             "--sweep", "theta", *shots, "--out", str(out)]
+        )
+        assert code == 0
+        assert header in out.read_text().splitlines()
+        capsys.readouterr()
+        assert cli.main(["fit", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(header) in captured.err
+
     @pytest.mark.parametrize("rows", [1, 2])
     def test_fewer_than_three_phis_exit1(self, tmp_path, capsys, rows):
         path = tmp_path / "short.csv"

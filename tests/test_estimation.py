@@ -169,6 +169,15 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(FringeScan((), (), "o'"))
 
+    def test_scan_of_another_parameter_rejected(self):
+        scan = oracle_scan(0.5, 0.5)
+        theta_scan = FringeScan(scan.phis, scan.records, "o'", sweep="theta")
+        for data in (theta_scan, simulate_measurement(theta_scan, shots=1000, seed=1)):
+            assert data.sweep == "theta"
+            assert format_counts_csv(data, shots=1).splitlines()[1] == "theta,counts_h,counts_v"
+            with pytest.raises(ValueError, match="needs a phi scan, got a theta scan"):
+                fit(data)
+
     def test_non_finite_rejected(self):
         scan = FringeScan(
             (0.0, 1.0), (CountResult(0.1, math.inf), CountResult(0.1, 0.2)), "o'"

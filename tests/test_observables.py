@@ -173,6 +173,18 @@ def loop_scan(plan, sweep, grid, **options):
     return np.array(rows).reshape(-1, 2)
 
 
+def record_runs(monkeypatch):
+    """The bindings of every run_plan call fringe_scan makes from now on."""
+    calls = []
+
+    def recording_run_plan(plan, **options):
+        calls.append(plan.bindings)
+        return run_plan(plan, **options)
+
+    monkeypatch.setattr(observables, "run_plan", recording_run_plan)
+    return calls
+
+
 def scan_columns(scan):
     return np.column_stack([scan.column("h"), scan.column("v")]).reshape(-1, 2)
 
@@ -238,18 +250,18 @@ class TestHarmonicScan:
             )
 
     def test_runs_only_the_sample_points(self, monkeypatch):
-        calls = []
-
-        def counting_run_plan(plan, **options):
-            calls.append(plan.bindings["phi"])
-            return run_plan(plan, **options)
-
-        monkeypatch.setattr(observables, "run_plan", counting_run_plan)
+        calls = record_runs(monkeypatch)
         fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "phi", FULL_PERIOD)
-        assert calls == pytest.approx([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
+        assert len(calls) == 1
+        np.testing.assert_allclose(
+            calls[0]["phi"], [0.0, 2 * math.pi / 3, 4 * math.pi / 3], rtol=0, atol=1e-15
+        )
         calls.clear()
         fringe_scan(both_bands_plan(), "phi", FULL_PERIOD)
-        assert len(calls) == 5
+        assert len(calls) == 1
+        np.testing.assert_allclose(
+            calls[0]["phi"], 2 * math.pi * np.arange(5) / 5, rtol=0, atol=1e-15
+        )
 
     def test_grid_shorter_than_sample_count_runs_each_point(self):
         plan = both_bands_plan()
@@ -298,23 +310,25 @@ class TestHarmonicScan:
         )
 
     def test_angle_sweeps_run_only_the_sample_points(self, monkeypatch):
-        calls = []
-
-        def counting_run_plan(plan, **options):
-            calls.append(plan.bindings)
-            return run_plan(plan, **options)
-
-        monkeypatch.setattr(observables, "run_plan", counting_run_plan)
+        calls = record_runs(monkeypatch)
         plan = fig1_preset(general_fig1_params(np.random.default_rng(3)))
         fringe_scan(plan, "theta", FULL_PERIOD)
-        assert [c["theta"] for c in calls] == pytest.approx(
-            [math.pi * j / 9 for j in range(9)]
+        assert len(calls) == 1
+        np.testing.assert_allclose(
+            calls[0]["theta"], [math.pi * j / 9 for j in range(9)], rtol=0, atol=1e-15
         )
         calls.clear()
         fringe_scan(plan, "gamma", FULL_PERIOD)
-        assert [c["gamma"] for c in calls] == pytest.approx(
-            [0.0, 2 * math.pi / 3, 4 * math.pi / 3]
+        assert len(calls) == 1
+        np.testing.assert_allclose(
+            calls[0]["gamma"], [0.0, 2 * math.pi / 3, 4 * math.pi / 3], rtol=0, atol=1e-15
         )
+
+    def test_short_grid_runs_scalar_points(self, monkeypatch):
+        calls = record_runs(monkeypatch)
+        grid = [0.2, 1.0, 2.5]
+        fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "phi", grid)
+        assert [c["phi"] for c in calls] == grid
 
     def test_theta_sweep_matches_the_dense_oracle(self):
         rng = np.random.default_rng(29)
