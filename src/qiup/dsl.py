@@ -327,24 +327,22 @@ def _parse_prepare(c: _Cursor) -> PrepareStmt:
     return stmt
 
 
+def _optional_band(c: _Cursor, keyword: str, warn) -> Band | None:
+    """An optional ``band=``; without one, warn that ``keyword`` acts on both
+    bands and return None."""
+    band_tok = c.opt_kv("band")
+    if band_tok is not None:
+        return c.choice(band_tok, BAND_OR_BOTH, "a band")
+    warn(Diagnostic("warning", c.line, c.keyword.column, "W_DEFAULT_BAND",
+                    f"{keyword} without band= defaults to both bands"))
+    return None
+
+
 def _parse_waveplate(c: _Cursor, kind: WavePlateKind, warn) -> WavePlateStmt:
     path = c.take_path()
     angle_tok = c.take_kv("angle")
     angle = c.value(angle_tok, "angle")
-    band_tok = c.opt_kv("band")
-    if band_tok is None:
-        band = None
-        warn(
-            Diagnostic(
-                "warning",
-                c.line,
-                c.keyword.column,
-                "W_DEFAULT_BAND",
-                f"{kind.value} without band= defaults to both bands",
-            )
-        )
-    else:
-        band = c.choice(band_tok, BAND_OR_BOTH, "a band")
+    band = _optional_band(c, kind.value, warn)
     c.finish()
     return WavePlateStmt(c.span(), kind, path, angle, band)
 
@@ -383,20 +381,7 @@ def _parse_phase(c: _Cursor, warn) -> PhaseStmt:
     path = c.take_path()
     value_tok = c.take_kv("value")
     value = c.value(value_tok, "value")
-    band_tok = c.opt_kv("band")
-    if band_tok is None:
-        band = None
-        warn(
-            Diagnostic(
-                "warning",
-                c.line,
-                c.keyword.column,
-                "W_DEFAULT_BAND",
-                "phase without band= defaults to both bands",
-            )
-        )
-    else:
-        band = c.choice(band_tok, BAND_OR_BOTH, "a band")
+    band = _optional_band(c, "phase", warn)
     c.finish()
     return PhaseStmt(c.span(), path, value, band)
 

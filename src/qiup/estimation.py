@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, Union
+from typing import Union
 
 import numpy as np
 
@@ -281,10 +281,6 @@ def format_counts_csv(data: ScanLike, shots: int | None = None) -> str:
         ]
     header = f"{data.sweep},counts_h,counts_v"
     return "\n".join([f"# shots={shots}", header, *body]) + "\n"
-
-
-def write_counts_csv(data: ScanLike, stream: IO[str], shots: int | None = None) -> None:
-    stream.write(format_counts_csv(data, shots))
 
 
 def read_counts_csv(text: str) -> ScanLike:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -90,20 +90,14 @@ def fringe_scan(
     parameter must already be bound to a scalar (an array binding raises
     ``E_BATCH_SHAPE``).  Records come back in grid order.
 
-    Each count is a real trigonometric polynomial in ``f*sweep`` with
-    harmonics 0..D, where :meth:`CircuitPlan.harmonic_degree` reads the
-    frequency f and the degree D off the statements that reference the
-    sweep: 1 per banded ``phase`` and 2 per ``band=both`` phase, 4 per
-    banded wave plate and 8 per ``band=both`` plate (exponents -2..2 of
-    ``e^{i*sweep}`` on each photon), 1 per ``prepare ... gamma``; f is 2 when
-    only wave plates reference the sweep, else 1, and D is the span over f.
-    When the grid has more than ``2D + 1`` points, the sweep is therefore
-    bound to the ``2D + 1`` equispaced values ``2*pi*j/((2D + 1)*f)``, which
-    fix the series exactly, the plan makes one batched run over them, and
-    the series is summed at every grid point, whatever range the grid spans.
-    For fig1 that batch holds 3 values for ``phi``, 3 for ``gamma`` and 9
-    for ``theta``.  A shorter grid, and a sweep that enters a preparation's
-    ``alpha`` or ``beta``, run the plan once per grid point.
+    The plan runs once, as one batch.  When the counts are a trigonometric
+    series in the sweep (:meth:`CircuitPlan.harmonic_degree` gives its
+    frequency and degree D), that batch is the ``2D + 1`` harmonic samples of
+    :func:`harmonic_coefficients` and the series is summed at every grid
+    point, whatever the grid's length or range: for fig1 the batch holds 3
+    values for ``phi``, 3 for ``gamma`` and 9 for ``theta``.  A sweep that
+    enters a preparation's ``alpha`` or ``beta`` binds the grid itself as the
+    batch.  An empty grid makes no run.
     """
     batched = sorted(k for k, v in plan.bindings.items() if isinstance(v, np.ndarray))
     if batched:
@@ -113,59 +107,81 @@ def fringe_scan(
             f"fringe_scan needs scalar bindings, got arrays for {', '.join(batched)}",
         )
     phis = [float(value) for value in grid]
-    harmonics = plan.harmonic_degree(sweep)
-    if harmonics is not None and len(phis) > 2 * harmonics[1] + 1:
-        frequency, degree = harmonics
-        samples = _harmonic_samples(frequency, degree)
-        sampled = _batch_counts(plan.bind({sweep: samples}), len(samples),
-                                merge_enabled, bs_convention)
-        h_col, v_col = _harmonic_series(sampled, frequency, phis).tolist()
-        records = [CountResult(h, v) for h, v in zip(h_col, v_col)]
+    if not phis:
+        values = np.empty((2, 0))
+    elif plan.harmonic_degree(sweep) is not None:
+        frequency, coeffs = harmonic_coefficients(
+            plan, sweep, merge_enabled=merge_enabled, bs_convention=bs_convention
+        )
+        values = harmonic_series(coeffs, frequency, phis)
     else:
-        records = [
-            CountResult(*_run_counts(plan.bind({sweep: value}), merge_enabled, bs_convention))
-            for value in phis
-        ]
+        values = _batch_counts(plan.bind({sweep: np.array(phis)}), len(phis),
+                               merge_enabled, bs_convention)
+    records = [CountResult(h, v) for h, v in zip(*values.tolist())]
     return FringeScan(tuple(phis), tuple(records), plan.detect_path, sweep)
 
 
-def _run_counts(plan: CircuitPlan, merge_enabled: bool, bs_convention: str) -> tuple:
-    """(H, V) detect-path counts of one run: floats, or arrays for a batch."""
-    state = run_plan(plan, merge_enabled=merge_enabled, bs_convention=bs_convention)
-    return state.counts_at(plan.detect_path, plan.detect_band)
+def harmonic_coefficients(
+    plan: CircuitPlan,
+    sweep: str,
+    *,
+    merge_enabled: bool = True,
+    bs_convention: str = "symmetric",
+) -> tuple[int, np.ndarray]:
+    """(f, c): the harmonic series of the detect-path counts in ``sweep``.
+
+    Each count is ``c_0 + 2 Re sum_m c_m e^{i m f x}`` over harmonics
+    m = 0..D, with the frequency f and the degree D of
+    :meth:`CircuitPlan.harmonic_degree`.  The sweep is bound to the
+    ``2D + 1`` equispaced values ``2*pi*j/((2D + 1)*f)``, which fix the
+    series exactly, and the plan runs once; ``c`` holds the ``rfft``
+    coefficients, shape (2, D + 1) over the H and V channels.
+
+    When other parameters are bound to arrays of C cells, each cell is
+    repeated across the samples, cell-major, in the same single run, and
+    ``c`` has shape (2, C, D + 1).  Raises ``ValueError`` when the counts are
+    no such series in ``sweep`` (a preparation's ``alpha`` or ``beta``, or a
+    name that is not free).
+    """
+    harmonics = plan.harmonic_degree(sweep)
+    if harmonics is None:
+        raise ValueError(f"the counts are not a harmonic series in {sweep!r}")
+    frequency, degree = harmonics
+    n = 2 * degree + 1
+    samples = 2.0 * math.pi * np.arange(n) / (n * frequency)
+    cells = {k: v for k, v in plan.bindings.items()
+             if isinstance(v, np.ndarray) and k != sweep}
+    size = len(next(iter(cells.values()))) if cells else 1
+    bound = {k: np.repeat(v, n) for k, v in cells.items()}
+    bound[sweep] = np.tile(samples, size)
+    counts = _batch_counts(plan.bind(bound), size * n, merge_enabled, bs_convention)
+    # rfft of n > 2*degree samples gives n * c_m for harmonics m = 0..degree
+    # without aliasing
+    coeffs = np.fft.rfft(counts.reshape(2, size, n), axis=-1) / n
+    return frequency, coeffs if cells else coeffs[:, 0]
+
+
+def harmonic_series(coeffs: np.ndarray, frequency: int, grid) -> np.ndarray:
+    """Counts at ``grid`` from :func:`harmonic_coefficients`' (f, c).
+
+    ``coeffs`` has shape (..., D + 1); the result has shape (..., len(grid)).
+    """
+    degree = coeffs.shape[-1] - 1
+    waves = np.exp(1j * frequency * np.outer(np.arange(1, degree + 1), grid))
+    values = coeffs[..., :1].real + 2.0 * (coeffs[..., 1:] @ waves).real
+    # squared magnitudes: clip rounding below zero where a count vanishes
+    return np.maximum(values, 0.0)
 
 
 def _batch_counts(
     plan: CircuitPlan, size: int, merge_enabled: bool, bs_convention: str
 ) -> np.ndarray:
     """(2, size) H and V detect-path counts of one run of a batch of ``size``."""
+    state = run_plan(plan, merge_enabled=merge_enabled, bs_convention=bs_convention)
     counts = np.empty((2, size))
     # a channel that no batched amplitude reaches comes back as one float
-    counts[0], counts[1] = _run_counts(plan, merge_enabled, bs_convention)
+    counts[0], counts[1] = state.counts_at(plan.detect_path, plan.detect_band)
     return counts
-
-
-def _harmonic_samples(frequency: int, degree: int) -> np.ndarray:
-    """The ``2*degree + 1`` equispaced sweep values over one period."""
-    n = 2 * degree + 1
-    return 2.0 * math.pi * np.arange(n) / (n * frequency)
-
-
-def _harmonic_series(samples: np.ndarray, frequency: int, phis) -> np.ndarray:
-    """Counts at ``phis`` from counts at :func:`_harmonic_samples`.
-
-    ``samples`` has shape (..., 2D + 1), its last axis over the sample
-    values; the result has shape (..., len(phis)).
-    """
-    n = samples.shape[-1]
-    degree = n // 2
-    # rfft of n > 2*degree samples gives n * c_m for harmonics m = 0..degree
-    # without aliasing; the count is c_0 + 2 Re sum_m c_m e^{i m f x}.
-    coeffs = np.fft.rfft(samples, axis=-1) / n
-    waves = np.exp(1j * frequency * np.outer(np.arange(1, degree + 1), phis))
-    values = coeffs[..., :1].real + 2.0 * (coeffs[..., 1:] @ waves).real
-    # squared magnitudes: clip rounding below zero where a count vanishes
-    return np.maximum(values, 0.0)
 
 
 def visibility(
@@ -200,6 +216,3 @@ def format_scan_csv(scan: FringeScan) -> str:
         lines.append(f"{phi:.17g},{rec.n_h:.17g},{rec.n_v:.17g}")
     return "\n".join(lines) + "\n"
 
-
-def write_scan_csv(scan: FringeScan, stream: IO[str]) -> None:
-    stream.write(format_scan_csv(scan))

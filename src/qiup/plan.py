@@ -39,7 +39,6 @@ from .elements import (
 )
 from .modes import Band
 from .state import (
-    DEFAULT_PRUNE_EPSILON,
     BiphotonState,
     SourceSpec,
     _at_failure,
@@ -294,7 +293,6 @@ def iter_plan(
     *,
     merge_enabled: bool = True,
     bs_convention: str = "symmetric",
-    prune_epsilon: float = DEFAULT_PRUNE_EPSILON,
 ) -> Iterator[tuple[str, BiphotonState]]:
     """Run the plan, yielding (step label, state) after sources and each element."""
     b = plan.bindings
@@ -308,7 +306,7 @@ def iter_plan(
         )
         for s in plan.sources
     ]
-    state = initial_state(specs, prune_epsilon)
+    state = initial_state(specs)
     yield "sources", state
     for stmt in plan.pipeline:
         if isinstance(stmt, PrepareStmt):
@@ -347,15 +345,11 @@ def run_plan(
     *,
     merge_enabled: bool = True,
     bs_convention: str = "symmetric",
-    prune_epsilon: float = DEFAULT_PRUNE_EPSILON,
 ) -> BiphotonState:
     """Evolve the plan's sources through its full pipeline."""
     state = None
     for _, state in iter_plan(
-        plan,
-        merge_enabled=merge_enabled,
-        bs_convention=bs_convention,
-        prune_epsilon=prune_epsilon,
+        plan, merge_enabled=merge_enabled, bs_convention=bs_convention
     ):
         pass
     assert state is not None

@@ -10,7 +10,7 @@ signal fringes.
 
 Queries that name pair entries (``items``, ``amplitude``, ``len``, ``==``,
 ``serialize`` and friends) read the pair map ``Σ_k u_k(s) w_k(i)``, built on
-demand; entries at or below ``prune_epsilon`` in magnitude are dropped there,
+demand; entries at or below ``PRUNE_EPSILON`` in magnitude are dropped there,
 and single-photon amplitudes are dropped by the same rule after each
 transform.
 
@@ -18,7 +18,7 @@ A state may also carry a batch: a single-photon amplitude is then a complex
 scalar or a length-B complex array, one member per batch element (see
 :meth:`qiup.plan.CircuitPlan.bind`).  The transforms only multiply and add,
 so they broadcast as written; pruning keeps a mode while any member is above
-``prune_epsilon``, so the support is the union over the batch, and
+``PRUNE_EPSILON``, so the support is the union over the batch, and
 ``norm_sq`` and ``counts_at`` return one value per member.
 
 States are immutable from the caller's perspective; every operation returns a
@@ -51,11 +51,12 @@ from .modes import (
     pack_mode,
 )
 
-DEFAULT_PRUNE_EPSILON = 1e-14
+PRUNE_EPSILON = 1e-14
 UNITARITY_TOL = 1e-10
 TWO_PI = 2.0 * math.pi
 
 _REST_MASK = (1 << PATH_SHIFT) - 1  # polarization and tag bits of a mode
+_PRUNE_EPSILON_SQ = PRUNE_EPSILON * PRUNE_EPSILON
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,10 @@ class SourceSpec:
 # returns a new one; inputs are never mutated.
 
 
-def _pruned(amps: dict, eps: float) -> dict:
-    """Drop amplitudes at or below ``eps``; a batched one only when every
-    member is."""
-    eps2 = eps * eps
+def _pruned(amps: dict) -> dict:
+    """Drop amplitudes at or below ``PRUNE_EPSILON``; a batched one only when
+    every member is."""
+    eps2 = _PRUNE_EPSILON_SQ
     out = {}
     for k, a in amps.items():
         m = a.real * a.real + a.imag * a.imag
@@ -95,6 +96,14 @@ def _pruned(amps: dict, eps: float) -> dict:
 def _nonzero(x) -> bool:
     """Whether an amplitude, or any member of a batched one, is nonzero."""
     return bool(x.any()) if isinstance(x, np.ndarray) else x != 0
+
+
+def _equal(a, b) -> bool:
+    """Whether two amplitudes agree in every member; a scalar stands for
+    every member, and batches of different sizes differ."""
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.shape != b.shape:
+        return False
+    return bool(np.all(a == b))
 
 
 def _clipped(x):
@@ -120,7 +129,7 @@ def _at_failure(ok, *values) -> tuple:
 
 
 def _unitary(amps: dict, path_idx: int, u00: complex, u01: complex,
-             u10: complex, u11: complex, eps: float) -> dict:
+             u10: complex, u11: complex) -> dict:
     out: dict = {}
     get = out.get
     for mode, amp in amps.items():
@@ -135,12 +144,11 @@ def _unitary(amps: dict, path_idx: int, u00: complex, u01: complex,
             ah, av = u00 * amp, u10 * amp
         out[kh] = get(kh, 0j) + ah
         out[kv] = get(kv, 0j) + av
-    return _pruned(out, eps)
+    return _pruned(out)
 
 
 def _route(amps: dict, in_a: int, in_b: int, out_a: int, out_b: int,
-           m_aa: complex, m_ba: complex, m_ab: complex, m_bb: complex,
-           eps: float) -> dict:
+           m_aa: complex, m_ba: complex, m_ab: complex, m_bb: complex) -> dict:
     """Path in_a -> m_aa*out_a + m_ba*out_b, in_b likewise; in_b may be -1."""
     out: dict = {}
     get = out.get
@@ -158,11 +166,10 @@ def _route(amps: dict, in_a: int, in_b: int, out_a: int, out_b: int,
         kb = (out_b << PATH_SHIFT) | rest
         out[ka] = get(ka, 0j) + ca
         out[kb] = get(kb, 0j) + cb
-    return _pruned(out, eps)
+    return _pruned(out)
 
 
-def _relabel(amps: dict, from_idx: int, to_idx: int, pol_filter: int,
-             eps: float) -> dict:
+def _relabel(amps: dict, from_idx: int, to_idx: int, pol_filter: int) -> dict:
     """Move modes from one path to another; pol_filter is 0, 1 or -1 (any)."""
     out: dict = {}
     get = out.get
@@ -170,10 +177,10 @@ def _relabel(amps: dict, from_idx: int, to_idx: int, pol_filter: int,
         if mode >> PATH_SHIFT == from_idx and (pol_filter < 0 or mode & POL_MASK == pol_filter):
             mode = (to_idx << PATH_SHIFT) | (mode & _REST_MASK)
         out[mode] = get(mode, 0j) + amp
-    return _pruned(out, eps)
+    return _pruned(out)
 
 
-def _merge_tags(amps: dict, path_idx: int, pol: int, eps: float) -> dict:
+def _merge_tags(amps: dict, path_idx: int, pol: int) -> dict:
     """Set matching modes' tag to MERGED (0); colliding amplitudes sum."""
     out: dict = {}
     get = out.get
@@ -182,13 +189,12 @@ def _merge_tags(amps: dict, path_idx: int, pol: int, eps: float) -> dict:
         if mode >> PATH_SHIFT == path_idx and mode & POL_MASK == pol:
             mode &= tag_clear
         out[mode] = get(mode, 0j) + amp
-    return _pruned(out, eps)
+    return _pruned(out)
 
 
-def _phase(amps: dict, path_idx: int, factor: complex, eps: float) -> dict:
+def _phase(amps: dict, path_idx: int, factor: complex) -> dict:
     return _pruned(
-        {m: factor * a if m >> PATH_SHIFT == path_idx else a for m, a in amps.items()},
-        eps,
+        {m: factor * a if m >> PATH_SHIFT == path_idx else a for m, a in amps.items()}
     )
 
 
@@ -212,15 +218,9 @@ def _inner(x: dict, y: dict) -> complex:
 class BiphotonState:
     """Sum of signal ⊗ idler product terms over packed single-photon modes."""
 
-    __slots__ = ("_terms", "_pair_map", "prune_epsilon")
+    __slots__ = ("_terms", "_pair_map")
 
-    def __init__(
-        self,
-        amplitudes: Mapping[ModePair, complex] | None = None,
-        prune_epsilon: float = DEFAULT_PRUNE_EPSILON,
-    ) -> None:
-        if prune_epsilon < 0:
-            raise ValueError("prune_epsilon must be nonnegative")
+    def __init__(self, amplitudes: Mapping[ModePair, complex] | None = None) -> None:
         packed: dict[int, complex] = {}
         for pair, amp in (amplitudes or {}).items():
             amp = complex(amp)
@@ -228,23 +228,21 @@ class BiphotonState:
                 raise ValueError(f"non-finite amplitude for {pair}")
             key = pair.packed()
             packed[key] = packed.get(key, 0j) + amp
-        self._set_pairs(_pruned(packed, prune_epsilon), prune_epsilon)
+        self._set_pairs(_pruned(packed))
 
-    def _set_pairs(self, pairs: dict[int, complex], eps: float) -> None:
+    def _set_pairs(self, pairs: dict[int, complex]) -> None:
         """One product term per (already pruned) pair entry."""
         self._terms = tuple(
             ({key >> SIGNAL_SHIFT: amp}, {key & MODE_MASK: 1 + 0j})
             for key, amp in pairs.items()
         )
         self._pair_map = pairs
-        self.prune_epsilon = eps
 
     @classmethod
-    def _wrap(cls, terms: tuple, eps: float) -> "BiphotonState":
+    def _wrap(cls, terms: tuple) -> "BiphotonState":
         state = cls.__new__(cls)
         state._terms = terms
         state._pair_map = None
-        state.prune_epsilon = eps
         return state
 
     def _pairs(self) -> dict[int, complex]:
@@ -258,7 +256,7 @@ class BiphotonState:
                     for i, b in w.items():
                         key = s | i
                         out[key] = get(key, 0j) + a * b
-            self._pair_map = _pruned(out, self.prune_epsilon)
+            self._pair_map = _pruned(out)
         return self._pair_map
 
     # -- inspection -------------------------------------------------------
@@ -269,7 +267,10 @@ class BiphotonState:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiphotonState):
             return NotImplemented
-        return self._pairs() == other._pairs()
+        mine, theirs = self._pairs(), other._pairs()
+        return mine.keys() == theirs.keys() and all(
+            _equal(a, theirs[key]) for key, a in mine.items()
+        )
 
     def __repr__(self) -> str:
         norm = self.norm_sq()
@@ -333,18 +334,17 @@ class BiphotonState:
 
     def _map(self, band: Band | None, fn, *args) -> "BiphotonState":
         """Apply a single-photon transform to the ``band`` photon of every term."""
-        eps = self.prune_epsilon
         on_signal = band is not Band.IDLER
         on_idler = band is not Band.SIGNAL
         terms = []
         for u, w in self._terms:
             if on_signal:
-                u = fn(u, *args, eps)
+                u = fn(u, *args)
             if on_idler:
-                w = fn(w, *args, eps)
+                w = fn(w, *args)
             if u and w:
                 terms.append((u, w))
-        return BiphotonState._wrap(tuple(terms), eps)
+        return BiphotonState._wrap(tuple(terms))
 
     def apply_pol_unitary(
         self, path: str, u, band: Band | None = None
@@ -428,7 +428,7 @@ class BiphotonState:
     def prune(self) -> "BiphotonState":
         """A state with one product term per entry of the pruned pair map."""
         state = BiphotonState.__new__(BiphotonState)
-        state._set_pairs(self._pairs(), self.prune_epsilon)
+        state._set_pairs(self._pairs())
         return state
 
     # -- queries used by observables --------------------------------------
@@ -440,9 +440,7 @@ class BiphotonState:
             terms = ((_select(u, idx), w) for u, w in self._terms)
         else:
             terms = ((u, _select(w, idx)) for u, w in self._terms)
-        return BiphotonState._wrap(
-            tuple((u, w) for u, w in terms if u and w), self.prune_epsilon
-        )
+        return BiphotonState._wrap(tuple((u, w) for u, w in terms if u and w))
 
     def counts_at(self, path: str, band: Band) -> tuple:
         """(H, V) squared-magnitude sums for the ``band`` photon at ``path``.
@@ -489,8 +487,15 @@ class BiphotonState:
 
         ``<sig_path>,<sig_pol>,<sig_tag>|<idl_path>,<idl_pol>,<idl_tag>|<re>,<im>``
         in canonical mode-pair order; floats use 17 significant digits; tags
-        render as ``M``, ``1`` or ``2``.
+        render as ``M``, ``1`` or ``2``.  A batched state has no single text
+        form and raises ``ValueError`` naming its batch size.
         """
+        for amp in self._pairs().values():
+            if isinstance(amp, np.ndarray):
+                raise ValueError(
+                    f"cannot serialize a batched state ({amp.size} members); "
+                    "serialize a scalar run of each member"
+                )
         lines = []
         for pair, amp in self.items():
             s, i = pair.signal, pair.idler
@@ -501,10 +506,7 @@ class BiphotonState:
         return "\n".join(lines)
 
 
-def initial_state(
-    sources: Iterable[SourceSpec],
-    prune_epsilon: float = DEFAULT_PRUNE_EPSILON,
-) -> BiphotonState:
+def initial_state(sources: Iterable[SourceSpec]) -> BiphotonState:
     """Sum of one unit-magnitude product term per source, tagged by source id."""
     sources = list(sources)
     if not sources:
@@ -520,4 +522,4 @@ def initial_state(
         idl = pack_mode(intern_path(spec.idler_path), spec.emitted_pol.value,
                         spec.source_id)
         terms.append(({sig: cmath.exp(1j * spec.phase)}, {idl: 1 + 0j}))
-    return BiphotonState._wrap(tuple(terms), prune_epsilon)
+    return BiphotonState._wrap(tuple(terms))

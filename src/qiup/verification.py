@@ -8,10 +8,11 @@ absolute deviations of the engine counts from both closed-form families in
 gamma = 0.
 
 Every cell's counts are a first-order trigonometric series in phi, so the
-whole comparison is one batched run of the circuit: each (beta1, gamma) cell
-and each visibility cell at the 2D + 1 = 3 harmonic sample values of phi
-(see :func:`qiup.observables.fringe_scan`), or at the grid itself when it has
-no more points.  The series is then summed on every cell's grid.
+whole comparison is one batched run of the circuit: the (beta1, gamma) count
+cells and the visibility cells are bound as arrays and
+:func:`qiup.observables.harmonic_coefficients` runs each of them at the
+2D + 1 = 3 harmonic sample values of phi.  The series is then summed on the
+count grid and on the finer visibility grid.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference
-from .observables import _batch_counts, _harmonic_samples, _harmonic_series, visibility
+from .observables import harmonic_coefficients, harmonic_series, visibility
 from .plan import FIG1_PARAMETERS, fig1_preset
 
 DEFAULT_PHI_POINTS = 64
@@ -92,29 +93,13 @@ def run_verification(
     count_cells = [(beta1, gamma) for beta1 in betas for gamma in gammas]
     vis_cells = [(beta1, 0.0) for beta1 in VISIBILITY_BETAS]
 
-    # One batched run for every cell: each cell at the 2D + 1 harmonic sample
-    # values of phi, or at the grid itself when that is no longer.
-    frequency, degree = fig1_preset(regime_params(0.0, 0.0)).harmonic_degree("phi")
-    harmonic = _harmonic_samples(frequency, degree)
-    series = len(phis) > len(harmonic)
-    count_samples = harmonic if series else phis
-    rows = [
-        (regime_params(beta1, gamma), samples)
-        for cells, samples in ((count_cells, count_samples), (vis_cells, harmonic))
-        for beta1, gamma in cells
-    ]
-    sizes = [len(samples) for _, samples in rows]
-    batch = {name: np.repeat([params[name] for params, _ in rows], sizes)
-             for name in FIG1_PARAMETERS}
-    batch["phi"] = np.concatenate([samples for _, samples in rows])
-    sampled = _batch_counts(fig1_preset(batch), len(batch["phi"]), True, bs_convention)
-    split = len(count_cells) * len(count_samples)
-    counts = sampled[:, :split].reshape(2, len(count_cells), len(count_samples))
-    if series:
-        counts = _harmonic_series(counts, frequency, phis)
-    vis_counts = _harmonic_series(
-        sampled[1, split:].reshape(len(vis_cells), len(harmonic)), frequency, vis_phis
-    )
+    # one batched run: every cell at the harmonic sample values of phi
+    cells = [regime_params(beta1, gamma) for beta1, gamma in count_cells + vis_cells]
+    plan = fig1_preset({name: np.array([cell[name] for cell in cells])
+                        for name in FIG1_PARAMETERS})
+    frequency, coeffs = harmonic_coefficients(plan, "phi", bs_convention=bs_convention)
+    counts = harmonic_series(coeffs[:, :len(count_cells)], frequency, phis)
+    vis_counts = harmonic_series(coeffs[1, len(count_cells):], frequency, vis_phis)
 
     # a (cells, 1) column of each parameter against the phi row
     cell_betas = np.array([beta1 for beta1, _ in count_cells]).reshape(-1, 1)

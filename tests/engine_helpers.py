@@ -19,7 +19,9 @@ from qiup import (
     apply_phase,
     apply_waveplate,
     initial_state,
+    observables,
     prepare_beam,
+    run_plan,
 )
 
 FIG1_MERGE_RULES = [
@@ -83,3 +85,15 @@ def manual_fig1(*args, **kwargs) -> BiphotonState:
         pass
     assert state is not None
     return state
+
+
+def record_runs(monkeypatch) -> list[dict]:
+    """The bindings of every run_plan call that observables makes from now on."""
+    calls = []
+
+    def recording_run_plan(plan, **options):
+        calls.append(plan.bindings)
+        return run_plan(plan, **options)
+
+    monkeypatch.setattr(observables, "run_plan", recording_run_plan)
+    return calls

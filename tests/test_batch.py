@@ -1,8 +1,8 @@
 """Batched plan runs: array bindings, one member per element.
 
 Each member of a batched run must equal its own scalar run, every guard must
-hold member by member (NaN included), and the two in-process consumers,
-``fringe_scan``'s harmonic path and ``run_verification``, run the plan once.
+hold member by member (NaN included), ``run_verification`` runs the plan
+once, and ``==`` and ``serialize`` handle a batched state.
 """
 import math
 
@@ -24,6 +24,7 @@ from qiup.plan import (
     run_plan,
 )
 from qiup.state import SourceSpec, initial_state
+from engine_helpers import record_runs
 from test_observables import FIG1_VARIANTS, fig1_variant
 
 TWO_PI = 2.0 * math.pi
@@ -213,25 +214,43 @@ class TestBatchedGuards:
 
 class TestOneRun:
     def test_verification_runs_the_plan_once(self, monkeypatch):
-        sizes = []
-
-        def recording_run_plan(plan, **options):
-            sizes.append(len(plan.bindings["phi"]))
-            return run_plan(plan, **options)
-
-        monkeypatch.setattr(observables, "run_plan", recording_run_plan)
+        calls = record_runs(monkeypatch)
         report = verification.run_verification()
-        assert sizes == [(88 + 5) * 3]
+        assert [len(c["phi"]) for c in calls] == [(88 + 5) * 3]
         assert report.grid_points == 88 * 64
 
-    def test_short_verification_grid_runs_its_own_points(self, monkeypatch):
-        sizes = []
+    def test_short_verification_grid_runs_one_batch(self, monkeypatch):
+        calls = record_runs(monkeypatch)
+        for phi_points in (1, 2, 3):
+            calls.clear()
+            report = verification.run_verification(phi_points=phi_points)
+            assert [len(c["phi"]) for c in calls] == [(88 + 5) * 3]
+            np.testing.assert_allclose(
+                calls[0]["phi"][:3], TWO_PI * np.arange(3) / 3, rtol=0, atol=1e-15
+            )
+            assert report.grid_points == 88 * phi_points
+            assert report.max_dev_nh_evolution < 1e-12
+            assert report.max_dev_nv_evolution < 1e-12
 
-        def recording_run_plan(plan, **options):
-            sizes.append(len(plan.bindings["phi"]))
-            return run_plan(plan, **options)
 
-        monkeypatch.setattr(observables, "run_plan", recording_run_plan)
-        report = verification.run_verification(phi_points=2)
-        assert sizes == [88 * 2 + 5 * 3]
-        assert report.grid_points == 88 * 2
+class TestBatchedInspection:
+    """``==`` and ``serialize`` on a batched state (fig1, phi bound to two values)."""
+
+    @staticmethod
+    def state(phis):
+        return run_plan(fig1_preset(dict(EXAMPLE, phi=np.array(phis))))
+
+    def test_equality_compares_every_member(self):
+        assert self.state([0.1, 0.2]) == self.state([0.1, 0.2])
+        assert not self.state([0.1, 0.2]) == self.state([0.1, 0.3])
+        assert self.state([0.1, 0.2]) != self.state([0.1, 0.2, 0.3])
+        assert self.state([0.1, 0.2]) != run_plan(fig1_preset(dict(EXAMPLE, phi=0.1)))
+
+    def test_serialize_names_the_batch_size(self):
+        with pytest.raises(ValueError, match="2 members"):
+            self.state([0.1, 0.2]).serialize()
+
+    def test_scalar_state_still_serializes(self):
+        state = run_plan(fig1_preset(dict(EXAMPLE, phi=0.1)))
+        assert state == run_plan(fig1_preset(dict(EXAMPLE, phi=0.1)))
+        assert state.serialize().count("\n") == len(state) - 1

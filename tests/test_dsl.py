@@ -4,7 +4,7 @@ import pytest
 
 from conftest import CIRCUITS_DIR
 from qiup import dsl
-from qiup.dsl import ParamRef, WavePlateStmt
+from qiup.dsl import ParamRef, PhaseStmt, WavePlateStmt
 from qiup.modes import Band
 
 POSITIVE_FILES = sorted(CIRCUITS_DIR.glob("*.qiup"))
@@ -26,13 +26,20 @@ def test_fig1_parses_clean():
 
 
 def test_missing_band_defaults_with_warning():
-    result = dsl.parse("hwp f angle=45\n")
-    assert result.ok
-    assert [d.code for d in result.diagnostics] == ["W_DEFAULT_BAND"]
-    stmt = result.ast.statements[0]
-    assert isinstance(stmt, WavePlateStmt)
-    assert stmt.band is None
-    assert stmt.angle == 45.0  # literal angles stay in degrees inside the AST
+    for line, stmt_type in (("hwp f angle=45", WavePlateStmt),
+                            ("qwp f angle=45", WavePlateStmt),
+                            ("phase f value=45", PhaseStmt)):
+        result = dsl.parse(line + "\n")
+        assert result.ok
+        (diag,) = result.diagnostics
+        assert diag.code == "W_DEFAULT_BAND"
+        keyword = line.split()[0]
+        assert diag.message == f"{keyword} without band= defaults to both bands"
+        stmt = result.ast.statements[0]
+        assert isinstance(stmt, stmt_type)
+        assert stmt.band is None
+        # literal angles stay in degrees inside the AST
+        assert (stmt.angle if stmt_type is WavePlateStmt else stmt.value) == 45.0
 
 
 def test_explicit_band_no_warning():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dense_model
-from engine_helpers import manual_fig1
+from engine_helpers import manual_fig1, record_runs
 from qiup.errors import QiupWarning
 from qiup.estimation import read_counts_csv
 from qiup.modes import Band, Mode, ModePair, Polarization, SourceTag
@@ -16,6 +16,8 @@ from qiup.observables import (
     counts_by_path,
     format_scan_csv,
     fringe_scan,
+    harmonic_coefficients,
+    harmonic_series,
     visibility,
 )
 from qiup import observables
@@ -173,18 +175,6 @@ def loop_scan(plan, sweep, grid, **options):
     return np.array(rows).reshape(-1, 2)
 
 
-def record_runs(monkeypatch):
-    """The bindings of every run_plan call fringe_scan makes from now on."""
-    calls = []
-
-    def recording_run_plan(plan, **options):
-        calls.append(plan.bindings)
-        return run_plan(plan, **options)
-
-    monkeypatch.setattr(observables, "run_plan", recording_run_plan)
-    return calls
-
-
 def scan_columns(scan):
     return np.column_stack([scan.column("h"), scan.column("v")]).reshape(-1, 2)
 
@@ -263,12 +253,32 @@ class TestHarmonicScan:
             calls[0]["phi"], 2 * math.pi * np.arange(5) / 5, rtol=0, atol=1e-15
         )
 
-    def test_grid_shorter_than_sample_count_runs_each_point(self):
-        plan = both_bands_plan()
-        grid = [0.2, 1.0, 2.5, 4.0]
-        assert np.array_equal(
-            scan_columns(fringe_scan(plan, "phi", grid)), loop_scan(plan, "phi", grid)
-        )
+    @staticmethod
+    def assert_short_grids_make_one_harmonic_run(plan, samples, monkeypatch):
+        calls = record_runs(monkeypatch)
+        for grid in ([2.5], [0.2, 4.0], [0.2, 1.0, 2.5], [0.2, 1.0, 2.5, 4.0]):
+            calls.clear()
+            got = scan_columns(fringe_scan(plan, "phi", grid))
+            assert len(calls) == 1
+            np.testing.assert_allclose(
+                calls[0]["phi"], 2 * math.pi * np.arange(samples) / samples,
+                rtol=0, atol=1e-15,
+            )
+            np.testing.assert_allclose(
+                got, loop_scan(plan, "phi", grid), rtol=0, atol=1e-12
+            )
+
+    def test_grid_shorter_than_sample_count_makes_one_harmonic_run(self, monkeypatch):
+        self.assert_short_grids_make_one_harmonic_run(both_bands_plan(), 5, monkeypatch)
+
+    def test_short_fig1_grid_makes_one_harmonic_run(self, monkeypatch):
+        fig1 = fig1_preset(general_fig1_params(np.random.default_rng(5)))
+        self.assert_short_grids_make_one_harmonic_run(fig1, 3, monkeypatch)
+
+    def test_empty_grid_makes_no_run(self, monkeypatch):
+        calls = record_runs(monkeypatch)
+        scan = fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "phi", [])
+        assert calls == [] and scan.phis == () and scan.records == ()
 
     @pytest.mark.parametrize("bs_convention", ["symmetric", "hadamard"])
     @pytest.mark.parametrize("merge_enabled", [True, False])
@@ -324,11 +334,41 @@ class TestHarmonicScan:
             calls[0]["gamma"], [0.0, 2 * math.pi / 3, 4 * math.pi / 3], rtol=0, atol=1e-15
         )
 
-    def test_short_grid_runs_scalar_points(self, monkeypatch):
+    def test_preparation_sweep_binds_the_grid(self, monkeypatch):
+        plan, diagnostics = compile_text(
+            BOTH_BANDS_CIRCUIT.format(phases="prepare a idler alpha=$alpha beta=0.8 gamma=0")
+        )
+        assert plan is not None, diagnostics
+        plan = plan.bind({"theta": 0.3})
+        assert plan.harmonic_degree("alpha") is None
         calls = record_runs(monkeypatch)
-        grid = [0.2, 1.0, 2.5]
-        fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "phi", grid)
-        assert [c["phi"] for c in calls] == grid
+        scan = fringe_scan(plan, "alpha", [0.6])
+        assert len(calls) == 1 and calls[0]["alpha"].tolist() == [0.6]
+        np.testing.assert_allclose(
+            scan_columns(scan), loop_scan(plan, "alpha", [0.6]), rtol=0, atol=1e-12
+        )
+        calls.clear()
+        with pytest.raises(ValueError, match=r"must be 1, got .* \(batch member 1\)"):
+            fringe_scan(plan, "alpha", [0.6, 0.7])
+        assert len(calls) == 1 and calls[0]["alpha"].tolist() == [0.6, 0.7]
+        with pytest.raises(ValueError, match="not a harmonic series in 'alpha'"):
+            harmonic_coefficients(plan, "alpha")
+
+    @pytest.mark.parametrize("sweep", ["phi", "theta", "gamma"])
+    def test_cell_batched_coefficients_equal_scalar_scans(self, sweep, monkeypatch):
+        rng = np.random.default_rng(13)
+        cells = [general_fig1_params(rng) for _ in range(4)]
+        plan = fig1_preset({name: np.array([cell[name] for cell in cells])
+                            for name in cells[0]})
+        calls = record_runs(monkeypatch)
+        frequency, coeffs = harmonic_coefficients(plan, sweep)
+        degree = plan.harmonic_degree(sweep)[1]
+        assert coeffs.shape == (2, len(cells), degree + 1)
+        assert len(calls) == 1 and len(calls[0][sweep]) == len(cells) * (2 * degree + 1)
+        for i, cell in enumerate(cells):
+            want = scan_columns(fringe_scan(fig1_preset(cell), sweep, FULL_PERIOD))
+            got = harmonic_series(coeffs[:, i], frequency, FULL_PERIOD).T
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_theta_sweep_matches_the_dense_oracle(self):
         rng = np.random.default_rng(29)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qiup.errors import UnitarityError
 from qiup.modes import Band, Mode, ModePair, Polarization, SourceTag
-from qiup.state import BiphotonState, SourceSpec, initial_state
+from qiup.state import PRUNE_EPSILON, BiphotonState, SourceSpec, initial_state
 from qiup.elements import BS_CONVENTIONS, hwp_matrix
 
 H, V = Polarization.H, Polarization.V
@@ -165,9 +165,11 @@ class TestPrune:
         assert len(BiphotonState().prune()) == 0
 
     def test_custom_epsilon(self):
-        amps = {pair("a", V, M1, "a", V, M1): 1e-6}
-        assert len(BiphotonState(amps, prune_epsilon=1e-5)) == 0
-        assert len(BiphotonState(amps, prune_epsilon=1e-7)) == 1
+        """The threshold is the module constant: amplitudes at or below it go."""
+        assert PRUNE_EPSILON == 1e-14
+        key = pair("a", V, M1, "a", V, M1)
+        assert len(BiphotonState({key: 0.99 * PRUNE_EPSILON})) == 0
+        assert len(BiphotonState({key: 1.01 * PRUNE_EPSILON})) == 1
 
 
 class TestSerialization:
