@@ -4,8 +4,8 @@ Subcommands: ``check`` (circuit diagnostics), ``run`` (counts at the detect
 path), ``scan`` (parameter sweep to CSV), ``fit`` (recover beam parameters
 from fringe data) and ``verify`` (engine versus closed-form comparison).
 
-Exit codes: 0 success, 1 validation or convergence failure, 2 I/O or format
-failure, 3 verification mismatch.
+Exit codes: 0 success, 1 validation or convergence failure or a fit whose
+model the data reject, 2 I/O or format failure, 3 verification mismatch.
 """
 from __future__ import annotations
 
@@ -159,8 +159,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     line = result.summary()
     if result.gamma_unidentifiable:
         line += " gamma_unidentifiable=true"
+    if result.model_rejected:
+        line += " model_rejected=true"
     print(line)
-    return EXIT_OK if result.converged else EXIT_FAIL
+    return EXIT_OK if result.converged and not result.model_rejected else EXIT_FAIL
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -8,9 +8,15 @@ normalization constraint afterwards.
 Fits are independent per dataset and safe to run in parallel; the Poisson
 generator is constructed per call and never shared.
 
-``scipy.optimize`` is imported on the first :func:`fit` that needs its
-refinement, not with this module, so simulating, scanning and reading CSVs
-never load scipy.
+Both reference forms are first harmonics in phi: per channel, the model is
+``a(beta1, gamma) . (1, cos phi, sin phi)``.  :func:`fit` therefore reduces
+the data once to a 3x3 triangular factor of the weighted Gram matrix and a
+3-vector per channel; the coarse grid then scores coefficient vectors, not
+model evaluations at every phi, and the Levenberg-Marquardt refinement works
+on those six whitened residuals with an analytic Jacobian.  numpy is the
+only dependency.  A fit also says whether the data follow the reference
+forms at all (``FitResult.model_rejected``): data from the evolution engine
+do not, and their fit is not an estimate.
 """
 from __future__ import annotations
 
@@ -37,6 +43,10 @@ GAMMA_IDENTIFIABLE_MIN = 0.02
 #: A first-harmonic fringe per channel has three unknowns (offset, cosine
 #: and sine amplitude), so fewer distinct phases cannot determine it.
 MIN_FIT_PHIS = 3
+#: Goodness-of-fit gates: count data are rejected beyond this many standard
+#: deviations of chi^2/dof above 1, noiseless expectations beyond this RMS.
+CHI2_SIGMAS = 6.0
+MODEL_RMS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,6 +93,7 @@ class FitResult:
     residual_sum_sq: float
     converged: bool
     gamma_unidentifiable: bool = False
+    model_rejected: bool = False
 
     def summary(self) -> str:
         return (
@@ -154,29 +165,144 @@ def calibrate(data: ScanLike) -> CalibrationRecord:
     )
 
 
-def _objective_grid(
-    phis: np.ndarray, h: np.ndarray, v: np.ndarray,
-    wh: np.ndarray, wv: np.ndarray,
-) -> tuple[float, float]:
-    betas = np.arange(0.0, 1.0 + GRID_BETA_STEP / 2, GRID_BETA_STEP)
-    gammas = np.arange(GRID_GAMMA_POINTS) * (TWO_PI / GRID_GAMMA_POINTS)
-    b = betas[:, None, None]
-    g = gammas[None, :, None]
-    p = phis[None, None, :]
-    cost = np.sum(wh * (h - nh_closed(b, g, p)) ** 2, axis=2)
-    cost += np.sum(wv * (v - nv_closed(b, g, p)) ** 2, axis=2)
-    i, j = np.unravel_index(int(cost.argmin()), cost.shape)
-    return float(betas[i]), float(gammas[j])
+def _harmonics(beta1, gamma) -> np.ndarray:
+    """Coefficients of (1, cos phi, sin phi) in the reference forms.
+
+    ``nh_closed`` and ``nv_closed`` expanded through ``cos(gamma - phi)``
+    and ``sin(gamma - phi)``: shape ``(2, 3) + shape``, H channel first, for
+    scalars or for ``beta1`` and ``gamma`` arrays of one shape.
+    """
+    b, c, s = beta1, np.cos(gamma), np.sin(gamma)
+    return np.array([
+        [(8.0 - 3.0 * b * b) / 16.0, b * (s - c - 2.0) / 16.0, -b * (c + s) / 16.0],
+        [5.0 / 16.0 + 0.0 * b, b * (c + 1.0) / 8.0, b * s / 8.0],  # 0 * b: b's shape
+    ])
+
+
+def _harmonics_jacobian(beta1: float, gamma: float) -> np.ndarray:
+    """d(harmonics)/d(beta1, gamma), shape (2, 3, 2)."""
+    c, s = math.cos(gamma), math.sin(gamma)
+    return np.array([
+        [[-6.0 * beta1 / 16.0, 0.0],
+         [(s - c - 2.0) / 16.0, beta1 * (c + s) / 16.0],
+         [-(c + s) / 16.0, beta1 * (s - c) / 16.0]],
+        [[0.0, 0.0],
+         [(c + 1.0) / 8.0, -beta1 * s / 8.0],
+         [s / 8.0, beta1 * c / 8.0]],
+    ])
+
+
+#: The coarse grid, beta1-major, and its coefficient vectors per channel,
+#: shape (2, nodes, 3).
+_GRID_BETAS, _GRID_GAMMAS = np.meshgrid(
+    np.arange(0.0, 1.0 + GRID_BETA_STEP / 2, GRID_BETA_STEP),
+    np.arange(GRID_GAMMA_POINTS) * (TWO_PI / GRID_GAMMA_POINTS),
+    indexing="ij",
+)
+_GRID_HARMONICS = np.ascontiguousarray(
+    _harmonics(_GRID_BETAS, _GRID_GAMMAS).reshape(2, 3, -1).transpose(0, 2, 1)
+)
+
+
+def _whiten(
+    phis: np.ndarray, y: np.ndarray, sqrt_w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(R, z) per channel, with ``sum w (y - B a)^2 = |R a - z|^2 + const``.
+
+    ``B`` is the basis (1, cos phi, sin phi) at every phi and ``R`` the
+    triangular factor of the weighted ``B`` (``R^T R`` is its Gram matrix
+    ``B^T W B``), so the weighted rss of any coefficient vector ``a`` costs
+    one 3x3 product per channel.  A QR factor, not a Cholesky one, because
+    phases that coincide modulo 2*pi leave the Gram matrix singular.
+    """
+    basis = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)], axis=-1)
+    q, r = np.linalg.qr(sqrt_w[:, :, None] * basis)
+    return r, np.einsum("cni,cn->ci", q, sqrt_w * y)
+
+
+def _grid_start(r: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+    """The coarse-grid node of least weighted rss: one 3x3 product per node."""
+    e = _GRID_HARMONICS @ r.transpose(0, 2, 1) - z[:, None, :]
+    k = int(np.einsum("cki,cki->k", e, e).argmin())
+    return float(_GRID_BETAS.flat[k]), float(_GRID_GAMMAS.flat[k])
+
+
+def _refine(
+    r: np.ndarray, z: np.ndarray, beta1: float, gamma: float,
+) -> tuple[float, float, bool]:
+    """Levenberg-Marquardt on (beta1, gamma) with beta1 projected onto [0, 1].
+
+    Residuals are the 6-vector ``R a(beta1, gamma) - z`` of :func:`_whiten`,
+    whose squared norm differs from the weighted rss by a constant, with the
+    analytic Jacobian.  A beta1 held at a bound by the gradient leaves the
+    step to gamma alone.  Stops when a step is below ``REFINE_TOL`` relative
+    to the parameters; returns ``converged=False`` only when
+    ``MAX_REFINE_EVALS`` residual evaluations run out first.
+    """
+    def residuals(x: np.ndarray) -> np.ndarray:
+        return ((r @ _harmonics(x[0], x[1])[:, :, None])[:, :, 0] - z).ravel()
+
+    x = np.array([beta1, gamma])
+    e = residuals(x)
+    cost = float(e @ e)
+    evals, damping, grow = 1, None, 2.0
+    while True:
+        jac = (r @ _harmonics_jacobian(x[0], x[1])).reshape(6, 2)
+        normal, grad = jac.T @ jac, jac.T @ e
+        if damping is None:
+            damping = 1e-6 * float(normal.diagonal().max())
+        # a beta1 on the bound that the descent direction points out of stays
+        held = (x[0] <= 0.0 and grad[0] > 0.0) or (x[0] >= 1.0 and grad[0] < 0.0)
+        while True:  # trial steps from x until one lowers the cost
+            if evals >= MAX_REFINE_EVALS:
+                return float(x[0]), float(x[1]), False
+            # (normal + damping * I) step = -grad over the free parameters
+            n00, n01, n11 = normal[0, 0] + damping, normal[0, 1], normal[1, 1] + damping
+            if held:
+                step = np.array([0.0, -grad[1] / n11])
+            else:
+                det = n00 * n11 - n01 * n01
+                step = np.array([n01 * grad[1] - n11 * grad[0],
+                                 n01 * grad[0] - n00 * grad[1]]) / det
+            trial = x + step
+            trial[0] = min(max(trial[0], 0.0), 1.0)
+            step = trial - x
+            small = math.hypot(*step) <= REFINE_TOL * (REFINE_TOL + math.hypot(*x))
+            e_trial = residuals(trial)
+            evals += 1
+            cost_trial = float(e_trial @ e_trial)
+            accepted = cost_trial < cost
+            if accepted:
+                # Nielsen's rule: less damping the better the linear model
+                # predicted the actual reduction
+                predicted = -float(step @ (2.0 * grad + normal @ step))
+                gain = (cost - cost_trial) / predicted if predicted > 0.0 else 0.0
+                damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                grow = 2.0
+                x, e, cost = trial, e_trial, cost_trial
+            else:
+                damping *= grow
+                grow *= 2.0
+            if small:
+                return float(x[0]), float(x[1]), True
+            if accepted:
+                break
 
 
 def fit(data: ScanLike, weighting: str = "equal") -> FitResult:
     """Recover (beta1, gamma) by least squares against the closed forms.
 
     A deterministic coarse grid search (beta1 step 0.05, gamma step 2pi/72)
-    seeds a bounded local refinement.  ``weighting`` is ``"equal"`` or
-    ``"inverse_variance"`` (weights shots/max(count, 1); integer-count data
-    only).  When the recovered beta1 is below 0.02 the relative phase is
-    flagged unidentifiable.
+    seeds a local Levenberg-Marquardt refinement with beta1 kept in [0, 1].
+    ``weighting`` is ``"equal"`` or ``"inverse_variance"`` (weights
+    shots/max(count, 1); integer-count data only).  When the recovered beta1
+    is below 0.02 the relative phase is flagged unidentifiable.
+
+    The fitted model is rejected (``model_rejected``) when the data do not
+    follow the reference forms: for counts, when the Pearson chi^2 per
+    degree of freedom under the Poisson variance of the fitted expectation
+    exceeds ``1 + CHI2_SIGMAS * sqrt(2 / dof)`` with dof = 2N - 2; for
+    noiseless expectations, when the residual RMS exceeds ``MODEL_RMS_TOL``.
     """
     phis, h, v = _channels(data)
     # both scan types hold strictly increasing phases, so all are distinct
@@ -198,57 +324,49 @@ def fit(data: ScanLike, weighting: str = "equal") -> FitResult:
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
 
-    beta0, gamma0 = _objective_grid(phis, h, v, wh, wv)
-    sqrt_wh, sqrt_wv = np.sqrt(wh), np.sqrt(wv)
+    y, sqrt_w = np.stack([h, v]), np.sqrt(np.stack([wh, wv]))
+    r, z = _whiten(phis, y, sqrt_w)
+    beta0, gamma0 = _grid_start(r, z)
 
-    def residuals(x: np.ndarray) -> np.ndarray:
-        beta1, gamma = x
-        return np.concatenate(
-            (
-                sqrt_wh * (h - nh_closed(beta1, gamma, phis)),
-                sqrt_wv * (v - nv_closed(beta1, gamma, phis)),
-            )
-        )
+    def rss(beta1: float, gamma: float) -> float:
+        # from the residuals themselves: |R a - z|^2 leaves out the part of
+        # the data outside the first harmonic
+        model = np.stack([nh_closed(beta1, gamma, phis), nv_closed(beta1, gamma, phis)])
+        return float(np.sum((sqrt_w * (y - model)) ** 2))
 
-    start = residuals(np.array([beta0, gamma0]))
-    if float(np.sum(start**2)) < 1e-24:
-        # the grid point is already an exact minimum; refinement would only
-        # feed a zero gradient to the trust-region solver
-        beta1_hat, gamma_hat = beta0, gamma0 % TWO_PI
-        rss = float(np.sum(start**2))
-        converged = True
+    start = rss(beta0, gamma0)
+    if start < 1e-24:
+        # the grid point is already an exact minimum
+        beta1_hat, gamma_hat, converged = beta0, gamma0, True
+        residual_sum_sq = start
     else:
-        # imported here: scipy.optimize is most of a cold `import qiup`, and
-        # only this refinement needs it
-        from scipy.optimize import least_squares
-
-        with np.errstate(invalid="ignore", divide="ignore"):
-            # unidentifiable directions give TRF zero gradients; it recovers,
-            # but numpy would warn about the internal divisions
-            result = least_squares(
-                residuals,
-                x0=np.array([beta0, gamma0]),
-                bounds=(
-                    np.array([0.0, gamma0 - math.pi]),
-                    np.array([1.0, gamma0 + math.pi]),
-                ),
-                xtol=REFINE_TOL,
-                ftol=None,
-                gtol=None,
-                max_nfev=MAX_REFINE_EVALS,
-            )
-        beta1_hat = float(np.clip(result.x[0], 0.0, 1.0))
-        gamma_hat = float(result.x[1]) % TWO_PI
-        rss = float(np.sum(result.fun**2))
-        converged = bool(result.status > 0)
+        beta1_hat, gamma_hat, converged = _refine(r, z, beta0, gamma0)
+        residual_sum_sq = rss(beta1_hat, gamma_hat)
+    gamma_hat %= TWO_PI
     return FitResult(
         beta1_hat=beta1_hat,
         gamma_hat=gamma_hat,
         alpha1_hat=infer_alpha1(beta1_hat),
-        residual_sum_sq=rss,
+        residual_sum_sq=residual_sum_sq,
         converged=converged,
         gamma_unidentifiable=beta1_hat < GAMMA_IDENTIFIABLE_MIN,
+        model_rejected=_model_rejected(data, phis, beta1_hat, gamma_hat, residual_sum_sq),
     )
+
+
+def _model_rejected(
+    data: ScanLike, phis: np.ndarray, beta1: float, gamma: float, residual_sum_sq: float,
+) -> bool:
+    if isinstance(data, NoisyScan):
+        # the reference forms stay above 1/16 on [0, 1], so no expectation is 0
+        expected = data.shots * np.concatenate(
+            (nh_closed(beta1, gamma, phis), nv_closed(beta1, gamma, phis))
+        )
+        observed = np.concatenate((data.counts_h, data.counts_v))
+        dof = 2 * len(phis) - 2
+        chi2 = float(np.sum((observed - expected) ** 2 / expected))
+        return chi2 / dof > 1.0 + CHI2_SIGMAS * math.sqrt(2.0 / dof)
+    return math.sqrt(residual_sum_sq / (2 * len(phis))) > MODEL_RMS_TOL
 
 
 def infer_alpha1(beta1_hat: float) -> float:

@@ -86,7 +86,8 @@ def fringe_scan(
 ) -> FringeScan:
     """Evaluate the plan's detect-path counts over a parameter grid.
 
-    The swept name must be a free parameter of the plan and every other free
+    The swept name must be a free parameter of the plan, or
+    ``E_UNKNOWN_PARAM`` is raised whatever the grid, and every other free
     parameter must already be bound to a scalar (an array binding raises
     ``E_BATCH_SHAPE``).  Records come back in grid order.
 
@@ -106,6 +107,8 @@ def fringe_scan(
             "E_BATCH_SHAPE",
             f"fringe_scan needs scalar bindings, got arrays for {', '.join(batched)}",
         )
+    if sweep not in plan.free_parameters:
+        raise PlanError("E_UNKNOWN_PARAM", f"not free parameters of this plan: {sweep}")
     phis = [float(value) for value in grid]
     if not phis:
         values = np.empty((2, 0))

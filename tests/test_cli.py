@@ -22,7 +22,8 @@ REGIME = [
 ]
 
 
-def oracle_csv(tmp_path, beta1=0.6, gamma=1.0, points=64):
+def oracle_csv(tmp_path, beta1=0.6, gamma=1.0, points=64, shots=None, seed=0):
+    """Reference-model data: expectations, or Poisson counts with ``shots``."""
     phis = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
     records = tuple(
         CountResult(float(nh_closed(beta1, gamma, p)), float(nv_closed(beta1, gamma, p)))
@@ -30,7 +31,10 @@ def oracle_csv(tmp_path, beta1=0.6, gamma=1.0, points=64):
     )
     scan = FringeScan(tuple(float(p) for p in phis), records, "o'")
     path = tmp_path / "data.csv"
-    path.write_text(format_counts_csv(scan, shots=1))
+    if shots is None:
+        path.write_text(format_counts_csv(scan, shots=1))
+    else:
+        path.write_text(format_counts_csv(simulate_measurement(scan, shots, seed)))
     return path
 
 
@@ -223,6 +227,7 @@ class TestFit:
         assert float(fields["gamma"]) == pytest.approx(1.0, abs=1e-6)
         assert float(fields["alpha1"]) == pytest.approx(0.8, abs=1e-6)
         assert fields["converged"] == "true"
+        assert "model_rejected" not in fields
 
     def test_malformed_csv_exit2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -268,6 +273,31 @@ class TestFit:
         assert captured.out == ""
         assert repr(header) in captured.err
 
+    @pytest.mark.parametrize("shots", [[], ["--shots", "100000", "--seed", "3"]])
+    def test_engine_scan_is_rejected_by_the_reference_model(self, tmp_path, capsys, shots):
+        # the engine obeys the evolution forms, not the reference forms the
+        # fit inverts; fit used to print beta1=1 ... rss=10.44 converged=true
+        # and exit 0
+        out = tmp_path / "scan.csv"
+        code = cli.main(
+            ["scan", "--preset", "fig1",
+             "--param", "alpha1=0.6", "--param", "beta1=0.8", "--param", "gamma=1",
+             "--param", "alpha2=0", "--param", "beta2=1", "--param", f"theta={math.pi / 4}",
+             *shots, "--out", str(out)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert cli.main(["fit", str(out)]) == 1
+        line = capsys.readouterr().out
+        assert line.startswith("beta1=1 ")
+        assert line.split()[-2:] == ["converged=true", "model_rejected=true"]
+
+    @pytest.mark.parametrize("weighting", ["equal", "inverse_variance"])
+    def test_reference_model_counts_are_accepted(self, tmp_path, capsys, weighting):
+        path = oracle_csv(tmp_path, shots=100_000, seed=3)
+        assert cli.main(["fit", str(path), "--weighting", weighting]) == 0
+        assert "model_rejected" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("rows", [1, 2])
     def test_fewer_than_three_phis_exit1(self, tmp_path, capsys, rows):
         path = tmp_path / "short.csv"
@@ -306,16 +336,9 @@ def cold_cli(commands):
 
 
 class TestColdImport:
-    def test_only_fit_loads_scipy(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         # off the fit's grid, with noise, so the refinement runs
-        phis = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-        records = tuple(
-            CountResult(float(nh_closed(0.6, 1.0, p)), float(nv_closed(0.6, 1.0, p)))
-            for p in phis
-        )
-        noisy = simulate_measurement(FringeScan(tuple(phis.tolist()), records, "o'"), 10000, 3)
-        data = tmp_path / "noisy.csv"
-        data.write_text(format_counts_csv(noisy))
+        data = oracle_csv(tmp_path, shots=10000, seed=3)
         out = str(tmp_path / "scan.csv")
         scan = ["scan", "--preset", "fig1", *REGIME, "--out", out]
         commands = [
@@ -328,10 +351,10 @@ class TestColdImport:
         ]
         report = cold_cli(commands)
         assert [code for code, _, _ in report] == [0, 0, 0, 0, 3, 0]
-        assert [loaded for _, _, loaded in report] == [False] * 5 + [True]
+        assert [loaded for _, _, loaded in report] == [False] * 6
         fit_line = report[-1][1].strip()
         assert fit_line == fit(read_counts_csv(data.read_text())).summary()
-        # pinned figures: loading the solver lazily must not change them
+        # pinned figures, as scipy's least_squares gave them
         fields = dict(kv.split("=") for kv in fit_line.split())
         assert float(fields["beta1"]) == pytest.approx(0.59776446, abs=1e-9)
         assert float(fields["gamma"]) == pytest.approx(0.994396383166, abs=1e-9)

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from qiup import estimation
 from qiup.errors import DataFormatError, QiupWarning, SparseScanError
 from qiup.estimation import (
+    GRID_BETA_STEP,
+    GRID_GAMMA_POINTS,
+    MAX_REFINE_EVALS,
+    MODEL_RMS_TOL,
+    REFINE_TOL,
     CalibrationRecord,
     FitResult,
     NoisyScan,
@@ -16,17 +22,20 @@ from qiup.estimation import (
     simulate_measurement,
 )
 from qiup.observables import CountResult, FringeScan
-from qiup.reference import nh_closed, nv_closed
+from qiup.reference import nh_closed, nh_evolution, nv_closed, nv_evolution
 
 TWO_PI = 2.0 * math.pi
+#: The forms the engine obeys, which the fit does not invert.
+EVOLUTION = (nh_evolution, nv_evolution)
 
 
-def oracle_scan(beta1: float, gamma: float, points: int = 64) -> FringeScan:
+def oracle_scan(beta1: float, gamma: float, points: int = 64,
+                forms=(nh_closed, nv_closed)) -> FringeScan:
     """Noiseless fringe data generated straight from the closed forms."""
+    nh, nv = forms
     phis = np.linspace(0.0, TWO_PI, points, endpoint=False)
     records = tuple(
-        CountResult(float(nh_closed(beta1, gamma, p)), float(nv_closed(beta1, gamma, p)))
-        for p in phis
+        CountResult(float(nh(beta1, gamma, p)), float(nv(beta1, gamma, p))) for p in phis
     )
     return FringeScan(tuple(float(p) for p in phis), records, "o'")
 
@@ -34,6 +43,33 @@ def oracle_scan(beta1: float, gamma: float, points: int = 64) -> FringeScan:
 def circular_distance(a: float, b: float) -> float:
     d = abs(a - b) % TWO_PI
     return min(d, TWO_PI - d)
+
+
+def weighted_channels(data, weighting):
+    """(phis, h, v, wh, wv) as ``fit`` weights them."""
+    phis = np.asarray(data.phis)
+    if isinstance(data, NoisyScan):
+        h = np.asarray(data.counts_h, dtype=float) / data.shots
+        v = np.asarray(data.counts_v, dtype=float) / data.shots
+    else:
+        h, v = data.column("h"), data.column("v")
+    if weighting == "equal":
+        return phis, h, v, np.ones_like(h), np.ones_like(v)
+    wh = data.shots / np.maximum(np.asarray(data.counts_h, dtype=float), 1.0)
+    wv = data.shots / np.maximum(np.asarray(data.counts_v, dtype=float), 1.0)
+    return phis, h, v, wh, wv
+
+
+def brute_force_grid_node(data, weighting="equal") -> tuple[float, float]:
+    """The coarse-grid node of least weighted rss, from the closed forms at every phi."""
+    phis, h, v, wh, wv = weighted_channels(data, weighting)
+    betas = np.arange(0.0, 1.0 + GRID_BETA_STEP / 2, GRID_BETA_STEP)
+    gammas = np.arange(GRID_GAMMA_POINTS) * (TWO_PI / GRID_GAMMA_POINTS)
+    b, g, p = betas[:, None, None], gammas[None, :, None], phis[None, None, :]
+    cost = np.sum(wh * (h - nh_closed(b, g, p)) ** 2, axis=2)
+    cost += np.sum(wv * (v - nv_closed(b, g, p)) ** 2, axis=2)
+    i, j = np.unravel_index(int(cost.argmin()), cost.shape)
+    return float(betas[i]), float(gammas[j])
 
 
 class TestSimulateMeasurement:
@@ -197,11 +233,145 @@ class TestFit:
         sem = float(np.std(estimates, ddof=1)) / math.sqrt(len(estimates))
         assert abs(mean - 0.8) <= 3 * sem
 
+    @pytest.mark.parametrize("beta1", [0.0, 0.1, 0.37, 0.999, 1.0])
+    @pytest.mark.parametrize("gamma", [1.234, 6.2])
+    def test_noiseless_fit_is_exact(self, beta1, gamma):
+        result = fit(oracle_scan(beta1, gamma))
+        assert result.converged and not result.model_rejected
+        assert abs(result.beta1_hat - beta1) < 1e-12
+        if beta1 > 0.0:
+            assert circular_distance(result.gamma_hat, gamma) < 1e-10
+        assert result.residual_sum_sq < 1e-26
+
+    def test_grid_node_matches_brute_force_search(self, monkeypatch):
+        # with no evaluation left for the refinement, fit returns its grid node
+        monkeypatch.setattr(estimation, "MAX_REFINE_EVALS", 1)
+        cases = [(oracle_scan(11 * 0.05, 13 * TWO_PI / 72), "equal"),
+                 (oracle_scan(0.0, 1.234), "equal"),
+                 (oracle_scan(1.0, 1.234), "equal"),
+                 (oracle_scan(0.33, 4.0, points=5), "equal"),
+                 (oracle_scan(0.8, 1.0, forms=EVOLUTION), "equal")]
+        rng = np.random.default_rng(11)
+        for seed in range(40):
+            scan = oracle_scan(rng.uniform(0.0, 1.0), rng.uniform(0.0, TWO_PI))
+            noisy = simulate_measurement(scan, shots=int(rng.choice([10**3, 10**6])), seed=seed)
+            cases += [(noisy, "equal"), (noisy, "inverse_variance")]
+        for data, weighting in cases:
+            result = fit(data, weighting=weighting)
+            node = brute_force_grid_node(data, weighting)
+            assert (result.beta1_hat, result.gamma_hat) == node
+            on_grid = result.residual_sum_sq < 1e-24
+            assert result.converged == on_grid
+
+    def test_refinement_budget_exhausted_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(estimation, "MAX_REFINE_EVALS", 3)
+        noisy = simulate_measurement(oracle_scan(0.8, 0.5), shots=100_000, seed=5)
+        assert not fit(noisy).converged
+
+    def test_beta1_above_one_is_held_at_the_bound(self):
+        # a V fringe 5% deeper than beta1 = 1 allows: the least-squares
+        # beta1 of these counts lies above 1
+        scan = oracle_scan(1.0, 2.0)
+        deeper = tuple(
+            CountResult(r.n_h, 5.0 / 16.0 + 1.05 * (r.n_v - 5.0 / 16.0)) for r in scan.records
+        )
+        boosted = FringeScan(scan.phis, deeper, "o'")
+        result = fit(boosted)
+        assert result.converged and result.beta1_hat == 1.0 and result.alpha1_hat == 0.0
+        assert circular_distance(result.gamma_hat, 2.0) < 0.05
+
+    def test_fit_matches_scipy_least_squares(self):
+        # the refinement that fit used to delegate to scipy, from the same
+        # grid node with the same bounds and step tolerance
+        least_squares = pytest.importorskip("scipy.optimize").least_squares
+        rng = np.random.default_rng(2024)
+        for seed in range(100):
+            scan = oracle_scan(rng.uniform(0.3, 0.95), rng.uniform(0.0, TWO_PI))
+            noisy = simulate_measurement(scan, shots=1_000_000, seed=seed)
+            for weighting in ("equal", "inverse_variance"):
+                phis, h, v, wh, wv = weighted_channels(noisy, weighting)
+                beta0, gamma0 = brute_force_grid_node(noisy, weighting)
+
+                def residuals(x):
+                    return np.concatenate((np.sqrt(wh) * (h - nh_closed(x[0], x[1], phis)),
+                                           np.sqrt(wv) * (v - nv_closed(x[0], x[1], phis))))
+
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    ref = least_squares(
+                        residuals, x0=np.array([beta0, gamma0]),
+                        bounds=([0.0, gamma0 - math.pi], [1.0, gamma0 + math.pi]),
+                        xtol=REFINE_TOL, ftol=None, gtol=None, max_nfev=MAX_REFINE_EVALS,
+                    )
+                result = fit(noisy, weighting=weighting)
+                assert ref.status > 0 and result.converged
+                assert abs(result.beta1_hat - ref.x[0]) <= 1e-8
+                assert circular_distance(result.gamma_hat, ref.x[1]) <= 1e-8
+                assert result.residual_sum_sq == pytest.approx(float(ref.fun @ ref.fun), rel=1e-12)
+
     def test_summary_format(self):
         result = FitResult(0.6, 1.0, 0.8, 1e-20, True)
         line = result.summary()
         assert line.startswith("beta1=0.6 ")
         assert "converged=true" in line
+
+
+class TestModelRejection:
+    def test_default_keeps_constructor_calls(self):
+        assert not FitResult(0.6, 1.0, 0.8, 1e-20, True).model_rejected
+
+    @pytest.mark.parametrize("weighting", ["equal", "inverse_variance"])
+    @pytest.mark.parametrize("shots", [1_000, 100_000, 1_000_000])
+    def test_reference_counts_accepted(self, weighting, shots):
+        for seed in range(5):
+            noisy = simulate_measurement(oracle_scan(0.8, 0.5), shots=shots, seed=seed)
+            assert not fit(noisy, weighting=weighting).model_rejected
+
+    @pytest.mark.parametrize("weighting", ["equal", "inverse_variance"])
+    def test_evolution_counts_rejected(self, weighting):
+        noisy = simulate_measurement(oracle_scan(0.8, 1.0, forms=EVOLUTION), shots=100_000, seed=3)
+        result = fit(noisy, weighting=weighting)
+        assert result.converged and result.model_rejected
+
+    def test_evolution_expectations_rejected(self):
+        result = fit(oracle_scan(0.8, 1.0, forms=EVOLUTION))
+        assert result.converged and result.model_rejected
+
+    @pytest.mark.parametrize("scale", [0.98, 1.02])
+    def test_count_chi2_threshold(self, scale):
+        # deviations of k sigma with alternating signs are orthogonal, on a
+        # uniform grid, to the first harmonics the fit can absorb, so
+        # chi^2 is about 2N k^2; k puts chi^2/dof at scale^2 times the limit
+        shots, n = 1_000_000, 64
+        dof = 2 * n - 2
+        limit = 1.0 + 6.0 * math.sqrt(2.0 / dof)
+        k = scale * math.sqrt(limit * dof / (2 * n))
+        scan = oracle_scan(0.6, 1.0, points=n)
+        sign = (-1.0) ** np.arange(n)
+        counts = [np.rint(e + k * sign * np.sqrt(e)).astype(int)
+                  for e in (shots * scan.column("h"), shots * scan.column("v"))]
+        noisy = NoisyScan(scan.phis, tuple(counts[0].tolist()), tuple(counts[1].tolist()),
+                          shots=shots, seed=0)
+        result = fit(noisy)
+        phis = np.asarray(scan.phis)
+        expected = shots * np.concatenate((nh_closed(result.beta1_hat, result.gamma_hat, phis),
+                                           nv_closed(result.beta1_hat, result.gamma_hat, phis)))
+        chi2 = float(np.sum((np.concatenate(counts) - expected) ** 2 / expected))
+        assert (chi2 / dof > limit) == (scale > 1.0)
+        assert result.converged and result.model_rejected == (scale > 1.0)
+
+    @pytest.mark.parametrize("rms, rejected", [(0.8 * MODEL_RMS_TOL, False),
+                                               (1.25 * MODEL_RMS_TOL, True)])
+    def test_expectation_residual_rms_threshold(self, rms, rejected):
+        # the fit cannot absorb an offset on the V channel, whose constant
+        # term is 5/16 for every beta1 and gamma: residual RMS = offset/sqrt(2)
+        scan = oracle_scan(0.6, 1.0)
+        offset = math.sqrt(2.0) * rms
+        shifted = FringeScan(
+            scan.phis, tuple(CountResult(r.n_h, r.n_v + offset) for r in scan.records), "o'"
+        )
+        result = fit(shifted)
+        assert math.sqrt(result.residual_sum_sq / 128) == pytest.approx(rms, rel=1e-3)
+        assert result.model_rejected == rejected
 
 
 class TestInferAlpha1:

@@ -383,9 +383,10 @@ class TestHarmonicScan:
 
     def test_unknown_sweep_name(self):
         plan = fig1_preset(regime_params(0.5, 0.0))
-        with pytest.raises(PlanError) as err:
-            fringe_scan(plan, "bogus", FULL_PERIOD)
-        assert err.value.code == "E_UNKNOWN_PARAM"
+        for grid in (FULL_PERIOD, []):  # an empty grid still names the sweep
+            with pytest.raises(PlanError) as err:
+                fringe_scan(plan, "bogus", grid)
+            assert err.value.code == "E_UNKNOWN_PARAM"
 
     def test_unbound_parameter_still_surfaces(self):
         plan, _ = compile_text(
