@@ -51,6 +51,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{path} is not UTF-8 text: {exc}", EXIT_IO) from exc
 
 
 def _load_plan(args: argparse.Namespace) -> CircuitPlan:

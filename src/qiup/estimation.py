@@ -43,9 +43,11 @@ GAMMA_IDENTIFIABLE_MIN = 0.02
 #: A first-harmonic fringe per channel has three unknowns (offset, cosine
 #: and sine amplitude), so fewer distinct phases cannot determine it.
 MIN_FIT_PHIS = 3
-#: Goodness-of-fit gates: count data are rejected beyond this many standard
-#: deviations of chi^2/dof above 1, noiseless expectations beyond this RMS.
+#: Goodness-of-fit gates: count data are rejected when their chi^2 is less
+#: likely than a one-sided Gaussian deviation of this many sigma, noiseless
+#: expectations beyond this RMS.
 CHI2_SIGMAS = 6.0
+CHI2_TAIL = 0.5 * math.erfc(CHI2_SIGMAS / math.sqrt(2.0))
 MODEL_RMS_TOL = 1e-6
 
 
@@ -299,10 +301,11 @@ def fit(data: ScanLike, weighting: str = "equal") -> FitResult:
     is below 0.02 the relative phase is flagged unidentifiable.
 
     The fitted model is rejected (``model_rejected``) when the data do not
-    follow the reference forms: for counts, when the Pearson chi^2 per
-    degree of freedom under the Poisson variance of the fitted expectation
-    exceeds ``1 + CHI2_SIGMAS * sqrt(2 / dof)`` with dof = 2N - 2; for
-    noiseless expectations, when the residual RMS exceeds ``MODEL_RMS_TOL``.
+    follow the reference forms: for counts, when the Pearson chi^2 under the
+    Poisson variance of the fitted expectation has a survival probability,
+    with dof = 2N - 2, below ``CHI2_TAIL``, the one-sided Gaussian tail
+    beyond ``CHI2_SIGMAS``; for noiseless expectations, when the residual RMS
+    exceeds ``MODEL_RMS_TOL``.
     """
     phis, h, v = _channels(data)
     # both scan types hold strictly increasing phases, so all are distinct
@@ -365,8 +368,35 @@ def _model_rejected(
         observed = np.concatenate((data.counts_h, data.counts_v))
         dof = 2 * len(phis) - 2
         chi2 = float(np.sum((observed - expected) ** 2 / expected))
-        return chi2 / dof > 1.0 + CHI2_SIGMAS * math.sqrt(2.0 / dof)
+        return _chi2_log_sf(chi2, dof) < math.log(CHI2_TAIL)
     return math.sqrt(residual_sum_sq / (2 * len(phis))) > MODEL_RMS_TOL
+
+
+def _chi2_log_sf(chi2: float, dof: int) -> float:
+    """log P(X > chi2) for X ~ chi^2 with an even ``dof``.
+
+    For even dof the survival function is the finite Poisson sum
+    ``e^{-h} sum_{j < dof/2} h^j / j!`` with h = chi2 / 2.  The terms peak at
+    j = floor(h); they are summed outward from there, relative to the peak,
+    so each step only shrinks the term and nothing overflows or underflows.
+    """
+    h, k = chi2 / 2.0, dof // 2
+    if h == 0.0:
+        return 0.0
+    peak = min(k - 1, int(h))
+    total = term = 1.0
+    for j in range(peak, 0, -1):
+        term *= j / h
+        total += term
+        if term < 1e-17 * total:
+            break
+    term = 1.0
+    for j in range(peak + 1, k):
+        term *= h / j
+        total += term
+        if term < 1e-17 * total:
+            break
+    return peak * math.log(h) - math.lgamma(peak + 1) - h + math.log(total)
 
 
 def infer_alpha1(beta1_hat: float) -> float:

@@ -9,16 +9,17 @@ the idler overlap ``⟨w_k|w_l⟩`` is the induced-coherence factor that sets th
 signal fringes.
 
 Queries that name pair entries (``items``, ``amplitude``, ``len``, ``==``,
-``serialize`` and friends) read the pair map ``Σ_k u_k(s) w_k(i)``, built on
-demand; entries at or below ``PRUNE_EPSILON`` in magnitude are dropped there,
-and single-photon amplitudes are dropped by the same rule after each
-transform.
+``serialize``, ``path_occupied`` and friends) read the pair map
+``Σ_k u_k(s) w_k(i)``, built on demand; entries at or below ``PRUNE_EPSILON``
+in magnitude are dropped there and only there.  The transforms keep every mode
+they write: a cancelled amplitude adds at most rounding noise to the Gram
+contractions, and a map holds at most (paths x 2 polarizations x 3 tags) modes.
 
 A state may also carry a batch: a single-photon amplitude is then a complex
 scalar or a length-B complex array, one member per batch element (see
 :meth:`qiup.plan.CircuitPlan.bind`).  The transforms only multiply and add,
-so they broadcast as written; pruning keeps a mode while any member is above
-``PRUNE_EPSILON``, so the support is the union over the batch, and
+so they broadcast as written; pruning keeps a pair entry while any member is
+above ``PRUNE_EPSILON``, so the support is the union over the batch, and
 ``norm_sq`` and ``counts_at`` return one value per member.
 
 States are immutable from the caller's perspective; every operation returns a
@@ -78,7 +79,7 @@ class SourceSpec:
 # -- single-photon transforms --------------------------------------------------
 #
 # Each takes an amplitude map ``dict[int, complex]`` over packed modes and
-# returns a new one; inputs are never mutated.
+# returns a new one, unpruned; inputs are never mutated.
 
 
 def _pruned(amps: dict) -> dict:
@@ -144,7 +145,7 @@ def _unitary(amps: dict, path_idx: int, u00: complex, u01: complex,
             ah, av = u00 * amp, u10 * amp
         out[kh] = get(kh, 0j) + ah
         out[kv] = get(kv, 0j) + av
-    return _pruned(out)
+    return out
 
 
 def _route(amps: dict, in_a: int, in_b: int, out_a: int, out_b: int,
@@ -166,7 +167,7 @@ def _route(amps: dict, in_a: int, in_b: int, out_a: int, out_b: int,
         kb = (out_b << PATH_SHIFT) | rest
         out[ka] = get(ka, 0j) + ca
         out[kb] = get(kb, 0j) + cb
-    return _pruned(out)
+    return out
 
 
 def _relabel(amps: dict, from_idx: int, to_idx: int, pol_filter: int) -> dict:
@@ -177,7 +178,7 @@ def _relabel(amps: dict, from_idx: int, to_idx: int, pol_filter: int) -> dict:
         if mode >> PATH_SHIFT == from_idx and (pol_filter < 0 or mode & POL_MASK == pol_filter):
             mode = (to_idx << PATH_SHIFT) | (mode & _REST_MASK)
         out[mode] = get(mode, 0j) + amp
-    return _pruned(out)
+    return out
 
 
 def _merge_tags(amps: dict, path_idx: int, pol: int) -> dict:
@@ -189,13 +190,11 @@ def _merge_tags(amps: dict, path_idx: int, pol: int) -> dict:
         if mode >> PATH_SHIFT == path_idx and mode & POL_MASK == pol:
             mode &= tag_clear
         out[mode] = get(mode, 0j) + amp
-    return _pruned(out)
+    return out
 
 
 def _phase(amps: dict, path_idx: int, factor: complex) -> dict:
-    return _pruned(
-        {m: factor * a if m >> PATH_SHIFT == path_idx else a for m, a in amps.items()}
-    )
+    return {m: factor * a if m >> PATH_SHIFT == path_idx else a for m, a in amps.items()}
 
 
 def _select(amps: dict, path_idx: int) -> dict:
@@ -336,15 +335,10 @@ class BiphotonState:
         """Apply a single-photon transform to the ``band`` photon of every term."""
         on_signal = band is not Band.IDLER
         on_idler = band is not Band.SIGNAL
-        terms = []
-        for u, w in self._terms:
-            if on_signal:
-                u = fn(u, *args)
-            if on_idler:
-                w = fn(w, *args)
-            if u and w:
-                terms.append((u, w))
-        return BiphotonState._wrap(tuple(terms))
+        return BiphotonState._wrap(tuple(
+            (fn(u, *args) if on_signal else u, fn(w, *args) if on_idler else w)
+            for u, w in self._terms
+        ))
 
     def apply_pol_unitary(
         self, path: str, u, band: Band | None = None

@@ -23,9 +23,10 @@ from qiup.plan import (
     fig1_preset,
     run_plan,
 )
-from qiup.state import SourceSpec, initial_state
+from qiup.state import BiphotonState, SourceSpec, initial_state
 from engine_helpers import record_runs
 from test_observables import FIG1_VARIANTS, fig1_variant
+from test_state import angles, apply_op, assert_same_observables, bands, ops, states, su2
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,6 +120,21 @@ class TestBatchedEqualsScalar:
         assert plan.bindings["phi"][0] == 0.1
         with pytest.raises(ValueError):
             plan.bindings["phi"][0] = 5.0
+
+
+@given(entries=states, sequence=st.lists(ops, max_size=6),
+       rotations=st.lists(st.tuples(angles, angles, angles), min_size=1, max_size=4),
+       band=bands)
+def test_batched_pruning_where_read_matches_pruning_every_step(
+    entries, sequence, rotations, band
+):
+    # a batch of rotations on path p makes every later amplitude there an array
+    batch = np.stack([su2(*rotation) for rotation in rotations], axis=-1)
+    lazy = eager = BiphotonState(entries).apply_pol_unitary("p", batch, band)
+    for op in sequence:
+        lazy = apply_op(lazy, op)
+        eager = apply_op(eager, op).prune()
+    assert_same_observables(lazy, eager)
 
 
 class TestBatchedGuards:

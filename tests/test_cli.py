@@ -54,6 +54,16 @@ class TestCheck:
         assert cli.main(["check", "no/such/file.qiup"]) == 2
 
 
+@pytest.mark.parametrize("command", ["check", "run", "fit"])
+def test_non_utf8_file_exits_2_naming_it(tmp_path, capsys, command):
+    # a decode error is a ValueError, which used to map to exit 1
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# caf\xe9\nphi,n_h,n_v\n\xff\n")
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} is not UTF-8 text" in err
+
+
 class TestRun:
     def test_preset_pretty_counts(self, capsys):
         code = cli.main(["run", "--preset", "fig1", *REGIME, "--param", "phi=0"])

@@ -20,6 +20,7 @@ from qiup.estimation import (
     infer_alpha1,
     read_counts_csv,
     simulate_measurement,
+    _chi2_log_sf,
 )
 from qiup.observables import CountResult, FringeScan
 from qiup.reference import nh_closed, nh_evolution, nv_closed, nv_evolution
@@ -38,6 +39,41 @@ def oracle_scan(beta1: float, gamma: float, points: int = 64,
         CountResult(float(nh(beta1, gamma, p)), float(nv(beta1, gamma, p))) for p in phis
     )
     return FringeScan(tuple(float(p) for p in phis), records, "o'")
+
+
+def chi2_survival(x: float, dof: int) -> float:
+    """P(chi^2_dof > x) for even dof: the chance of fewer than dof/2 Poisson
+    events at mean x/2."""
+    term = total = math.exp(-x / 2.0)
+    for j in range(1, dof // 2):
+        term *= x / 2.0 / j
+        total += term
+    return total
+
+
+def model_counts(beta1: float, gamma: float, points: int) -> np.ndarray:
+    """(nh_closed, nv_closed) on ``oracle_scan``'s phases, concatenated."""
+    phis = np.asarray(oracle_scan(beta1, gamma, points=points).phis)
+    return np.concatenate((nh_closed(beta1, gamma, phis), nv_closed(beta1, gamma, phis)))
+
+
+def counts_off_the_model(beta1: float, gamma: float, points: int, shots: int,
+                         chi2: float) -> np.ndarray:
+    """Counts whose Pearson chi^2 from the model at (beta1, gamma) is ``chi2``.
+
+    The deviation is orthogonal, as counts, to the model's tangent plane
+    there, so an equal-weight fit moves only at second order.
+    """
+    expected, step = shots * model_counts(beta1, gamma, points), 1e-6
+    tangent = np.stack([model_counts(beta1 + step, gamma, points)
+                        - model_counts(beta1 - step, gamma, points),
+                        model_counts(beta1, gamma + step, points)
+                        - model_counts(beta1, gamma - step, points)], axis=1)
+    q, _ = np.linalg.qr(tangent)
+    deviation = np.sqrt(expected) * (-1.0) ** np.arange(2 * points)
+    deviation -= q @ (q.T @ deviation)
+    deviation *= math.sqrt(chi2 / np.sum(deviation ** 2 / expected))
+    return np.rint(expected + deviation).astype(int)
 
 
 def circular_distance(a: float, b: float) -> float:
@@ -338,26 +374,36 @@ class TestModelRejection:
 
     @pytest.mark.parametrize("scale", [0.98, 1.02])
     def test_count_chi2_threshold(self, scale):
-        # deviations of k sigma with alternating signs are orthogonal, on a
-        # uniform grid, to the first harmonics the fit can absorb, so
-        # chi^2 is about 2N k^2; k puts chi^2/dof at scale^2 times the limit
-        shots, n = 1_000_000, 64
-        dof = 2 * n - 2
-        limit = 1.0 + 6.0 * math.sqrt(2.0 / dof)
-        k = scale * math.sqrt(limit * dof / (2 * n))
-        scan = oracle_scan(0.6, 1.0, points=n)
-        sign = (-1.0) ** np.arange(n)
-        counts = [np.rint(e + k * sign * np.sqrt(e)).astype(int)
-                  for e in (shots * scan.column("h"), shots * scan.column("v"))]
-        noisy = NoisyScan(scan.phis, tuple(counts[0].tolist()), tuple(counts[1].tolist()),
-                          shots=shots, seed=0)
-        result = fit(noisy)
-        phis = np.asarray(scan.phis)
-        expected = shots * np.concatenate((nh_closed(result.beta1_hat, result.gamma_hat, phis),
-                                           nv_closed(result.beta1_hat, result.gamma_hat, phis)))
-        chi2 = float(np.sum((np.concatenate(counts) - expected) ** 2 / expected))
-        assert (chi2 / dof > limit) == (scale > 1.0)
-        assert result.converged and result.model_rejected == (scale > 1.0)
+        # the gate rejects when P(chi^2_dof > chi^2) < 0.5 erfc(6 / sqrt 2),
+        # a one-sided 6 sigma tail; its limit on chi^2 comes from bisection
+        shots, tail = 1_000_000, 0.5 * math.erfc(6.0 / math.sqrt(2.0))
+        for n, limit_per_dof in ((3, 11.98), (64, 1.95)):
+            dof = 2 * n - 2
+            lo, hi = 0.0, 100.0 * dof
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if chi2_survival(mid, dof) > tail else (lo, mid)
+            limit = lo / dof
+            assert limit == pytest.approx(limit_per_dof, abs=0.005)
+            counts = counts_off_the_model(0.6, 1.0, n, shots, scale ** 2 * limit * dof)
+            noisy = NoisyScan(tuple(oracle_scan(0.6, 1.0, points=n).phis),
+                              tuple(counts[:n].tolist()), tuple(counts[n:].tolist()),
+                              shots=shots, seed=0)
+            result = fit(noisy)
+            fitted = shots * model_counts(result.beta1_hat, result.gamma_hat, n)
+            chi2 = float(np.sum((counts - fitted) ** 2 / fitted))
+            assert chi2 / dof == pytest.approx(scale ** 2 * limit, rel=0.01)
+            assert (chi2 / dof > limit) == (scale > 1.0)
+            assert result.converged and result.model_rejected == (scale > 1.0)
+
+    @pytest.mark.parametrize("dof", [2, 4, 126, 1000])
+    def test_chi2_survival_in_log_space(self, dof):
+        for x in np.linspace(0.0, 20.0 * dof, 41):
+            want = chi2_survival(x, dof)
+            if want > 0.0:  # the linear-space sum underflows beyond x = 1490
+                assert math.exp(_chi2_log_sf(x, dof)) == pytest.approx(want, rel=1e-10)
+        # far past that, the log-space sum still gives a finite tail
+        assert -math.inf < _chi2_log_sf(1e5, dof) < -4e4
 
     @pytest.mark.parametrize("rms, rejected", [(0.8 * MODEL_RMS_TOL, False),
                                                (1.25 * MODEL_RMS_TOL, True)])

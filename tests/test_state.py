@@ -6,10 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qiup.errors import UnitarityError
-from qiup.modes import Band, Mode, ModePair, Polarization, SourceTag
+from qiup.errors import PreparationConflictError, UnitarityError
+from qiup.modes import PATH_SHIFT, Band, Mode, ModePair, Polarization, SourceTag, path_name
+from qiup.plan import fig1_preset, iter_plan
 from qiup.state import PRUNE_EPSILON, BiphotonState, SourceSpec, initial_state
-from qiup.elements import BS_CONVENTIONS, hwp_matrix
+from qiup.elements import (
+    BS_CONVENTIONS,
+    PreparationSpec,
+    apply_bs_dual,
+    apply_bs_single,
+    apply_phase,
+    hwp_matrix,
+    prepare_beam,
+)
 
 H, V = Polarization.H, Polarization.V
 M1, M2, MM = SourceTag.SOURCE_1, SourceTag.SOURCE_2, SourceTag.MERGED
@@ -172,6 +181,52 @@ class TestPrune:
         assert len(BiphotonState({key: 1.01 * PRUNE_EPSILON})) == 1
 
 
+class TestExactCancellation:
+    """A balanced Mach-Zehnder (bs, a full-turn phase in one arm, bs2) whose
+    dark port keeps only a rounding residual in the photon's amplitude map."""
+
+    CASES = [("symmetric", "e'", "f'"), ("hadamard", "f'", "e'")]
+
+    @staticmethod
+    def interferometer(convention):
+        state = initial_state([SourceSpec(1, "a", "i", emitted_pol=H)])
+        state = apply_bs_single(state, "a", "e", "f", convention)
+        state = apply_phase(state, "f", 2 * math.pi, Band.SIGNAL)
+        return apply_bs_dual(state, "e", "f", "e'", "f'", convention)
+
+    @pytest.mark.parametrize("convention, dark, bright", CASES)
+    def test_dark_port_is_left_out(self, convention, dark, bright):
+        state = self.interferometer(convention)
+        ((signal, _),) = state._terms
+        residual = [abs(a) for m, a in signal.items() if path_name(m >> PATH_SHIFT) == dark]
+        assert residual and 0.0 < max(residual) <= PRUNE_EPSILON
+        assert len(state) == 1
+        assert state.paths_present() == {bright, "i"}
+        assert not state.path_occupied(dark)
+        assert state.path_occupied(bright, Band.SIGNAL, H)
+        assert state.counts_at(dark, Band.SIGNAL) == pytest.approx((0.0, 0.0), abs=1e-30)
+
+    @pytest.mark.parametrize("convention, dark, bright", CASES)
+    def test_preparing_the_dark_port_is_no_conflict(self, convention, dark, bright):
+        state = self.interferometer(convention)
+        spec = PreparationSpec(0.6, 0.8, 0.0)
+        assert prepare_beam(state, dark, Band.SIGNAL, spec) == state
+        with pytest.raises(PreparationConflictError):
+            prepare_beam(state, bright, Band.SIGNAL, spec)
+
+    @pytest.mark.parametrize("phi", [0.3, np.linspace(0.0, 2 * math.pi, 5)])
+    def test_fig1_photon_maps_stay_within_the_reachable_modes(self, phi):
+        # an unpruned map may keep cancelled modes, but no more than every
+        # (path, polarization, tag) that the circuit names
+        paths = {"a", "r", "b", "e", "f", "e'", "f'", "o", "o'", "b'"}
+        plan = fig1_preset(dict(alpha1=0.6, beta1=0.8, gamma=1.0, alpha2=0.6, beta2=0.8,
+                                phi=phi, theta=0.7))
+        for _, state in iter_plan(plan):
+            for photon_map in (m for term in state._terms for m in term):
+                assert len(photon_map) <= len(paths) * 2 * 3
+                assert {path_name(m >> PATH_SHIFT) for m in photon_map} <= paths
+
+
 class TestSerialization:
     def test_golden_two_source(self):
         assert two_source_state().serialize() == (
@@ -320,6 +375,41 @@ def test_gram_reductions_equal_pair_entry_sums(entries, sequence):
             for got, pol in ((nh, H), (nv, V)):
                 want = math.fsum(abs(a) ** 2 for m, a in modes if m.path == path and m.pol is pol)
                 assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def assert_same_observables(lazy, eager):
+    """``lazy`` pruned only where read, ``eager`` pruned after every step.
+
+    ``prune()`` rebuilds the product terms, so later products round in
+    another order: supports must match exactly, values to 1e-12.
+    """
+    assert lazy == lazy.prune()
+    assert len(lazy) == len(eager)
+    assert lazy.tags_present() == eager.tags_present()
+    assert lazy.paths_present() == eager.paths_present()
+    lazy_items, eager_items = lazy.items(), eager.items()
+    assert [p for p, _ in lazy_items] == [p for p, _ in eager_items]
+    for (_, a), (_, b) in zip(lazy_items, eager_items):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lazy.norm_sq(), eager.norm_sq(), rtol=0, atol=1e-12)
+    for path in PATHS:
+        for band in (Band.SIGNAL, Band.IDLER):
+            for got, want in zip(lazy.counts_at(path, band), eager.counts_at(path, band)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@given(entries=states, sequence=st.lists(ops, max_size=6))
+def test_pruning_where_read_matches_pruning_every_step(entries, sequence):
+    lazy = eager = BiphotonState(entries)
+    for op in sequence:
+        lazy = apply_op(lazy, op)
+        eager = apply_op(eager, op).prune()
+    assert_same_observables(lazy, eager)
+    serialized = [lazy.serialize(), eager.serialize()]
+    assert serialized[0] == lazy.prune().serialize()
+    lazy_lines, eager_lines = ([line.rsplit("|", 1)[0] for line in text.splitlines()]
+                               for text in serialized)
+    assert lazy_lines == eager_lines
 
 
 def test_amplitude_of_absent_pair_is_zero():
