@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -69,7 +70,9 @@ def _load_plan(args: argparse.Namespace) -> CircuitPlan:
         raise _CliError(f"{label}: circuit does not compile", EXIT_FAIL)
     if args.param:
         plan = plan.bind(dict(args.param))
-    return plan
+    if args.no_merge:
+        plan = plan.without_merges()
+    return replace(plan, bs_convention=args.bs_convention)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -112,9 +115,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
-    state = run_plan(
-        plan, merge_enabled=not args.no_merge, bs_convention=args.bs_convention
-    )
+    state = run_plan(plan)
     result = counts(state, plan.detect_path, plan.detect_band)
     if args.format == "pretty":
         text = f"n_h={result.n_h:.6g} n_v={result.n_v:.6g}\n"
@@ -127,6 +128,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise _CliError("--points must be at least 2", EXIT_FAIL)
+    if args.shots is not None and args.shots < 1:
+        raise _CliError(f"--shots must be a positive integer, got {args.shots}", EXIT_FAIL)
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise _CliError("--from and --to must be finite", EXIT_FAIL)
     grid = args.start + (args.stop - args.start) * np.arange(args.points) / args.points
@@ -134,13 +137,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise _CliError("--to must be greater than --from", EXIT_FAIL)
     seed = None if args.shots is None else _default_seed(args.seed)
     plan = _load_plan(args)
-    scan = fringe_scan(
-        plan,
-        args.sweep,
-        grid,
-        merge_enabled=not args.no_merge,
-        bs_convention=args.bs_convention,
-    )
+    scan = fringe_scan(plan, args.sweep, grid)
     if args.shots is not None:
         noisy = simulate_measurement(scan, args.shots, seed)
         _write_output(format_counts_csv(noisy), args.out)

@@ -76,29 +76,20 @@ def conditional_state(state: BiphotonState, path: str, band: Band) -> BiphotonSt
     return state.restrict_to(path, band)
 
 
-def fringe_scan(
-    plan: CircuitPlan,
-    sweep: str,
-    grid: Iterable[float],
-    *,
-    merge_enabled: bool = True,
-    bs_convention: str = "symmetric",
-) -> FringeScan:
+def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeScan:
     """Evaluate the plan's detect-path counts over a parameter grid.
 
     The swept name must be a free parameter of the plan, or
-    ``E_UNKNOWN_PARAM`` is raised whatever the grid, and every other free
-    parameter must already be bound to a scalar (an array binding raises
-    ``E_BATCH_SHAPE``).  Records come back in grid order.
+    ``E_UNKNOWN_PARAM`` is raised, and an angle: a preparation's ``alpha`` or
+    ``beta`` raises ``ValueError``.  Both are refused whatever the grid, before
+    any run.  Every other free parameter must already be bound to a scalar (an
+    array binding raises ``E_BATCH_SHAPE``).  Records come back in grid order.
 
-    The plan runs once, as one batch.  When the counts are a trigonometric
-    series in the sweep (:meth:`CircuitPlan.harmonic_degree` gives its
-    frequency and degree D), that batch is the ``2D + 1`` harmonic samples of
-    :func:`harmonic_coefficients` and the series is summed at every grid
-    point, whatever the grid's length or range: for fig1 the batch holds 3
-    values for ``phi``, 3 for ``gamma`` and 9 for ``theta``.  A sweep that
-    enters a preparation's ``alpha`` or ``beta`` binds the grid itself as the
-    batch.  An empty grid makes no run.
+    The plan runs once, as one batch: the ``2D + 1`` harmonic samples of
+    :func:`harmonic_coefficients`, whose series is then summed at every grid
+    point, whatever the grid's length or range.  For fig1 the batch holds 3
+    values for ``phi``, 3 for ``gamma`` and 9 for ``theta``.  An empty grid
+    makes no run.
     """
     batched = sorted(k for k, v in plan.bindings.items() if isinstance(v, np.ndarray))
     if batched:
@@ -107,30 +98,32 @@ def fringe_scan(
             "E_BATCH_SHAPE",
             f"fringe_scan needs scalar bindings, got arrays for {', '.join(batched)}",
         )
-    if sweep not in plan.free_parameters:
-        raise PlanError("E_UNKNOWN_PARAM", f"not free parameters of this plan: {sweep}")
     phis = [float(value) for value in grid]
-    if not phis:
-        values = np.empty((2, 0))
-    elif plan.harmonic_degree(sweep) is not None:
-        frequency, coeffs = harmonic_coefficients(
-            plan, sweep, merge_enabled=merge_enabled, bs_convention=bs_convention
-        )
+    if phis:
+        frequency, coeffs = harmonic_coefficients(plan, sweep)
         values = harmonic_series(coeffs, frequency, phis)
     else:
-        values = _batch_counts(plan.bind({sweep: np.array(phis)}), len(phis),
-                               merge_enabled, bs_convention)
+        _harmonics(plan, sweep)  # the refusals of a nonempty grid, without a run
+        values = np.empty((2, 0))
     records = [CountResult(h, v) for h, v in zip(*values.tolist())]
     return FringeScan(tuple(phis), tuple(records), plan.detect_path, sweep)
 
 
-def harmonic_coefficients(
-    plan: CircuitPlan,
-    sweep: str,
-    *,
-    merge_enabled: bool = True,
-    bs_convention: str = "symmetric",
-) -> tuple[int, np.ndarray]:
+def _harmonics(plan: CircuitPlan, sweep: str) -> tuple[int, int]:
+    """(f, D) of :meth:`CircuitPlan.harmonic_degree`, or the refusal of a
+    sweep that is not a free angle of the plan."""
+    if sweep not in plan.free_parameters:
+        raise PlanError("E_UNKNOWN_PARAM", f"not free parameters of this plan: {sweep}")
+    harmonics = plan.harmonic_degree(sweep)
+    if harmonics is None:
+        raise ValueError(
+            f"cannot sweep {sweep!r}: only angles sweep, and {sweep!r} sets a "
+            "preparation's alpha or beta, whose pair must stay normalized"
+        )
+    return harmonics
+
+
+def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarray]:
     """(f, c): the harmonic series of the detect-path counts in ``sweep``.
 
     Each count is ``c_0 + 2 Re sum_m c_m e^{i m f x}`` over harmonics
@@ -142,14 +135,11 @@ def harmonic_coefficients(
 
     When other parameters are bound to arrays of C cells, each cell is
     repeated across the samples, cell-major, in the same single run, and
-    ``c`` has shape (2, C, D + 1).  Raises ``ValueError`` when the counts are
-    no such series in ``sweep`` (a preparation's ``alpha`` or ``beta``, or a
-    name that is not free).
+    ``c`` has shape (2, C, D + 1).  A name that is not free raises
+    ``E_UNKNOWN_PARAM``; one that sets a preparation's ``alpha`` or ``beta``
+    raises ``ValueError``, since the counts are no such series in it.
     """
-    harmonics = plan.harmonic_degree(sweep)
-    if harmonics is None:
-        raise ValueError(f"the counts are not a harmonic series in {sweep!r}")
-    frequency, degree = harmonics
+    frequency, degree = _harmonics(plan, sweep)
     n = 2 * degree + 1
     samples = 2.0 * math.pi * np.arange(n) / (n * frequency)
     cells = {k: v for k, v in plan.bindings.items()
@@ -157,7 +147,10 @@ def harmonic_coefficients(
     size = len(next(iter(cells.values()))) if cells else 1
     bound = {k: np.repeat(v, n) for k, v in cells.items()}
     bound[sweep] = np.tile(samples, size)
-    counts = _batch_counts(plan.bind(bound), size * n, merge_enabled, bs_convention)
+    state = run_plan(plan.bind(bound))
+    counts = np.empty((2, size * n))
+    # a channel that no batched amplitude reaches comes back as one float
+    counts[0], counts[1] = state.counts_at(plan.detect_path, plan.detect_band)
     # rfft of n > 2*degree samples gives n * c_m for harmonics m = 0..degree
     # without aliasing
     coeffs = np.fft.rfft(counts.reshape(2, size, n), axis=-1) / n
@@ -174,17 +167,6 @@ def harmonic_series(coeffs: np.ndarray, frequency: int, grid) -> np.ndarray:
     values = coeffs[..., :1].real + 2.0 * (coeffs[..., 1:] @ waves).real
     # squared magnitudes: clip rounding below zero where a count vanishes
     return np.maximum(values, 0.0)
-
-
-def _batch_counts(
-    plan: CircuitPlan, size: int, merge_enabled: bool, bs_convention: str
-) -> np.ndarray:
-    """(2, size) H and V detect-path counts of one run of a batch of ``size``."""
-    state = run_plan(plan, merge_enabled=merge_enabled, bs_convention=bs_convention)
-    counts = np.empty((2, size))
-    # a channel that no batched amplitude reaches comes back as one float
-    counts[0], counts[1] = state.counts_at(plan.detect_path, plan.detect_band)
-    return counts
 
 
 def visibility(

@@ -26,6 +26,7 @@ from .dsl import (
     WavePlateStmt,
 )
 from .elements import (
+    BS_CONVENTIONS,
     MergeRule,
     PreparationSpec,
     WavePlateSetting,
@@ -57,12 +58,29 @@ class PlanError(ValueError):
 
 @dataclass(frozen=True)
 class CircuitPlan:
+    """A validated circuit with its bindings and run options: ``bs_convention``
+    names every splitter's matrix in :data:`qiup.elements.BS_CONVENTIONS`, and
+    an unknown name raises ``ValueError`` even where no splitter uses it."""
+
     sources: tuple[SourceStmt, ...]
     pipeline: tuple[Statement, ...]
     detect_path: str
     detect_band: Band
     free_parameters: frozenset[str]
     bindings: dict
+    bs_convention: str = "symmetric"
+
+    def __post_init__(self) -> None:
+        if self.bs_convention not in BS_CONVENTIONS:
+            raise ValueError(
+                f"unknown beamsplitter convention {self.bs_convention!r}; "
+                f"use {' or '.join(map(repr, BS_CONVENTIONS))}"
+            )
+
+    def without_merges(self) -> "CircuitPlan":
+        """The plan with every ``merge`` statement left out of its pipeline."""
+        pipeline = tuple(s for s in self.pipeline if not isinstance(s, MergeStmt))
+        return replace(self, pipeline=pipeline)
 
     def bind(self, params: Mapping[str, float | np.ndarray]) -> "CircuitPlan":
         """Attach parameter values (radians for angles).
@@ -288,14 +306,10 @@ def _resolve_plain(value: Value, bindings: Mapping[str, float]) -> float:
     return value
 
 
-def iter_plan(
-    plan: CircuitPlan,
-    *,
-    merge_enabled: bool = True,
-    bs_convention: str = "symmetric",
-) -> Iterator[tuple[str, BiphotonState]]:
+def iter_plan(plan: CircuitPlan) -> Iterator[tuple[str, BiphotonState]]:
     """Run the plan, yielding (step label, state) after sources and each element."""
     b = plan.bindings
+    convention = plan.bs_convention
     specs = [
         SourceSpec(
             s.source_id,
@@ -320,37 +334,26 @@ def iter_plan(
             setting = WavePlateSetting(stmt.kind, _resolve_angle(stmt.angle, b))
             state = apply_waveplate(state, stmt.path, setting, stmt.band)
         elif isinstance(stmt, BsStmt):
-            state = apply_bs_single(
-                state, stmt.in_path, stmt.out_t, stmt.out_r, bs_convention
-            )
+            state = apply_bs_single(state, stmt.in_path, stmt.out_t, stmt.out_r, convention)
         elif isinstance(stmt, Bs2Stmt):
             state = apply_bs_dual(
-                state, stmt.in_a, stmt.in_b, stmt.out_a, stmt.out_b, bs_convention
+                state, stmt.in_a, stmt.in_b, stmt.out_a, stmt.out_b, convention
             )
         elif isinstance(stmt, DmStmt):
             state = apply_dichroic(state, stmt.in_path, stmt.signal_out, stmt.idler_out)
         elif isinstance(stmt, PhaseStmt):
             state = apply_phase(state, stmt.path, _resolve_angle(stmt.value, b), stmt.band)
         elif isinstance(stmt, MergeStmt):
-            if not merge_enabled:
-                continue
             state = apply_merge(state, [MergeRule(stmt.path, stmt.pol, stmt.band)])
         else:
             raise TypeError(f"cannot execute statement {stmt!r}")
         yield stmt.pretty(), state
 
 
-def run_plan(
-    plan: CircuitPlan,
-    *,
-    merge_enabled: bool = True,
-    bs_convention: str = "symmetric",
-) -> BiphotonState:
+def run_plan(plan: CircuitPlan) -> BiphotonState:
     """Evolve the plan's sources through its full pipeline."""
     state = None
-    for _, state in iter_plan(
-        plan, merge_enabled=merge_enabled, bs_convention=bs_convention
-    ):
+    for _, state in iter_plan(plan):
         pass
     assert state is not None
     return state

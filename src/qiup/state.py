@@ -3,10 +3,14 @@
 A state is ``Σ_k u_k ⊗ w_k``: each term pairs a signal amplitude map ``u_k``
 with an idler amplitude map ``w_k``, both sparse dicts keyed by packed
 single-photon modes (:func:`qiup.modes.pack_mode`).  Every element acts on one
-photon at a time, so no element adds a term: a pipeline holds one term per
-source.  Norms and counts come from the Gram matrices of the term vectors:
-the idler overlap ``⟨w_k|w_l⟩`` is the induced-coherence factor that sets the
-signal fringes.
+photon at a time, as a linear map on its (path, polarization, tag) modes, so
+no element adds a term: a pipeline holds one term per source.  One kernel,
+``_linear``, applies every such map from a table that sends each mode it moves
+to its ``(mode, coefficient)`` targets; each public transform only builds the
+table, over the at most 12 modes (2 polarizations x 3 tags) of its input
+paths.  Norms and counts come from the Gram matrices of the term vectors: the
+idler overlap ``⟨w_k|w_l⟩`` is the induced-coherence factor that sets the
+signal fringes, and no map on the signal photon can change it.
 
 Queries that name pair entries (``items``, ``amplitude``, ``len``, ``==``,
 ``serialize``, ``path_occupied`` and friends) read the pair map
@@ -17,10 +21,11 @@ contractions, and a map holds at most (paths x 2 polarizations x 3 tags) modes.
 
 A state may also carry a batch: a single-photon amplitude is then a complex
 scalar or a length-B complex array, one member per batch element (see
-:meth:`qiup.plan.CircuitPlan.bind`).  The transforms only multiply and add,
-so they broadcast as written; pruning keeps a pair entry while any member is
-above ``PRUNE_EPSILON``, so the support is the union over the batch, and
-``norm_sq`` and ``counts_at`` return one value per member.
+:meth:`qiup.plan.CircuitPlan.bind`).  The kernel only multiplies and adds,
+so batched amplitudes and table coefficients broadcast as written; pruning
+keeps a pair entry while any member is above ``PRUNE_EPSILON``, so the
+support is the union over the batch, and ``norm_sq`` and ``counts_at``
+return one value per member.
 
 States are immutable from the caller's perspective; every operation returns a
 new state.  Amplitudes follow the unnormalized source convention: each source
@@ -29,6 +34,7 @@ term starts with unit magnitude, so a two-source state has ``norm_sq() == 2``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -42,8 +48,6 @@ from .modes import (
     PATH_SHIFT,
     POL_MASK,
     SIGNAL_SHIFT,
-    TAG_MASK,
-    TAG_SHIFT,
     Band,
     ModePair,
     Polarization,
@@ -56,7 +60,6 @@ PRUNE_EPSILON = 1e-14
 UNITARITY_TOL = 1e-10
 TWO_PI = 2.0 * math.pi
 
-_REST_MASK = (1 << PATH_SHIFT) - 1  # polarization and tag bits of a mode
 _PRUNE_EPSILON_SQ = PRUNE_EPSILON * PRUNE_EPSILON
 
 
@@ -78,8 +81,8 @@ class SourceSpec:
 
 # -- single-photon transforms --------------------------------------------------
 #
-# Each takes an amplitude map ``dict[int, complex]`` over packed modes and
-# returns a new one, unpruned; inputs are never mutated.
+# ``_linear`` maps an amplitude map ``dict[int, complex]`` over packed modes to
+# a new one, unpruned; inputs are never mutated.
 
 
 def _pruned(amps: dict) -> dict:
@@ -129,72 +132,32 @@ def _at_failure(ok, *values) -> tuple:
     return (*picked, f" (batch member {i})")
 
 
-def _unitary(amps: dict, path_idx: int, u00: complex, u01: complex,
-             u10: complex, u11: complex) -> dict:
+def _linear(amps: dict, table: dict) -> dict:
+    """Send each mode in ``table`` to its ``(mode, coefficient)`` targets and
+    every other mode through; amplitudes that land on one mode sum."""
     out: dict = {}
     get = out.get
     for mode, amp in amps.items():
-        if mode >> PATH_SHIFT != path_idx:
-            out[mode] = amp
+        targets = table.get(mode)
+        if targets is None:
+            prev = get(mode)
+            out[mode] = amp if prev is None else prev + amp
             continue
-        kh = mode & ~POL_MASK
-        kv = kh | POL_MASK
-        if mode & POL_MASK:
-            ah, av = u01 * amp, u11 * amp
-        else:
-            ah, av = u00 * amp, u10 * amp
-        out[kh] = get(kh, 0j) + ah
-        out[kv] = get(kv, 0j) + av
+        for target, coeff in targets:
+            # add only on a collision: a batched 0j + x is one more array op
+            x = coeff * amp
+            prev = get(target)
+            out[target] = x if prev is None else prev + x
     return out
 
 
-def _route(amps: dict, in_a: int, in_b: int, out_a: int, out_b: int,
-           m_aa: complex, m_ba: complex, m_ab: complex, m_bb: complex) -> dict:
-    """Path in_a -> m_aa*out_a + m_ba*out_b, in_b likewise; in_b may be -1."""
-    out: dict = {}
-    get = out.get
-    for mode, amp in amps.items():
-        path = mode >> PATH_SHIFT
-        if path == in_a:
-            ca, cb = m_aa * amp, m_ba * amp
-        elif path == in_b:
-            ca, cb = m_ab * amp, m_bb * amp
-        else:
-            out[mode] = get(mode, 0j) + amp
-            continue
-        rest = mode & _REST_MASK
-        ka = (out_a << PATH_SHIFT) | rest
-        kb = (out_b << PATH_SHIFT) | rest
-        out[ka] = get(ka, 0j) + ca
-        out[kb] = get(kb, 0j) + cb
-    return out
-
-
-def _relabel(amps: dict, from_idx: int, to_idx: int, pol_filter: int) -> dict:
-    """Move modes from one path to another; pol_filter is 0, 1 or -1 (any)."""
-    out: dict = {}
-    get = out.get
-    for mode, amp in amps.items():
-        if mode >> PATH_SHIFT == from_idx and (pol_filter < 0 or mode & POL_MASK == pol_filter):
-            mode = (to_idx << PATH_SHIFT) | (mode & _REST_MASK)
-        out[mode] = get(mode, 0j) + amp
-    return out
-
-
-def _merge_tags(amps: dict, path_idx: int, pol: int) -> dict:
-    """Set matching modes' tag to MERGED (0); colliding amplitudes sum."""
-    out: dict = {}
-    get = out.get
-    tag_clear = ~(TAG_MASK << TAG_SHIFT)
-    for mode, amp in amps.items():
-        if mode >> PATH_SHIFT == path_idx and mode & POL_MASK == pol:
-            mode &= tag_clear
-        out[mode] = get(mode, 0j) + amp
-    return out
-
-
-def _phase(amps: dict, path_idx: int, factor: complex) -> dict:
-    return {m: factor * a if m >> PATH_SHIFT == path_idx else a for m, a in amps.items()}
+@functools.cache
+def _modes(path: str, pols: tuple[int, ...] = (0, 1)) -> tuple[int, ...]:
+    """The packed modes at ``path`` with polarization in ``pols``, tag-major
+    (merged first), so that two paths' tuples pair up mode by mode.  Cached:
+    path indices never change within a process."""
+    idx = intern_path(path)
+    return tuple(pack_mode(idx, pol, tag.value) for tag in SourceTag for pol in pols)
 
 
 def _select(amps: dict, path_idx: int) -> dict:
@@ -331,12 +294,12 @@ class BiphotonState:
 
     # -- transforms -------------------------------------------------------
 
-    def _map(self, band: Band | None, fn, *args) -> "BiphotonState":
-        """Apply a single-photon transform to the ``band`` photon of every term."""
+    def _map(self, band: Band | None, table: dict) -> "BiphotonState":
+        """Apply a :func:`_linear` table to the ``band`` photon of every term."""
         on_signal = band is not Band.IDLER
         on_idler = band is not Band.SIGNAL
         return BiphotonState._wrap(tuple(
-            (fn(u, *args) if on_signal else u, fn(w, *args) if on_idler else w)
+            (_linear(u, table) if on_signal else u, _linear(w, table) if on_idler else w)
             for u, w in self._terms
         ))
 
@@ -370,7 +333,12 @@ class BiphotonState:
                 "matrix is not unitary: |U^H U - I| entries "
                 f"{col0:.3e}, {col1:.3e}, {off:.3e}{note}"
             )
-        return self._map(band, _unitary, intern_path(path), u00, u01, u10, u11)
+        modes = _modes(path)
+        table = {}
+        for h, v in zip(modes[0::2], modes[1::2]):
+            table[h] = ((h, u00), (v, u10))
+            table[v] = ((h, u01), (v, u11))
+        return self._map(band, table)
 
     def route_two_port(
         self, in_a: str, in_b: str | None, out_a: str, out_b: str, m
@@ -380,18 +348,15 @@ class BiphotonState:
         A mode on ``in_a`` goes to ``m[0,0]·out_a + m[1,0]·out_b``, one on
         ``in_b`` to ``m[0,1]·out_a + m[1,1]·out_b``; ``in_b`` may be None.
         """
-        return self._map(
-            None,
-            _route,
-            intern_path(in_a),
-            -1 if in_b is None else intern_path(in_b),
-            intern_path(out_a),
-            intern_path(out_b),
-            complex(m[0, 0]),
-            complex(m[1, 0]),
-            complex(m[0, 1]),
-            complex(m[1, 1]),
-        )
+        outs = list(zip(_modes(out_a), _modes(out_b)))
+        table = {}
+        if in_b is not None:
+            m_ab, m_bb = complex(m[0, 1]), complex(m[1, 1])
+            table.update({k: ((a, m_ab), (b, m_bb)) for k, (a, b) in zip(_modes(in_b), outs)})
+        # written last, so in_a wins should in_b name the same path
+        m_aa, m_ba = complex(m[0, 0]), complex(m[1, 0])
+        table.update({k: ((a, m_aa), (b, m_ba)) for k, (a, b) in zip(_modes(in_a), outs)})
+        return self._map(None, table)
 
     def relabel_path(
         self,
@@ -401,23 +366,20 @@ class BiphotonState:
         pol: Polarization | None = None,
     ) -> "BiphotonState":
         """Re-key matching modes onto ``to_path``; colliding amplitudes sum."""
-        return self._map(
-            band,
-            _relabel,
-            intern_path(from_path),
-            intern_path(to_path),
-            -1 if pol is None else pol.value,
-        )
+        pols = (0, 1) if pol is None else (pol.value,)
+        table = {k: ((t, 1),) for k, t in zip(_modes(from_path, pols), _modes(to_path, pols))}
+        return self._map(band, table)
 
     def merge_tags(self, path: str, pol: Polarization, band: Band) -> "BiphotonState":
         """Drop the source tag of matching modes; colliding amplitudes sum."""
-        return self._map(band, _merge_tags, intern_path(path), pol.value)
+        merged, *tagged = _modes(path, (pol.value,))
+        return self._map(band, {k: ((merged, 1),) for k in tagged})
 
     def apply_phase_factor(
         self, path: str, factor: complex, band: Band | None = None
     ) -> "BiphotonState":
         """Multiply each matching photon's amplitude by ``factor``."""
-        return self._map(band, _phase, intern_path(path), factor)
+        return self._map(band, {k: ((k, factor),) for k in _modes(path)})
 
     def prune(self) -> "BiphotonState":
         """A state with one product term per entry of the pruned pair map."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,7 +97,8 @@ def run_verification(
     cells = [regime_params(beta1, gamma) for beta1, gamma in count_cells + vis_cells]
     plan = fig1_preset({name: np.array([cell[name] for cell in cells])
                         for name in FIG1_PARAMETERS})
-    frequency, coeffs = harmonic_coefficients(plan, "phi", bs_convention=bs_convention)
+    plan = replace(plan, bs_convention=bs_convention)
+    frequency, coeffs = harmonic_coefficients(plan, "phi")
     counts = harmonic_series(coeffs[:, :len(count_cells)], frequency, phis)
     vis_counts = harmonic_series(coeffs[1, len(count_cells):], frequency, vis_phis)
 

@@ -81,6 +81,16 @@ def qwp_on(path: str, q: float) -> np.ndarray:
     return mat
 
 
+def pol_unitary_on(path: str, u: np.ndarray) -> np.ndarray:
+    """Any 2x2 ``u`` acting on the (H, V) amplitude column at ``path``, every tag."""
+    mat = _eye()
+    for t in TAGS:
+        h, v = IDX[(path, "H", t)], IDX[(path, "V", t)]
+        mat[h, h], mat[h, v] = u[0, 0], u[0, 1]
+        mat[v, h], mat[v, v] = u[1, 0], u[1, 1]
+    return mat
+
+
 def relabel(path_from: str, path_to: str, pol_filter: str | None = None) -> np.ndarray:
     mat = _eye()
     for pol, t in itertools.product(POLS, TAGS):

@@ -91,9 +91,9 @@ def record_runs(monkeypatch) -> list[dict]:
     """The bindings of every run_plan call that observables makes from now on."""
     calls = []
 
-    def recording_run_plan(plan, **options):
+    def recording_run_plan(plan):
         calls.append(plan.bindings)
-        return run_plan(plan, **options)
+        return run_plan(plan)
 
     monkeypatch.setattr(observables, "run_plan", recording_run_plan)
     return calls

@@ -25,7 +25,7 @@ from qiup.plan import (
 )
 from qiup.state import BiphotonState, SourceSpec, initial_state
 from engine_helpers import record_runs
-from test_observables import FIG1_VARIANTS, fig1_variant
+from test_observables import FIG1_VARIANTS, fig1_variant, with_options
 from test_state import angles, apply_op, assert_same_observables, bands, ops, states, su2
 
 TWO_PI = 2.0 * math.pi
@@ -76,15 +76,14 @@ class TestBatchedEqualsScalar:
     def test_each_member_equals_its_scalar_run(
         self, circuit, rows, merge_enabled, bs_convention
     ):
-        options = dict(merge_enabled=merge_enabled, bs_convention=bs_convention)
         rows = [full_params(row) for row in rows]
-        plan = build(circuit, stacked(rows))
-        batched = run_plan(plan, **options)
+        plan = with_options(build(circuit, stacked(rows)), merge_enabled, bs_convention)
+        batched = run_plan(plan)
         got_h, got_v = batched.counts_at(plan.detect_path, plan.detect_band)
         got_norm = batched.norm_sq()
         for i, row in enumerate(rows):
-            single = build(circuit, row)
-            state = run_plan(single, **options)
+            single = with_options(build(circuit, row), merge_enabled, bs_convention)
+            state = run_plan(single)
             want_h, want_v = state.counts_at(single.detect_path, single.detect_band)
             assert per_member(got_h, len(rows))[i] == pytest.approx(want_h, abs=1e-12)
             assert per_member(got_v, len(rows))[i] == pytest.approx(want_v, abs=1e-12)

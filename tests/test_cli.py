@@ -3,14 +3,17 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import CIRCUITS_DIR, REPO_ROOT
+from engine_helpers import record_runs
 from qiup import cli
 from qiup.estimation import fit, format_counts_csv, read_counts_csv, simulate_measurement
-from qiup.observables import CountResult, FringeScan
+from qiup.observables import CountResult, FringeScan, fringe_scan
+from qiup.plan import fig1_preset, run_plan
 from qiup.reference import nh_closed, nv_closed
 
 FIG1 = str(CIRCUITS_DIR / "fig1.qiup")
@@ -188,18 +191,30 @@ class TestScan:
         (["--shots", "100"], "x", "QIUP_SEED must be a non-negative integer, got 'x'"),
         (["--from", "2", "--to", "1"], None, "--to must be greater than --from"),
         (["--from", "1", "--to", "1"], None, "--to must be greater than --from"),
+        (["--shots", "0"], None, "--shots must be a positive integer, got 0"),
+        (["--shots", "-3"], None, "--shots must be a positive integer, got -3"),
     ], ids=["negative-seed", "negative-env-seed", "non-integer-env-seed",
-            "reversed-range", "empty-range"])
+            "reversed-range", "empty-range", "zero-shots", "negative-shots"])
     def test_bad_option_is_named(self, argv, env, message, monkeypatch, capsys):
-        # these used to exit 1 with numpy's or int()'s message, naming no option
+        # these used to exit 1 with numpy's or int()'s message, naming no
+        # option; a bad --shots used to fail only after the whole scan
         if env is None:
             monkeypatch.delenv("QIUP_SEED", raising=False)
         else:
             monkeypatch.setenv("QIUP_SEED", env)
+        calls = record_runs(monkeypatch)
         code = cli.main(["scan", "--preset", "fig1", *REGIME, "--points", "4", *argv])
         captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
+        assert code == 1 and captured.out == "" and calls == []
         assert message in captured.err
+
+    def test_preparation_sweep_exit1(self, capsys):
+        # used to fail inside the run: "alpha^2 + beta^2 must be 1, got 1.0625"
+        code = cli.main(["scan", "--preset", "fig1", *REGIME, "--param", "phi=0",
+                         "--sweep", "alpha2", "--from", "0", "--to", "1", "--points", "4"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "cannot sweep 'alpha2': only angles sweep" in captured.err
 
     def test_shots_emit_measurement_csv(self, tmp_path, capsys):
         out = tmp_path / "noisy.csv"
@@ -225,6 +240,56 @@ class TestScan:
         c = tmp_path / "c.csv"
         assert cli.main([*args, "--out", str(c)]) == 0
         assert c.read_text() != a.read_text()
+
+
+GENERAL_PARAMS = {"alpha1": 0.8, "beta1": 0.6, "gamma": 1.1, "alpha2": 0.6, "beta2": 0.8,
+                  "phi": 0.4, "theta": 0.3}
+RUN_OPTIONS = [
+    ([], False, "symmetric"),
+    (["--no-merge"], True, "symmetric"),
+    (["--bs-convention", "hadamard"], False, "hadamard"),
+    (["--no-merge", "--bs-convention", "hadamard"], True, "hadamard"),
+]
+RUN_OPTION_IDS = ["default", "no-merge", "hadamard", "no-merge-hadamard"]
+
+
+class TestRunOptions:
+    """``--no-merge`` and ``--bs-convention`` each set the loaded plan once."""
+
+    @staticmethod
+    def options_plan(no_merge, convention):
+        plan = replace(fig1_preset(GENERAL_PARAMS), bs_convention=convention)
+        return plan.without_merges() if no_merge else plan
+
+    @staticmethod
+    def argv(command):
+        params = [f"--param={k}={v!r}" for k, v in GENERAL_PARAMS.items()]
+        return [command, "--preset", "fig1", *params]
+
+    @pytest.mark.parametrize("flags, no_merge, convention", RUN_OPTIONS, ids=RUN_OPTION_IDS)
+    def test_run_csv_equals_the_plan_transforms(self, flags, no_merge, convention, capsys):
+        assert cli.main([*self.argv("run"), "--format", "csv", *flags]) == 0
+        got = [float(x) for x in capsys.readouterr().out.splitlines()[1].split(",")]
+        plan = self.options_plan(no_merge, convention)
+        want = run_plan(plan).counts_at(plan.detect_path, plan.detect_band)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # each flag moves these counts, so a flag left unapplied would show
+        default = run_plan(self.options_plan(False, "symmetric"))
+        moved = not np.allclose(want, default.counts_at(plan.detect_path, plan.detect_band),
+                                rtol=0, atol=1e-3)
+        assert moved == bool(flags)
+
+    @pytest.mark.parametrize("flags, no_merge, convention", RUN_OPTIONS, ids=RUN_OPTION_IDS)
+    def test_scan_equals_the_plan_transforms(self, flags, no_merge, convention, capsys):
+        assert cli.main([*self.argv("scan"), "--points", "16", *flags]) == 0
+        rows = [[float(x) for x in line.split(",")]
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        grid = 2 * math.pi * np.arange(16) / 16
+        scan = fringe_scan(self.options_plan(no_merge, convention), "phi", grid)
+        np.testing.assert_allclose(
+            rows, np.column_stack([grid, scan.column("h"), scan.column("v")]),
+            rtol=0, atol=1e-12,
+        )
 
 
 class TestFit:

@@ -1,31 +1,41 @@
 """Cross-validation of the sparse engine against the dense brute-force model,
-plus a hand-derived amplitude table as a third independent route."""
+plus a hand-derived amplitude table as a third independent route.
+
+The pipeline checks run whole circuits; the property tests at the end check
+each single-photon transform of :class:`~qiup.state.BiphotonState` on its own,
+on random states over the dense model's path universe."""
 import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dense_model
 from engine_helpers import manual_fig1, manual_fig1_steps
+from qiup.elements import BS_CONVENTIONS, hwp_matrix
 from qiup.modes import Band, Mode, ModePair, Polarization, SourceTag
+from qiup.state import BiphotonState
+from test_state import su2
 
 H, V = Polarization.H, Polarization.V
 TAG_TEXT = {SourceTag.MERGED: "M", SourceTag.SOURCE_1: "1", SourceTag.SOURCE_2: "2"}
 
 
-def dense_amplitude(dense, pair: ModePair) -> complex:
-    sig = (pair.signal.path, pair.signal.pol.name, TAG_TEXT[pair.signal.tag])
-    idl = (pair.idler.path, pair.idler.pol.name, TAG_TEXT[pair.idler.tag])
-    return dense.amplitude(sig, idl)
-
-
-def assert_states_equal(engine, dense, atol=1e-12):
-    # every engine amplitude appears in the dense matrix, and the norms agree,
-    # so the dense model has no extra support either
+def assert_states_equal(engine, dense, atol=1e-12, member=None):
+    """The engine's pair entries, as a whole dense matrix, and its Gram-matrix
+    norm equal the dense model's; ``member`` picks one member of a batch."""
+    mat = np.zeros_like(dense.mat)
     for pair, amp in engine.items():
-        assert amp == pytest.approx(dense_amplitude(dense, pair), abs=atol), pair
-    assert engine.norm_sq() == pytest.approx(dense.norm_sq(), abs=atol)
+        sig = (pair.signal.path, pair.signal.pol.name, TAG_TEXT[pair.signal.tag])
+        idl = (pair.idler.path, pair.idler.pol.name, TAG_TEXT[pair.idler.tag])
+        mat[dense_model.IDX[sig], dense_model.IDX[idl]] = (
+            amp[member] if isinstance(amp, np.ndarray) else amp)
+    np.testing.assert_allclose(mat, dense.mat, rtol=0, atol=atol)
+    norm = engine.norm_sq()
+    norm = norm[member] if isinstance(norm, np.ndarray) else norm
+    assert norm == pytest.approx(dense.norm_sq(), abs=atol)
 
 
 def random_args(rng):
@@ -142,3 +152,130 @@ def test_hand_derived_amplitude_table():
     assert len(cond) == len(expected)
     for pair, want in expected.items():
         assert cond.amplitude(pair) == pytest.approx(want, abs=1e-12), pair
+
+
+# -- each single-photon transform against its dense matrix ---------------------
+
+BAND_OF = {"signal": Band.SIGNAL, "idler": Band.IDLER, "both": None}
+POL_OF = {"H": H, "V": V}
+TAG_OF = {text: tag for tag, text in TAG_TEXT.items()}
+#: States live on four paths; transforms also reach a fifth, empty one, so that
+#: outputs both alias occupied paths (amplitudes collide) and open new ones.
+STATE_PATHS = ("a", "r", "e", "f")
+OP_PATHS = STATE_PATHS + ("o",)
+
+state_modes = st.sampled_from(
+    [(p, pol, t) for p in STATE_PATHS for pol in dense_model.POLS for t in dense_model.TAGS]
+)
+dense_amplitudes = st.complex_numbers(
+    min_magnitude=1e-3, max_magnitude=2.0, allow_nan=False, allow_infinity=False
+)
+#: Product terms whose photon maps hold several modes each, so that a
+#: transform sends two modes of one map onto one mode (their amplitudes sum).
+photon_maps = st.dictionaries(state_modes, dense_amplitudes, min_size=1, max_size=6)
+terms = st.lists(st.tuples(photon_maps, photon_maps), min_size=1, max_size=3)
+op_paths = st.sampled_from(OP_PATHS)
+two_paths = st.lists(op_paths, min_size=2, max_size=2, unique=True)
+any_band = st.sampled_from(["signal", "idler", "both"])
+one_band = st.sampled_from(["signal", "idler"])
+turns = st.floats(0.0, 2 * math.pi)
+conventions = st.sampled_from(["symmetric", "hadamard"])
+
+
+def engine_mode(mode, band):
+    path, pol, tag = mode
+    return Mode(path, POL_OF[pol], band, TAG_OF[tag])
+
+
+def both_models(terms):
+    """The same random state as an engine state, one product term per
+    (signal map, idler map), and as a dense amplitude matrix."""
+    engine = BiphotonState._wrap(tuple(
+        ({engine_mode(m, Band.SIGNAL).packed(): a for m, a in u.items()},
+         {engine_mode(m, Band.IDLER).packed(): a for m, a in w.items()})
+        for u, w in terms
+    ))
+    dense = dense_model.DenseState()
+    for u, w in terms:
+        dense.mat += np.outer(dense_vector(u), dense_vector(w))
+    return engine, dense
+
+
+def dense_vector(photon_map):
+    vector = np.zeros(dense_model.N, dtype=complex)
+    for mode, amp in photon_map.items():
+        vector[dense_model.IDX[mode]] = amp
+    return vector
+
+
+@given(terms=terms, path=op_paths, band=any_band, theta=turns, phi=turns, lam=turns)
+def test_pol_unitary_equals_dense(terms, path, band, theta, phi, lam):
+    # a general SU(2) matrix: wave plates are symmetric and would not show a
+    # transposed table
+    engine, dense = both_models(terms)
+    u = su2(theta, phi, lam)
+    engine = engine.apply_pol_unitary(path, u, BAND_OF[band])
+    getattr(dense, band)(dense_model.pol_unitary_on(path, u))
+    assert_states_equal(engine, dense)
+
+
+@given(terms=terms, inputs=two_paths, outputs=two_paths, one_input=st.booleans(),
+       convention=conventions)
+def test_route_two_port_equals_dense(terms, inputs, outputs, one_input, convention):
+    # outputs are drawn from the same paths as the inputs, so they often alias one
+    engine, dense = both_models(terms)
+    (in_a, in_b), (out_a, out_b) = inputs, outputs
+    if one_input:
+        in_b = None
+        op = dense_model.bs_single(in_a, out_a, out_b, convention)
+    else:
+        op = dense_model.bs_dual(in_a, in_b, out_a, out_b, convention)
+    engine = engine.route_two_port(in_a, in_b, out_a, out_b, BS_CONVENTIONS[convention])
+    dense.both(op)
+    assert_states_equal(engine, dense)
+
+
+@given(terms=terms, from_path=op_paths, to_path=op_paths, band=any_band,
+       pol=st.sampled_from([None, "H", "V"]))
+def test_relabel_path_equals_dense(terms, from_path, to_path, band, pol):
+    engine, dense = both_models(terms)
+    engine = engine.relabel_path(from_path, to_path, BAND_OF[band],
+                                 None if pol is None else POL_OF[pol])
+    getattr(dense, band)(dense_model.relabel(from_path, to_path, pol))
+    assert_states_equal(engine, dense)
+
+
+@given(terms=terms, path=op_paths, pol=st.sampled_from(["H", "V"]), band=one_band)
+def test_merge_tags_equals_dense(terms, path, pol, band):
+    engine, dense = both_models(terms)
+    engine = engine.merge_tags(path, POL_OF[pol], BAND_OF[band])
+    getattr(dense, band)(dense_model.merge_tags(path, pol))
+    assert_states_equal(engine, dense)
+
+
+@given(terms=terms, path=op_paths, band=any_band, phi=turns)
+def test_phase_factor_equals_dense(terms, path, band, phi):
+    engine, dense = both_models(terms)
+    engine = engine.apply_phase_factor(path, cmath.exp(1j * phi), BAND_OF[band])
+    getattr(dense, band)(dense_model.phase_on(path, phi))
+    assert_states_equal(engine, dense)
+
+
+@given(terms=terms, path=op_paths, band=any_band,
+       angles=st.lists(turns, min_size=1, max_size=4), phi=turns, convention=conventions)
+def test_batched_transforms_equal_dense_member_by_member(
+    terms, path, band, angles, phi, convention
+):
+    # a batched wave plate, then a batched phase and a splitter with scalar
+    # entries: every member must equal the oracle's scalar run at its angle
+    angles = np.array(angles)
+    engine, _ = both_models(terms)
+    engine = engine.apply_pol_unitary(path, hwp_matrix(angles), BAND_OF[band])
+    engine = engine.apply_phase_factor("e", np.exp(1j * (phi + angles)), BAND_OF[band])
+    engine = engine.route_two_port("e", "f", "e", "o", BS_CONVENTIONS[convention])
+    for i, angle in enumerate(angles):
+        _, dense = both_models(terms)
+        getattr(dense, band)(dense_model.hwp_on(path, angle))
+        getattr(dense, band)(dense_model.phase_on("e", phi + angle))
+        dense.both(dense_model.bs_dual("e", "f", "e", "o", convention))
+        assert_states_equal(engine, dense, member=i)

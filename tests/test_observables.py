@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,11 +166,18 @@ def both_bands_plan(phases="phase a value=$phi band=both"):
     return plan.bind({"theta": 0.3})
 
 
-def loop_scan(plan, sweep, grid, **options):
+def with_options(plan, merge_enabled, bs_convention):
+    """The plan with the run options that ``--no-merge`` and
+    ``--bs-convention`` set."""
+    plan = replace(plan, bs_convention=bs_convention)
+    return plan if merge_enabled else plan.without_merges()
+
+
+def loop_scan(plan, sweep, grid):
     """Reference: the full plan run at every grid point."""
     rows = []
     for value in grid:
-        state = run_plan(plan.bind({sweep: float(value)}), **options)
+        state = run_plan(plan.bind({sweep: float(value)}))
         result = counts(state, plan.detect_path, plan.detect_band)
         rows.append((result.n_h, result.n_v))
     return np.array(rows).reshape(-1, 2)
@@ -208,11 +216,11 @@ class TestHarmonicScan:
     def test_fig1_general_parameters(self, bs_convention, merge_enabled):
         rng = np.random.default_rng(41)
         for _ in range(5):
-            plan = fig1_preset(general_fig1_params(rng))
-            options = dict(merge_enabled=merge_enabled, bs_convention=bs_convention)
-            scan = fringe_scan(plan, "phi", FULL_PERIOD, **options)
+            plan = with_options(fig1_preset(general_fig1_params(rng)),
+                                merge_enabled, bs_convention)
+            scan = fringe_scan(plan, "phi", FULL_PERIOD)
             np.testing.assert_allclose(
-                scan_columns(scan), loop_scan(plan, "phi", FULL_PERIOD, **options),
+                scan_columns(scan), loop_scan(plan, "phi", FULL_PERIOD),
                 rtol=0, atol=1e-12,
             )
 
@@ -294,15 +302,15 @@ class TestHarmonicScan:
         self, circuit, sweep, harmonics, merge_enabled, bs_convention
     ):
         rng = np.random.default_rng(17)
-        options = dict(merge_enabled=merge_enabled, bs_convention=bs_convention)
         for _ in range(3):
             params = general_fig1_params(rng)
             plan = fig1_preset(params) if circuit == "fig1" else fig1_variant(circuit, params)
+            plan = with_options(plan, merge_enabled, bs_convention)
             assert plan.harmonic_degree(sweep) == harmonics
             for grid in (FULL_PERIOD, PARTIAL_GRID):
                 np.testing.assert_allclose(
-                    scan_columns(fringe_scan(plan, sweep, grid, **options)),
-                    loop_scan(plan, sweep, grid, **options),
+                    scan_columns(fringe_scan(plan, sweep, grid)),
+                    loop_scan(plan, sweep, grid),
                     rtol=0, atol=1e-12,
                 )
 
@@ -334,7 +342,9 @@ class TestHarmonicScan:
             calls[0]["gamma"], [0.0, 2 * math.pi / 3, 4 * math.pi / 3], rtol=0, atol=1e-15
         )
 
-    def test_preparation_sweep_binds_the_grid(self, monkeypatch):
+    def test_preparation_sweep_is_refused(self, monkeypatch):
+        # the other amplitude of the pair is fixed, so no two points of an
+        # alpha sweep are normalized: refused at every grid length, unrun
         plan, diagnostics = compile_text(
             BOTH_BANDS_CIRCUIT.format(phases="prepare a idler alpha=$alpha beta=0.8 gamma=0")
         )
@@ -342,17 +352,13 @@ class TestHarmonicScan:
         plan = plan.bind({"theta": 0.3})
         assert plan.harmonic_degree("alpha") is None
         calls = record_runs(monkeypatch)
-        scan = fringe_scan(plan, "alpha", [0.6])
-        assert len(calls) == 1 and calls[0]["alpha"].tolist() == [0.6]
-        np.testing.assert_allclose(
-            scan_columns(scan), loop_scan(plan, "alpha", [0.6]), rtol=0, atol=1e-12
-        )
-        calls.clear()
-        with pytest.raises(ValueError, match=r"must be 1, got .* \(batch member 1\)"):
-            fringe_scan(plan, "alpha", [0.6, 0.7])
-        assert len(calls) == 1 and calls[0]["alpha"].tolist() == [0.6, 0.7]
-        with pytest.raises(ValueError, match="not a harmonic series in 'alpha'"):
+        refusal = "cannot sweep 'alpha': only angles sweep"
+        for grid in ([], [0.6], [0.6, 0.7], FULL_PERIOD):
+            with pytest.raises(ValueError, match=refusal):
+                fringe_scan(plan, "alpha", grid)
+        with pytest.raises(ValueError, match=refusal):
             harmonic_coefficients(plan, "alpha")
+        assert calls == []
 
     @pytest.mark.parametrize("sweep", ["phi", "theta", "gamma"])
     def test_cell_batched_coefficients_equal_scalar_scans(self, sweep, monkeypatch):

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import CIRCUITS_DIR
 from engine_helpers import manual_fig1
+from test_observables import with_options
 from qiup import dsl
-from qiup.dsl import DetectStmt, Span
+from qiup.dsl import DetectStmt, MergeStmt, Span
 from qiup.modes import Band, Polarization, SourceTag
 from qiup.plan import (
     FIG1_PARAMETERS,
@@ -243,15 +245,42 @@ def test_theta_zero_never_converts_tagged_h_idler():
 
 
 def test_no_merge_keeps_all_tags():
-    state = run_plan(fig1_preset(EXAMPLE_PARAMS), merge_enabled=False)
+    state = run_plan(fig1_preset(EXAMPLE_PARAMS).without_merges())
     assert SourceTag.MERGED not in state.tags_present()
 
 
 def test_bs_convention_changes_result():
     symmetric = run_plan(fig1_preset(EXAMPLE_PARAMS))
-    hadamard = run_plan(fig1_preset(EXAMPLE_PARAMS), bs_convention="hadamard")
+    hadamard = run_plan(replace(fig1_preset(EXAMPLE_PARAMS), bs_convention="hadamard"))
     assert symmetric.serialize() != hadamard.serialize()
     assert hadamard.norm_sq() == pytest.approx(2.0, abs=1e-12)
+
+
+def test_without_merges_drops_only_the_merge_statements():
+    plan = fig1_preset(EXAMPLE_PARAMS)
+    bare = plan.without_merges()
+    assert list(bare.pipeline) == [s for s in plan.pipeline if not isinstance(s, MergeStmt)]
+    assert len(bare.pipeline) == len(plan.pipeline) - 3
+    assert replace(bare, pipeline=plan.pipeline) == plan
+
+
+NO_SPLITTER = """\
+source 1 signal=s idler=i pol=V
+phase s value=10 band=signal
+detect s signal
+"""
+
+
+@pytest.mark.parametrize("text", [FIG1_SOURCE, NO_SPLITTER], ids=["fig1", "no_splitter"])
+def test_unknown_bs_convention_rejected_by_the_plan(text):
+    # it used to surface as a bare KeyError at the first splitter, and a
+    # circuit without one accepted any name
+    plan, diagnostics = compile_text(text)
+    assert plan is not None, diagnostics
+    with pytest.raises(ValueError, match=(
+        "unknown beamsplitter convention 'Hadamard'; use 'symmetric' or 'hadamard'"
+    )):
+        replace(plan, bs_convention="Hadamard")
 
 
 def test_execution_deterministic():
@@ -273,8 +302,7 @@ def test_fig1_keeps_one_product_term_per_source(merge, convention):
     # every element acts on one photon at a time, so the state stays
     # u_1 ⊗ w_1 + u_2 ⊗ w_2 while its pair entries multiply
     params = dict(EXAMPLE_PARAMS, alpha2=0.8, beta2=0.6, theta=0.3)
-    steps = [state for _, state in iter_plan(
-        fig1_preset(params), merge_enabled=merge, bs_convention=convention)]
+    steps = [state for _, state in iter_plan(with_options(fig1_preset(params), merge, convention))]
     assert [len(state._terms) for state in steps] == [2] * len(steps)
     assert len(steps[-1]) == (48 if merge else 40)
 
