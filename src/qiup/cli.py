@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .elements import BS_CONVENTIONS
 from .errors import DataFormatError
 from .estimation import fit, format_counts_csv, read_counts_csv, simulate_measurement
 from .observables import counts, format_scan_csv, fringe_scan, visibility
@@ -191,7 +192,7 @@ def _add_circuit_options(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--no-merge", action="store_true",
                      help="skip indistinguishability merges")
-    sub.add_argument("--bs-convention", choices=["symmetric", "hadamard"],
+    sub.add_argument("--bs-convention", choices=list(BS_CONVENTIONS),
                      default="symmetric", help="beamsplitter phase convention")
     sub.add_argument("--out", help="output file (default: stdout)")
 
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--grid-points", type=int, default=64,
                         help="phi samples per fringe (default 64)")
-    verify.add_argument("--bs-convention", choices=["symmetric", "hadamard"],
+    verify.add_argument("--bs-convention", choices=list(BS_CONVENTIONS),
                         default="symmetric")
     verify.set_defaults(handler=cmd_verify)
     return parser

@@ -58,9 +58,57 @@ def _fmt_value(v: Value) -> str:
     return str(v) if isinstance(v, ParamRef) else f"{v:.17g}"
 
 
+# A statement's ``syntax`` lists the tokens after its keyword, in order: a
+# string is a literal token, any other entry a tuple (form, field, reader, what).
+# - form: ``POS`` a bare token, ``KEY`` a required ``field=...``, ``OPT`` an
+#   optional one (absent: the field keeps its default, None), ``DEFAULTED`` an
+#   optional ``band=`` that warns ``W_DEFAULT_BAND`` when absent;
+# - reader: ``READ``/``WRITE`` a path the statement reads/writes, ``VALUE`` a
+#   number or ``$name``, ``NUMBER`` a number, ``ID`` an integer, or a word table;
+# - what: the "expected ..." wording of a bare token or word, or the key.
+# Parsing, printing and validation all read this one declaration.  Entries
+# are plain tuples: a class or dataclass per entry would cost import time.
+POS, KEY, OPT, DEFAULTED = "pos", "key", "opt", "defaulted"
+READ, WRITE, VALUE, NUMBER, ID = "read", "write", "value", "number", "id"
+_PATH = (POS, "path", READ, "a path identifier")
+_BAND = (POS, "band", BAND_WORDS, "a band")
+_BAND_OR_BOTH = (DEFAULTED, "band", BAND_OR_BOTH, "a band")
+_POL = (POS, "pol", POL_WORDS, "a polarization")
+_FORMATS = {VALUE: _fmt_value, NUMBER: "{:.17g}".format}
+
+
 @dataclass(frozen=True)
 class Statement:
     span: Span = field(compare=False, repr=False)
+
+    syntax = ()
+
+    def paths(self, role: str) -> tuple[str, ...]:
+        """The paths this statement reads (``READ``) or writes (``WRITE``)."""
+        return tuple(getattr(self, s[1]) for s in self.syntax if type(s) is tuple and s[2] == role)
+
+    def values(self) -> tuple[Value, ...]:
+        """The fields that may name a free parameter."""
+        return self.paths(VALUE)
+
+    def pretty(self) -> str:
+        """Canonical text of the statement; parsing it gives an equal one."""
+        words = [next(word for word, (cls, fixed) in STATEMENTS.items()
+                      if cls is type(self) and fixed.items() <= vars(self).items())]
+        for spec in self.syntax:
+            if isinstance(spec, str):
+                words.append(spec)
+                continue
+            form, name, reader, _ = spec
+            value = getattr(self, name)
+            if form == OPT and value is None:
+                continue
+            if isinstance(reader, dict):
+                text = next(word for word, v in reader.items() if v == value)
+            else:
+                text = _FORMATS.get(reader, str)(value)
+            words.append(text if form == POS else f"{name}={text}")
+        return " ".join(words)
 
 
 @dataclass(frozen=True)
@@ -71,14 +119,13 @@ class SourceStmt(Statement):
     pol: Polarization = Polarization.V
     phase: float | None = None  # degrees
 
-    def pretty(self) -> str:
-        out = (
-            f"source {self.source_id} signal={self.signal} "
-            f"idler={self.idler} pol={self.pol}"
-        )
-        if self.phase is not None:
-            out += f" phase={self.phase:.17g}"
-        return out
+    syntax = (
+        (POS, "source_id", ID, "a source id"),
+        (KEY, "signal", WRITE, "signal"),
+        (KEY, "idler", WRITE, "idler"),
+        (KEY, "pol", POL_WORDS, "a polarization"),
+        (OPT, "phase", NUMBER, "phase"),
+    )
 
 
 @dataclass(frozen=True)
@@ -89,11 +136,13 @@ class PrepareStmt(Statement):
     beta: Value = 1.0
     gamma: Value = 0.0  # degrees when literal
 
-    def pretty(self) -> str:
-        return (
-            f"prepare {self.path} {self.band} alpha={_fmt_value(self.alpha)} "
-            f"beta={_fmt_value(self.beta)} gamma={_fmt_value(self.gamma)}"
-        )
+    syntax = (
+        _PATH,
+        _BAND,
+        (KEY, "alpha", VALUE, "alpha"),
+        (KEY, "beta", VALUE, "beta"),
+        (KEY, "gamma", VALUE, "gamma"),
+    )
 
 
 @dataclass(frozen=True)
@@ -103,9 +152,7 @@ class WavePlateStmt(Statement):
     angle: Value = 0.0  # degrees when literal
     band: Band | None = None  # None = both bands
 
-    def pretty(self) -> str:
-        band = "both" if self.band is None else str(self.band)
-        return f"{self.kind.value} {self.path} angle={_fmt_value(self.angle)} band={band}"
+    syntax = (_PATH, (KEY, "angle", VALUE, "angle"), _BAND_OR_BOTH)
 
 
 @dataclass(frozen=True)
@@ -114,8 +161,12 @@ class BsStmt(Statement):
     out_t: str = ""
     out_r: str = ""
 
-    def pretty(self) -> str:
-        return f"bs {self.in_path} -> {self.out_t} {self.out_r}"
+    syntax = (
+        (POS, "in_path", READ, "a path identifier"),
+        "->",
+        (POS, "out_t", WRITE, "a transmitted output path"),
+        (POS, "out_r", WRITE, "a reflected output path"),
+    )
 
 
 @dataclass(frozen=True)
@@ -125,8 +176,13 @@ class Bs2Stmt(Statement):
     out_a: str = ""
     out_b: str = ""
 
-    def pretty(self) -> str:
-        return f"bs2 {self.in_a} {self.in_b} -> {self.out_a} {self.out_b}"
+    syntax = (
+        (POS, "in_a", READ, "a path identifier"),
+        (POS, "in_b", READ, "a second input path"),
+        "->",
+        (POS, "out_a", WRITE, "an output path"),
+        (POS, "out_b", WRITE, "a second output path"),
+    )
 
 
 @dataclass(frozen=True)
@@ -135,8 +191,14 @@ class DmStmt(Statement):
     signal_out: str = ""
     idler_out: str = ""
 
-    def pretty(self) -> str:
-        return f"dm {self.in_path} -> signal: {self.signal_out} idler: {self.idler_out}"
+    syntax = (
+        (POS, "in_path", READ, "a path identifier"),
+        "->",
+        "signal:",
+        (POS, "signal_out", WRITE, "the signal output path"),
+        "idler:",
+        (POS, "idler_out", WRITE, "the idler output path"),
+    )
 
 
 @dataclass(frozen=True)
@@ -145,9 +207,7 @@ class PhaseStmt(Statement):
     value: Value = 0.0  # degrees when literal
     band: Band | None = None
 
-    def pretty(self) -> str:
-        band = "both" if self.band is None else str(self.band)
-        return f"phase {self.path} value={_fmt_value(self.value)} band={band}"
+    syntax = (_PATH, (KEY, "value", VALUE, "value"), _BAND_OR_BOTH)
 
 
 @dataclass(frozen=True)
@@ -156,8 +216,7 @@ class MergeStmt(Statement):
     pol: Polarization = Polarization.V
     band: Band = Band.IDLER
 
-    def pretty(self) -> str:
-        return f"merge {self.path} {self.pol} {self.band}"
+    syntax = (_PATH, _POL, _BAND)
 
 
 @dataclass(frozen=True)
@@ -165,8 +224,22 @@ class DetectStmt(Statement):
     path: str = ""
     band: Band = Band.SIGNAL
 
-    def pretty(self) -> str:
-        return f"detect {self.path} {self.band}"
+    syntax = (_PATH, _BAND)
+
+
+#: Statement keyword -> (class, fields the keyword fixes).
+STATEMENTS = {
+    "source": (SourceStmt, {}),
+    "prepare": (PrepareStmt, {}),
+    "hwp": (WavePlateStmt, {"kind": WavePlateKind.HWP}),
+    "qwp": (WavePlateStmt, {"kind": WavePlateKind.QWP}),
+    "bs": (BsStmt, {}),
+    "bs2": (Bs2Stmt, {}),
+    "dm": (DmStmt, {}),
+    "phase": (PhaseStmt, {}),
+    "merge": (MergeStmt, {}),
+    "detect": (DetectStmt, {}),
+}
 
 
 @dataclass(frozen=True)
@@ -291,121 +364,54 @@ class _Cursor:
             self._fail("E_ARITY", f"unexpected trailing token '{tok.text}'", tok)
 
 
-def _parse_source(c: _Cursor) -> SourceStmt:
-    id_tok = c.take("a source id")
-    try:
-        source_id = int(id_tok.text)
-    except ValueError:
-        c._fail("E_NUMBER", f"source id must be an integer, got '{id_tok.text}'", id_tok)
-    signal = c.take_kv("signal").text
-    idler = c.take_kv("idler").text
-    pol_tok = c.take_kv("pol")
-    pol = c.choice(pol_tok, POL_WORDS, "a polarization")
-    phase = None
-    phase_tok = c.opt_kv("phase")
-    if phase_tok is not None:
-        phase = c.number(phase_tok, "phase")
+def _parse_statement(c: _Cursor, warn) -> Statement:
+    """Read the tokens after the keyword as its class's ``syntax`` declares."""
+    keyword = c.keyword
+    if keyword.text not in STATEMENTS:
+        c._fail("E_KEYWORD", f"unknown statement keyword '{keyword.text}'", keyword)
+    cls, fixed = STATEMENTS[keyword.text]
+    fields = dict(fixed)
+    for spec in cls.syntax:
+        if isinstance(spec, str):
+            c.take_literal(spec)
+            continue
+        form, name, reader, what = spec
+        if form == POS and reader in (READ, WRITE):
+            fields[name] = c.take_path(what)
+            continue
+        if form == POS:
+            tok = c.take(what)
+        elif form == KEY:
+            tok = c.take_kv(name)
+        else:
+            tok = c.opt_kv(name)
+            if tok is None:
+                if form == DEFAULTED:
+                    warn(Diagnostic("warning", c.line, keyword.column, "W_DEFAULT_BAND",
+                                    f"{keyword.text} without band= defaults to both bands"))
+                continue
+        if isinstance(reader, dict):
+            fields[name] = c.choice(tok, reader, what)
+        elif reader == VALUE:
+            fields[name] = c.value(tok, what)
+        elif reader == NUMBER:
+            fields[name] = c.number(tok, what)
+        elif reader == ID:
+            try:
+                fields[name] = int(tok.text)
+            except ValueError:
+                c._fail("E_NUMBER", f"source id must be an integer, got '{tok.text}'", tok)
+        else:
+            fields[name] = tok.text
     c.finish()
-    return SourceStmt(c.span(), source_id, signal, idler, pol, phase)
-
-
-def _parse_prepare(c: _Cursor) -> PrepareStmt:
-    path = c.take_path()
-    band = c.choice(c.take("a band"), BAND_WORDS, "a band")
-    alpha_tok = c.take_kv("alpha")
-    beta_tok = c.take_kv("beta")
-    gamma_tok = c.take_kv("gamma")
-    stmt = PrepareStmt(
-        c.span(),
-        path,
-        band,
-        c.value(alpha_tok, "alpha"),
-        c.value(beta_tok, "beta"),
-        c.value(gamma_tok, "gamma"),
-    )
-    c.finish()
-    return stmt
-
-
-def _optional_band(c: _Cursor, keyword: str, warn) -> Band | None:
-    """An optional ``band=``; without one, warn that ``keyword`` acts on both
-    bands and return None."""
-    band_tok = c.opt_kv("band")
-    if band_tok is not None:
-        return c.choice(band_tok, BAND_OR_BOTH, "a band")
-    warn(Diagnostic("warning", c.line, c.keyword.column, "W_DEFAULT_BAND",
-                    f"{keyword} without band= defaults to both bands"))
-    return None
-
-
-def _parse_waveplate(c: _Cursor, kind: WavePlateKind, warn) -> WavePlateStmt:
-    path = c.take_path()
-    angle_tok = c.take_kv("angle")
-    angle = c.value(angle_tok, "angle")
-    band = _optional_band(c, kind.value, warn)
-    c.finish()
-    return WavePlateStmt(c.span(), kind, path, angle, band)
-
-
-def _parse_bs(c: _Cursor) -> BsStmt:
-    in_path = c.take_path()
-    c.take_literal("->")
-    out_t = c.take_path("a transmitted output path")
-    out_r = c.take_path("a reflected output path")
-    c.finish()
-    return BsStmt(c.span(), in_path, out_t, out_r)
-
-
-def _parse_bs2(c: _Cursor) -> Bs2Stmt:
-    in_a = c.take_path()
-    in_b = c.take_path("a second input path")
-    c.take_literal("->")
-    out_a = c.take_path("an output path")
-    out_b = c.take_path("a second output path")
-    c.finish()
-    return Bs2Stmt(c.span(), in_a, in_b, out_a, out_b)
-
-
-def _parse_dm(c: _Cursor) -> DmStmt:
-    in_path = c.take_path()
-    c.take_literal("->")
-    c.take_literal("signal:")
-    signal_out = c.take_path("the signal output path")
-    c.take_literal("idler:")
-    idler_out = c.take_path("the idler output path")
-    c.finish()
-    return DmStmt(c.span(), in_path, signal_out, idler_out)
-
-
-def _parse_phase(c: _Cursor, warn) -> PhaseStmt:
-    path = c.take_path()
-    value_tok = c.take_kv("value")
-    value = c.value(value_tok, "value")
-    band = _optional_band(c, "phase", warn)
-    c.finish()
-    return PhaseStmt(c.span(), path, value, band)
-
-
-def _parse_merge(c: _Cursor) -> MergeStmt:
-    path = c.take_path()
-    pol = c.choice(c.take("a polarization"), POL_WORDS, "a polarization")
-    band = c.choice(c.take("a band"), BAND_WORDS, "a band")
-    c.finish()
-    return MergeStmt(c.span(), path, pol, band)
-
-
-def _parse_detect(c: _Cursor) -> DetectStmt:
-    path = c.take_path()
-    band = c.choice(c.take("a band"), BAND_WORDS, "a band")
-    c.finish()
-    return DetectStmt(c.span(), path, band)
+    return cls(c.span(), **fields)
 
 
 def parse(text: str) -> ParseResult:
     """Parse circuit text; on any error the result carries no AST."""
     diagnostics: list[Diagnostic] = []
     statements: list[Statement] = []
-    detect_seen: Statement | None = None
+    detect_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         tokens = [
@@ -415,49 +421,11 @@ def parse(text: str) -> ParseResult:
             continue
         cursor = _Cursor(tokens, lineno)
         cursor.pos = 1
-        keyword = tokens[0].text
         try:
-            if keyword == "source":
-                stmt: Statement = _parse_source(cursor)
-            elif keyword == "prepare":
-                stmt = _parse_prepare(cursor)
-            elif keyword in ("hwp", "qwp"):
-                stmt = _parse_waveplate(
-                    cursor, WavePlateKind(keyword), diagnostics.append
-                )
-            elif keyword == "bs":
-                stmt = _parse_bs(cursor)
-            elif keyword == "bs2":
-                stmt = _parse_bs2(cursor)
-            elif keyword == "dm":
-                stmt = _parse_dm(cursor)
-            elif keyword == "phase":
-                stmt = _parse_phase(cursor, diagnostics.append)
-            elif keyword == "merge":
-                stmt = _parse_merge(cursor)
-            elif keyword == "detect":
-                stmt = _parse_detect(cursor)
-                if detect_seen is not None:
-                    raise _StatementError(
-                        Diagnostic(
-                            "error",
-                            lineno,
-                            tokens[0].column,
-                            "E_MULTI_DETECT",
-                            "more than one detect statement",
-                        )
-                    )
-                detect_seen = stmt
-            else:
-                raise _StatementError(
-                    Diagnostic(
-                        "error",
-                        lineno,
-                        tokens[0].column,
-                        "E_KEYWORD",
-                        f"unknown statement keyword '{keyword}'",
-                    )
-                )
+            stmt = _parse_statement(cursor, diagnostics.append)
+            if isinstance(stmt, DetectStmt) and detect_seen:
+                cursor._fail("E_MULTI_DETECT", "more than one detect statement", tokens[0])
+            detect_seen = detect_seen or isinstance(stmt, DetectStmt)
         except _StatementError as exc:
             diagnostics.append(exc.diag)
             continue

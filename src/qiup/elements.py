@@ -36,6 +36,16 @@ BS_CONVENTIONS = {
 }
 
 
+def bs_matrix(convention: str) -> np.ndarray:
+    """The splitter matrix named ``convention``; ``ValueError`` for an unknown name."""
+    if convention not in BS_CONVENTIONS:
+        raise ValueError(
+            f"unknown beamsplitter convention {convention!r}; "
+            f"use {' or '.join(map(repr, BS_CONVENTIONS))}"
+        )
+    return BS_CONVENTIONS[convention]
+
+
 class WavePlateKind(enum.Enum):
     HWP = "hwp"
     QWP = "qwp"
@@ -186,6 +196,7 @@ def apply_bs_single(
     convention: str = "symmetric",
 ) -> BiphotonState:
     """Split every mode on ``in_path`` onto (out_t, out_r), both bands."""
+    matrix = bs_matrix(convention)
     if out_t == out_r:
         raise ValueError("beamsplitter outputs must be distinct")
     if not state.path_occupied(in_path):
@@ -195,7 +206,7 @@ def apply_bs_single(
             stacklevel=2,
         )
         return state
-    return state.route_two_port(in_path, None, out_t, out_r, BS_CONVENTIONS[convention])
+    return state.route_two_port(in_path, None, out_t, out_r, matrix)
 
 
 def apply_bs_dual(
@@ -207,9 +218,12 @@ def apply_bs_dual(
     convention: str = "symmetric",
 ) -> BiphotonState:
     """Two-input beamsplitter over (in_a, in_b) -> (out_a, out_b), both bands."""
+    matrix = bs_matrix(convention)
+    if in_a == in_b:
+        raise ValueError("beamsplitter inputs must be distinct")
     if out_a == out_b:
         raise ValueError("beamsplitter outputs must be distinct")
-    return state.route_two_port(in_a, in_b, out_a, out_b, BS_CONVENTIONS[convention])
+    return state.route_two_port(in_a, in_b, out_a, out_b, matrix)
 
 
 def apply_dichroic(

@@ -20,13 +20,14 @@ from .dsl import (
     ParamRef,
     PhaseStmt,
     PrepareStmt,
+    READ,
     SourceStmt,
     Statement,
     Value,
+    WRITE,
     WavePlateStmt,
 )
 from .elements import (
-    BS_CONVENTIONS,
     MergeRule,
     PreparationSpec,
     WavePlateSetting,
@@ -36,6 +37,7 @@ from .elements import (
     apply_merge,
     apply_phase,
     apply_waveplate,
+    bs_matrix,
     prepare_beam,
 )
 from .modes import Band
@@ -71,11 +73,7 @@ class CircuitPlan:
     bs_convention: str = "symmetric"
 
     def __post_init__(self) -> None:
-        if self.bs_convention not in BS_CONVENTIONS:
-            raise ValueError(
-                f"unknown beamsplitter convention {self.bs_convention!r}; "
-                f"use {' or '.join(map(repr, BS_CONVENTIONS))}"
-            )
+        bs_matrix(self.bs_convention)
 
     def without_merges(self) -> "CircuitPlan":
         """The plan with every ``merge`` statement left out of its pipeline."""
@@ -191,10 +189,13 @@ class ValidationResult:
         return self.plan is not None
 
 
-def _collect_params(values: list[Value], out: set[str]) -> None:
-    for v in values:
-        if isinstance(v, ParamRef):
-            out.add(v.name)
+#: Statements whose read paths, and whose written paths, must be distinct:
+#: (code, device noun) of the error otherwise.
+_ALIASES = {
+    DmStmt: ("E_DM_ALIAS", "dichroic"),
+    BsStmt: ("E_BS_ALIAS", "splitter"),
+    Bs2Stmt: ("E_BS_ALIAS", "splitter"),
+}
 
 
 def validate(ast: CircuitAst) -> ValidationResult:
@@ -212,11 +213,6 @@ def validate(ast: CircuitAst) -> ValidationResult:
     seen_ids: set[int] = set()
     elements_started = False
 
-    def need(stmt: Statement, *paths: str) -> None:
-        for p in paths:
-            if p not in written:
-                err(stmt, "E_UNKNOWN_PATH", f"path '{p}' is never produced before use")
-
     for stmt in ast.statements:
         if isinstance(stmt, SourceStmt):
             if elements_started:
@@ -227,37 +223,20 @@ def validate(ast: CircuitAst) -> ValidationResult:
                 err(stmt, "E_DUP_SOURCE", f"duplicate source id {stmt.source_id}")
             else:
                 seen_ids.add(stmt.source_id)
-            written.update((stmt.signal, stmt.idler))
             sources.append(stmt)
-            continue
-        elements_started = True
-        if isinstance(stmt, DetectStmt):
-            need(stmt, stmt.path)
-            detects.append(stmt)
-            continue
-        if isinstance(stmt, PrepareStmt):
-            need(stmt, stmt.path)
-            _collect_params([stmt.alpha, stmt.beta, stmt.gamma], params)
-        elif isinstance(stmt, WavePlateStmt):
-            need(stmt, stmt.path)
-            _collect_params([stmt.angle], params)
-        elif isinstance(stmt, BsStmt):
-            need(stmt, stmt.in_path)
-            written.update((stmt.out_t, stmt.out_r))
-        elif isinstance(stmt, Bs2Stmt):
-            need(stmt, stmt.in_a, stmt.in_b)
-            written.update((stmt.out_a, stmt.out_b))
-        elif isinstance(stmt, DmStmt):
-            need(stmt, stmt.in_path)
-            if stmt.signal_out == stmt.idler_out:
-                err(stmt, "E_DM_ALIAS", "dichroic outputs must be distinct paths")
-            written.update((stmt.signal_out, stmt.idler_out))
-        elif isinstance(stmt, PhaseStmt):
-            need(stmt, stmt.path)
-            _collect_params([stmt.value], params)
-        elif isinstance(stmt, MergeStmt):
-            need(stmt, stmt.path)
-        pipeline.append(stmt)
+        else:
+            elements_started = True
+            (detects if isinstance(stmt, DetectStmt) else pipeline).append(stmt)
+        for p in stmt.paths(READ):
+            if p not in written:
+                err(stmt, "E_UNKNOWN_PATH", f"path '{p}' is never produced before use")
+        alias = _ALIASES.get(type(stmt))
+        for role, ends in ((READ, "inputs"), (WRITE, "outputs")):
+            paths = stmt.paths(role)
+            if alias and len(set(paths)) < len(paths):
+                err(stmt, alias[0], f"{alias[1]} {ends} must be distinct paths")
+        written.update(stmt.paths(WRITE))
+        params.update(v.name for v in stmt.values() if isinstance(v, ParamRef))
 
     if not sources:
         diags.append(Diagnostic("error", 1, 1, "E_NO_SOURCE", "no source statements"))
@@ -289,73 +268,64 @@ def compile_text(text: str) -> tuple[CircuitPlan | None, tuple[Diagnostic, ...]]
     return validated.plan, parsed.diagnostics + validated.diagnostics
 
 
-def _resolve_angle(value: Value | None, bindings: Mapping[str, float]) -> float:
-    """Literal angles are degrees in the DSL; bound parameters are radians."""
-    if value is None:
-        return 0.0
-    if isinstance(value, ParamRef):
-        return _resolve_plain(value, bindings)
-    return math.radians(value)
-
-
-def _resolve_plain(value: Value, bindings: Mapping[str, float]) -> float:
+def _resolve(value: Value, bindings: Mapping[str, float], degrees: bool) -> float:
+    """A bound parameter's value, or a literal: literal angles are degrees in
+    the DSL, bound parameters radians."""
     if isinstance(value, ParamRef):
         if value.name not in bindings:
             raise PlanError("E_UNBOUND_PARAM", f"unbound parameter '{value.name}'")
         return bindings[value.name]
-    return value
+    return math.radians(value) if degrees else value
+
+
+def _apply(plan: CircuitPlan, stmt: Statement, state: BiphotonState) -> BiphotonState:
+    """The state after one pipeline statement of ``plan``."""
+    b, convention = plan.bindings, plan.bs_convention
+    if isinstance(stmt, PrepareStmt):
+        spec = PreparationSpec(
+            alpha=_resolve(stmt.alpha, b, False),
+            beta=_resolve(stmt.beta, b, False),
+            rel_phase=_resolve(stmt.gamma, b, True),
+        )
+        return prepare_beam(state, stmt.path, stmt.band, spec)
+    if isinstance(stmt, WavePlateStmt):
+        setting = WavePlateSetting(stmt.kind, _resolve(stmt.angle, b, True))
+        return apply_waveplate(state, stmt.path, setting, stmt.band)
+    if isinstance(stmt, BsStmt):
+        return apply_bs_single(state, stmt.in_path, stmt.out_t, stmt.out_r, convention)
+    if isinstance(stmt, Bs2Stmt):
+        return apply_bs_dual(state, stmt.in_a, stmt.in_b, stmt.out_a, stmt.out_b, convention)
+    if isinstance(stmt, DmStmt):
+        return apply_dichroic(state, stmt.in_path, stmt.signal_out, stmt.idler_out)
+    if isinstance(stmt, PhaseStmt):
+        return apply_phase(state, stmt.path, _resolve(stmt.value, b, True), stmt.band)
+    if isinstance(stmt, MergeStmt):
+        return apply_merge(state, [MergeRule(stmt.path, stmt.pol, stmt.band)])
+    raise TypeError(f"cannot execute statement {stmt!r}")
+
+
+def _source_state(plan: CircuitPlan) -> BiphotonState:
+    specs = [
+        SourceSpec(s.source_id, s.signal, s.idler, s.pol, math.radians(s.phase or 0.0))
+        for s in plan.sources
+    ]
+    return initial_state(specs)
 
 
 def iter_plan(plan: CircuitPlan) -> Iterator[tuple[str, BiphotonState]]:
     """Run the plan, yielding (step label, state) after sources and each element."""
-    b = plan.bindings
-    convention = plan.bs_convention
-    specs = [
-        SourceSpec(
-            s.source_id,
-            s.signal,
-            s.idler,
-            s.pol,
-            math.radians(s.phase) if s.phase is not None else 0.0,
-        )
-        for s in plan.sources
-    ]
-    state = initial_state(specs)
+    state = _source_state(plan)
     yield "sources", state
     for stmt in plan.pipeline:
-        if isinstance(stmt, PrepareStmt):
-            spec = PreparationSpec(
-                alpha=_resolve_plain(stmt.alpha, b),
-                beta=_resolve_plain(stmt.beta, b),
-                rel_phase=_resolve_angle(stmt.gamma, b),
-            )
-            state = prepare_beam(state, stmt.path, stmt.band, spec)
-        elif isinstance(stmt, WavePlateStmt):
-            setting = WavePlateSetting(stmt.kind, _resolve_angle(stmt.angle, b))
-            state = apply_waveplate(state, stmt.path, setting, stmt.band)
-        elif isinstance(stmt, BsStmt):
-            state = apply_bs_single(state, stmt.in_path, stmt.out_t, stmt.out_r, convention)
-        elif isinstance(stmt, Bs2Stmt):
-            state = apply_bs_dual(
-                state, stmt.in_a, stmt.in_b, stmt.out_a, stmt.out_b, convention
-            )
-        elif isinstance(stmt, DmStmt):
-            state = apply_dichroic(state, stmt.in_path, stmt.signal_out, stmt.idler_out)
-        elif isinstance(stmt, PhaseStmt):
-            state = apply_phase(state, stmt.path, _resolve_angle(stmt.value, b), stmt.band)
-        elif isinstance(stmt, MergeStmt):
-            state = apply_merge(state, [MergeRule(stmt.path, stmt.pol, stmt.band)])
-        else:
-            raise TypeError(f"cannot execute statement {stmt!r}")
+        state = _apply(plan, stmt, state)
         yield stmt.pretty(), state
 
 
 def run_plan(plan: CircuitPlan) -> BiphotonState:
     """Evolve the plan's sources through its full pipeline."""
-    state = None
-    for _, state in iter_plan(plan):
-        pass
-    assert state is not None
+    state = _source_state(plan)
+    for stmt in plan.pipeline:
+        state = _apply(plan, stmt, state)
     return state
 
 

@@ -56,6 +56,17 @@ class TestCheck:
     def test_missing_file(self, capsys):
         assert cli.main(["check", "no/such/file.qiup"]) == 2
 
+    @pytest.mark.parametrize("line,ends", [
+        ("bs r -> e e", "outputs"), ("bs2 e e -> x y", "inputs"), ("bs2 e f -> x x", "outputs"),
+    ])
+    def test_aliased_splitter_paths_exit_1(self, line, ends, tmp_path, capsys):
+        path = tmp_path / "alias.qiup"
+        path.write_text(f"source 1 signal=e idler=f pol=V\nsource 2 signal=r idler=r pol=V\n"
+                        f"{line}\ndetect x signal\n")
+        assert cli.main(["check", str(path)]) == 1
+        assert (f"{path}:3:1: error[E_BS_ALIAS]: splitter {ends} must be distinct paths"
+                in capsys.readouterr().out.splitlines())
+
 
 @pytest.mark.parametrize("command", ["check", "run", "fit"])
 def test_non_utf8_file_exits_2_naming_it(tmp_path, capsys, command):

@@ -1,11 +1,14 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CIRCUITS_DIR
 from qiup import dsl
 from qiup.dsl import ParamRef, PhaseStmt, WavePlateStmt
-from qiup.modes import Band
+from qiup.elements import WavePlateKind
+from qiup.modes import Band, Polarization
 
 POSITIVE_FILES = sorted(CIRCUITS_DIR.glob("*.qiup"))
 NEGATIVE_FILES = sorted((CIRCUITS_DIR / "negative").glob("*.qiup"))
@@ -134,3 +137,93 @@ def test_empty_key_value():
     result = dsl.parse("source 1 signal= idler=a pol=V\n")
     (diag,) = result.errors()
     assert diag.code == "E_VALUE"
+
+
+# --- properties over every statement kind --------------------------------
+
+_PATHS = st.from_regex(r"[a-z][a-z0-9_']{0,3}", fullmatch=True)
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+_VALUES = _NUMBERS | st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True).map(ParamRef)
+_BANDS = st.sampled_from(list(Band))
+_BAND_OR_BOTH = st.none() | _BANDS
+_POLS = st.sampled_from(list(Polarization))
+_SPAN = dsl.Span(1, 1, 1)
+
+_STATEMENTS = st.one_of(
+    st.builds(dsl.SourceStmt, st.just(_SPAN), st.integers(-10**6, 10**6), _PATHS, _PATHS,
+              _POLS, st.none() | _NUMBERS),
+    st.builds(dsl.PrepareStmt, st.just(_SPAN), _PATHS, _BANDS, _VALUES, _VALUES, _VALUES),
+    st.builds(WavePlateStmt, st.just(_SPAN), st.sampled_from(list(WavePlateKind)), _PATHS,
+              _VALUES, _BAND_OR_BOTH),
+    st.builds(dsl.BsStmt, st.just(_SPAN), _PATHS, _PATHS, _PATHS),
+    st.builds(dsl.Bs2Stmt, st.just(_SPAN), _PATHS, _PATHS, _PATHS, _PATHS),
+    st.builds(dsl.DmStmt, st.just(_SPAN), _PATHS, _PATHS, _PATHS),
+    st.builds(PhaseStmt, st.just(_SPAN), _PATHS, _VALUES, _BAND_OR_BOTH),
+    st.builds(dsl.MergeStmt, st.just(_SPAN), _PATHS, _POLS, _BANDS),
+    st.builds(dsl.DetectStmt, st.just(_SPAN), _PATHS, _BANDS),
+)
+
+
+@settings(max_examples=300)
+@given(_STATEMENTS)
+def test_every_statement_kind_round_trips(stmt):
+    printed = stmt.pretty()
+    result = dsl.parse(printed + "\n")
+    assert result.ok, result.diagnostics
+    (back,) = result.ast.statements
+    assert type(back) is type(stmt)
+    assert back == stmt
+    assert back.pretty() == printed
+    assert back.span == dsl.Span(1, 1, len(printed) + 1)
+
+
+# Fig1's lines, mutated a token at a time.  The replacement tokens mix every
+# keyword, literal and key of the grammar with malformed forms of each.
+_FIG1_LINES = [
+    line for line in (CIRCUITS_DIR / "fig1.qiup").read_text().splitlines()
+    if line and not line.startswith("#")
+]
+_VOCABULARY = [
+    "source", "prepare", "hwp", "qwp", "bs", "bs2", "dm", "phase", "merge", "detect",
+    "->", "signal:", "idler:", "signal", "idler", "both", "H", "V", "Q", "1", "3", "x",
+    "a", "e'", "signal=a", "idler=", "pol=V", "pol=Q", "phase=10", "phase=nan",
+    "alpha=$a", "alpha=x", "beta=1", "gamma=0", "angle=45", "angle=$9bad", "value=$phi",
+    "value=inf", "band=both", "band=idler", "band=up", "$phi", "1e400", "-0",
+]
+
+
+@st.composite
+def _mutated_fig1(draw):
+    lines = [line.split() for line in _FIG1_LINES]
+    for _ in range(draw(st.integers(1, 4))):
+        tokens = lines[draw(st.integers(0, len(lines) - 1))]
+        op = draw(st.sampled_from(["delete", "replace", "insert"]))
+        if op == "insert":
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_VOCABULARY)))
+        elif tokens:
+            i = draw(st.integers(0, len(tokens) - 1))
+            if op == "delete":
+                del tokens[i]
+            else:
+                tokens[i] = draw(st.sampled_from(_VOCABULARY))
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+@settings(max_examples=400)
+@given(_mutated_fig1())
+def test_mutated_text_parses_to_diagnostics(text):
+    lines = text.splitlines()
+    result = dsl.parse(text)
+    errors = result.errors()
+    error_lines = [d.line for d in errors]
+    assert len(error_lines) == len(set(error_lines))
+    for diag in result.diagnostics:
+        assert 1 <= diag.line <= len(lines)
+        assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1
+    assert result.ok == (not errors)
+
+
+def test_leftmost_fault_of_a_line_is_reported():
+    result = dsl.parse("prepare a idler alpha=x beta=1\n")
+    (diag,) = result.errors()
+    assert (diag.line, diag.column, diag.code) == (1, 23, "E_NUMBER")

@@ -227,6 +227,24 @@ class TestBeamsplitters:
         with pytest.raises(ValueError):
             apply_bs_single(state, "r", "e", "e")
 
+    def test_identical_dual_inputs_rejected(self):
+        # route_two_port lets in_a's entries win, so in_b would be dropped
+        state = initial_state([SourceSpec(1, "e", "e")])
+        with pytest.raises(ValueError, match="beamsplitter inputs must be distinct"):
+            apply_bs_dual(state, "e", "e", "x", "y")
+
+    @pytest.mark.parametrize("apply", [
+        lambda s: apply_bs_single(s, "r", "e", "f", convention="Hadamard"),
+        lambda s: apply_bs_single(s, "nothing_here", "e", "f", convention="Hadamard"),
+        lambda s: apply_bs_dual(s, "r", "x", "e", "f", convention="Hadamard"),
+    ], ids=["single", "single_unoccupied", "dual"])
+    def test_unknown_convention_names_both(self, apply):
+        state = initial_state([SourceSpec(1, "x", "r")])
+        with pytest.raises(ValueError, match=(
+            "unknown beamsplitter convention 'Hadamard'; use 'symmetric' or 'hadamard'"
+        )):
+            apply(state)
+
     def test_dual_reduces_to_single_on_empty_second_input(self):
         state = BiphotonState({pair("x", V, MM, "e", V, MM): 1.0})
         out = apply_bs_dual(state, "e", "f", "e'", "f'")

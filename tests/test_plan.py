@@ -86,6 +86,12 @@ def test_validate_rejects_duplicate_detect_ast():
             "dm a -> signal: x idler: x\ndetect x signal\n",
             "E_DM_ALIAS",
         ),
+        # `bs2 e e -> x y` used to compile and run as a one-input splitter
+        *(
+            ("source 1 signal=e idler=f pol=V\nsource 2 signal=r idler=r pol=V\n"
+             f"{line}\ndetect x signal\n", "E_BS_ALIAS")
+            for line in ("bs r -> e e", "bs2 e e -> x y", "bs2 e f -> x x")
+        ),
     ],
 )
 def test_validation_error_codes(text, code):
