@@ -65,7 +65,8 @@ def _fmt_value(v: Value) -> str:
 #   optional ``band=`` that warns ``W_DEFAULT_BAND`` when absent;
 # - reader: ``READ``/``WRITE`` a path the statement reads/writes, ``VALUE`` a
 #   number or ``$name``, ``NUMBER`` a number, ``ID`` an integer, or a word table;
-# - what: the "expected ..." wording of a bare token or word, or the key.
+# - what: how an error names the token ("expected a path identifier",
+#   "malformed number for alpha").
 # Parsing, printing and validation all read this one declaration.  Entries
 # are plain tuples: a class or dataclass per entry would cost import time.
 POS, KEY, OPT, DEFAULTED = "pos", "key", "opt", "defaulted"
@@ -121,8 +122,8 @@ class SourceStmt(Statement):
 
     syntax = (
         (POS, "source_id", ID, "a source id"),
-        (KEY, "signal", WRITE, "signal"),
-        (KEY, "idler", WRITE, "idler"),
+        (KEY, "signal", WRITE, "a signal path identifier"),
+        (KEY, "idler", WRITE, "an idler path identifier"),
         (KEY, "pol", POL_WORDS, "a polarization"),
         (OPT, "phase", NUMBER, "phase"),
     )
@@ -312,8 +313,7 @@ class _Cursor:
             self._fail("E_ARITY", f"expected '{literal}', got '{tok.text}'", tok)
         return tok
 
-    def take_path(self, what: str = "a path identifier") -> str:
-        tok = self.take(what)
+    def path(self, tok: _Token, what: str) -> str:
         if "=" in tok.text or tok.text == "->":
             self._fail("E_ARITY", f"expected {what}, got '{tok.text}'", tok)
         return tok.text
@@ -376,9 +376,6 @@ def _parse_statement(c: _Cursor, warn) -> Statement:
             c.take_literal(spec)
             continue
         form, name, reader, what = spec
-        if form == POS and reader in (READ, WRITE):
-            fields[name] = c.take_path(what)
-            continue
         if form == POS:
             tok = c.take(what)
         elif form == KEY:
@@ -401,8 +398,8 @@ def _parse_statement(c: _Cursor, warn) -> Statement:
                 fields[name] = int(tok.text)
             except ValueError:
                 c._fail("E_NUMBER", f"source id must be an integer, got '{tok.text}'", tok)
-        else:
-            fields[name] = tok.text
+        else:  # READ or WRITE, bare or after its key
+            fields[name] = c.path(tok, what)
     c.finish()
     return cls(c.span(), **fields)
 

@@ -9,17 +9,26 @@ Fits are independent per dataset and safe to run in parallel; the Poisson
 generator is constructed per call and never shared.
 
 Both reference forms are first harmonics in phi: per channel, the model is
-``a(beta1, gamma) . (1, cos phi, sin phi)``.  :func:`fit` therefore reduces
-the data once to a 3x3 triangular factor of the weighted Gram matrix and a
-3-vector per channel; the coarse grid then scores coefficient vectors, not
-model evaluations at every phi, and the Levenberg-Marquardt refinement works
-on those six whitened residuals with an analytic Jacobian.  numpy is the
-only dependency.  A fit also says whether the data follow the reference
-forms at all (``FitResult.model_rejected``): data from the evolution engine
-do not, and their fit is not an estimate.
+``a . (1, cos phi, sin phi)``, and the coefficients ``a`` are linear in the
+features (1, b, b^2, b cos gamma, b sin gamma) of (b, gamma) = (beta1,
+gamma).  :func:`fit` reduces the weighted data once to a 3x3 triangular
+factor ``R`` of the weighted basis and a 3-vector ``z`` per channel, and
+from then on reads the data only through them and the basis:
+
+* the coarse grid scores all its nodes with one product of a fixed design
+  matrix and the 18 distinct entries of ``B^T W B`` and ``B^T W y``;
+* the Levenberg-Marquardt refinement runs on Python floats over the six
+  whitened residuals ``R a - z``, with an analytic Jacobian;
+* the reported rss and the goodness-of-fit gate use the model values
+  ``basis . a`` at the fitted point, never the transcribed forms.
+
+numpy is the only dependency.  A fit also says whether the data follow the
+reference forms at all (``FitResult.model_rejected``): data from the
+evolution engine do not, and their fit is not an estimate.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,7 +38,6 @@ import numpy as np
 
 from .errors import DataFormatError, QiupWarning, SparseScanError
 from .observables import CountResult, FringeScan
-from .reference import nh_closed, nv_closed
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,66 +175,85 @@ def calibrate(data: ScanLike) -> CalibrationRecord:
     )
 
 
+#: The reference forms are linear in the features (1, b, b^2, b cos gamma,
+#: b sin gamma) of b = beta1: ``_FORMS @ features`` is the coefficient
+#: vector of (1, cos phi, sin phi) per channel, H first.  That is
+#: ``nh_closed`` and ``nv_closed`` expanded through cos(gamma - phi) and
+#: sin(gamma - phi), in sixteenths.
+_FORMS = np.array([
+    [[8.0, 0.0, -3.0, 0.0, 0.0], [0.0, -2.0, 0.0, -1.0, 1.0], [0.0, 0.0, 0.0, -1.0, -1.0]],
+    [[5.0, 0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0, 2.0]],
+]) / 16.0
+
+
 def _harmonics(beta1, gamma) -> np.ndarray:
     """Coefficients of (1, cos phi, sin phi) in the reference forms.
 
-    ``nh_closed`` and ``nv_closed`` expanded through ``cos(gamma - phi)``
-    and ``sin(gamma - phi)``: shape ``(2, 3) + shape``, H channel first, for
-    scalars or for ``beta1`` and ``gamma`` arrays of one shape.
+    Shape ``(2, 3) + shape``, H channel first, for scalars or for ``beta1``
+    and ``gamma`` arrays of one shape.
     """
-    b, c, s = beta1, np.cos(gamma), np.sin(gamma)
-    return np.array([
-        [(8.0 - 3.0 * b * b) / 16.0, b * (s - c - 2.0) / 16.0, -b * (c + s) / 16.0],
-        [5.0 / 16.0 + 0.0 * b, b * (c + 1.0) / 8.0, b * s / 8.0],  # 0 * b: b's shape
-    ])
+    b = beta1
+    return _FORMS @ np.array([np.ones_like(b), b, b * b, b * np.cos(gamma), b * np.sin(gamma)])
 
 
-def _harmonics_jacobian(beta1: float, gamma: float) -> np.ndarray:
-    """d(harmonics)/d(beta1, gamma), shape (2, 3, 2)."""
-    c, s = math.cos(gamma), math.sin(gamma)
-    return np.array([
-        [[-6.0 * beta1 / 16.0, 0.0],
-         [(s - c - 2.0) / 16.0, beta1 * (c + s) / 16.0],
-         [-(c + s) / 16.0, beta1 * (s - c) / 16.0]],
-        [[0.0, 0.0],
-         [(c + 1.0) / 8.0, -beta1 * s / 8.0],
-         [s / 8.0, beta1 * c / 8.0]],
-    ])
+#: Row and column of the six distinct entries of a symmetric 3x3 matrix.
+_UPPER = np.triu_indices(3)
 
 
-#: The coarse grid, beta1-major, and its coefficient vectors per channel,
-#: shape (2, nodes, 3).
-_GRID_BETAS, _GRID_GAMMAS = np.meshgrid(
-    np.arange(0.0, 1.0 + GRID_BETA_STEP / 2, GRID_BETA_STEP),
-    np.arange(GRID_GAMMA_POINTS) * (TWO_PI / GRID_GAMMA_POINTS),
-    indexing="ij",
-)
-_GRID_HARMONICS = np.ascontiguousarray(
-    _harmonics(_GRID_BETAS, _GRID_GAMMAS).reshape(2, 3, -1).transpose(0, 2, 1)
-)
+@functools.cache
+def _grid_design() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coarse grid, beta1-major, and the design matrix of its scores.
+
+    A node's weighted rss is, up to a constant, ``a.G a - 2 a.g`` per channel
+    (``G = B^T W B``, ``g = B^T W y``, ``a`` the node's harmonics), which is
+    linear in the six distinct entries of ``G`` and the three of ``g``:
+    column k of the design, shape (18, nodes), holds node k's factors of
+    those 18 entries, in the order that :func:`_grid_start` lists them.
+    Built on first use, so that ``import qiup`` does not pay for it.
+    """
+    betas, gammas = np.meshgrid(
+        np.arange(0.0, 1.0 + GRID_BETA_STEP / 2, GRID_BETA_STEP),
+        np.arange(GRID_GAMMA_POINTS) * (TWO_PI / GRID_GAMMA_POINTS),
+        indexing="ij",
+    )
+    a = _harmonics(betas.ravel(), gammas.ravel())  # (2, 3, nodes)
+    i, j = _UPPER
+    quadratic = a[:, i] * a[:, j] * np.where(i == j, 1.0, 2.0)[:, None]
+    design = np.concatenate((quadratic, -2.0 * a), axis=1).reshape(18, -1)
+    grid = betas.ravel(), gammas.ravel(), design
+    for array in grid:  # shared by every caller
+        array.flags.writeable = False
+    return grid
 
 
 def _whiten(
-    phis: np.ndarray, y: np.ndarray, sqrt_w: np.ndarray,
+    basis: np.ndarray, y: np.ndarray, sqrt_w: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(R, z) per channel, with ``sum w (y - B a)^2 = |R a - z|^2 + const``.
 
     ``B`` is the basis (1, cos phi, sin phi) at every phi and ``R`` the
     triangular factor of the weighted ``B`` (``R^T R`` is its Gram matrix
-    ``B^T W B``), so the weighted rss of any coefficient vector ``a`` costs
-    one 3x3 product per channel.  A QR factor, not a Cholesky one, because
-    phases that coincide modulo 2*pi leave the Gram matrix singular.
+    ``B^T W B``, and ``R^T z = B^T W y``).  A QR factor, not a Cholesky
+    one, because phases that coincide modulo 2*pi leave the Gram matrix
+    singular.
     """
-    basis = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)], axis=-1)
     q, r = np.linalg.qr(sqrt_w[:, :, None] * basis)
     return r, np.einsum("cni,cn->ci", q, sqrt_w * y)
 
 
 def _grid_start(r: np.ndarray, z: np.ndarray) -> tuple[float, float]:
-    """The coarse-grid node of least weighted rss: one 3x3 product per node."""
-    e = _GRID_HARMONICS @ r.transpose(0, 2, 1) - z[:, None, :]
-    k = int(np.einsum("cki,cki->k", e, e).argmin())
-    return float(_GRID_BETAS.flat[k]), float(_GRID_GAMMAS.flat[k])
+    """The coarse-grid node of least weighted rss, ties to the first node.
+
+    Scores every node at once as the product of :func:`_grid_design` with
+    the 18 statistics ``B^T W B`` (upper triangle) and ``B^T W y`` of both
+    channels, from ``R^T R`` and ``R^T z``.
+    """
+    betas, gammas, design = _grid_design()
+    rt = r.transpose(0, 2, 1)
+    i, j = _UPPER
+    statistics = np.concatenate(((rt @ r)[:, i, j], (rt @ z[:, :, None])[:, :, 0]), axis=1)
+    k = int((statistics.ravel() @ design).argmin())
+    return float(betas[k]), float(gammas[k])
 
 
 def _refine(
@@ -235,58 +262,71 @@ def _refine(
     """Levenberg-Marquardt on (beta1, gamma) with beta1 projected onto [0, 1].
 
     Residuals are the 6-vector ``R a(beta1, gamma) - z`` of :func:`_whiten`,
-    whose squared norm differs from the weighted rss by a constant, with the
-    analytic Jacobian.  A beta1 held at a bound by the gradient leaves the
-    step to gamma alone.  Stops when a step is below ``REFINE_TOL`` relative
-    to the parameters; returns ``converged=False`` only when
-    ``MAX_REFINE_EVALS`` residual evaluations run out first.
+    whose squared norm differs from the weighted rss by a constant.  Since
+    ``a = _FORMS @ features``, ``R @ _FORMS`` is formed once and each
+    residual is five numbers dotted with the features of (beta1, gamma):
+    the loop, with its analytic Jacobian, runs on Python floats.  A beta1 held at a bound by the
+    gradient leaves the step to gamma alone.  Stops when a step is below
+    ``REFINE_TOL`` relative to the parameters; returns ``converged=False``
+    only when ``MAX_REFINE_EVALS`` residual evaluations run out first.
     """
-    def residuals(x: np.ndarray) -> np.ndarray:
-        return ((r @ _harmonics(x[0], x[1])[:, :, None])[:, :, 0] - z).ravel()
+    # residual i is k_i + b (m1 + b m2 + c m3 + s m4), with k_i = m0 - z_i
+    # and c, s the cosine and sine of gamma
+    rows = [(m[0] - zi, *m[1:])
+            for m, zi in zip((r @ _FORMS).reshape(6, 5).tolist(), z.ravel().tolist())]
 
-    x = np.array([beta1, gamma])
-    e = residuals(x)
-    cost = float(e @ e)
+    def residuals(b: float, g: float) -> list[float]:
+        c, s = math.cos(g), math.sin(g)
+        return [k + b * (m1 + b * m2 + c * m3 + s * m4) for k, m1, m2, m3, m4 in rows]
+
+    b, g = beta1, gamma
+    e = residuals(b, g)
+    cost = sum(ei * ei for ei in e)
     evals, damping, grow = 1, None, 2.0
     while True:
-        jac = (r @ _harmonics_jacobian(x[0], x[1])).reshape(6, 2)
-        normal, grad = jac.T @ jac, jac.T @ e
+        # the normal matrix J^T J and the gradient J^T e, row by row of J
+        c, s = math.cos(g), math.sin(g)
+        n00 = n01 = n11 = grad_b = grad_g = 0.0
+        for (_, m1, m2, m3, m4), ei in zip(rows, e):
+            jb, jg = m1 + 2.0 * b * m2 + c * m3 + s * m4, b * (c * m4 - s * m3)
+            n00, n01, n11 = n00 + jb * jb, n01 + jb * jg, n11 + jg * jg
+            grad_b, grad_g = grad_b + jb * ei, grad_g + jg * ei
         if damping is None:
-            damping = 1e-6 * float(normal.diagonal().max())
+            damping = 1e-6 * max(n00, n11)
         # a beta1 on the bound that the descent direction points out of stays
-        held = (x[0] <= 0.0 and grad[0] > 0.0) or (x[0] >= 1.0 and grad[0] < 0.0)
-        while True:  # trial steps from x until one lowers the cost
+        held = (b <= 0.0 and grad_b > 0.0) or (b >= 1.0 and grad_b < 0.0)
+        while True:  # trial steps from (b, g) until one lowers the cost
             if evals >= MAX_REFINE_EVALS:
-                return float(x[0]), float(x[1]), False
+                return b, g, False
             # (normal + damping * I) step = -grad over the free parameters
-            n00, n01, n11 = normal[0, 0] + damping, normal[0, 1], normal[1, 1] + damping
+            d00, d11 = n00 + damping, n11 + damping
             if held:
-                step = np.array([0.0, -grad[1] / n11])
+                step_b, step_g = 0.0, -grad_g / d11
             else:
-                det = n00 * n11 - n01 * n01
-                step = np.array([n01 * grad[1] - n11 * grad[0],
-                                 n01 * grad[0] - n00 * grad[1]]) / det
-            trial = x + step
-            trial[0] = min(max(trial[0], 0.0), 1.0)
-            step = trial - x
-            small = math.hypot(*step) <= REFINE_TOL * (REFINE_TOL + math.hypot(*x))
-            e_trial = residuals(trial)
+                det = d00 * d11 - n01 * n01
+                step_b = (n01 * grad_g - d11 * grad_b) / det
+                step_g = (n01 * grad_b - d00 * grad_g) / det
+            trial_b, trial_g = min(max(b + step_b, 0.0), 1.0), g + step_g
+            step_b, step_g = trial_b - b, trial_g - g
+            small = math.hypot(step_b, step_g) <= REFINE_TOL * (REFINE_TOL + math.hypot(b, g))
+            e_trial = residuals(trial_b, trial_g)
             evals += 1
-            cost_trial = float(e_trial @ e_trial)
+            cost_trial = sum(ei * ei for ei in e_trial)
             accepted = cost_trial < cost
             if accepted:
                 # Nielsen's rule: less damping the better the linear model
                 # predicted the actual reduction
-                predicted = -float(step @ (2.0 * grad + normal @ step))
+                predicted = -(step_b * (2.0 * grad_b + n00 * step_b + n01 * step_g)
+                              + step_g * (2.0 * grad_g + n01 * step_b + n11 * step_g))
                 gain = (cost - cost_trial) / predicted if predicted > 0.0 else 0.0
                 damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
                 grow = 2.0
-                x, e, cost = trial, e_trial, cost_trial
+                b, g, e, cost = trial_b, trial_g, e_trial, cost_trial
             else:
                 damping *= grow
                 grow *= 2.0
             if small:
-                return float(x[0]), float(x[1]), True
+                return b, g, True
             if accepted:
                 break
 
@@ -328,23 +368,21 @@ def fit(data: ScanLike, weighting: str = "equal") -> FitResult:
         raise ValueError(f"unknown weighting {weighting!r}")
 
     y, sqrt_w = np.stack([h, v]), np.sqrt(np.stack([wh, wv]))
-    r, z = _whiten(phis, y, sqrt_w)
-    beta0, gamma0 = _grid_start(r, z)
+    basis = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)], axis=-1)
+    r, z = _whiten(basis, y, sqrt_w)
 
-    def rss(beta1: float, gamma: float) -> float:
+    def model_rss(beta1: float, gamma: float) -> tuple[np.ndarray, float]:
         # from the residuals themselves: |R a - z|^2 leaves out the part of
         # the data outside the first harmonic
-        model = np.stack([nh_closed(beta1, gamma, phis), nv_closed(beta1, gamma, phis)])
-        return float(np.sum((sqrt_w * (y - model)) ** 2))
+        model = _harmonics(beta1, gamma) @ basis.T
+        return model, float(np.sum((sqrt_w * (y - model)) ** 2))
 
-    start = rss(beta0, gamma0)
-    if start < 1e-24:
-        # the grid point is already an exact minimum
-        beta1_hat, gamma_hat, converged = beta0, gamma0, True
-        residual_sum_sq = start
-    else:
-        beta1_hat, gamma_hat, converged = _refine(r, z, beta0, gamma0)
-        residual_sum_sq = rss(beta1_hat, gamma_hat)
+    beta1_hat, gamma_hat = _grid_start(r, z)
+    model, residual_sum_sq = model_rss(beta1_hat, gamma_hat)
+    converged = True
+    if residual_sum_sq >= 1e-24:  # below, the grid node is already an exact minimum
+        beta1_hat, gamma_hat, converged = _refine(r, z, beta1_hat, gamma_hat)
+        model, residual_sum_sq = model_rss(beta1_hat, gamma_hat)
     gamma_hat %= TWO_PI
     return FitResult(
         beta1_hat=beta1_hat,
@@ -353,23 +391,20 @@ def fit(data: ScanLike, weighting: str = "equal") -> FitResult:
         residual_sum_sq=residual_sum_sq,
         converged=converged,
         gamma_unidentifiable=beta1_hat < GAMMA_IDENTIFIABLE_MIN,
-        model_rejected=_model_rejected(data, phis, beta1_hat, gamma_hat, residual_sum_sq),
+        model_rejected=_model_rejected(data, model, residual_sum_sq),
     )
 
 
-def _model_rejected(
-    data: ScanLike, phis: np.ndarray, beta1: float, gamma: float, residual_sum_sq: float,
-) -> bool:
+def _model_rejected(data: ScanLike, model: np.ndarray, residual_sum_sq: float) -> bool:
+    """The goodness-of-fit gate, given the fitted expectations per channel."""
     if isinstance(data, NoisyScan):
         # the reference forms stay above 1/16 on [0, 1], so no expectation is 0
-        expected = data.shots * np.concatenate(
-            (nh_closed(beta1, gamma, phis), nv_closed(beta1, gamma, phis))
-        )
+        expected = data.shots * model.ravel()
         observed = np.concatenate((data.counts_h, data.counts_v))
-        dof = 2 * len(phis) - 2
+        dof = model.size - 2
         chi2 = float(np.sum((observed - expected) ** 2 / expected))
         return _chi2_log_sf(chi2, dof) < math.log(CHI2_TAIL)
-    return math.sqrt(residual_sum_sq / (2 * len(phis))) > MODEL_RMS_TOL
+    return math.sqrt(residual_sum_sq / model.size) > MODEL_RMS_TOL
 
 
 def _chi2_log_sf(chi2: float, dof: int) -> float:

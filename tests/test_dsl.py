@@ -59,6 +59,20 @@ def test_one_output_bs_is_arity_error():
     assert (diag.line, diag.column) == (1, 10)
 
 
+@pytest.mark.parametrize("key, value, what", [("idler", "->", "an idler path identifier"),
+                                              ("signal", "a=b", "a signal path identifier")])
+def test_source_path_is_a_path_identifier(key, value, what):
+    # the rule of every other path: no '->' and no '=', reported at the value
+    paths = {"signal": "s", "idler": "i", key: value}
+    text = f"source 1 signal={paths['signal']} idler={paths['idler']} pol=V\ndetect s signal\n"
+    result = dsl.parse(text)
+    assert not result.ok
+    (diag,) = result.errors()
+    assert diag.code == "E_ARITY"
+    assert diag.message == f"expected {what}, got '{value}'"
+    assert (diag.line, diag.column) == (1, text.index(f"{key}=") + len(key) + 2)
+
+
 def test_unknown_keyword():
     result = dsl.parse("polerizer x angle=3\n")
     (diag,) = result.errors()

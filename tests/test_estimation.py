@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from qiup import estimation
+from qiup import estimation, reference
 from qiup.errors import DataFormatError, QiupWarning, SparseScanError
 from qiup.estimation import (
     GRID_BETA_STEP,
@@ -21,6 +24,7 @@ from qiup.estimation import (
     read_counts_csv,
     simulate_measurement,
     _chi2_log_sf,
+    _harmonics,
 )
 from qiup.observables import CountResult, FringeScan
 from qiup.reference import nh_closed, nh_evolution, nv_closed, nv_evolution
@@ -106,6 +110,13 @@ def brute_force_grid_node(data, weighting="equal") -> tuple[float, float]:
     cost += np.sum(wv * (v - nv_closed(b, g, p)) ** 2, axis=2)
     i, j = np.unravel_index(int(cost.argmin()), cost.shape)
     return float(betas[i]), float(gammas[j])
+
+
+def full_rss(data, weighting, beta1, gamma) -> float:
+    """Weighted residual sum of squares against the closed forms at every phi."""
+    phis, h, v, wh, wv = weighted_channels(data, weighting)
+    return float(np.sum(wh * (h - nh_closed(beta1, gamma, phis)) ** 2)
+                 + np.sum(wv * (v - nv_closed(beta1, gamma, phis)) ** 2))
 
 
 class TestSimulateMeasurement:
@@ -299,6 +310,56 @@ class TestFit:
             on_grid = result.residual_sum_sq < 1e-24
             assert result.converged == on_grid
 
+    @given(
+        beta1=st.one_of(st.floats(0.0, 1.0), st.just(0.0),
+                        st.integers(0, 20).map(lambda k: k * GRID_BETA_STEP)),
+        gamma=st.one_of(st.floats(0.0, TWO_PI, exclude_max=True),
+                        st.integers(0, GRID_GAMMA_POINTS - 1).map(
+                            lambda k: k * (TWO_PI / GRID_GAMMA_POINTS))),
+        shots=st.sampled_from([None, 10**3, 10**6]),
+        weighting=st.sampled_from(["equal", "inverse_variance"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_grid_score_is_the_brute_force_search(self, beta1, gamma, shots, weighting, seed):
+        # noiseless data (shots None) have no counts to weight by
+        assume(shots is not None or weighting == "equal")
+        scan = oracle_scan(beta1, gamma)
+        data = scan if shots is None else simulate_measurement(scan, shots=shots, seed=seed)
+        # with no evaluation left for the refinement, fit returns its grid node
+        with mock.patch.object(estimation, "MAX_REFINE_EVALS", 1):
+            result = fit(data, weighting=weighting)
+        node = brute_force_grid_node(data, weighting)
+        assert (result.beta1_hat, result.gamma_hat) == node
+        expected = full_rss(data, weighting, *node)
+        if shots is None and expected < 1e-24:  # noiseless data on a node
+            assert result.residual_sum_sq < 1e-24
+        else:
+            # each weighted residual is rounded at the level of the weighted
+            # data, which bounds the difference where the residuals are tiny
+            phis, h, v, wh, wv = weighted_channels(data, weighting)
+            scale = float(np.sum(wh * h ** 2) + np.sum(wv * v ** 2))
+            floor = 1e-14 * math.sqrt(expected * scale)
+            assert result.residual_sum_sq == pytest.approx(expected, rel=1e-12, abs=floor)
+
+    def test_fit_never_evaluates_the_transcribed_forms(self, monkeypatch):
+        # after whitening, fit reads the data through its sufficient
+        # statistics and the model through _harmonics alone
+        expectations = [oracle_scan(0.35, 2.0), oracle_scan(0.6, 15 * TWO_PI / 72),
+                        oracle_scan(0.8, 1.0, forms=EVOLUTION)]
+        counts = [simulate_measurement(scan, shots=100_000, seed=4) for scan in expectations]
+
+        def transcribed(*args):
+            raise AssertionError("fit evaluated a transcribed form")
+
+        for module in (reference, estimation):
+            for name in ("nh_closed", "nv_closed"):
+                monkeypatch.setattr(module, name, transcribed, raising=False)
+        for data in expectations:
+            fit(data)
+        for data in counts:
+            fit(data)
+            fit(data, weighting="inverse_variance")
+
     def test_refinement_budget_exhausted_is_not_converged(self, monkeypatch):
         monkeypatch.setattr(estimation, "MAX_REFINE_EVALS", 3)
         noisy = simulate_measurement(oracle_scan(0.8, 0.5), shots=100_000, seed=5)
@@ -349,6 +410,26 @@ class TestFit:
         line = result.summary()
         assert line.startswith("beta1=0.6 ")
         assert "converged=true" in line
+
+
+class TestHarmonics:
+    def test_basis_expansion_is_the_transcribed_forms(self):
+        rng = np.random.default_rng(15)
+        betas = np.concatenate(([0.0, 1.0, 0.0, 1.0], rng.uniform(0.0, 1.0, 60)))
+        gammas = rng.uniform(-TWO_PI, 2.0 * TWO_PI, betas.size)
+        phis = rng.uniform(-TWO_PI, 2.0 * TWO_PI, 50)
+        basis = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+        for beta1, gamma in zip(betas, gammas):
+            model = _harmonics(float(beta1), float(gamma)) @ basis
+            assert np.max(np.abs(model[0] - nh_closed(beta1, gamma, phis))) <= 1e-15
+            assert np.max(np.abs(model[1] - nv_closed(beta1, gamma, phis))) <= 1e-15
+        # arrays of (beta1, gamma), as the grid uses them, give the scalars'
+        # coefficients
+        stacked = _harmonics(betas, gammas)
+        assert stacked.shape == (2, 3, betas.size)
+        for k in range(betas.size):
+            scalar = _harmonics(float(betas[k]), float(gammas[k]))
+            assert np.max(np.abs(stacked[..., k] - scalar)) <= 1e-15
 
 
 class TestModelRejection:
