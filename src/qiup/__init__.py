@@ -2,9 +2,9 @@
 
 A sparse evolution engine for a two-photon state moving through wave plates,
 beamsplitters, dichroic mirrors and an interferometer stage; a small circuit
-DSL with a built-in two-source preset; closed-form reference counts; and a
-calibration/fit protocol for recovering the beam-preparation parameters from
-fringe data.
+DSL with a built-in two-source preset; closed-form reference counts; a
+fringe-visibility readout; and a fit that recovers the beam-preparation
+parameters from fringe data.
 """
 from .modes import Band, Mode, ModePair, Polarization, SourceTag
 from .state import BiphotonState, SourceSpec, initial_state
@@ -44,10 +44,8 @@ from .reference import (
     visibility_closed,
 )
 from .estimation import (
-    CalibrationRecord,
     FitResult,
     NoisyScan,
-    calibrate,
     fit,
     infer_alpha1,
     simulate_measurement,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Band",
     "BiphotonState",
-    "CalibrationRecord",
     "CircuitPlan",
     "CountResult",
     "FitResult",
@@ -82,7 +79,6 @@ __all__ = [
     "apply_merge",
     "apply_phase",
     "apply_waveplate",
-    "calibrate",
     "compile_text",
     "conditional_state",
     "counts",

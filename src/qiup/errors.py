@@ -14,10 +14,6 @@ class PreparationConflictError(ValueError):
     """Beam preparation hit a path that already carries an H component."""
 
 
-class SparseScanError(ValueError):
-    """A fringe scan is too sparse to calibrate (code E_SPARSE_SCAN)."""
-
-
 class DataFormatError(ValueError):
     """A data file does not match the documented CSV layout."""
 

@@ -1,7 +1,9 @@
-"""Measurement protocol: shot-noise simulation, calibration and fringe fits.
+"""Measurement protocol: shot-noise simulation and the fringe fit.
 
-The fit inverts the reference closed forms (:mod:`qiup.reference`) over
-the two free beam parameters: the vertical amplitude and its relative phase.
+The fringe visibility of a scan is read by :func:`qiup.observables.visibility`;
+:func:`fit` is the one estimator of the beam parameters.  It inverts the
+reference closed forms (:mod:`qiup.reference`) over the two free beam
+parameters: the vertical amplitude and its relative phase.
 The horizontal amplitude is never observed directly; it is inferred from the
 normalization constraint afterwards.
 
@@ -30,13 +32,12 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import DataFormatError, QiupWarning, SparseScanError
+from .errors import DataFormatError
 from .observables import CountResult, FringeScan
 
 TWO_PI = 2.0 * math.pi
@@ -77,22 +78,6 @@ class NoisyScan:
             raise ValueError("shots must be a positive integer")
         if not all(b > a for a, b in zip(self.phis, self.phis[1:])):  # NaN fails
             raise ValueError("scan grid must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class CalibrationRecord:
-    phi_at_max_v: float
-    v_max: float
-    v_min: float
-
-    def __post_init__(self) -> None:
-        if not (self.v_max >= self.v_min >= 0.0):
-            raise ValueError("calibration extrema must satisfy v_max >= v_min >= 0")
-
-    @property
-    def visibility(self) -> float:
-        total = self.v_max + self.v_min
-        return 0.0 if total == 0.0 else (self.v_max - self.v_min) / total
 
 
 @dataclass(frozen=True)
@@ -150,29 +135,6 @@ def _channels(data: ScanLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         h = data.column("h")
         v = data.column("v")
     return phis, h, v
-
-
-def calibrate(data: ScanLike) -> CalibrationRecord:
-    """Locate the vertical-channel fringe maximum on a gamma = 0 scan.
-
-    Requires at least 16 points covering a full fringe period; ties resolve
-    to the smallest phi.  A flat channel calibrates nowhere and only warns.
-    """
-    phis, _, v = _channels(data)
-    if len(phis) < 16:
-        raise SparseScanError(
-            f"E_SPARSE_SCAN: calibration needs >= 16 points, got {len(phis)}"
-        )
-    v_max, v_min = float(v.max()), float(v.min())
-    if v_max - v_min <= 1e-12 * max(v_max, 1.0):
-        warnings.warn(
-            "vertical channel is flat; fringe maximum is degenerate",
-            QiupWarning,
-            stacklevel=2,
-        )
-    return CalibrationRecord(
-        phi_at_max_v=float(phis[int(v.argmax())]), v_max=v_max, v_min=v_min
-    )
 
 
 #: The reference forms are linear in the features (1, b, b^2, b cos gamma,

@@ -39,7 +39,7 @@ def nv_closed(beta1, gamma, phi):
 
 
 def visibility_closed(beta1):
-    """Fringe visibility of the vertical channel after gamma = 0 calibration."""
+    """Fringe visibility of the vertical channel at gamma = 0."""
     _check_beta1(beta1)
     return 4.0 * np.asarray(beta1) / 5.0
 

@@ -84,13 +84,11 @@ def regime_params(beta1: float, gamma: float) -> dict[str, float]:
 def run_verification(
     phi_points: int = DEFAULT_PHI_POINTS,
     bs_convention: str = "symmetric",
-    betas: tuple[float, ...] = DEFAULT_BETAS,
-    gammas: tuple[float, ...] = DEFAULT_GAMMAS,
 ) -> VerificationReport:
     start = time.perf_counter()
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
     vis_phis = np.linspace(0.0, 2.0 * math.pi, max(phi_points, 256), endpoint=False)
-    count_cells = [(beta1, gamma) for beta1 in betas for gamma in gammas]
+    count_cells = [(beta1, gamma) for beta1 in DEFAULT_BETAS for gamma in DEFAULT_GAMMAS]
     vis_cells = [(beta1, 0.0) for beta1 in VISIBILITY_BETAS]
 
     # one batched run: every cell at the harmonic sample values of phi

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -408,14 +409,19 @@ print(json.dumps(report))
 """
 
 
-def cold_cli(commands):
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def cold_cli(commands):
     proc = subprocess.run(
         [sys.executable, "-c", COLD_SCRIPT], input=json.dumps(commands),
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -452,6 +458,47 @@ class TestColdImport:
         data = oracle_csv(tmp_path, beta1=0.6, gamma=0.0)
         [[code, out, loaded]] = cold_cli([["fit", str(data)]])
         assert code == 0 and out.startswith("beta1=0.6 gamma=0 ") and not loaded
+
+
+def qiup_imports(path):
+    """Every import statement of a Python file that names qiup, as source text."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[0] == "qiup" for name in names):
+            yield ast.unparse(node)
+
+
+class TestBenchmarkImportContract:
+    """What perfbench's traced run reads from the package: a change that
+    breaks it fails here, not only in a benchmark run."""
+
+    def test_cold_import_lists_qiup_and_estimation(self):
+        # perfbench/worker.py import_times reads both entries
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", "import qiup"],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = {line.rsplit("|", 1)[-1].strip()
+                 for line in proc.stderr.splitlines() if line.count("|") == 2}
+        assert {"qiup", "qiup.estimation"} <= names
+
+    def test_backend_name_is_a_string(self):
+        # perfbench/worker.py environment() records it
+        from qiup import backend
+        assert isinstance(backend.name, str)
+
+    @pytest.mark.parametrize("script", ["worker.py", "selftest.py"])
+    def test_every_imported_name_resolves(self, script):
+        statements = list(qiup_imports(REPO_ROOT / "perfbench" / script))
+        assert statements
+        for statement in statements:
+            exec(statement, {})
 
 
 class TestVerify:

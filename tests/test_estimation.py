@@ -7,17 +7,15 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qiup import estimation, reference
-from qiup.errors import DataFormatError, QiupWarning, SparseScanError
+from qiup.errors import DataFormatError
 from qiup.estimation import (
     GRID_BETA_STEP,
     GRID_GAMMA_POINTS,
     MAX_REFINE_EVALS,
     MODEL_RMS_TOL,
     REFINE_TOL,
-    CalibrationRecord,
     FitResult,
     NoisyScan,
-    calibrate,
     fit,
     format_counts_csv,
     infer_alpha1,
@@ -173,37 +171,6 @@ class TestNoisyScan:
     def test_phi_must_increase(self, phis):
         with pytest.raises(ValueError, match="strictly increasing"):
             NoisyScan(phis, (1, 1, 1), (1, 1, 1), shots=10, seed=0)
-
-
-class TestCalibrate:
-    def test_noiseless_reference(self):
-        record = calibrate(oracle_scan(1.0, 0.0))
-        assert record.phi_at_max_v == pytest.approx(0.0, abs=1e-15)
-        assert record.visibility == pytest.approx(0.8, abs=1e-3)
-
-    def test_sparse_scan_rejected(self):
-        with pytest.raises(SparseScanError, match="E_SPARSE_SCAN"):
-            calibrate(oracle_scan(1.0, 0.0, points=15))
-
-    def test_flat_fringe_warns(self):
-        with pytest.warns(QiupWarning):
-            record = calibrate(oracle_scan(0.0, 0.0))
-        assert record.visibility == pytest.approx(0.0, abs=1e-12)
-
-    def test_noisy_max_within_one_grid_step(self):
-        scan = oracle_scan(1.0, 0.0)
-        step = TWO_PI / 64
-        hits = 0
-        for seed in range(20):
-            noisy = simulate_measurement(scan, shots=100_000, seed=seed)
-            record = calibrate(noisy)
-            if circular_distance(record.phi_at_max_v, 0.0) <= step + 1e-12:
-                hits += 1
-        assert hits >= 18
-
-    def test_record_invariant(self):
-        with pytest.raises(ValueError):
-            CalibrationRecord(0.0, v_max=0.1, v_min=0.2)
 
 
 class TestFit:
