@@ -1,17 +1,36 @@
-"""Detection-path counts, conditional states, fringe scans and visibility."""
+"""Detection-path counts, conditional states, fringe scans and visibility.
+
+Sweeps read a count tensor.  Every detected count is a trigonometric
+polynomial of low degree in each free angle, and in ``chi`` for a
+preparation whose ``(alpha, beta) = (cos chi, sin chi)`` pair is free, so its
+values at a product grid of ``2D + 1`` nodes per parameter fix it everywhere.
+The first sweep of a circuit runs it once over that grid, for every free
+parameter at once; every later sweep of the circuit, at any bound values and
+on any grid, contracts the cached tensor and runs nothing.
+"""
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .dsl import ParamRef, PrepareStmt
+from .elements import PreparationSpec
 from .errors import QiupWarning
 from .modes import Band
-from .plan import CircuitPlan, PlanError, run_plan
+from .plan import CircuitPlan, PlanError, _resolve, run_plan
 from .state import BiphotonState
+
+#: The most members the count tensor's product grid may hold; a circuit with
+#: a larger grid runs once per sweep instead.
+TENSOR_MAX_MEMBERS = 8192
+#: How many circuits keep their count tensors.
+TENSOR_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -85,11 +104,11 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
     any run.  Every other free parameter must already be bound to a scalar (an
     array binding raises ``E_BATCH_SHAPE``).  Records come back in grid order.
 
-    The plan runs once, as one batch: the ``2D + 1`` harmonic samples of
-    :func:`harmonic_coefficients`, whose series is then summed at every grid
-    point, whatever the grid's length or range.  For fig1 the batch holds 3
-    values for ``phi``, 3 for ``gamma`` and 9 for ``theta``.  An empty grid
-    makes no run.
+    The counts come from :func:`harmonic_coefficients`, whose series is
+    summed at every grid point, whatever the grid's length or range: the
+    first scan of a circuit runs it once, over the product grid of its count
+    tensor, and later scans of that circuit run nothing.  An empty grid makes
+    no run.
     """
     batched = sorted(k for k, v in plan.bindings.items() if isinstance(v, np.ndarray))
     if batched:
@@ -128,33 +147,228 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
 
     Each count is ``c_0 + 2 Re sum_m c_m e^{i m f x}`` over harmonics
     m = 0..D, with the frequency f and the degree D of
-    :meth:`CircuitPlan.harmonic_degree`.  The sweep is bound to the
-    ``2D + 1`` equispaced values ``2*pi*j/((2D + 1)*f)``, which fix the
-    series exactly, and the plan runs once; ``c`` holds the ``rfft``
-    coefficients, shape (2, D + 1) over the H and V channels.
+    :meth:`CircuitPlan.harmonic_degree`.  The counts at the ``2D + 1``
+    equispaced values ``2*pi*j/((2D + 1)*f)`` fix the series exactly; ``c``
+    holds their ``rfft`` coefficients, shape (2, D + 1) over the H and V
+    channels.  When other parameters are bound to arrays of C cells, ``c``
+    has shape (2, C, D + 1), one series per cell.
 
-    When other parameters are bound to arrays of C cells, each cell is
-    repeated across the samples, cell-major, in the same single run, and
-    ``c`` has shape (2, C, D + 1).  A name that is not free raises
-    ``E_UNKNOWN_PARAM``; one that sets a preparation's ``alpha`` or ``beta``
-    raises ``ValueError``, since the counts are no such series in it.
+    Those counts come from the circuit's count tensor: the counts at a
+    product grid of nodes over every free parameter, from one batched run of
+    the unbound circuit, kept for the last :data:`TENSOR_CACHE_SIZE` circuits
+    (keyed by sources, pipeline, detect path and band and splitter
+    convention).  Each count is a trigonometric polynomial in every angle,
+    and in ``chi`` for a preparation whose ``alpha`` and ``beta`` are two
+    ``$`` names used nowhere else, with ``(alpha, beta) = (cos chi, sin
+    chi)``; interpolation weights at the bound values contract every axis
+    but the sweep's.  A pair is evaluated on the unit circle, at
+    ``(alpha, beta) / sqrt(alpha^2 + beta^2)``: one off it by eps (at most
+    1e-10 passes the checks) may differ from a run by about eps times the
+    coefficients.  A circuit without a tensor (a free name that is neither, a grid
+    above :data:`TENSOR_MAX_MEMBERS` members, or a run over the grid that
+    raises or warns) runs once per call instead, with the sweep bound to
+    its ``2D + 1`` values and each cell repeated across them, cell-major.
+    A circuit with a tensor does not repeat the warning of a run whose
+    splitter input cancels at the bound values alone.
+
+    The checks of a run hold whichever way the counts come: a name that is
+    not free raises ``E_UNKNOWN_PARAM``; one that sets a preparation's
+    ``alpha`` or ``beta`` raises ``ValueError``, since the counts are no
+    such series in it; a free name left unbound raises ``E_UNBOUND_PARAM``;
+    and each preparation checks its bound amplitudes and phase, naming the
+    failing cell.
     """
     frequency, degree = _harmonics(plan, sweep)
-    n = 2 * degree + 1
-    samples = 2.0 * math.pi * np.arange(n) / (n * frequency)
-    cells = {k: v for k, v in plan.bindings.items()
-             if isinstance(v, np.ndarray) and k != sweep}
-    size = len(next(iter(cells.values()))) if cells else 1
-    bound = {k: np.repeat(v, n) for k, v in cells.items()}
-    bound[sweep] = np.tile(samples, size)
-    state = run_plan(plan.bind(bound))
-    counts = np.empty((2, size * n))
-    # a channel that no batched amplitude reaches comes back as one float
-    counts[0], counts[1] = state.counts_at(plan.detect_path, plan.detect_band)
+    _check_bindings(plan, sweep)
+    tensor = _count_tensor(_structure(plan))
+    if tensor is None:
+        counts = _sample(plan, [_angle_axis(sweep, frequency, degree)])
+    else:
+        counts = tensor.at_sweep_nodes(plan.bindings, sweep)
     # rfft of n > 2*degree samples gives n * c_m for harmonics m = 0..degree
     # without aliasing
-    coeffs = np.fft.rfft(counts.reshape(2, size, n), axis=-1) / n
+    coeffs = np.fft.rfft(counts, axis=-1) / (2 * degree + 1)
+    cells = any(isinstance(v, np.ndarray) for k, v in plan.bindings.items() if k != sweep)
     return frequency, coeffs if cells else coeffs[:, 0]
+
+
+def _check_bindings(plan: CircuitPlan, sweep: str) -> None:
+    """Raise what a run of ``plan`` would raise on its bound values, in
+    pipeline order: ``E_UNBOUND_PARAM`` for a name other than ``sweep`` left
+    unbound, and each preparation's :class:`PreparationSpec` checks."""
+    bindings = dict(plan.bindings)
+    bindings[sweep] = 0.0  # bound to its samples in every run
+    for stmt in plan.pipeline:
+        if isinstance(stmt, PrepareStmt):
+            PreparationSpec(
+                alpha=_resolve(stmt.alpha, bindings, False),
+                beta=_resolve(stmt.beta, bindings, False),
+                rel_phase=_resolve(stmt.gamma, bindings, True),
+            )
+        else:
+            for value in stmt.values():
+                _resolve(value, bindings, True)
+
+
+@dataclass(frozen=True, eq=False)
+class _Axis:
+    """One axis of the count tensor: the names it binds (an angle, or a
+    preparation's ``alpha`` and ``beta``) and their values at its nodes, one
+    row per name.  The counts are a trigonometric polynomial of degree D in
+    t, which is f*x for an angle x and chi for a pair, with ``2D + 1`` nodes
+    ``angles`` in t."""
+
+    names: tuple[str, ...]
+    nodes: np.ndarray
+    frequency: int  # an angle's f; 0 for a pair
+    angles: np.ndarray
+    denominators: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.angles)
+
+    def weights(self, bindings) -> np.ndarray:
+        """(C or 1, n): the counts at the bound values are these weights
+        times the counts at the nodes, from the trigonometric Lagrange basis
+        prod_{k != j} sin((t - t_k)/2) / sin((t_j - t_k)/2), which is exact
+        at the nodes."""
+        if self.frequency:
+            t = self.frequency * np.asarray(bindings[self.names[0]])
+        else:
+            alpha, beta = (bindings[name] for name in self.names)
+            t = np.arctan2(beta, alpha)
+        weights = _sine_products(t, self.angles) / self.denominators
+        return weights.reshape(-1, len(self))
+
+
+def _sine_products(t, angles: np.ndarray) -> np.ndarray:
+    """prod_{k != j} sin((t - t_k)/2) over the nodes t_k = ``angles``, for
+    each j: shape (..., n)."""
+    half = np.sin((np.asarray(t)[..., None] - angles) / 2.0)
+    others = np.where(np.eye(len(angles), dtype=bool), 1.0, half[..., None, :])
+    return others.prod(axis=-1)
+
+
+def _axis(names: tuple[str, ...], nodes: np.ndarray, frequency: int,
+          angles: np.ndarray) -> _Axis:
+    denominators = np.diagonal(_sine_products(angles, angles)).copy()
+    for array in (nodes, angles, denominators):
+        array.flags.writeable = False
+    return _Axis(names, nodes, frequency, angles, denominators)
+
+
+def _angle_axis(name: str, frequency: int, degree: int) -> _Axis:
+    """The ``2D + 1`` equispaced values ``2*pi*j/((2D + 1)*f)``."""
+    n = 2 * degree + 1
+    angles = 2.0 * math.pi * np.arange(n) / n
+    return _axis((name,), angles[None] / frequency, frequency, angles)
+
+
+def _pair_axis(alpha: str, beta: str) -> _Axis:
+    """chi_j = j*pi/8, j = 0..4: a pair's counts have degree 2 in chi (a
+    constant, a linear part from the cross term with the other source and a
+    quadratic part from its own), and alpha, beta >= 0 puts chi in
+    [0, pi/2]."""
+    chi = np.arange(5) * (math.pi / 8)
+    return _axis((alpha, beta), np.array([np.cos(chi), np.sin(chi)]), 0, chi)
+
+
+def _sample(plan: CircuitPlan, axes: list[_Axis]) -> np.ndarray:
+    """Detect-path counts from one batched run of ``plan`` over the product
+    grid of the axes' nodes, shape (2, C, n_1, ..., n_K).
+
+    Axis k's node index varies along grid dimension k, and each of the C
+    cells bound to arrays (C = 1 without) is repeated across the grid,
+    cell-major.
+    """
+    shape = tuple(len(axis) for axis in axes)
+    swept = {name for axis in axes for name in axis.names}
+    cells = {k: v for k, v in plan.bindings.items()
+             if isinstance(v, np.ndarray) and k not in swept}
+    size = len(next(iter(cells.values()))) if cells else 1
+    grid = math.prod(shape)
+    bound = {k: np.repeat(v, grid) for k, v in cells.items()}
+    for axis, index in zip(axes, np.indices(shape).reshape(len(shape), -1)):
+        for name, row in zip(axis.names, axis.nodes):
+            bound[name] = np.tile(row[index], size)
+    state = run_plan(plan.bind(bound))
+    counts = np.empty((2, size * grid))
+    # a channel that no batched amplitude reaches comes back as one float
+    counts[0], counts[1] = state.counts_at(plan.detect_path, plan.detect_band)
+    return counts.reshape(2, size, *shape)
+
+
+@dataclass(frozen=True, eq=False)
+class _CountTensor:
+    """Detect-path counts at the product grid of ``axes``' nodes, shape
+    (2, n_1, ..., n_K), read-only."""
+
+    axes: tuple[_Axis, ...]
+    counts: np.ndarray
+
+    def at_sweep_nodes(self, bindings, sweep: str) -> np.ndarray:
+        """(2, C or 1, n_sweep): the counts at the sweep axis's nodes, every
+        other axis contracted with its weights at the bound values."""
+        at = next(k for k, axis in enumerate(self.axes) if axis.names == (sweep,))
+        # the longest axes first, which leaves the least to contract after
+        # the cells come in
+        others = sorted((k for k in range(len(self.axes)) if k != at),
+                        key=lambda k: -len(self.axes[k]))
+        values = self.counts.transpose([0, *(k + 1 for k in others), at + 1])
+        values = values.reshape(2, 1, -1)  # (channel, cell, nodes)
+        for k in others:
+            weights = self.axes[k].weights(bindings)
+            rows = values.reshape(2, values.shape[1], weights.shape[1], -1)
+            # one product for every cell, until cells come in; then per cell
+            values = (weights @ rows[:, 0] if values.shape[1] == 1
+                      else weights[:, None, :] @ rows)
+        return values.reshape(2, -1, len(self.axes[at]))
+
+
+def _structure(plan: CircuitPlan) -> tuple:
+    """What the counts depend on besides the bindings."""
+    return (plan.sources, plan.pipeline, plan.detect_path, plan.detect_band,
+            plan.bs_convention)
+
+
+@functools.lru_cache(maxsize=TENSOR_CACHE_SIZE)
+def _count_tensor(structure: tuple) -> _CountTensor | None:
+    """The count tensor of the circuit with this structure, or ``None``
+    where it has none (see :func:`harmonic_coefficients`)."""
+    sources, pipeline, detect_path, detect_band, bs_convention = structure
+    uses = Counter(value.name for stmt in pipeline for value in stmt.values()
+                   if isinstance(value, ParamRef))
+    plan = CircuitPlan(sources, pipeline, detect_path, detect_band,
+                       frozenset(uses), {}, bs_convention)
+    pairs = {}
+    for stmt in pipeline:
+        if isinstance(stmt, PrepareStmt):
+            alpha, beta = stmt.alpha, stmt.beta
+            if (isinstance(alpha, ParamRef) and isinstance(beta, ParamRef)
+                    and uses[alpha.name] == uses[beta.name] == 1):
+                pairs[alpha.name] = pairs[beta.name] = _pair_axis(alpha.name, beta.name)
+    axes = []
+    for name in uses:  # in order of first use
+        if name in pairs:
+            if pairs[name].names[0] == name:
+                axes.append(pairs[name])
+            continue
+        harmonics = plan.harmonic_degree(name)
+        if harmonics is None:
+            return None
+        axes.append(_angle_axis(name, *harmonics))
+    if math.prod(len(axis) for axis in axes) > TENSOR_MAX_MEMBERS:
+        return None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            counts = _sample(plan, axes)[:, 0]
+        except ValueError:  # a PlanError, a PreparationConflictError, ...
+            return None
+    if caught:
+        return None
+    counts.flags.writeable = False
+    return _CountTensor(tuple(axes), counts)
 
 
 def harmonic_series(coeffs: np.ndarray, frequency: int, grid) -> np.ndarray:

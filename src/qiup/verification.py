@@ -8,11 +8,12 @@ absolute deviations of the engine counts from both closed-form families in
 gamma = 0.
 
 Every cell's counts are a first-order trigonometric series in phi, so the
-whole comparison is one batched run of the circuit: the (beta1, gamma) count
-cells and the visibility cells are bound as arrays and
-:func:`qiup.observables.harmonic_coefficients` runs each of them at the
-2D + 1 = 3 harmonic sample values of phi.  The series is then summed on the
-count grid and on the finer visibility grid.
+(beta1, gamma) count cells and the visibility cells are bound as arrays and
+:func:`qiup.observables.harmonic_coefficients` gives each cell's series from
+its counts at the 2D + 1 = 3 harmonic sample values of phi.  Those come from
+the circuit's count tensor, which the first comparison in a process builds
+in one batched run and later ones reuse without running the circuit.  The
+series is then summed on the count grid and on the finer visibility grid.
 """
 from __future__ import annotations
 
@@ -91,7 +92,7 @@ def run_verification(
     count_cells = [(beta1, gamma) for beta1 in DEFAULT_BETAS for gamma in DEFAULT_GAMMAS]
     vis_cells = [(beta1, 0.0) for beta1 in VISIBILITY_BETAS]
 
-    # one batched run: every cell at the harmonic sample values of phi
+    # every cell's counts at the harmonic sample values of phi
     cells = [regime_params(beta1, gamma) for beta1, gamma in count_cells + vis_cells]
     plan = fig1_preset({name: np.array([cell[name] for cell in cells])
                         for name in FIG1_PARAMETERS})

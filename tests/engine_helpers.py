@@ -1,6 +1,8 @@
 """Engine-side pipeline building blocks shared across test modules."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from qiup import (
@@ -88,8 +90,13 @@ def manual_fig1(*args, **kwargs) -> BiphotonState:
 
 
 def record_runs(monkeypatch) -> list[dict]:
-    """The bindings of every run_plan call that observables makes from now on."""
+    """The bindings of every run_plan call that observables makes from now on.
+
+    The count tensors built so far are dropped, so that the next scan of a
+    circuit builds its tensor again, and the record shows that run.
+    """
     calls = []
+    observables._count_tensor.cache_clear()
 
     def recording_run_plan(plan):
         calls.append(plan.bindings)
@@ -97,3 +104,29 @@ def record_runs(monkeypatch) -> list[dict]:
 
     monkeypatch.setattr(observables, "run_plan", recording_run_plan)
     return calls
+
+
+def fig1_tensor_grid() -> dict[str, np.ndarray]:
+    """The bindings of fig1's count-tensor run: a product grid over chi1
+    (5 nodes j*pi/8, with alpha1, beta1 = cos, sin), gamma (3 nodes
+    2*pi*j/3), chi2 (5), phi (3) and theta (9 nodes pi*j/9), the last
+    varying fastest: 2025 members."""
+    chi = np.arange(5) * (math.pi / 8)
+    third = 2.0 * math.pi * np.arange(3) / 3
+    chi1, gamma, chi2, phi, theta = (
+        grid.ravel()
+        for grid in np.meshgrid(chi, third, chi, third, math.pi * np.arange(9) / 9,
+                                indexing="ij")
+    )
+    return {"alpha1": np.cos(chi1), "beta1": np.sin(chi1), "gamma": gamma,
+            "alpha2": np.cos(chi2), "beta2": np.sin(chi2), "phi": phi, "theta": theta}
+
+
+def assert_fig1_tensor_run(calls: list[dict]) -> None:
+    """``calls`` (from :func:`record_runs`) is the one run of fig1's count
+    tensor."""
+    assert len(calls) == 1
+    want = fig1_tensor_grid()
+    assert sorted(calls[0]) == sorted(want)
+    for name, values in want.items():
+        np.testing.assert_allclose(calls[0][name], values, rtol=0, atol=1e-15)

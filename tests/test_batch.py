@@ -2,9 +2,11 @@
 
 Each member of a batched run must equal its own scalar run, every guard must
 hold member by member (NaN included), ``run_verification`` runs the plan
-once, and ``==`` and ``serialize`` handle a batched state.
+once (its first call builds fig1's count tensor), and ``==`` and
+``serialize`` handle a batched state.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from qiup.plan import (
     run_plan,
 )
 from qiup.state import BiphotonState, SourceSpec, initial_state
-from engine_helpers import record_runs
+from engine_helpers import assert_fig1_tensor_run, record_runs
 from test_observables import FIG1_VARIANTS, fig1_variant, with_options
 from test_state import angles, apply_op, assert_same_observables, bands, ops, states, su2
 
@@ -228,24 +230,27 @@ class TestBatchedGuards:
 
 
 class TestOneRun:
+    """``run_verification`` builds fig1's count tensor in its first call and
+    runs nothing after, whatever the grid."""
+
     def test_verification_runs_the_plan_once(self, monkeypatch):
         calls = record_runs(monkeypatch)
         report = verification.run_verification()
-        assert [len(c["phi"]) for c in calls] == [(88 + 5) * 3]
+        assert_fig1_tensor_run(calls)
         assert report.grid_points == 88 * 64
+        calls.clear()
+        again = verification.run_verification()
+        assert calls == []
+        assert replace(again, elapsed_seconds=0.0) == replace(report, elapsed_seconds=0.0)
 
     def test_short_verification_grid_runs_one_batch(self, monkeypatch):
         calls = record_runs(monkeypatch)
         for phi_points in (1, 2, 3):
-            calls.clear()
             report = verification.run_verification(phi_points=phi_points)
-            assert [len(c["phi"]) for c in calls] == [(88 + 5) * 3]
-            np.testing.assert_allclose(
-                calls[0]["phi"][:3], TWO_PI * np.arange(3) / 3, rtol=0, atol=1e-15
-            )
             assert report.grid_points == 88 * phi_points
             assert report.max_dev_nh_evolution < 1e-12
             assert report.max_dev_nv_evolution < 1e-12
+        assert_fig1_tensor_run(calls)
 
 
 class TestBatchedInspection:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import dense_model
-from engine_helpers import manual_fig1, record_runs
-from qiup.errors import QiupWarning
+from engine_helpers import assert_fig1_tensor_run, manual_fig1, record_runs
+from qiup.errors import PreparationConflictError, QiupWarning
 from qiup.estimation import read_counts_csv
 from qiup.modes import Band, Mode, ModePair, Polarization, SourceTag
 from qiup.observables import (
@@ -248,45 +248,50 @@ class TestHarmonicScan:
             )
 
     def test_runs_only_the_sample_points(self, monkeypatch):
+        # the first scan of a circuit runs it once, at its count tensor's
+        # nodes: each angle's 2D + 1 samples, and 5 values of each alpha/beta
+        # pair; later scans of that circuit run nothing
         calls = record_runs(monkeypatch)
         fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "phi", FULL_PERIOD)
-        assert len(calls) == 1
-        np.testing.assert_allclose(
-            calls[0]["phi"], [0.0, 2 * math.pi / 3, 4 * math.pi / 3], rtol=0, atol=1e-15
-        )
+        assert_fig1_tensor_run(calls)
         calls.clear()
         fringe_scan(both_bands_plan(), "phi", FULL_PERIOD)
         assert len(calls) == 1
-        np.testing.assert_allclose(
-            calls[0]["phi"], 2 * math.pi * np.arange(5) / 5, rtol=0, atol=1e-15
-        )
+        # phi (phase band=both): 5 samples 2*pi*j/5; theta (hwp band=signal):
+        # 5 samples pi*j/5
+        phi, theta = np.meshgrid(2 * math.pi * np.arange(5) / 5,
+                                 math.pi * np.arange(5) / 5, indexing="ij")
+        np.testing.assert_allclose(calls[0]["phi"], phi.ravel(), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(calls[0]["theta"], theta.ravel(), rtol=0, atol=1e-15)
+        calls.clear()
+        fringe_scan(fig1_preset(general_fig1_params(np.random.default_rng(2))),
+                    "theta", PARTIAL_GRID)
+        fringe_scan(both_bands_plan().bind({"theta": 1.2}), "phi", PARTIAL_GRID)
+        assert calls == []
 
     @staticmethod
-    def assert_short_grids_make_one_harmonic_run(plan, samples, monkeypatch):
+    def assert_short_grids_make_one_harmonic_run(plan, members, monkeypatch):
         calls = record_runs(monkeypatch)
         for grid in ([2.5], [0.2, 4.0], [0.2, 1.0, 2.5], [0.2, 1.0, 2.5, 4.0]):
-            calls.clear()
             got = scan_columns(fringe_scan(plan, "phi", grid))
-            assert len(calls) == 1
-            np.testing.assert_allclose(
-                calls[0]["phi"], 2 * math.pi * np.arange(samples) / samples,
-                rtol=0, atol=1e-15,
-            )
             np.testing.assert_allclose(
                 got, loop_scan(plan, "phi", grid), rtol=0, atol=1e-12
             )
+        # the first grid's scan builds the count tensor; the others run nothing
+        assert [len(c["phi"]) for c in calls] == [members]
 
     def test_grid_shorter_than_sample_count_makes_one_harmonic_run(self, monkeypatch):
-        self.assert_short_grids_make_one_harmonic_run(both_bands_plan(), 5, monkeypatch)
+        self.assert_short_grids_make_one_harmonic_run(both_bands_plan(), 25, monkeypatch)
 
     def test_short_fig1_grid_makes_one_harmonic_run(self, monkeypatch):
         fig1 = fig1_preset(general_fig1_params(np.random.default_rng(5)))
-        self.assert_short_grids_make_one_harmonic_run(fig1, 3, monkeypatch)
+        self.assert_short_grids_make_one_harmonic_run(fig1, 2025, monkeypatch)
 
     def test_empty_grid_makes_no_run(self, monkeypatch):
         calls = record_runs(monkeypatch)
         scan = fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "phi", [])
         assert calls == [] and scan.phis == () and scan.records == ()
+        assert observables._count_tensor.cache_info().currsize == 0
 
     @pytest.mark.parametrize("bs_convention", ["symmetric", "hadamard"])
     @pytest.mark.parametrize("merge_enabled", [True, False])
@@ -328,19 +333,15 @@ class TestHarmonicScan:
         )
 
     def test_angle_sweeps_run_only_the_sample_points(self, monkeypatch):
+        # theta's 9 samples pi*j/9 and gamma's 3 samples 2*pi*j/3 are axes of
+        # the one tensor run, which the second sweep reuses
         calls = record_runs(monkeypatch)
         plan = fig1_preset(general_fig1_params(np.random.default_rng(3)))
         fringe_scan(plan, "theta", FULL_PERIOD)
-        assert len(calls) == 1
-        np.testing.assert_allclose(
-            calls[0]["theta"], [math.pi * j / 9 for j in range(9)], rtol=0, atol=1e-15
-        )
+        assert_fig1_tensor_run(calls)
         calls.clear()
         fringe_scan(plan, "gamma", FULL_PERIOD)
-        assert len(calls) == 1
-        np.testing.assert_allclose(
-            calls[0]["gamma"], [0.0, 2 * math.pi / 3, 4 * math.pi / 3], rtol=0, atol=1e-15
-        )
+        assert calls == []
 
     def test_preparation_sweep_is_refused(self, monkeypatch):
         # the other amplitude of the pair is fixed, so no two points of an
@@ -370,11 +371,12 @@ class TestHarmonicScan:
         frequency, coeffs = harmonic_coefficients(plan, sweep)
         degree = plan.harmonic_degree(sweep)[1]
         assert coeffs.shape == (2, len(cells), degree + 1)
-        assert len(calls) == 1 and len(calls[0][sweep]) == len(cells) * (2 * degree + 1)
+        assert_fig1_tensor_run(calls)
         for i, cell in enumerate(cells):
             want = scan_columns(fringe_scan(fig1_preset(cell), sweep, FULL_PERIOD))
             got = harmonic_series(coeffs[:, i], frequency, FULL_PERIOD).T
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert len(calls) == 1
 
     def test_theta_sweep_matches_the_dense_oracle(self):
         rng = np.random.default_rng(29)
@@ -402,6 +404,239 @@ class TestHarmonicScan:
             fringe_scan(plan, "phi", FULL_PERIOD)
         assert err.value.code == "E_UNBOUND_PARAM"
         assert "theta" in str(err.value)
+
+
+def sampled_coefficients(plan, sweep):
+    """``harmonic_coefficients`` with every count tensor refused: one run
+    with the sweep alone bound to its samples."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(observables, "TENSOR_MAX_MEMBERS", 0)
+        observables._count_tensor.cache_clear()
+        try:
+            return harmonic_coefficients(plan, sweep)
+        finally:
+            observables._count_tensor.cache_clear()
+
+
+def tensor_of(plan):
+    return observables._count_tensor(observables._structure(plan))
+
+
+def outcome(call):
+    """(type, message, code) of the exception that ``call`` raises."""
+    with pytest.raises(Exception) as err:
+        call()
+    return type(err.value), str(err.value), getattr(err.value, "code", None)
+
+
+#: Raises QiupWarning at every run: path a is empty once the dichroic
+#: mirror has routed both photons off it.
+EMPTY_SPLITTER_CIRCUIT = """\
+source 1 signal=a idler=a pol=V
+dm a -> signal: s idler: i
+bs a -> c d
+phase s value=$phi band=signal
+detect s signal
+"""
+
+#: The second preparation needs a purely vertical idler on a, which the
+#: first leaves only at alpha = 0.
+TWO_PREPARATIONS_CIRCUIT = """\
+source 1 signal=a idler=a pol=V
+prepare a idler alpha=$alpha beta=$beta gamma=0
+prepare a idler alpha=0 beta=1 gamma=0
+phase a value=$phi band=signal
+detect a signal
+"""
+
+#: Nine angles of 3 samples each: a product grid of 3^9 = 19683 members.
+NINE_PHASES_CIRCUIT = "source 1 signal=a idler=a pol=V\n" + "".join(
+    f"phase a value=$p{k} band=signal\n" for k in range(9)
+) + "detect a signal\n"
+
+
+def compiled(text, **params):
+    plan, diagnostics = compile_text(text)
+    assert plan is not None, diagnostics
+    return plan.bind(params)
+
+
+class TestCountTensor:
+    """Sweeps read each circuit's count tensor, built in one run and cached."""
+
+    @pytest.mark.parametrize("bs_convention", ["symmetric", "hadamard"])
+    @pytest.mark.parametrize("merge_enabled", [True, False])
+    @pytest.mark.parametrize("circuit, sweep", [
+        ("fig1", "phi"), ("fig1", "theta"), ("fig1", "gamma"), ("qwp", "theta"),
+        ("theta_phase", "theta"), ("two_plates", "theta"), ("gamma_both", "gamma"),
+    ])
+    def test_equals_the_sampled_run(self, circuit, sweep, merge_enabled, bs_convention):
+        rng = np.random.default_rng(19)
+        rows = [general_fig1_params(rng) for _ in range(4)]
+        cells = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+        for params in rows[:3] + [cells]:
+            plan = fig1_preset(params) if circuit == "fig1" else fig1_variant(circuit, params)
+            plan = with_options(plan, merge_enabled, bs_convention)
+            want = sampled_coefficients(plan, sweep)
+            frequency, got = harmonic_coefficients(plan, sweep)
+            assert tensor_of(plan) is not None
+            assert frequency == want[0] and got.shape == want[1].shape
+            np.testing.assert_allclose(got, want[1], rtol=0, atol=1e-12)
+
+    def test_fig1_matches_the_dense_oracle(self):
+        rng = np.random.default_rng(31)
+        rows = [general_fig1_params(rng) for _ in range(200)]
+        plan = fig1_preset({name: np.array([row[name] for row in rows]) for name in rows[0]})
+        frequency, coeffs = harmonic_coefficients(plan, "phi")
+        assert tensor_of(plan) is not None
+        phis = plan.bindings["phi"]
+        # each cell's series at its own phi
+        got = coeffs[..., 0].real + 2.0 * (coeffs[..., 1] * np.exp(1j * frequency * phis)).real
+        for i, row in enumerate(rows):
+            want = dense_model.run_fig1(**row).counts("o'")
+            np.testing.assert_allclose(got[:, i], want, rtol=0, atol=1e-12)
+
+    def test_fig1_h_channel_never_fringes(self):
+        # the paper's no-go at every node of every other parameter: source
+        # 1's H amplitudes keep their which-source tag, so the H count is
+        # constant in phi; without the merges neither channel fringes
+        fig1 = fig1_preset(regime_params(0.5, 0.0))
+        for plan, channels in ((fig1, [0]), (fig1.without_merges(), [0, 1])):
+            tensor = tensor_of(plan)
+            phi = [axis.names for axis in tensor.axes].index(("phi",))
+            spread = np.ptp(tensor.counts, axis=phi + 1)
+            assert spread[channels].max() < 1e-13
+        assert spread_of_v(fig1) > 0.1
+
+    def test_a_pair_at_the_normalization_edge(self):
+        # off the unit circle by 0.9e-10, which the checks pass: evaluated on
+        # the circle, within about that much of the run
+        scale = math.sqrt(1.0 + 0.9e-10)
+        params = dict(general_fig1_params(np.random.default_rng(7)))
+        for name in ("alpha1", "beta1", "alpha2", "beta2"):
+            params[name] *= scale
+        plan = fig1_preset(params)
+        np.testing.assert_allclose(
+            scan_columns(fringe_scan(plan, "theta", FULL_PERIOD)),
+            loop_scan(plan, "theta", FULL_PERIOD), rtol=0, atol=1e-9,
+        )
+
+    @pytest.mark.parametrize("plan, sweep, members", [
+        # alpha is neither an angle nor half of an alpha/beta pair
+        pytest.param(
+            compiled(BOTH_BANDS_CIRCUIT.format(
+                phases="prepare a idler alpha=$alpha beta=0.8 gamma=0"), alpha=0.6, theta=0.3),
+            "theta", 5, id="not-a-pair"),
+        pytest.param(compiled(NINE_PHASES_CIRCUIT, **{f"p{k}": 0.1 * k for k in range(9)}),
+                     "p4", 3, id="over-the-cap"),
+        pytest.param(compiled(TWO_PREPARATIONS_CIRCUIT, alpha=0.0, beta=1.0),
+                     "phi", 3, id="build-raises"),
+    ])
+    def test_a_refused_circuit_runs_once_per_sweep(self, plan, sweep, members, monkeypatch):
+        calls = record_runs(monkeypatch)
+        for grid in (FULL_PERIOD, PARTIAL_GRID):
+            np.testing.assert_allclose(
+                scan_columns(fringe_scan(plan, sweep, grid)),
+                loop_scan(plan, sweep, grid), rtol=0, atol=1e-12,
+            )
+        assert tensor_of(plan) is None
+        # a build that raised counts as one more run
+        assert [len(c[sweep]) for c in calls][-2:] == [members, members]
+
+    def test_a_build_that_raises_keeps_the_error_at_its_values(self):
+        plan = compiled(TWO_PREPARATIONS_CIRCUIT, alpha=0.6, beta=0.8)
+        want = outcome(lambda: run_plan(plan.bind({"phi": 0.0})))
+        assert want[0] is PreparationConflictError
+        assert outcome(lambda: fringe_scan(plan, "phi", FULL_PERIOD)) == want
+
+    def test_a_build_that_warns_leaves_the_warning_to_every_scan(self, monkeypatch):
+        plan = compiled(EMPTY_SPLITTER_CIRCUIT)
+        calls = record_runs(monkeypatch)
+        for _ in range(2):
+            with pytest.warns(QiupWarning, match="unoccupied"):
+                fringe_scan(plan, "phi", FULL_PERIOD)
+        assert tensor_of(plan) is None
+        # the build that warned, then one run per scan
+        assert [len(c["phi"]) for c in calls] == [3, 3, 3]
+
+    def test_cache_is_bounded_and_read_only(self, monkeypatch):
+        calls = record_runs(monkeypatch)
+        fig1 = fig1_preset(regime_params(0.5, 0.0))
+        plans = [with_options(fig1, merge, convention)
+                 for merge in (True, False) for convention in ("symmetric", "hadamard")]
+        plans.append(fig1_variant("qwp", regime_params(0.5, 0.0)))
+        assert len(plans) > observables.TENSOR_CACHE_SIZE
+        for plan in plans:
+            fringe_scan(plan, "phi", FULL_PERIOD)
+        assert observables._count_tensor.cache_info().currsize == observables.TENSOR_CACHE_SIZE
+        assert len(calls) == len(plans)
+        fringe_scan(plans[0], "phi", FULL_PERIOD)  # the least recently used, dropped
+        assert len(calls) == len(plans) + 1
+        tensor = tensor_of(plans[0])
+        for array in (tensor.counts, *(axis.nodes for axis in tensor.axes)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
+
+
+def spread_of_v(plan):
+    scan = fringe_scan(plan, "phi", FULL_PERIOD)
+    return np.ptp(scan.column("v"))
+
+
+def fig1_unbound(**params):
+    """fig1 with ``params`` bound as given, past fig1_preset's E_NORM check."""
+    return compiled(FIG1_SOURCE, **params)
+
+
+BAD_CELL = dict(regime_params(0.5, 0.0), phi=0.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "bogus", FULL_PERIOD),
+                 id="unknown-param"),
+    pytest.param(lambda: fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "alpha2", FULL_PERIOD),
+                 id="alpha-beta-sweep"),
+    pytest.param(lambda: fringe_scan(
+        fig1_preset(dict(regime_params(0.5, 0.0), theta=np.array([0.1, 0.5]))), "phi", FULL_PERIOD),
+        id="batch-shape"),
+    pytest.param(lambda: fringe_scan(fig1_unbound(**{
+        k: v for k, v in regime_params(0.5, 0.0).items() if k != "theta"}), "phi", FULL_PERIOD),
+        id="unbound"),
+    pytest.param(lambda: fringe_scan(fig1_unbound(**dict(BAD_CELL, alpha1=-0.6, beta1=0.8)),
+                                     "theta", FULL_PERIOD), id="negative"),
+    pytest.param(lambda: fringe_scan(fig1_unbound(**dict(BAD_CELL, alpha2=0.6, beta2=0.81)),
+                                     "phi", FULL_PERIOD), id="not-normalized"),
+    pytest.param(lambda: fringe_scan(replace(fig1_preset(regime_params(0.5, 0.0)),
+                                             bindings=dict(BAD_CELL, gamma=math.inf)),
+                                     "theta", FULL_PERIOD), id="infinite-phase"),
+    pytest.param(lambda: harmonic_coefficients(fig1_unbound(**dict(
+        BAD_CELL, alpha1=np.array([0.6, 0.6, 0.6]), beta1=np.array([0.8, 0.8, 0.9]))), "phi"),
+        id="cell-not-normalized"),
+])
+def test_checks_hold_on_a_cached_tensor(call):
+    """Each refusal and each check raises the same before a tensor is built
+    and after, and builds none."""
+    observables._count_tensor.cache_clear()
+    fresh = outcome(call)
+    assert observables._count_tensor.cache_info().currsize == 0
+    fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "phi", FULL_PERIOD)
+    assert tensor_of(fig1_preset(regime_params(0.5, 0.0))) is not None
+    assert outcome(call) == fresh
+
+
+@pytest.mark.parametrize("params, message", [
+    ({k: v for k, v in BAD_CELL.items() if k != "theta"}, "unbound parameter 'theta'"),
+    (dict(BAD_CELL, alpha1=-0.6, beta1=0.8), "preparation amplitudes must be nonnegative"),
+    (dict(BAD_CELL, alpha2=0.6, beta2=0.81), "alpha^2 + beta^2 must be 1, got 1.0161"),
+    (dict(BAD_CELL, alpha1=np.array([0.6, 0.6, 0.6]), beta1=np.array([0.8, 0.8, 0.9])),
+     "alpha^2 + beta^2 must be 1, got 1.17 (batch member 2)"),
+])
+def test_checks_raise_what_a_run_raises(params, message):
+    plan = fig1_unbound(**params)
+    for call in (lambda: run_plan(plan), lambda: harmonic_coefficients(plan, "phi")):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert message in str(err.value)
 
 
 class TestVisibility:
