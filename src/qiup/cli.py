@@ -23,7 +23,6 @@ from .errors import DataFormatError
 from .estimation import fit, format_counts_csv, read_counts_csv, simulate_measurement
 from .observables import counts, format_scan_csv, fringe_scan, visibility
 from .plan import FIG1_SOURCE, CircuitPlan, PlanError, compile_text, run_plan
-from .verification import run_verification
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -166,6 +165,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # imported here: no other command needs qiup.verification
+    from .verification import run_verification
+
     if args.grid_points < 1:
         raise _CliError("--grid-points must be at least 1", EXIT_FAIL)
     report = run_verification(

@@ -13,9 +13,14 @@ generator is constructed per call and never shared.
 Both reference forms are first harmonics in phi: per channel, the model is
 ``a . (1, cos phi, sin phi)``, and the coefficients ``a`` are linear in the
 features (1, b, b^2, b cos gamma, b sin gamma) of (b, gamma) = (beta1,
-gamma).  :func:`fit` reduces the weighted data once to a 3x3 triangular
-factor ``R`` of the weighted basis and a 3-vector ``z`` per channel, and
-from then on reads the data only through them and the basis:
+gamma).  The table of that map, :data:`qiup.reference.REFERENCE_FORMS`, and
+the feature product, :func:`qiup.reference.harmonics`, live in
+:mod:`qiup.reference` beside the evolution family's table, which ``qiup
+verify`` reads too.
+
+:func:`fit` reduces the weighted data once to a 3x3 triangular factor ``R``
+of the weighted basis and a 3-vector ``z`` per channel, and from then on
+reads the data only through them and the basis:
 
 * the coarse grid scores all its nodes with one product of a fixed design
   matrix and the 18 distinct entries of ``B^T W B`` and ``B^T W y``;
@@ -39,6 +44,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .observables import CountResult, FringeScan
+from .reference import REFERENCE_FORMS, harmonics
 
 TWO_PI = 2.0 * math.pi
 
@@ -137,27 +143,6 @@ def _channels(data: ScanLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return phis, h, v
 
 
-#: The reference forms are linear in the features (1, b, b^2, b cos gamma,
-#: b sin gamma) of b = beta1: ``_FORMS @ features`` is the coefficient
-#: vector of (1, cos phi, sin phi) per channel, H first.  That is
-#: ``nh_closed`` and ``nv_closed`` expanded through cos(gamma - phi) and
-#: sin(gamma - phi), in sixteenths.
-_FORMS = np.array([
-    [[8.0, 0.0, -3.0, 0.0, 0.0], [0.0, -2.0, 0.0, -1.0, 1.0], [0.0, 0.0, 0.0, -1.0, -1.0]],
-    [[5.0, 0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0, 2.0]],
-]) / 16.0
-
-
-def _harmonics(beta1, gamma) -> np.ndarray:
-    """Coefficients of (1, cos phi, sin phi) in the reference forms.
-
-    Shape ``(2, 3) + shape``, H channel first, for scalars or for ``beta1``
-    and ``gamma`` arrays of one shape.
-    """
-    b = beta1
-    return _FORMS @ np.array([np.ones_like(b), b, b * b, b * np.cos(gamma), b * np.sin(gamma)])
-
-
 #: Row and column of the six distinct entries of a symmetric 3x3 matrix.
 _UPPER = np.triu_indices(3)
 
@@ -178,7 +163,7 @@ def _grid_design() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.arange(GRID_GAMMA_POINTS) * (TWO_PI / GRID_GAMMA_POINTS),
         indexing="ij",
     )
-    a = _harmonics(betas.ravel(), gammas.ravel())  # (2, 3, nodes)
+    a = harmonics(REFERENCE_FORMS, betas.ravel(), gammas.ravel())  # (2, 3, nodes)
     i, j = _UPPER
     quadratic = a[:, i] * a[:, j] * np.where(i == j, 1.0, 2.0)[:, None]
     design = np.concatenate((quadratic, -2.0 * a), axis=1).reshape(18, -1)
@@ -225,17 +210,18 @@ def _refine(
 
     Residuals are the 6-vector ``R a(beta1, gamma) - z`` of :func:`_whiten`,
     whose squared norm differs from the weighted rss by a constant.  Since
-    ``a = _FORMS @ features``, ``R @ _FORMS`` is formed once and each
-    residual is five numbers dotted with the features of (beta1, gamma):
-    the loop, with its analytic Jacobian, runs on Python floats.  A beta1 held at a bound by the
-    gradient leaves the step to gamma alone.  Stops when a step is below
-    ``REFINE_TOL`` relative to the parameters; returns ``converged=False``
-    only when ``MAX_REFINE_EVALS`` residual evaluations run out first.
+    ``a = REFERENCE_FORMS @ features``, ``R @ REFERENCE_FORMS`` is formed
+    once and each residual is five numbers dotted with the features of
+    (beta1, gamma): the loop, with its analytic Jacobian, runs on Python
+    floats.  A beta1 held at a bound by the gradient leaves the step to
+    gamma alone.  Stops when a step is below ``REFINE_TOL`` relative to the
+    parameters; returns ``converged=False`` only when ``MAX_REFINE_EVALS``
+    residual evaluations run out first.
     """
     # residual i is k_i + b (m1 + b m2 + c m3 + s m4), with k_i = m0 - z_i
     # and c, s the cosine and sine of gamma
     rows = [(m[0] - zi, *m[1:])
-            for m, zi in zip((r @ _FORMS).reshape(6, 5).tolist(), z.ravel().tolist())]
+            for m, zi in zip((r @ REFERENCE_FORMS).reshape(6, 5).tolist(), z.ravel().tolist())]
 
     def residuals(b: float, g: float) -> list[float]:
         c, s = math.cos(g), math.sin(g)
@@ -336,7 +322,7 @@ def fit(data: ScanLike, weighting: str = "equal") -> FitResult:
     def model_rss(beta1: float, gamma: float) -> tuple[np.ndarray, float]:
         # from the residuals themselves: |R a - z|^2 leaves out the part of
         # the data outside the first harmonic
-        model = _harmonics(beta1, gamma) @ basis.T
+        model = harmonics(REFERENCE_FORMS, beta1, gamma) @ basis.T
         return model, float(np.sum((sqrt_w * (y - model)) ** 2))
 
     beta1_hat, gamma_hat = _grid_start(r, z)

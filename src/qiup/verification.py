@@ -12,8 +12,16 @@ Every cell's counts are a first-order trigonometric series in phi, so the
 :func:`qiup.observables.harmonic_coefficients` gives each cell's series from
 its counts at the 2D + 1 = 3 harmonic sample values of phi.  Those come from
 the circuit's count tensor, which the first comparison in a process builds
-in one batched run and later ones reuse without running the circuit.  The
-series is then summed on the count grid and on the finer visibility grid.
+in one batched run and later ones reuse without running the circuit.
+
+Both closed-form families are first harmonics in phi too, so the comparison
+works on coefficients: each family's table in :mod:`qiup.reference` gives
+every count cell's coefficients of (1, cos phi, sin phi), those are
+subtracted from the engine's, and the deviation series are summed on the
+count grid with one product against a basis built once per call.  The
+transcribed forms are never evaluated.  The visibility cells' series are
+summed on the finer visibility grid, whose maximum and minimum give each
+visibility.
 """
 from __future__ import annotations
 
@@ -25,7 +33,7 @@ import numpy as np
 
 from . import reference
 from .observables import harmonic_coefficients, harmonic_series, visibility
-from .plan import FIG1_PARAMETERS, fig1_preset
+from .plan import fig1_preset
 
 DEFAULT_PHI_POINTS = 64
 DEFAULT_BETAS = tuple(round(0.1 * k, 10) for k in range(11))
@@ -89,37 +97,47 @@ def run_verification(
     start = time.perf_counter()
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
     vis_phis = np.linspace(0.0, 2.0 * math.pi, max(phi_points, 256), endpoint=False)
-    count_cells = [(beta1, gamma) for beta1 in DEFAULT_BETAS for gamma in DEFAULT_GAMMAS]
-    vis_cells = [(beta1, 0.0) for beta1 in VISIBILITY_BETAS]
-
-    # every cell's counts at the harmonic sample values of phi
-    cells = [regime_params(beta1, gamma) for beta1, gamma in count_cells + vis_cells]
-    plan = fig1_preset({name: np.array([cell[name] for cell in cells])
-                        for name in FIG1_PARAMETERS})
-    plan = replace(plan, bs_convention=bs_convention)
+    # the (beta1, gamma) count cells, beta1-major, then the visibility cells
+    betas = np.repeat(DEFAULT_BETAS, len(DEFAULT_GAMMAS))
+    gammas = np.tile(DEFAULT_GAMMAS, len(DEFAULT_BETAS))
+    cells = len(betas)
+    beta1 = np.concatenate((betas, VISIBILITY_BETAS))
+    gamma = np.concatenate((gammas, np.zeros(len(VISIBILITY_BETAS))))
+    # regime_params per cell, every name an array of all cells
+    bindings = {name: np.full(len(beta1), value) for name, value in regime_params(0.0, 0.0).items()}
+    bindings.update(alpha1=np.sqrt(np.maximum(0.0, 1.0 - beta1 * beta1)), beta1=beta1, gamma=gamma)
+    plan = replace(fig1_preset(bindings), bs_convention=bs_convention)
     frequency, coeffs = harmonic_coefficients(plan, "phi")
-    counts = harmonic_series(coeffs[:, :len(count_cells)], frequency, phis)
-    vis_counts = harmonic_series(coeffs[1, len(count_cells):], frequency, vis_phis)
 
-    # a (cells, 1) column of each parameter against the phi row
-    cell_betas = np.array([beta1 for beta1, _ in count_cells]).reshape(-1, 1)
-    cell_gammas = np.array([gamma for _, gamma in count_cells]).reshape(-1, 1)
+    # each count cell's series as coefficients of (1, cos m f phi, sin m f phi),
+    # m = 1..D; fig1's phi has f = 1, so the forms' (1, cos phi, sin phi) are
+    # the first three and every higher harmonic belongs to the engine alone
+    c = coeffs[:, :cells]
+    pairs = np.stack((2.0 * c[..., 1:].real, -2.0 * c[..., 1:].imag), axis=-1)
+    engine = np.concatenate((c[..., :1].real, pairs.reshape(c.shape[:-1] + (-1,))), axis=-1)
+    angles = frequency * np.outer(np.arange(1, c.shape[-1]), phis)
+    waves = np.stack((np.cos(angles), np.sin(angles)), axis=1).reshape(-1, len(phis))
+    basis = np.concatenate((np.ones((1, len(phis))), waves))
+    # reference H, V, then evolution H, V; a deviation is no count, so it is
+    # not clipped at 0 as harmonic_series clips counts
+    closed = np.zeros((4,) + engine.shape[1:])
+    forms = np.concatenate((reference.REFERENCE_FORMS, reference.EVOLUTION_FORMS))
+    closed[..., :3] = reference.harmonics(forms, betas, gammas).swapaxes(1, 2)
+    deviation = (np.concatenate((engine, engine)) - closed) @ basis
+    worst = np.abs(deviation).max(axis=(1, 2), initial=0.0).tolist()
 
-    def max_dev(engine: np.ndarray, closed) -> float:
-        deviation = np.abs(engine - closed(cell_betas, cell_gammas, phis))
-        return float(np.max(deviation, initial=0.0))
-
+    vis_counts = harmonic_series(coeffs[1, cells:], frequency, vis_phis)
+    expected = reference.visibility_closed(beta1[cells:]).tolist()
     dev_vis = 0.0
-    for (beta1, _), nv in zip(vis_cells, vis_counts):
-        vis = visibility(nv, vis_phis)
-        dev_vis = max(dev_vis, abs(vis.value - float(reference.visibility_closed(beta1))))
+    for nv, want in zip(vis_counts, expected):
+        dev_vis = max(dev_vis, abs(visibility(nv, vis_phis).value - want))
 
     return VerificationReport(
-        max_dev_nh=max_dev(counts[0], reference.nh_closed),
-        max_dev_nv=max_dev(counts[1], reference.nv_closed),
-        max_dev_nh_evolution=max_dev(counts[0], reference.nh_evolution),
-        max_dev_nv_evolution=max_dev(counts[1], reference.nv_evolution),
+        max_dev_nh=worst[0],
+        max_dev_nv=worst[1],
+        max_dev_nh_evolution=worst[2],
+        max_dev_nv_evolution=worst[3],
         max_dev_visibility=dev_vis,
-        grid_points=len(count_cells) * len(phis),
+        grid_points=cells * len(phis),
         elapsed_seconds=time.perf_counter() - start,
     )

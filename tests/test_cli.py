@@ -57,6 +57,11 @@ class TestCheck:
     def test_missing_file(self, capsys):
         assert cli.main(["check", "no/such/file.qiup"]) == 2
 
+    def test_distinguishable_mzi_is_clean(self, capsys):
+        path = str(CIRCUITS_DIR / "distinguishable_mzi.qiup")
+        assert cli.main(["check", path]) == 0
+        assert capsys.readouterr().out == "0 error(s), 0 warning(s)\n"
+
     @pytest.mark.parametrize("line,ends", [
         ("bs r -> e e", "outputs"), ("bs2 e e -> x y", "inputs"), ("bs2 e f -> x x", "outputs"),
     ])
@@ -452,6 +457,19 @@ class TestColdImport:
         assert float(fields["gamma"]) == pytest.approx(0.994396383166, abs=1e-9)
         assert float(fields["rss"]) == pytest.approx(0.00387559832187, rel=1e-9)
         assert fields["converged"] == "true"
+
+    def test_only_verify_loads_the_verification_module(self):
+        script = ("import sys, qiup.cli\n"
+                  "print('qiup.verification' in sys.modules)\n"
+                  "qiup.cli.main(['check', sys.argv[1]])\n"
+                  "print('qiup.verification' in sys.modules)\n"
+                  "qiup.cli.main(['verify', '--grid-points', '1'])\n"
+                  "print('qiup.verification' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script, FIG1], capture_output=True,
+                              text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert [line for line in proc.stdout.splitlines() if line in ("True", "False")] == [
+            "False", "False", "True"]
 
     def test_exact_grid_fit_skips_the_solver(self, tmp_path):
         # a noiseless scan on a grid node returns before the refinement

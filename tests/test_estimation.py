@@ -22,10 +22,16 @@ from qiup.estimation import (
     read_counts_csv,
     simulate_measurement,
     _chi2_log_sf,
-    _harmonics,
 )
 from qiup.observables import CountResult, FringeScan
-from qiup.reference import nh_closed, nh_evolution, nv_closed, nv_evolution
+from qiup.reference import (
+    REFERENCE_FORMS,
+    harmonics,
+    nh_closed,
+    nh_evolution,
+    nv_closed,
+    nv_evolution,
+)
 
 TWO_PI = 2.0 * math.pi
 #: The forms the engine obeys, which the fit does not invert.
@@ -310,7 +316,7 @@ class TestFit:
 
     def test_fit_never_evaluates_the_transcribed_forms(self, monkeypatch):
         # after whitening, fit reads the data through its sufficient
-        # statistics and the model through _harmonics alone
+        # statistics and the model through the reference table alone
         expectations = [oracle_scan(0.35, 2.0), oracle_scan(0.6, 15 * TWO_PI / 72),
                         oracle_scan(0.8, 1.0, forms=EVOLUTION)]
         counts = [simulate_measurement(scan, shots=100_000, seed=4) for scan in expectations]
@@ -387,15 +393,15 @@ class TestHarmonics:
         phis = rng.uniform(-TWO_PI, 2.0 * TWO_PI, 50)
         basis = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
         for beta1, gamma in zip(betas, gammas):
-            model = _harmonics(float(beta1), float(gamma)) @ basis
+            model = harmonics(REFERENCE_FORMS, float(beta1), float(gamma)) @ basis
             assert np.max(np.abs(model[0] - nh_closed(beta1, gamma, phis))) <= 1e-15
             assert np.max(np.abs(model[1] - nv_closed(beta1, gamma, phis))) <= 1e-15
         # arrays of (beta1, gamma), as the grid uses them, give the scalars'
         # coefficients
-        stacked = _harmonics(betas, gammas)
+        stacked = harmonics(REFERENCE_FORMS, betas, gammas)
         assert stacked.shape == (2, 3, betas.size)
         for k in range(betas.size):
-            scalar = _harmonics(float(betas[k]), float(gammas[k]))
+            scalar = harmonics(REFERENCE_FORMS, float(betas[k]), float(gammas[k]))
             assert np.max(np.abs(stacked[..., k] - scalar)) <= 1e-15
 
 

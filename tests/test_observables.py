@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dense_model
+from conftest import CIRCUITS_DIR
 from engine_helpers import assert_fig1_tensor_run, manual_fig1, record_runs
 from qiup.errors import PreparationConflictError, QiupWarning
 from qiup.estimation import read_counts_csv
@@ -637,6 +638,40 @@ def test_checks_raise_what_a_run_raises(params, message):
         with pytest.raises(ValueError) as err:
             call()
         assert message in str(err.value)
+
+
+class TestDistinguishableMzi:
+    """``circuits/distinguishable_mzi.qiup``: fig1 with source 1 emitting H,
+    the paper's no-go.  Its free names are phi and theta."""
+
+    TEXT = (CIRCUITS_DIR / "distinguishable_mzi.qiup").read_text()
+
+    def test_count_tensor_is_flat_in_phi_at_every_node(self):
+        plan = compiled(self.TEXT, theta=0.4)
+        tensor = tensor_of(plan)
+        assert sorted(axis.names for axis in tensor.axes) == [("phi",), ("theta",)]
+        phi = [axis.names for axis in tensor.axes].index(("phi",))
+        assert np.ptp(tensor.counts, axis=phi + 1).max() < 1e-13
+        assert tensor.counts[1].max() > 0.1  # the V channel is not empty
+
+    def test_no_fringe_at_any_theta(self):
+        rng = np.random.default_rng(19)
+        for theta in rng.uniform(0.1, math.pi / 2 - 0.1, 8):
+            scan = fringe_scan(compiled(self.TEXT, theta=theta), "phi", FULL_PERIOD)
+            for channel in ("h", "v"):
+                assert visibility(scan.column(channel)).value <= 1e-12
+
+    def test_v_channel_is_empty_at_theta_zero(self):
+        scan = fringe_scan(compiled(self.TEXT, theta=0.0), "phi", FULL_PERIOD)
+        assert np.all(scan.column("v") == 0.0)
+        with pytest.warns(QiupWarning, match="all-zero"):
+            assert visibility(scan.column("v")).value == 0.0
+
+    def test_the_same_network_fringes_with_pol_v(self):
+        text = self.TEXT.replace("pol=H", "pol=V")
+        assert text != self.TEXT
+        scan = fringe_scan(compiled(text, theta=0.4), "phi", FULL_PERIOD)
+        assert visibility(scan.column("v")).value == pytest.approx(0.2965, abs=1e-4)
 
 
 class TestVisibility:

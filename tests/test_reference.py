@@ -5,6 +5,9 @@ import pytest
 
 import dense_model
 from qiup.reference import (
+    EVOLUTION_FORMS,
+    REFERENCE_FORMS,
+    harmonics,
     nh_closed,
     nh_evolution,
     nv_closed,
@@ -101,3 +104,25 @@ class TestEvolutionForms:
         grid = np.linspace(0, 2 * math.pi, 9)
         values = nh_evolution(0.7, grid[:, None], grid[None, :])
         np.testing.assert_allclose(values, 0.125, atol=1e-15)
+
+
+class TestHarmonicTables:
+    def test_evolution_table_is_the_evolution_forms(self):
+        # as TestHarmonics in test_estimation pins the reference table
+        rng = np.random.default_rng(19)
+        betas = np.concatenate(([0.0, 1.0, 0.0, 1.0], rng.uniform(0.0, 1.0, 60)))
+        gammas = rng.uniform(-2 * math.pi, 4 * math.pi, betas.size)
+        phis = rng.uniform(-2 * math.pi, 4 * math.pi, 50)
+        basis = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+        for beta1, gamma in zip(betas, gammas):
+            model = harmonics(EVOLUTION_FORMS, float(beta1), float(gamma)) @ basis
+            assert np.max(np.abs(model[0] - nh_evolution(beta1, gamma, phis))) <= 1e-15
+            assert np.max(np.abs(model[1] - nv_evolution(beta1, gamma, phis))) <= 1e-15
+        stacked = harmonics(EVOLUTION_FORMS, betas, gammas)
+        assert stacked.shape == (2, 3, betas.size)
+
+    @pytest.mark.parametrize("table", [REFERENCE_FORMS, EVOLUTION_FORMS])
+    def test_tables_are_read_only(self, table):
+        assert table.shape == (2, 3, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 1.0
