@@ -13,8 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Union
 
-from .elements import WavePlateKind
-from .modes import Band, Polarization
+from .modes import Band, Polarization, WavePlateKind
 
 _TOKEN_RE = re.compile(r"\S+")
 

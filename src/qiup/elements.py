@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreparationConflictError, QiupWarning
-from .modes import Band, Polarization
+from .modes import Band, Polarization, WavePlateKind
 from .state import BiphotonState, _at_failure, _holds
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -44,11 +44,6 @@ def bs_matrix(convention: str) -> np.ndarray:
             f"use {' or '.join(map(repr, BS_CONVENTIONS))}"
         )
     return BS_CONVENTIONS[convention]
-
-
-class WavePlateKind(enum.Enum):
-    HWP = "hwp"
-    QWP = "qwp"
 
 
 @dataclass(frozen=True)

@@ -398,18 +398,15 @@ def infer_alpha1(beta1_hat: float) -> float:
 # name in place of ``phi``, which the reader rejects.
 
 
-def format_counts_csv(data: ScanLike, shots: int | None = None) -> str:
+def format_counts_csv(data: ScanLike) -> str:
+    """A noisy scan's counts, or a scan's expectations as ``shots=1``."""
     if isinstance(data, NoisyScan):
         shots = data.shots
         rows = zip(data.phis, data.counts_h, data.counts_v)
         body = [f"{p:.17g},{ch},{cv}" for p, ch, cv in rows]
     else:
-        if shots is None:
-            shots = 1
-        body = [
-            f"{p:.17g},{r.n_h * shots:.17g},{r.n_v * shots:.17g}"
-            for p, r in zip(data.phis, data.records)
-        ]
+        shots = 1
+        body = [f"{p:.17g},{r.n_h:.17g},{r.n_v:.17g}" for p, r in zip(data.phis, data.records)]
     header = f"{data.sweep},counts_h,counts_v"
     return "\n".join([f"# shots={shots}", header, *body]) + "\n"
 

@@ -27,6 +27,11 @@ class Band(enum.Enum):
         return self.name.lower()
 
 
+class WavePlateKind(enum.Enum):
+    HWP = "hwp"
+    QWP = "qwp"
+
+
 class SourceTag(enum.Enum):
     """Which-source label.  MERGED carries no which-source information."""
 

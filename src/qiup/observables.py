@@ -20,10 +20,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dsl import ParamRef, PrepareStmt
-from .elements import PreparationSpec
 from .errors import QiupWarning
 from .modes import Band
-from .plan import CircuitPlan, PlanError, _resolve, run_plan
+from .plan import CircuitPlan, PlanError, _setting, run_plan
 from .state import BiphotonState
 
 #: The most members the count tensor's product grid may hold; a circuit with
@@ -195,19 +194,12 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
 def _check_bindings(plan: CircuitPlan, sweep: str) -> None:
     """Raise what a run of ``plan`` would raise on its bound values, in
     pipeline order: ``E_UNBOUND_PARAM`` for a name other than ``sweep`` left
-    unbound, and each preparation's :class:`PreparationSpec` checks."""
+    unbound, and each preparation's :class:`~qiup.elements.PreparationSpec`
+    checks."""
     bindings = dict(plan.bindings)
     bindings[sweep] = 0.0  # bound to its samples in every run
     for stmt in plan.pipeline:
-        if isinstance(stmt, PrepareStmt):
-            PreparationSpec(
-                alpha=_resolve(stmt.alpha, bindings, False),
-                beta=_resolve(stmt.beta, bindings, False),
-                rel_phase=_resolve(stmt.gamma, bindings, True),
-            )
-        else:
-            for value in stmt.values():
-                _resolve(value, bindings, True)
+        _setting(stmt, bindings)
 
 
 @dataclass(frozen=True, eq=False)

@@ -278,19 +278,30 @@ def _resolve(value: Value, bindings: Mapping[str, float], degrees: bool) -> floa
     return math.radians(value) if degrees else value
 
 
+def _setting(stmt: Statement, bindings: Mapping[str, float]):
+    """What ``stmt`` applies at ``bindings``, checked: a
+    :class:`PreparationSpec`, a :class:`WavePlateSetting`, a phase, or None
+    for a statement without values."""
+    if isinstance(stmt, PrepareStmt):
+        return PreparationSpec(
+            alpha=_resolve(stmt.alpha, bindings, False),
+            beta=_resolve(stmt.beta, bindings, False),
+            rel_phase=_resolve(stmt.gamma, bindings, True),
+        )
+    if isinstance(stmt, WavePlateStmt):
+        return WavePlateSetting(stmt.kind, _resolve(stmt.angle, bindings, True))
+    if isinstance(stmt, PhaseStmt):
+        return _resolve(stmt.value, bindings, True)
+    return None
+
+
 def _apply(plan: CircuitPlan, stmt: Statement, state: BiphotonState) -> BiphotonState:
     """The state after one pipeline statement of ``plan``."""
     b, convention = plan.bindings, plan.bs_convention
     if isinstance(stmt, PrepareStmt):
-        spec = PreparationSpec(
-            alpha=_resolve(stmt.alpha, b, False),
-            beta=_resolve(stmt.beta, b, False),
-            rel_phase=_resolve(stmt.gamma, b, True),
-        )
-        return prepare_beam(state, stmt.path, stmt.band, spec)
+        return prepare_beam(state, stmt.path, stmt.band, _setting(stmt, b))
     if isinstance(stmt, WavePlateStmt):
-        setting = WavePlateSetting(stmt.kind, _resolve(stmt.angle, b, True))
-        return apply_waveplate(state, stmt.path, setting, stmt.band)
+        return apply_waveplate(state, stmt.path, _setting(stmt, b), stmt.band)
     if isinstance(stmt, BsStmt):
         return apply_bs_single(state, stmt.in_path, stmt.out_t, stmt.out_r, convention)
     if isinstance(stmt, Bs2Stmt):
@@ -298,7 +309,7 @@ def _apply(plan: CircuitPlan, stmt: Statement, state: BiphotonState) -> Biphoton
     if isinstance(stmt, DmStmt):
         return apply_dichroic(state, stmt.in_path, stmt.signal_out, stmt.idler_out)
     if isinstance(stmt, PhaseStmt):
-        return apply_phase(state, stmt.path, _resolve(stmt.value, b, True), stmt.band)
+        return apply_phase(state, stmt.path, _setting(stmt, b), stmt.band)
     if isinstance(stmt, MergeStmt):
         return apply_merge(state, [MergeRule(stmt.path, stmt.pol, stmt.band)])
     raise TypeError(f"cannot execute statement {stmt!r}")

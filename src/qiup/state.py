@@ -8,9 +8,12 @@ no element adds a term: a pipeline holds one term per source.  One kernel,
 ``_linear``, applies every such map from a table that sends each mode it moves
 to its ``(mode, coefficient)`` targets; each public transform only builds the
 table, over the at most 12 modes (2 polarizations x 3 tags) of its input
-paths.  Norms and counts come from the Gram matrices of the term vectors: the
-idler overlap ``⟨w_k|w_l⟩`` is the induced-coherence factor that sets the
-signal fringes, and no map on the signal photon can change it.
+paths.  Norms and counts are one contraction, ``_contract``, of the Gram
+matrix of one photon's term vectors with that of the other's (``_gram``):
+``norm_sq`` contracts the full vectors, ``counts_at`` the ``band`` photon's
+vectors projected onto one polarization at the path.  For signal counts the
+idler Gram ``⟨w_k|w_l⟩`` is the induced-coherence factor that sets the
+fringes, and no map on the signal photon can change it.
 
 Queries that name pair entries (``items``, ``amplitude``, ``len``, ``==``,
 ``serialize``, ``path_occupied`` and friends) read the pair map
@@ -97,11 +100,6 @@ def _pruned(amps: dict) -> dict:
     return out
 
 
-def _nonzero(x) -> bool:
-    """Whether an amplitude, or any member of a batched one, is nonzero."""
-    return bool(x.any()) if isinstance(x, np.ndarray) else x != 0
-
-
 def _equal(a, b) -> bool:
     """Whether two amplitudes agree in every member; a scalar stands for
     every member, and batches of different sizes differ."""
@@ -175,6 +173,29 @@ def _inner(x: dict, y: dict) -> complex:
         if b is not None:
             total += a.conjugate() * b
     return total
+
+
+def _gram(vectors: list) -> list:
+    """The Gram matrix ``⟨v_k|v_l⟩`` of ``vectors`` as its upper triangle,
+    row by row: l = k, k+1, ... for each k; the rest is its conjugate."""
+    return [_inner(v, w) for k, v in enumerate(vectors) for w in vectors[k:]]
+
+
+def _contract(xs: list, gram: list):
+    """``‖Σ_k x_k ⊗ y_k‖² = Σ_{k,l} ⟨x_k|x_l⟩⟨y_k|y_l⟩``, given ``gram``, the
+    :func:`_gram` of the ``y_k``; clipped at 0, an array for a batch.
+
+    Both Gram matrices are Hermitian, so each pair k < l counts twice its
+    real part.
+    """
+    total = 0.0
+    g = iter(gram)
+    for k, x in enumerate(xs):
+        total += (_inner(x, x) * next(g)).real
+        for x_l in xs[k + 1:]:
+            total += 2.0 * (_inner(x, x_l) * next(g)).real
+    # rounding can push a vanishing sum just below zero
+    return _clipped(total)
 
 
 class BiphotonState:
@@ -251,17 +272,7 @@ class BiphotonState:
 
     def norm_sq(self):
         """``Σ_{k,l} ⟨u_k|u_l⟩⟨w_k|w_l⟩``, clipped at 0; an array for a batch."""
-        terms = self._terms
-        total = 0.0
-        for k, (uk, wk) in enumerate(terms):
-            for l in range(k, len(terms)):
-                ul, wl = terms[l]
-                g = _inner(uk, ul)
-                if _nonzero(g):
-                    g *= _inner(wk, wl)
-                    total += g.real if l == k else 2.0 * g.real
-        # rounding can push a vanishing sum just below zero
-        return _clipped(total)
+        return _contract([u for u, _ in self._terms], _gram([w for _, w in self._terms]))
 
     def tags_present(self) -> frozenset[SourceTag]:
         tags = set()
@@ -406,35 +417,23 @@ class BiphotonState:
 
         Each is ``Σ_{k,l} ⟨x_k|P x_l⟩⟨y_k|y_l⟩``: ``x`` the ``band`` photon's
         vectors, ``P`` the projector onto one polarization at ``path``, ``y``
-        the other photon's vectors (their Gram matrix).
+        the other photon's vectors, whose Gram matrix both share.  Terms with
+        no mode at ``path`` add nothing and are left out of both.
         """
         idx = intern_path(path)
-        mine, other = (0, 1) if band is Band.SIGNAL else (1, 0)
-        terms = self._terms
-        nh = nv = 0.0
-        for k, tk in enumerate(terms):
-            here = [(m, a.conjugate()) for m, a in tk[mine].items() if m >> PATH_SHIFT == idx]
-            if not here:
-                continue
-            for l in range(k, len(terms)):
-                tl = terms[l]
-                get = tl[mine].get
-                ch = cv = 0j
-                for m, ca in here:
-                    b = get(m)
-                    if b is not None:
-                        if m & POL_MASK:
-                            cv += ca * b
-                        else:
-                            ch += ca * b
-                if _nonzero(ch) or _nonzero(cv):
-                    g = _inner(tk[other], tl[other])
-                    if l != k:
-                        g *= 2.0
-                    nh += (ch * g).real
-                    nv += (cv * g).real
-        # rounding can push a vanishing count just below zero
-        return _clipped(nh), _clipped(nv)
+        mine = 0 if band is Band.SIGNAL else 1
+        hs, vs, ys = [], [], []
+        for term in self._terms:
+            h, v = {}, {}
+            for m, a in term[mine].items():
+                if m >> PATH_SHIFT == idx:
+                    (v if m & POL_MASK else h)[m] = a
+            if h or v:
+                hs.append(h)
+                vs.append(v)
+                ys.append(term[1 - mine])
+        gram = _gram(ys)
+        return _contract(hs, gram), _contract(vs, gram)
 
     # -- serialization -----------------------------------------------------
 

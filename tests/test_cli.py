@@ -36,7 +36,7 @@ def oracle_csv(tmp_path, beta1=0.6, gamma=1.0, points=64, shots=None, seed=0):
     scan = FringeScan(tuple(float(p) for p in phis), records, "o'")
     path = tmp_path / "data.csv"
     if shots is None:
-        path.write_text(format_counts_csv(scan, shots=1))
+        path.write_text(format_counts_csv(scan))
     else:
         path.write_text(format_counts_csv(simulate_measurement(scan, shots, seed)))
     return path
@@ -159,6 +159,22 @@ class TestScan:
         err = capsys.readouterr().err
         vis = float(err.split("visibility=")[1].split()[0])
         assert vis < 1e-9
+
+    @pytest.mark.parametrize("pol", ["H", "V"])
+    def test_distinguishable_sources_do_not_fringe(self, pol, tmp_path, capsys):
+        # the paper's no-go: source 1 emitting H leaves no phi fringe; its
+        # pol=V twin, the same network, fringes
+        path = tmp_path / "mzi.qiup"
+        text = (CIRCUITS_DIR / "distinguishable_mzi.qiup").read_text()
+        path.write_text(text.replace("pol=H", f"pol={pol}"))
+        code = cli.main(["scan", str(path), "--param", "theta=0.4",
+                         "--out", str(tmp_path / "scan.csv")])
+        assert code == 0
+        vis = float(capsys.readouterr().err.split("visibility=")[1].split()[0])
+        if pol == "H":
+            assert vis <= 1e-12
+        else:
+            assert vis == pytest.approx(0.2965, abs=1e-4)
 
     def test_theta_sweep_has_no_visibility_line(self, tmp_path, capsys):
         out = tmp_path / "theta.csv"

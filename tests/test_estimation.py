@@ -230,7 +230,7 @@ class TestFit:
         theta_scan = FringeScan(scan.phis, scan.records, "o'", sweep="theta")
         for data in (theta_scan, simulate_measurement(theta_scan, shots=1000, seed=1)):
             assert data.sweep == "theta"
-            assert format_counts_csv(data, shots=1).splitlines()[1] == "theta,counts_h,counts_v"
+            assert format_counts_csv(data).splitlines()[1] == "theta,counts_h,counts_v"
             with pytest.raises(ValueError, match="needs a phi scan, got a theta scan"):
                 fit(data)
 
@@ -498,7 +498,7 @@ class TestMeasurementCsv:
 
     def test_noiseless_roundtrip_yields_fringe_scan(self):
         scan = oracle_scan(0.6, 1.0)
-        back = read_counts_csv(format_counts_csv(scan, shots=1))
+        back = read_counts_csv(format_counts_csv(scan))
         assert isinstance(back, FringeScan)
         np.testing.assert_allclose(back.column("v"), scan.column("v"), rtol=1e-12)
 

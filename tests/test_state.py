@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qiup.errors import PreparationConflictError, UnitarityError
 from qiup.modes import PATH_SHIFT, Band, Mode, ModePair, Polarization, SourceTag, path_name
-from qiup.plan import fig1_preset, iter_plan
+from qiup.plan import fig1_preset, iter_plan, run_plan
 from qiup.state import PRUNE_EPSILON, BiphotonState, SourceSpec, initial_state
 from qiup.elements import (
     BS_CONVENTIONS,
@@ -375,6 +375,35 @@ def test_gram_reductions_equal_pair_entry_sums(entries, sequence):
             for got, pol in ((nh, H), (nv, V)):
                 want = math.fsum(abs(a) ** 2 for m, a in modes if m.path == path and m.pol is pol)
                 assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+FIG1_PATHS = ("b'", "e'", "f'", "o'")
+FIG1_PARAMS = dict(alpha1=0.6, beta1=0.8, gamma=1.0, alpha2=0.28, beta2=0.96,
+                   phi=0.3, theta=0.4)
+FIG1_FINAL = [
+    run_plan(fig1_preset(FIG1_PARAMS)),
+    run_plan(fig1_preset(dict(FIG1_PARAMS, phi=np.array([0.3, 1.7, 4.0]),
+                              theta=np.array([0.4, 0.9, 2.0])))),
+]
+one_photon_steps = st.one_of(
+    st.tuples(st.just("unitary"), st.sampled_from(PATHS + FIG1_PATHS), angles, angles, angles),
+    st.tuples(st.just("phase"), st.sampled_from(PATHS + FIG1_PATHS), angles),
+)
+
+
+@given(start=st.one_of(states.map(BiphotonState), st.sampled_from(FIG1_FINAL)),
+       band=st.sampled_from([Band.SIGNAL, Band.IDLER]),
+       steps=st.lists(one_photon_steps, min_size=1, max_size=5))
+def test_one_photon_maps_leave_the_other_photons_counts_alone(start, band, steps):
+    # the mechanism of the no-go: a unitary map on one photon keeps that
+    # photon's Gram matrix, the factor that sets the other photon's counts
+    other = Band.IDLER if band is Band.SIGNAL else Band.SIGNAL
+    state = start
+    for kind, path, *args in steps:
+        state = apply_op(state, (kind, path, band, *args))
+    for path in PATHS + FIG1_PATHS:
+        for got, want in zip(state.counts_at(path, other), start.counts_at(path, other)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def assert_same_observables(lazy, eager):
