@@ -214,22 +214,48 @@ def _refine(
     once and each residual is five numbers dotted with the features of
     (beta1, gamma): the loop, with its analytic Jacobian, runs on Python
     floats.  A beta1 held at a bound by the gradient leaves the step to
-    gamma alone.  Stops when a step is below ``REFINE_TOL`` relative to the
-    parameters; returns ``converged=False`` only when ``MAX_REFINE_EVALS``
-    residual evaluations run out first.
+    gamma alone.  A trial step is kept when it lowers the cost, judged
+    from the residuals' change, which resolves the last steps where the
+    cost's own rounding does not.  Stops when a trial step and Newton's
+    step (the gradient times the inverse Hessian) are both below
+    ``REFINE_TOL`` relative to the parameters; returns ``converged=False``
+    only when ``MAX_REFINE_EVALS`` residual evaluations run out first.
     """
     # residual i is k_i + b (m1 + b m2 + c m3 + s m4), with k_i = m0 - z_i
     # and c, s the cosine and sine of gamma
     rows = [(m[0] - zi, *m[1:])
             for m, zi in zip((r @ REFERENCE_FORMS).reshape(6, 5).tolist(), z.ravel().tolist())]
 
-    def residuals(b: float, g: float) -> list[float]:
-        c, s = math.cos(g), math.sin(g)
-        return [k + b * (m1 + b * m2 + c * m3 + s * m4) for k, m1, m2, m3, m4 in rows]
+    def change(b: float, c: float, s: float, db: float, dg: float) -> list[float]:
+        # the residuals' change from (b, g) to (b + db, g + dg), with c, s
+        # the cosine and sine of g, from the changes of the features b, b^2,
+        # b c and b s, each formed without cancellation (1 - cos dg as
+        # 2 sin^2(dg/2)), so that it keeps its precision however small the step
+        sin_dg, versine = math.sin(dg), 2.0 * math.sin(dg / 2.0) ** 2
+        dc, ds = -(c * versine + s * sin_dg), c * sin_dg - s * versine
+        f1, f2, f3, f4 = db, db * (2.0 * b + db), db * (c + dc) + b * dc, db * (s + ds) + b * ds
+        return [m1 * f1 + m2 * f2 + m3 * f3 + m4 * f4 for _, m1, m2, m3, m4 in rows]
+
+    def near_minimum() -> bool:
+        # Newton's step, the gradient times the inverse Hessian over the free
+        # parameters (times det): how far the minimum lies from the loop's
+        # (b, g).  Damping alone can make a trial step small in a flat valley
+        # far from it, and where the residuals curve the cost, Gauss-Newton's
+        # steps shrink well before the distance does.  The Hessian is J^T J
+        # plus sum_i e_i (Hessian of e_i); at beta1 = 0, gamma has no say,
+        # and the step and det vanish together
+        r00 = r01 = r11 = 0.0
+        for (_, m1, m2, m3, m4), ei in zip(rows, e):
+            r00, r01 = r00 + 2.0 * m2 * ei, r01 + (c * m4 - s * m3) * ei
+            r11 -= (c * m3 + s * m4) * ei
+        h00, h01, free_b = (1.0, 0.0, 0.0) if held else (n00 + r00, n01 + r01, grad_b)
+        h11 = n11 + b * r11
+        return (math.hypot(h11 * free_b - h01 * grad_g, h00 * grad_g - h01 * free_b)
+                <= REFINE_TOL * (REFINE_TOL + math.hypot(b, g)) * (h00 * h11 - h01 * h01))
 
     b, g = beta1, gamma
-    e = residuals(b, g)
-    cost = sum(ei * ei for ei in e)
+    c, s = math.cos(g), math.sin(g)
+    e = [k + b * (m1 + b * m2 + c * m3 + s * m4) for k, m1, m2, m3, m4 in rows]
     evals, damping, grow = 1, None, 2.0
     while True:
         # the normal matrix J^T J and the gradient J^T e, row by row of J
@@ -257,23 +283,26 @@ def _refine(
             trial_b, trial_g = min(max(b + step_b, 0.0), 1.0), g + step_g
             step_b, step_g = trial_b - b, trial_g - g
             small = math.hypot(step_b, step_g) <= REFINE_TOL * (REFINE_TOL + math.hypot(b, g))
-            e_trial = residuals(trial_b, trial_g)
+            converged = small and near_minimum()
+            # the cost's decrease, |e|^2 - |e + d|^2, from the residuals'
+            # change d: near the minimum it lies below the rounding of |e|^2
+            d = change(b, c, s, step_b, step_g)
             evals += 1
-            cost_trial = sum(ei * ei for ei in e_trial)
-            accepted = cost_trial < cost
+            reduction = -sum(di * (2.0 * ei + di) for ei, di in zip(e, d))
+            accepted = reduction > 0.0
             if accepted:
                 # Nielsen's rule: less damping the better the linear model
                 # predicted the actual reduction
                 predicted = -(step_b * (2.0 * grad_b + n00 * step_b + n01 * step_g)
                               + step_g * (2.0 * grad_g + n01 * step_b + n11 * step_g))
-                gain = (cost - cost_trial) / predicted if predicted > 0.0 else 0.0
+                gain = reduction / predicted if predicted > 0.0 else 0.0
                 damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
                 grow = 2.0
-                b, g, e, cost = trial_b, trial_g, e_trial, cost_trial
+                b, g, e = trial_b, trial_g, [ei + di for ei, di in zip(e, d)]
             else:
                 damping *= grow
                 grow *= 2.0
-            if small:
+            if converged:
                 return b, g, True
             if accepted:
                 break

@@ -30,6 +30,10 @@ from .state import BiphotonState
 TENSOR_MAX_MEMBERS = 8192
 #: How many circuits keep their count tensors.
 TENSOR_CACHE_SIZE = 4
+#: A harmonic m >= 1 at or below this many times the largest count of the
+#: tensor or of the sampled run is rounding and reads 0: the scale-free
+#: visibility would turn it into a fringe on a channel that has none.
+HARMONIC_FLOOR = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -176,17 +180,26 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
     such series in it; a free name left unbound raises ``E_UNBOUND_PARAM``;
     and each preparation checks its bound amplitudes and phase, naming the
     failing cell.
+
+    Either way, a harmonic m >= 1 whose magnitude is at most
+    :data:`HARMONIC_FLOOR` times the largest count of the tensor or of the
+    run is set to 0: it is interpolation or rounding residue, and a channel
+    that vanishes would otherwise show it as a fringe of any visibility.
     """
     frequency, degree = _harmonics(plan, sweep)
     _check_bindings(plan, sweep)
     tensor = _count_tensor(_structure(plan))
     if tensor is None:
         counts = _sample(plan, [_angle_axis(sweep, frequency, degree)])
+        largest = counts.max(initial=0.0)
     else:
         counts = tensor.at_sweep_nodes(plan.bindings, sweep)
+        largest = tensor.largest
     # rfft of n > 2*degree samples gives n * c_m for harmonics m = 0..degree
     # without aliasing
     coeffs = np.fft.rfft(counts, axis=-1) / (2 * degree + 1)
+    waves = coeffs[..., 1:]
+    waves[np.abs(waves) <= HARMONIC_FLOOR * largest] = 0.0
     cells = any(isinstance(v, np.ndarray) for k, v in plan.bindings.items() if k != sweep)
     return frequency, coeffs if cells else coeffs[:, 0]
 
@@ -237,8 +250,16 @@ def _sine_products(t, angles: np.ndarray) -> np.ndarray:
     """prod_{k != j} sin((t - t_k)/2) over the nodes t_k = ``angles``, for
     each j: shape (..., n)."""
     half = np.sin((np.asarray(t)[..., None] - angles) / 2.0)
-    others = np.where(np.eye(len(angles), dtype=bool), 1.0, half[..., None, :])
+    others = np.where(_diagonal(len(angles)), 1.0, half[..., None, :])
     return others.prod(axis=-1)
+
+
+@functools.cache
+def _diagonal(n: int) -> np.ndarray:
+    """The (n, n) boolean identity that masks k = j out of each product."""
+    mask = np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _axis(names: tuple[str, ...], nodes: np.ndarray, frequency: int,
@@ -297,15 +318,25 @@ class _CountTensor:
 
     axes: tuple[_Axis, ...]
     counts: np.ndarray
+    largest: float  # the largest count
 
     def at_sweep_nodes(self, bindings, sweep: str) -> np.ndarray:
         """(2, C or 1, n_sweep): the counts at the sweep axis's nodes, every
-        other axis contracted with its weights at the bound values."""
+        other axis contracted with its weights at the bound values.
+
+        Axes whose names are all bound to scalars go first, each one weight
+        row applied to the whole tensor at once; the axes bound to arrays of
+        C cells follow, longest first, which leaves the least to contract
+        per cell.
+        """
         at = next(k for k, axis in enumerate(self.axes) if axis.names == (sweep,))
-        # the longest axes first, which leaves the least to contract after
-        # the cells come in
-        others = sorted((k for k in range(len(self.axes)) if k != at),
-                        key=lambda k: -len(self.axes[k]))
+
+        def order(k: int) -> tuple[bool, int]:
+            axis = self.axes[k]
+            return (any(isinstance(bindings[name], np.ndarray) for name in axis.names),
+                    -len(axis))
+
+        others = sorted((k for k in range(len(self.axes)) if k != at), key=order)
         values = self.counts.transpose([0, *(k + 1 for k in others), at + 1])
         values = values.reshape(2, 1, -1)  # (channel, cell, nodes)
         for k in others:
@@ -360,7 +391,7 @@ def _count_tensor(structure: tuple) -> _CountTensor | None:
     if caught:
         return None
     counts.flags.writeable = False
-    return _CountTensor(tuple(axes), counts)
+    return _CountTensor(tuple(axes), counts, float(counts.max(initial=0.0)))
 
 
 def harmonic_series(coeffs: np.ndarray, frequency: int, grid) -> np.ndarray:

@@ -8,12 +8,14 @@ no element adds a term: a pipeline holds one term per source.  One kernel,
 ``_linear``, applies every such map from a table that sends each mode it moves
 to its ``(mode, coefficient)`` targets; each public transform only builds the
 table, over the at most 12 modes (2 polarizations x 3 tags) of its input
-paths.  Norms and counts are one contraction, ``_contract``, of the Gram
-matrix of one photon's term vectors with that of the other's (``_gram``):
-``norm_sq`` contracts the full vectors, ``counts_at`` the ``band`` photon's
-vectors projected onto one polarization at the path.  For signal counts the
-idler Gram ``⟨w_k|w_l⟩`` is the induced-coherence factor that sets the
-fringes, and no map on the signal photon can change it.
+paths, and a table whose coefficients are constants (a relabeling or a
+merge) is built once per process.  Norms and counts are one contraction,
+``_contract``, of the Gram matrix of one photon's term vectors with that of
+the other's (``_gram``): ``norm_sq`` contracts the full vectors,
+``counts_at`` the ``band`` photon's vectors projected onto one polarization
+at the path.  For signal counts the idler Gram ``⟨w_k|w_l⟩`` is the
+induced-coherence factor that sets the fringes, and no map on the signal
+photon can change it.
 
 Queries that name pair entries (``items``, ``amplitude``, ``len``, ``==``,
 ``serialize``, ``path_occupied`` and friends) read the pair map
@@ -156,6 +158,29 @@ def _modes(path: str, pols: tuple[int, ...] = (0, 1)) -> tuple[int, ...]:
     path indices never change within a process."""
     idx = intern_path(path)
     return tuple(pack_mode(idx, pol, tag.value) for tag in SourceTag for pol in pols)
+
+
+@functools.cache
+def _relabel_table(from_path: str, to_path: str, pols: tuple[int, ...]) -> dict:
+    """The :func:`_linear` table that re-keys ``from_path``'s modes with
+    polarization in ``pols`` onto ``to_path``.  Cached, like every table
+    with constant coefficients: :func:`_linear` only reads it."""
+    return {k: ((t, 1),) for k, t in zip(_modes(from_path, pols), _modes(to_path, pols))}
+
+
+@functools.cache
+def _merge_table(path: str, pol: int) -> dict:
+    """The :func:`_linear` table that drops the source tag of ``path``'s
+    modes with polarization ``pol``."""
+    merged, *tagged = _modes(path, (pol,))
+    return {k: ((merged, 1),) for k in tagged}
+
+
+@functools.cache
+def _port_modes(in_path: str, out_a: str, out_b: str) -> tuple[tuple[int, int, int], ...]:
+    """(mode at ``in_path``, its twin at ``out_a``, at ``out_b``) for every
+    mode at ``in_path``."""
+    return tuple(zip(_modes(in_path), _modes(out_a), _modes(out_b)))
 
 
 def _select(amps: dict, path_idx: int) -> dict:
@@ -359,14 +384,13 @@ class BiphotonState:
         A mode on ``in_a`` goes to ``m[0,0]·out_a + m[1,0]·out_b``, one on
         ``in_b`` to ``m[0,1]·out_a + m[1,1]·out_b``; ``in_b`` may be None.
         """
-        outs = list(zip(_modes(out_a), _modes(out_b)))
         table = {}
         if in_b is not None:
             m_ab, m_bb = complex(m[0, 1]), complex(m[1, 1])
-            table.update({k: ((a, m_ab), (b, m_bb)) for k, (a, b) in zip(_modes(in_b), outs)})
+            table.update({k: ((a, m_ab), (b, m_bb)) for k, a, b in _port_modes(in_b, out_a, out_b)})
         # written last, so in_a wins should in_b name the same path
         m_aa, m_ba = complex(m[0, 0]), complex(m[1, 0])
-        table.update({k: ((a, m_aa), (b, m_ba)) for k, (a, b) in zip(_modes(in_a), outs)})
+        table.update({k: ((a, m_aa), (b, m_ba)) for k, a, b in _port_modes(in_a, out_a, out_b)})
         return self._map(None, table)
 
     def relabel_path(
@@ -378,13 +402,11 @@ class BiphotonState:
     ) -> "BiphotonState":
         """Re-key matching modes onto ``to_path``; colliding amplitudes sum."""
         pols = (0, 1) if pol is None else (pol.value,)
-        table = {k: ((t, 1),) for k, t in zip(_modes(from_path, pols), _modes(to_path, pols))}
-        return self._map(band, table)
+        return self._map(band, _relabel_table(from_path, to_path, pols))
 
     def merge_tags(self, path: str, pol: Polarization, band: Band) -> "BiphotonState":
         """Drop the source tag of matching modes; colliding amplitudes sum."""
-        merged, *tagged = _modes(path, (pol.value,))
-        return self._map(band, {k: ((merged, 1),) for k in tagged})
+        return self._map(band, _merge_table(path, pol.value))
 
     def apply_phase_factor(
         self, path: str, factor: complex, band: Band | None = None

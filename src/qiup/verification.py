@@ -8,11 +8,14 @@ absolute deviations of the engine counts from both closed-form families in
 gamma = 0.
 
 Every cell's counts are a first-order trigonometric series in phi, so the
-(beta1, gamma) count cells and the visibility cells are bound as arrays and
+(beta1, gamma) count cells and the visibility cells are bound as arrays of
+alpha1, beta1 and gamma, the regime's constants as scalars, and
 :func:`qiup.observables.harmonic_coefficients` gives each cell's series from
 its counts at the 2D + 1 = 3 harmonic sample values of phi.  Those come from
 the circuit's count tensor, which the first comparison in a process builds
-in one batched run and later ones reuse without running the circuit.
+in one batched run and later ones reuse without running the circuit; the
+constants' axes are contracted once, over the whole tensor, before the
+cells' axes.
 
 Both closed-form families are first harmonics in phi too, so the comparison
 works on coefficients: each family's table in :mod:`qiup.reference` gives
@@ -103,8 +106,9 @@ def run_verification(
     cells = len(betas)
     beta1 = np.concatenate((betas, VISIBILITY_BETAS))
     gamma = np.concatenate((gammas, np.zeros(len(VISIBILITY_BETAS))))
-    # regime_params per cell, every name an array of all cells
-    bindings = {name: np.full(len(beta1), value) for name, value in regime_params(0.0, 0.0).items()}
+    # regime_params per cell: the regime's constants bound once, as scalars,
+    # and the names that vary from cell to cell as arrays of all cells
+    bindings = regime_params(0.0, 0.0)
     bindings.update(alpha1=np.sqrt(np.maximum(0.0, 1.0 - beta1 * beta1)), beta1=beta1, gamma=gamma)
     plan = replace(fig1_preset(bindings), bs_convention=bs_convention)
     frequency, coeffs = harmonic_coefficients(plan, "phi")

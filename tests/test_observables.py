@@ -1,8 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dense_model
 from conftest import CIRCUITS_DIR
@@ -640,6 +643,90 @@ def test_checks_raise_what_a_run_raises(params, message):
         assert message in str(err.value)
 
 
+#: fig1's free names, a preparation's pair as one unit.
+FIG1_UNITS = (("alpha1", "beta1"), ("gamma",), ("alpha2", "beta2"), ("phi",), ("theta",))
+#: waveplate_prep with its three wave-plate angles freed: four angle axes.
+WAVEPLATE_TEXT = (CIRCUITS_DIR / "waveplate_prep.qiup").read_text().replace(
+    "hwp a angle=22.5", "hwp a angle=$h").replace(
+    "qwp a angle=0", "qwp a angle=$q").replace("hwp f angle=45", "hwp f angle=$t")
+CELL_CIRCUITS = {
+    "fig1": (FIG1_UNITS, ("phi", "theta", "gamma")),
+    "distinguishable_mzi": ((("phi",), ("theta",)), ("phi", "theta")),
+    "waveplate_prep": ((("phi",), ("h",), ("q",), ("t",)), ("phi", "h", "q", "t")),
+}
+CELLS = 3
+
+
+def draw_unit(unit, rng):
+    """Values for one unit: a pair on the unit circle's first quadrant, or
+    an angle."""
+    if len(unit) == 2:
+        chi = rng.uniform(0.0, math.pi / 2)
+        return {unit[0]: math.cos(chi), unit[1]: math.sin(chi)}
+    return {unit[0]: rng.uniform(0.0, 2.0 * math.pi)}
+
+
+def cell_bindings(units, kinds, rng):
+    """(bindings, rows): each unit bound per its kind to ``CELLS`` cells of
+    its own values ("cells"), to one value as scalars ("scalar"), or to one
+    value with its first name an array that repeats it ("repeated"); and the
+    scalar bindings of every cell."""
+    bindings, rows = {}, [{} for _ in range(CELLS)]
+    for unit, kind in zip(units, kinds):
+        if kind == "cells":
+            values = [draw_unit(unit, rng) for _ in range(CELLS)]
+            bindings.update({name: np.array([v[name] for v in values]) for name in unit})
+        else:
+            values = [draw_unit(unit, rng)] * CELLS
+            bindings.update(values[0])
+            if kind == "repeated":
+                bindings[unit[0]] = np.full(CELLS, values[0][unit[0]])
+        for row, value in zip(rows, values):
+            row.update(value)
+    return bindings, rows
+
+
+def circuit_plan(circuit, bindings):
+    if circuit == "fig1":
+        return fig1_preset(bindings)
+    text = WAVEPLATE_TEXT if circuit == "waveplate_prep" else TestDistinguishableMzi.TEXT
+    return compiled(text, **bindings)
+
+
+@given(circuit=st.sampled_from(sorted(CELL_CIRCUITS)), data=st.data())
+def test_scalar_axes_first_gives_each_cells_counts(circuit, data):
+    """Any names bound to cells, the rest scalars: the count tensor folds the
+    scalar axes first, and each cell's series is still its own."""
+    units, sweeps = CELL_CIRCUITS[circuit]
+    sweep = data.draw(st.sampled_from(sweeps), label="sweep")
+    others = [unit for unit in units if unit != (sweep,)]
+    kinds = data.draw(st.lists(st.sampled_from(["scalar", "cells", "repeated"]),
+                               min_size=len(others), max_size=len(others)), label="kinds")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    bindings, rows = cell_bindings(others, kinds, rng)
+    bindings[sweep] = 0.0
+    plan = circuit_plan(circuit, bindings)
+    frequency, coeffs = harmonic_coefficients(plan, sweep)
+    assert tensor_of(plan) is not None
+    cells = any(isinstance(v, np.ndarray) for v in bindings.values())
+    coeffs = coeffs if cells else coeffs[:, None]
+    assert coeffs.shape[1] == (CELLS if cells else 1)
+    grid = rng.uniform(0.0, 2.0 * math.pi, 4)
+    for i in range(coeffs.shape[1]):
+        cell = dict(rows[i], **{sweep: 0.0})
+        np.testing.assert_allclose(
+            coeffs[:, i], harmonic_coefficients(circuit_plan(circuit, cell), sweep)[1],
+            rtol=0, atol=1e-13)
+        if circuit == "fig1":
+            got = harmonic_series(coeffs[:, i], frequency, grid)
+            for k, x in enumerate(grid):
+                want = dense_model.run_fig1(**dict(cell, **{sweep: x})).counts("o'")
+                np.testing.assert_allclose(got[:, k], want, rtol=0, atol=1e-12)
+    if circuit != "fig1":  # no dense model: the engine's own run
+        want = sampled_coefficients(plan, sweep)[1]
+        np.testing.assert_allclose(coeffs, want if cells else want[:, None], rtol=0, atol=1e-12)
+
+
 class TestDistinguishableMzi:
     """``circuits/distinguishable_mzi.qiup``: fig1 with source 1 emitting H,
     the paper's no-go.  Its free names are phi and theta."""
@@ -660,6 +747,27 @@ class TestDistinguishableMzi:
             scan = fringe_scan(compiled(self.TEXT, theta=theta), "phi", FULL_PERIOD)
             for channel in ("h", "v"):
                 assert visibility(scan.column(channel)).value <= 1e-12
+
+    @pytest.mark.parametrize("tensor", [True, False], ids=["tensor", "sampled"])
+    def test_no_fringe_at_vanishing_theta(self, tensor, monkeypatch):
+        # the V channel vanishes like theta^4: the rounding residue of its
+        # harmonics must not read as a fringe, whichever way the counts come
+        if not tensor:
+            monkeypatch.setattr(observables, "TENSOR_MAX_MEMBERS", 0)
+        rng = np.random.default_rng(37)
+        thetas = [1e-9, 1e-6, 1e-4, 0.01, 0.4, *10.0 ** rng.uniform(-12.0, -3.0, 12)]
+        observables._count_tensor.cache_clear()
+        try:
+            for theta in thetas:
+                plan = compiled(self.TEXT, theta=theta)
+                assert (tensor_of(plan) is not None) == tensor
+                scan = fringe_scan(plan, "phi", FULL_PERIOD)
+                for channel in ("h", "v"):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", QiupWarning)  # an all-zero V
+                        assert visibility(scan.column(channel)).value == 0.0
+        finally:
+            observables._count_tensor.cache_clear()
 
     def test_v_channel_is_empty_at_theta_zero(self):
         scan = fringe_scan(compiled(self.TEXT, theta=0.0), "phi", FULL_PERIOD)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qiup.errors import PreparationConflictError, UnitarityError
 from qiup.modes import PATH_SHIFT, Band, Mode, ModePair, Polarization, SourceTag, path_name
+from qiup import state as state_module
 from qiup.plan import fig1_preset, iter_plan, run_plan
 from qiup.state import PRUNE_EPSILON, BiphotonState, SourceSpec, initial_state
 from qiup.elements import (
@@ -404,6 +405,27 @@ def test_one_photon_maps_leave_the_other_photons_counts_alone(start, band, steps
     for path in PATHS + FIG1_PATHS:
         for got, want in zip(state.counts_at(path, other), start.counts_at(path, other)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+CACHED_TABLES = ("_relabel_table", "_merge_table", "_port_modes")
+
+
+def test_cached_tables_give_the_states_of_uncached_runs(monkeypatch):
+    # fig1's pipeline relabels, merges and splits: every state, scalar and
+    # batched, equals the state of a run that builds each table afresh,
+    # entry for entry and bit for bit (== compares amplitudes exactly)
+    plans = [fig1_preset(FIG1_PARAMS),
+             fig1_preset(dict(FIG1_PARAMS, phi=np.array([0.3, 1.7, 4.0]),
+                              theta=np.array([0.4, 0.9, 2.0])))]
+    cached = [[state for _, state in iter_plan(plan)] for plan in plans]
+    cached += [[state for _, state in iter_plan(plan)] for plan in plans]
+    assert all(getattr(state_module, name).cache_info().hits for name in CACHED_TABLES)
+    for name in CACHED_TABLES:
+        monkeypatch.setattr(state_module, name, getattr(state_module, name).__wrapped__)
+    fresh = [[state for _, state in iter_plan(plan)] for plan in plans] * 2
+    for got, want in zip(cached, fresh):
+        assert len(got) == len(want)
+        assert all(a == b for a, b in zip(got, want))
 
 
 def assert_same_observables(lazy, eager):
