@@ -38,12 +38,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DataFormatError
-from .observables import CountResult, FringeScan
+from .observables import FringeScan, _set_scan
 from .reference import REFERENCE_FORMS, harmonics
 
 TWO_PI = 2.0 * math.pi
@@ -66,24 +66,47 @@ CHI2_TAIL = 0.5 * math.erfc(CHI2_SIGMAS / math.sqrt(2.0))
 MODEL_RMS_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class NoisyScan:
-    """Integer Poisson counts drawn around ``shots`` times the expectations."""
+    """Integer Poisson counts drawn around ``shots`` times the expectations.
 
-    phis: tuple[float, ...]
-    counts_h: tuple[int, ...]
-    counts_v: tuple[int, ...]
+    The layout of :class:`~qiup.observables.FringeScan`: read-only arrays
+    ``phis``, shape (N,), strictly increasing, and ``counts``, shape (2, N),
+    whose rows ``counts_h`` and ``counts_v`` are views.  Scans compare by
+    identity.
+    """
+
+    phis: np.ndarray
+    counts: np.ndarray
     shots: int
     seed: int
-    sweep: str = "phi"
+    sweep: str
 
-    def __post_init__(self) -> None:
-        if not (len(self.phis) == len(self.counts_h) == len(self.counts_v)):
-            raise ValueError("phis and count columns must have equal length")
-        if self.shots < 1:
+    def __init__(self, phis: Sequence[float], counts_h: Sequence[int],
+                 counts_v: Sequence[int], shots: int, seed: int, sweep: str = "phi") -> None:
+        self._set(np.array(phis, dtype=float), (counts_h, counts_v), shots, seed, sweep)
+
+    @classmethod
+    def _of(cls, phis: np.ndarray, counts: np.ndarray, shots: int, seed: int,
+            sweep: str) -> NoisyScan:
+        """The scan of arrays it may own and freeze, checked as by the
+        constructor."""
+        scan = object.__new__(cls)
+        scan._set(phis, counts, shots, seed, sweep)
+        return scan
+
+    def _set(self, phis: np.ndarray, rows, shots: int, seed: int, sweep: str) -> None:
+        if shots < 1:
             raise ValueError("shots must be a positive integer")
-        if not all(b > a for a, b in zip(self.phis, self.phis[1:])):  # NaN fails
-            raise ValueError("scan grid must be strictly increasing")
+        _set_scan(self, phis, rows, "count columns", shots=shots, seed=seed, sweep=sweep)
+
+    @property
+    def counts_h(self) -> np.ndarray:
+        return self.counts[0]
+
+    @property
+    def counts_v(self) -> np.ndarray:
+        return self.counts[1]
 
 
 @dataclass(frozen=True)
@@ -111,36 +134,26 @@ def simulate_measurement(scan: FringeScan, shots: int, seed: int) -> NoisyScan:
     """Draw Poisson counts around ``shots`` times each expectation value.
 
     Sampling uses numpy's PCG64 generator seeded with ``seed``; identical
-    inputs give identical counts.
+    inputs give identical counts.  Only a :class:`FringeScan` of
+    expectations is drawn around; anything else raises ``TypeError``.
     """
+    if not isinstance(scan, FringeScan):
+        raise TypeError(f"simulate_measurement needs a FringeScan, got {type(scan).__name__}")
     if shots < 1:
         raise ValueError("shots must be a positive integer")
     rng = np.random.Generator(np.random.PCG64(seed))
-    counts_h = rng.poisson(shots * scan.column("h"))
-    counts_v = rng.poisson(shots * scan.column("v"))
-    return NoisyScan(
-        phis=scan.phis,
-        counts_h=tuple(int(c) for c in counts_h),
-        counts_v=tuple(int(c) for c in counts_v),
-        shots=shots,
-        seed=seed,
-        sweep=scan.sweep,
-    )
+    # one draw per point, the H row before the V row
+    counts = rng.poisson(shots * scan.counts)
+    return NoisyScan._of(scan.phis, counts, shots, seed, scan.sweep)
 
 
-def _channels(data: ScanLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phis, h, v) with counts normalized by shots."""
+def _channels(data: ScanLike) -> tuple[np.ndarray, np.ndarray]:
+    """(phis, counts): the (2, N) counts normalized by shots."""
     if data.sweep != "phi":
         raise ValueError(f"fringe analysis needs a phi scan, got a {data.sweep} scan")
     if isinstance(data, NoisyScan):
-        phis = np.asarray(data.phis, dtype=float)
-        h = np.asarray(data.counts_h, dtype=float) / data.shots
-        v = np.asarray(data.counts_v, dtype=float) / data.shots
-    else:
-        phis = np.asarray(data.phis, dtype=float)
-        h = data.column("h")
-        v = data.column("v")
-    return phis, h, v
+        return data.phis, data.counts / data.shots
+    return data.phis, data.counts
 
 
 #: Row and column of the six distinct entries of a symmetric 3x3 matrix.
@@ -324,27 +337,24 @@ def fit(data: ScanLike, weighting: str = "equal") -> FitResult:
     beyond ``CHI2_SIGMAS``; for noiseless expectations, when the residual RMS
     exceeds ``MODEL_RMS_TOL``.
     """
-    phis, h, v = _channels(data)
+    phis, y = _channels(data)
     # both scan types hold strictly increasing phases, so all are distinct
     if len(phis) < MIN_FIT_PHIS:
         raise ValueError(
             f"fit needs at least {MIN_FIT_PHIS} distinct phi values, got {len(phis)}"
         )
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(v)) and np.all(np.isfinite(phis))):
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(phis))):
         raise ValueError("scan contains non-finite values")
 
     if weighting == "equal":
-        wh = np.ones_like(h)
-        wv = np.ones_like(v)
+        sqrt_w = np.ones_like(y)
     elif weighting == "inverse_variance":
         if not isinstance(data, NoisyScan):
             raise ValueError("inverse-variance weighting needs integer-count data")
-        wh = data.shots / np.maximum(np.asarray(data.counts_h, dtype=float), 1.0)
-        wv = data.shots / np.maximum(np.asarray(data.counts_v, dtype=float), 1.0)
+        sqrt_w = np.sqrt(data.shots / np.maximum(data.counts, 1.0))
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
 
-    y, sqrt_w = np.stack([h, v]), np.sqrt(np.stack([wh, wv]))
     basis = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)], axis=-1)
     r, z = _whiten(basis, y, sqrt_w)
 
@@ -377,7 +387,7 @@ def _model_rejected(data: ScanLike, model: np.ndarray, residual_sum_sq: float) -
     if isinstance(data, NoisyScan):
         # the reference forms stay above 1/16 on [0, 1], so no expectation is 0
         expected = data.shots * model.ravel()
-        observed = np.concatenate((data.counts_h, data.counts_v))
+        observed = data.counts.ravel()
         dof = model.size - 2
         chi2 = float(np.sum((observed - expected) ** 2 / expected))
         return _chi2_log_sf(chi2, dof) < math.log(CHI2_TAIL)
@@ -430,12 +440,10 @@ def infer_alpha1(beta1_hat: float) -> float:
 def format_counts_csv(data: ScanLike) -> str:
     """A noisy scan's counts, or a scan's expectations as ``shots=1``."""
     if isinstance(data, NoisyScan):
-        shots = data.shots
-        rows = zip(data.phis, data.counts_h, data.counts_v)
-        body = [f"{p:.17g},{ch},{cv}" for p, ch, cv in rows]
+        shots, row = data.shots, "{:.17g},{},{}"
     else:
-        shots = 1
-        body = [f"{p:.17g},{r.n_h:.17g},{r.n_v:.17g}" for p, r in zip(data.phis, data.records)]
+        shots, row = 1, "{:.17g},{:.17g},{:.17g}"
+    body = map(row.format, data.phis.tolist(), *data.counts.tolist())
     header = f"{data.sweep},counts_h,counts_v"
     return "\n".join([f"# shots={shots}", header, *body]) + "\n"
 
@@ -448,7 +456,8 @@ def read_counts_csv(text: str) -> ScanLike:
     :class:`FringeScan`.  ``phi,n_h,n_v`` expectation tables (as written by
     ``qiup scan``) yield a :class:`FringeScan` directly.  A negative count,
     a phi that does not increase on the previous row's and ``shots`` below 1
-    raise :class:`DataFormatError` with the line number.
+    raise :class:`DataFormatError` with the line number; integral counts of
+    2**63 or more, which no int64 holds, raise it without one.
     """
     shots = None
     header = None
@@ -499,18 +508,13 @@ def read_counts_csv(text: str) -> ScanLike:
         vs.append(values[2])
     if header is None or not phis:
         raise DataFormatError("no data rows found")
+    grid, counts = np.array(phis), np.array((hs, vs))
     if header == "phi,n_h,n_v":
-        records = tuple(CountResult(ch, cv) for ch, cv in zip(hs, vs))
-        return FringeScan(tuple(phis), records, detect_path="")
+        return FringeScan._of(grid, counts, "", "phi")
     if shots is None:
         raise DataFormatError("missing '# shots=N' header comment")
-    if all(c == int(c) for c in hs + vs):
-        return NoisyScan(
-            phis=tuple(phis),
-            counts_h=tuple(int(c) for c in hs),
-            counts_v=tuple(int(c) for c in vs),
-            shots=shots,
-            seed=0,
-        )
-    records = tuple(CountResult(ch / shots, cv / shots) for ch, cv in zip(hs, vs))
-    return FringeScan(tuple(phis), records, detect_path="")
+    if np.all(counts == np.trunc(counts)):
+        if counts.max() >= 2.0**63:
+            raise DataFormatError("integer counts must be below 2**63")
+        return NoisyScan._of(grid, counts.astype(np.int64), shots, 0, "phi")
+    return FringeScan._of(grid, counts / shots, "", "phi")

@@ -50,32 +50,71 @@ class VisibilityResult:
     phi_at_max: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class FringeScan:
-    """Sampled (phi, counts) records for one detection path.
+    """Detect-path counts over a swept parameter, as arrays.
 
-    ``phis`` holds the values of the swept parameter ``sweep`` and must be
-    strictly increasing; fringe analysis needs a ``phi`` sweep and
-    additionally assumes it covers a full period within [0, 2pi).
+    ``phis``, shape (N,), holds the values of the swept parameter ``sweep``
+    and must be strictly increasing; ``counts``, shape (2, N), holds the H
+    and V expectations at them.  Both are read-only.  Fringe analysis needs
+    a ``phi`` sweep and additionally assumes it covers a full period within
+    [0, 2pi).
+
+    The constructor takes one :class:`CountResult` per point and converts
+    them once; ``records`` rebuilds them from ``counts`` on each access.
+    qiup's own producers build the arrays directly.  Arrays have no single
+    truth value, so scans compare by identity.
     """
 
-    phis: tuple[float, ...]
-    records: tuple[CountResult, ...]
+    phis: np.ndarray
+    counts: np.ndarray
     detect_path: str
-    sweep: str = "phi"
+    sweep: str
 
-    def __post_init__(self) -> None:
-        if len(self.phis) != len(self.records):
-            raise ValueError("phis and records must have equal length")
-        if not all(b > a for a, b in zip(self.phis, self.phis[1:])):  # NaN fails
-            raise ValueError("scan grid must be strictly increasing")
+    def __init__(self, phis: Sequence[float], records: Sequence[CountResult],
+                 detect_path: str, sweep: str = "phi") -> None:
+        rows = np.array([[r.n_h for r in records], [r.n_v for r in records]], dtype=float)
+        _set_scan(self, np.array(phis, dtype=float), rows, "records",
+                  detect_path=detect_path, sweep=sweep)
+
+    @classmethod
+    def _of(cls, phis: np.ndarray, counts: np.ndarray, detect_path: str,
+            sweep: str) -> FringeScan:
+        """The scan of arrays it may own and freeze, checked as by the
+        constructor."""
+        scan = object.__new__(cls)
+        _set_scan(scan, phis, counts, "records", detect_path=detect_path, sweep=sweep)
+        return scan
+
+    @property
+    def records(self) -> tuple[CountResult, ...]:
+        """One :class:`CountResult` per point, built from ``counts``."""
+        return tuple(map(CountResult, *self.counts.tolist()))
 
     def column(self, channel: str) -> np.ndarray:
+        """The read-only row of ``counts`` for channel ``"h"`` or ``"v"``."""
         if channel == "h":
-            return np.array([r.n_h for r in self.records])
+            return self.counts[0]
         if channel == "v":
-            return np.array([r.n_v for r in self.records])
+            return self.counts[1]
         raise ValueError(f"unknown channel {channel!r} (use 'h' or 'v')")
+
+
+def _set_scan(scan, phis: np.ndarray, rows, what: str, **fields) -> None:
+    """Give ``scan`` the read-only arrays ``phis`` and ``counts`` (the two
+    ``rows``, H and V, stacked) and its other ``fields``.
+
+    The one check of every scan type: each row as long as ``phis`` and the
+    grid strictly increasing, where NaN fails.  Freezes ``phis`` and an
+    array ``rows`` in place, so callers pass arrays they own.
+    """
+    if not len(rows[0]) == len(rows[1]) == len(phis):
+        raise ValueError(f"phis and {what} must have equal length")
+    if not (phis[1:] > phis[:-1]).all():
+        raise ValueError("scan grid must be strictly increasing")
+    counts = np.asarray(rows)
+    phis.flags.writeable = counts.flags.writeable = False
+    vars(scan).update(fields, phis=phis, counts=counts)
 
 
 def counts(state: BiphotonState, path: str, band: Band) -> CountResult:
@@ -105,7 +144,9 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
     ``E_UNKNOWN_PARAM`` is raised, and an angle: a preparation's ``alpha`` or
     ``beta`` raises ``ValueError``.  Both are refused whatever the grid, before
     any run.  Every other free parameter must already be bound to a scalar (an
-    array binding raises ``E_BATCH_SHAPE``).  Records come back in grid order.
+    array binding raises ``E_BATCH_SHAPE``).  ``grid`` is any iterable of
+    numbers; the scan holds it and the counts at it, in grid order, as
+    arrays, and builds no per-point record.
 
     The counts come from :func:`harmonic_coefficients`, whose series is
     summed at every grid point, whatever the grid's length or range: the
@@ -120,15 +161,14 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
             "E_BATCH_SHAPE",
             f"fringe_scan needs scalar bindings, got arrays for {', '.join(batched)}",
         )
-    phis = [float(value) for value in grid]
-    if phis:
+    phis = np.fromiter(grid, dtype=float)
+    if len(phis):
         frequency, coeffs = harmonic_coefficients(plan, sweep)
         values = harmonic_series(coeffs, frequency, phis)
     else:
         _harmonics(plan, sweep)  # the refusals of a nonempty grid, without a run
         values = np.empty((2, 0))
-    records = [CountResult(h, v) for h, v in zip(*values.tolist())]
-    return FringeScan(tuple(phis), tuple(records), plan.detect_path, sweep)
+    return FringeScan._of(phis, values, plan.detect_path, sweep)
 
 
 def _harmonics(plan: CircuitPlan, sweep: str) -> tuple[int, int]:
@@ -433,8 +473,5 @@ def visibility(
 def format_scan_csv(scan: FringeScan) -> str:
     """Scan CSV: header ``<sweep>,n_h,n_v`` (``phi,n_h,n_v`` for a phi scan),
     17 significant digits, LF endings."""
-    lines = [f"{scan.sweep},n_h,n_v"]
-    for phi, rec in zip(scan.phis, scan.records):
-        lines.append(f"{phi:.17g},{rec.n_h:.17g},{rec.n_v:.17g}")
-    return "\n".join(lines) + "\n"
-
+    rows = map("{:.17g},{:.17g},{:.17g}".format, scan.phis.tolist(), *scan.counts.tolist())
+    return "\n".join([f"{scan.sweep},n_h,n_v", *rows]) + "\n"

@@ -527,6 +527,31 @@ class TestBenchmarkImportContract:
         from qiup import backend
         assert isinstance(backend.name, str)
 
+    @pytest.mark.parametrize("weighting", ["equal", "inverse_variance"])
+    def test_scans_built_from_records(self, weighting):
+        # perfbench/worker.py builds the fit workload's scan from tuples of
+        # CountResult and reads theta scans through scan.records[k]
+        phis = tuple((np.arange(64) * (2 * math.pi / 64)).tolist())
+        records = tuple(CountResult(float(nh_closed(0.7, 2.0, p)), float(nv_closed(0.7, 2.0, p)))
+                        for p in phis)
+        scan = FringeScan(phis, records, "o'")
+        assert scan.phis.tolist() == list(phis) and scan.records == records
+        for k in (0, 17, 63):
+            assert scan.records[k].n_h == scan.column("h")[k]
+            assert scan.records[k].n_v == scan.column("v")[k]
+        data = read_counts_csv(format_counts_csv(scan))
+        exact = fit(data)
+        assert abs(exact.beta1_hat - 0.7) < 1e-9 and abs(exact.gamma_hat - 2.0) < 1e-9
+        result = fit(simulate_measurement(data, 1_000_000, 5), weighting=weighting)
+        assert result.converged and not result.model_rejected
+        assert abs(result.beta1_hat - 0.7) < 0.01 and abs(result.gamma_hat - 2.0) < 0.05
+        theta = fringe_scan(fig1_preset({"alpha1": 0.6, "beta1": 0.8, "gamma": 1.0,
+                                         "alpha2": 0.8, "beta2": 0.6, "phi": 0.4,
+                                         "theta": 0.0}), "theta", phis)
+        for k in (0, 17, 63):
+            assert theta.records[k].n_h == theta.column("h")[k]
+            assert theta.records[k].n_v == theta.column("v")[k]
+
     @pytest.mark.parametrize("script", ["worker.py", "selftest.py"])
     def test_every_imported_name_resolves(self, script):
         statements = list(qiup_imports(REPO_ROOT / "perfbench" / script))

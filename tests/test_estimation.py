@@ -11,9 +11,7 @@ from qiup.errors import DataFormatError
 from qiup.estimation import (
     GRID_BETA_STEP,
     GRID_GAMMA_POINTS,
-    MAX_REFINE_EVALS,
     MODEL_RMS_TOL,
-    REFINE_TOL,
     FitResult,
     NoisyScan,
     fit,
@@ -23,7 +21,8 @@ from qiup.estimation import (
     simulate_measurement,
     _chi2_log_sf,
 )
-from qiup.observables import CountResult, FringeScan
+from qiup.observables import CountResult, FringeScan, format_scan_csv, fringe_scan
+from qiup.plan import fig1_preset
 from qiup.reference import (
     REFERENCE_FORMS,
     harmonics,
@@ -32,6 +31,7 @@ from qiup.reference import (
     nv_closed,
     nv_evolution,
 )
+from qiup.verification import regime_params
 
 TWO_PI = 2.0 * math.pi
 #: The forms the engine obeys, which the fit does not invert.
@@ -148,7 +148,8 @@ def newton_polished(phis, y, sqrt_w, beta1, gamma, steps=4) -> tuple[float, floa
 
 def assert_fit_at_the_minimum(noisy, weighting):
     """The fit converges, to within 1e-9 of the least-squares minimum that
-    scipy's ``least_squares`` finds and Newton's steps finish."""
+    scipy's ``least_squares`` finds and Newton's steps finish, and reports
+    the rss of the closed forms at its answer."""
     least_squares = pytest.importorskip("scipy.optimize").least_squares
     phis, h, v, wh, wv = weighted_channels(noisy, weighting)
     beta0, gamma0 = brute_force_grid_node(noisy, weighting)
@@ -167,6 +168,8 @@ def assert_fit_at_the_minimum(noisy, weighting):
     assert abs(result.beta1_hat - beta_min) <= 1e-9
     if beta_min > 0.0:  # at beta1 = 0, gamma has no say
         assert circular_distance(result.gamma_hat, gamma_min) <= 1e-9
+    assert result.residual_sum_sq == pytest.approx(
+        full_rss(noisy, weighting, result.beta1_hat, result.gamma_hat), rel=1e-12)
 
 
 def full_rss(data, weighting, beta1, gamma) -> float:
@@ -181,21 +184,23 @@ class TestSimulateMeasurement:
         scan = oracle_scan(0.8, 0.5)
         a = simulate_measurement(scan, shots=1000, seed=42)
         b = simulate_measurement(scan, shots=1000, seed=42)
-        assert a == b
+        np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_array_equal(a.phis, b.phis)
+        assert (a.shots, a.seed, a.sweep) == (b.shots, b.seed, b.sweep)
 
     def test_different_seeds_differ(self):
         scan = oracle_scan(0.8, 0.5)
         a = simulate_measurement(scan, shots=1000, seed=1)
         b = simulate_measurement(scan, shots=1000, seed=2)
-        assert a.counts_v != b.counts_v
+        assert not np.array_equal(a.counts_v, b.counts_v)
 
     def test_zero_expectation_gives_zero_counts(self):
         scan = FringeScan(
             (0.0, 1.0), (CountResult(0.0, 0.0), CountResult(0.0, 0.0)), "o'"
         )
         noisy = simulate_measurement(scan, shots=10_000, seed=3)
-        assert noisy.counts_h == (0, 0)
-        assert noisy.counts_v == (0, 0)
+        np.testing.assert_array_equal(noisy.counts_h, (0, 0))
+        np.testing.assert_array_equal(noisy.counts_v, (0, 0))
 
     def test_poisson_concentration(self):
         # constant expectation 0.5625; the grid-averaged rate is within 3 sigma
@@ -214,14 +219,55 @@ class TestSimulateMeasurement:
         with pytest.raises(ValueError):
             simulate_measurement(oracle_scan(0.5, 0.0), shots=0, seed=1)
 
+    def test_counts_are_not_drawn_again(self):
+        # a NoisyScan has counts, not expectations, in its (2, N) array
+        noisy = simulate_measurement(oracle_scan(0.5, 0.0), shots=10, seed=1)
+        with pytest.raises(TypeError, match="needs a FringeScan, got NoisyScan"):
+            simulate_measurement(noisy, shots=10, seed=1)
+
+
+class TestScanLayout:
+    def test_no_per_point_records(self, monkeypatch):
+        # producers and readers of scans work on arrays: a CountResult is
+        # built only when ``records`` is read
+        plan = fig1_preset(regime_params(0.6, 1.0))
+        reference = read_counts_csv(format_counts_csv(oracle_scan(0.6, 1.0)))
+        built = []
+        init = CountResult.__init__
+        monkeypatch.setattr(CountResult, "__init__",
+                            lambda self, *args: (built.append(args), init(self, *args))[1])
+        scan = fringe_scan(plan, "phi", np.linspace(0.0, TWO_PI, 64, endpoint=False))
+        data = read_counts_csv(format_counts_csv(scan))
+        noisy = read_counts_csv(format_counts_csv(simulate_measurement(data, 10_000, 1)))
+        format_scan_csv(scan)
+        for weighting in ("equal", "inverse_variance"):
+            fit(noisy, weighting=weighting)
+        fit(data)
+        fit(reference)
+        assert built == []
+        assert len(scan.records) == 64 and len(built) == 64
+
+    def test_count_rows_are_read_only_views(self):
+        noisy = simulate_measurement(oracle_scan(0.8, 0.5), shots=1000, seed=4)
+        assert noisy.counts.shape == (2, 64) and noisy.counts.dtype == np.int64
+        for k, row in enumerate((noisy.counts_h, noisy.counts_v)):
+            assert not row.flags.writeable and np.shares_memory(row, noisy.counts)
+            np.testing.assert_array_equal(row, noisy.counts[k])
+
+    def test_constructors_leave_the_callers_arrays_writeable(self):
+        phis, counts = np.array([0.0, 1.0]), np.array([3, 4])
+        NoisyScan(phis, counts, counts, shots=10, seed=0)
+        FringeScan(phis, (CountResult(0.1, 0.2), CountResult(0.3, 0.4)), "o'")
+        assert phis.flags.writeable and counts.flags.writeable
+
 
 class TestNoisyScan:
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="phis and count columns must have equal length"):
             NoisyScan((0.0, 1.0), (1,), (1, 2), shots=10, seed=0)
 
     def test_shots_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shots must be a positive integer"):
             NoisyScan((0.0,), (1,), (1,), shots=0, seed=0)
 
     @pytest.mark.parametrize("phis", [
@@ -404,32 +450,14 @@ class TestFit:
         assert circular_distance(result.gamma_hat, 2.0) < 0.05
 
     def test_fit_matches_scipy_least_squares(self):
-        # the refinement that fit used to delegate to scipy, from the same
-        # grid node with the same bounds and step tolerance
-        least_squares = pytest.importorskip("scipy.optimize").least_squares
+        # the refinement that fit used to delegate to scipy: every fit lands
+        # on the minimum that scipy's answer, finished by Newton's steps, gives
         rng = np.random.default_rng(2024)
         for seed in range(100):
             scan = oracle_scan(rng.uniform(0.3, 0.95), rng.uniform(0.0, TWO_PI))
             noisy = simulate_measurement(scan, shots=1_000_000, seed=seed)
             for weighting in ("equal", "inverse_variance"):
-                phis, h, v, wh, wv = weighted_channels(noisy, weighting)
-                beta0, gamma0 = brute_force_grid_node(noisy, weighting)
-
-                def residuals(x):
-                    return np.concatenate((np.sqrt(wh) * (h - nh_closed(x[0], x[1], phis)),
-                                           np.sqrt(wv) * (v - nv_closed(x[0], x[1], phis))))
-
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    ref = least_squares(
-                        residuals, x0=np.array([beta0, gamma0]),
-                        bounds=([0.0, gamma0 - math.pi], [1.0, gamma0 + math.pi]),
-                        xtol=REFINE_TOL, ftol=None, gtol=None, max_nfev=MAX_REFINE_EVALS,
-                    )
-                result = fit(noisy, weighting=weighting)
-                assert ref.status > 0 and result.converged
-                assert abs(result.beta1_hat - ref.x[0]) <= 1e-8
-                assert circular_distance(result.gamma_hat, ref.x[1]) <= 1e-8
-                assert result.residual_sum_sq == pytest.approx(float(ref.fun @ ref.fun), rel=1e-12)
+                assert_fit_at_the_minimum(noisy, weighting)
 
     @pytest.mark.parametrize("beta1", [5e-4, 0.034, 0.05, 0.3])
     def test_converged_fits_sit_at_the_minimum(self, beta1):
@@ -561,8 +589,8 @@ class TestMeasurementCsv:
         noisy = simulate_measurement(oracle_scan(0.7, 0.3), shots=5000, seed=11)
         back = read_counts_csv(format_counts_csv(noisy))
         assert isinstance(back, NoisyScan)
-        assert back.counts_h == noisy.counts_h
-        assert back.counts_v == noisy.counts_v
+        np.testing.assert_array_equal(back.counts_h, noisy.counts_h)
+        np.testing.assert_array_equal(back.counts_v, noisy.counts_v)
         assert back.shots == noisy.shots
         np.testing.assert_allclose(back.phis, noisy.phis, rtol=1e-15)
 
@@ -581,6 +609,7 @@ class TestMeasurementCsv:
             ("# shots=10\nphi,counts_h,counts_v\n0,x,2\n", "malformed number"),
             ("# shots=10\nphi,counts_h,counts_v\n0,inf,2\n", "non-finite"),
             ("# shots=oops\nphi,counts_h,counts_v\n0,1,2\n", "shots"),
+            ("# shots=10\nphi,counts_h,counts_v\n0,1,2\n1,1e19,3\n", "below 2\\*\\*63"),
             ("", "no data"),
         ],
     )

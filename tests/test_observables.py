@@ -136,7 +136,8 @@ class TestFringeScan:
     def test_empty_grid(self):
         plan = fig1_preset(regime_params(0.5, 0.0))
         scan = fringe_scan(plan, "phi", [])
-        assert scan.phis == () and scan.records == ()
+        assert scan.phis.shape == (0,) and scan.counts.shape == (2, 0)
+        assert scan.records == ()
 
     @pytest.mark.parametrize("phis", [(0.0, math.nan, 2.0), (math.nan, math.nan)])
     def test_nan_grid_rejected(self, phis):
@@ -150,8 +151,38 @@ class TestFringeScan:
         assert len(scan.records) == 5
 
     def test_grid_must_increase(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             FringeScan((1.0, 0.5), (CountResult(0, 0), CountResult(0, 0)), "o'")
+
+    @pytest.mark.parametrize("grid", [(0.0, math.nan, 2.0), (0.0, 1.0, 1.0), (0.5, 0.2)])
+    def test_scan_of_a_bad_grid_refused(self, grid):
+        plan = fig1_preset(regime_params(0.5, 0.0))
+        with pytest.raises(ValueError, match="scan grid must be strictly increasing"):
+            fringe_scan(plan, "phi", grid)
+
+    def test_records_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="phis and records must have equal length"):
+            FringeScan((0.0, 1.0), (CountResult(0, 0),), "o'")
+
+    def test_generator_grid_scans(self):
+        plan = fig1_preset(regime_params(0.5, 0.0))
+        scan = fringe_scan(plan, "phi", (float(p) for p in FULL_PERIOD))
+        np.testing.assert_array_equal(scan.phis, FULL_PERIOD)
+        np.testing.assert_array_equal(scan.counts, fringe_scan(plan, "phi", FULL_PERIOD).counts)
+
+    def test_scan_is_read_only_arrays(self):
+        grid = FULL_PERIOD.copy()
+        scan = fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "theta", grid)
+        assert scan.phis.shape == (64,) and scan.counts.shape == (2, 64)
+        assert grid.flags.writeable  # the caller's grid is copied, not frozen
+        for k, channel in enumerate("hv"):
+            column = scan.column(channel)
+            assert not column.flags.writeable and np.shares_memory(column, scan.counts)
+            np.testing.assert_array_equal(column, scan.counts[k])
+        with pytest.raises(ValueError, match="read-only"):
+            scan.phis[0] = 1.0
+        # records is derived from the arrays on each access
+        assert scan.records == tuple(map(CountResult, *scan.counts.tolist()))
 
 
 def general_fig1_params(rng):
@@ -294,7 +325,7 @@ class TestHarmonicScan:
     def test_empty_grid_makes_no_run(self, monkeypatch):
         calls = record_runs(monkeypatch)
         scan = fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "phi", [])
-        assert calls == [] and scan.phis == () and scan.records == ()
+        assert calls == [] and scan.phis.shape == (0,) and scan.records == ()
         assert observables._count_tensor.cache_info().currsize == 0
 
     @pytest.mark.parametrize("bs_convention", ["symmetric", "hadamard"])
@@ -791,6 +822,29 @@ class TestVisibility:
             vis = visibility(scan.column("v"), scan.phis)
             assert vis.value == pytest.approx(expected, abs=1e-12)
             assert vis.phi_at_max == pytest.approx(0.0, abs=1e-15)
+
+    def test_v_channel_attains_the_coherence_bound_only_at_theta_90_beta2_1(self):
+        # the idlers' normalized overlap, beta1, bounds every signal-side
+        # fringe.  The exact visibility 2|c_1|/c_0 of the V channel reaches it
+        # at theta = pi/2 and beta2 = 1 and stays below it elsewhere; the H
+        # channel never fringes.  Read from the coefficients: a sampled grid
+        # misses the maximum at phi = gamma
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            beta1, gamma = rng.uniform(0.0, 1.0), rng.uniform(0.0, 2 * math.pi)
+            beta2, theta = rng.uniform(0.0, 1.0), rng.uniform(0.0, math.pi)
+            source1 = {"alpha1": math.sqrt(1 - beta1**2), "beta1": beta1, "gamma": gamma,
+                       "phi": 0.0}
+            for params, attained in (({"alpha2": 0.0, "beta2": 1.0, "theta": math.pi / 2}, True),
+                                     ({"alpha2": math.sqrt(1 - beta2**2), "beta2": beta2,
+                                       "theta": theta}, False)):
+                _, coeffs = harmonic_coefficients(fig1_preset(dict(source1, **params)), "phi")
+                assert np.all(coeffs[0, 1:] == 0.0)
+                v_visibility = 2.0 * abs(coeffs[1, 1]) / coeffs[1, 0].real
+                if attained:
+                    assert v_visibility == pytest.approx(beta1, abs=1e-12)
+                else:
+                    assert v_visibility < beta1
 
     def test_constant_channel(self):
         vis = visibility([0.3, 0.3, 0.3], [0.0, 1.0, 2.0])
