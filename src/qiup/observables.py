@@ -5,8 +5,9 @@ polynomial of low degree in each free angle, and in ``chi`` for a
 preparation whose ``(alpha, beta) = (cos chi, sin chi)`` pair is free, so its
 values at a product grid of ``2D + 1`` nodes per parameter fix it everywhere.
 The first sweep of a circuit runs it once over that grid, for every free
-parameter at once; every later sweep of the circuit, at any bound values and
-on any grid, contracts the cached tensor and runs nothing.
+parameter at once, and puts each angle's axis into Fourier coefficients with
+one ``rfft``; every later sweep of the circuit, at any bound values and on
+any grid, contracts the cached coefficients and runs nothing, with no FFT.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import functools
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -203,14 +204,21 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
     convention).  Each count is a trigonometric polynomial in every angle,
     and in ``chi`` for a preparation whose ``alpha`` and ``beta`` are two
     ``$`` names used nowhere else, with ``(alpha, beta) = (cos chi, sin
-    chi)``; interpolation weights at the bound values contract every axis
-    but the sweep's.  A pair is evaluated on the unit circle, at
-    ``(alpha, beta) / sqrt(alpha^2 + beta^2)``: one off it by eps (at most
-    1e-10 passes the checks) may differ from a run by about eps times the
-    coefficients.  A circuit without a tensor (a free name that is neither, a grid
-    above :data:`TENSOR_MAX_MEMBERS` members, or a run over the grid that
-    raises or warns) runs once per call instead, with the sweep bound to
-    its ``2D + 1`` values and each cell repeated across them, cell-major.
+    chi)``.  The tensor keeps each angle's axis as that polynomial's real
+    Fourier coefficients, from one ``rfft`` when it is built, and each
+    pair's as the counts at its nodes.  A call weighs every axis but the
+    sweep's at the bound values: ``(1, cos t, sin t, ...)`` for an angle and
+    trigonometric Lagrange weights for a pair.  The weights of the names
+    bound to scalars contract their axes in one product, which leaves the
+    sweep's coefficients, or, with cells, the axes still to weigh per cell;
+    no call after the build runs an FFT.  A pair is evaluated on the unit
+    circle, at ``(alpha, beta) / sqrt(alpha^2 + beta^2)``: one off it by eps
+    (at most 1e-10 passes the checks) may differ from a run by about eps
+    times the coefficients.  A circuit without a tensor (a free name that is
+    neither, a grid above :data:`TENSOR_MAX_MEMBERS` members, or a run over
+    the grid that raises or warns) runs once per call instead, with the
+    sweep bound to its ``2D + 1`` values and each cell repeated across them,
+    cell-major, and takes the ``rfft`` of the counts there.
     A circuit with a tensor does not repeat the warning of a run whose
     splitter input cancels at the bound values alone.
 
@@ -232,16 +240,17 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
     if tensor is None:
         counts = _sample(plan, [_angle_axis(sweep, frequency, degree)])
         largest = counts.max(initial=0.0)
+        cells = any(isinstance(v, np.ndarray) for k, v in plan.bindings.items() if k != sweep)
+        # rfft of n > 2*degree samples gives n * c_m for harmonics m = 0..degree
+        # without aliasing
+        coeffs = np.fft.rfft(counts if cells else counts[:, 0], axis=-1) / (2 * degree + 1)
     else:
-        counts = tensor.at_sweep_nodes(plan.bindings, sweep)
         largest = tensor.largest
-    # rfft of n > 2*degree samples gives n * c_m for harmonics m = 0..degree
-    # without aliasing
-    coeffs = np.fft.rfft(counts, axis=-1) / (2 * degree + 1)
+        series = tensor.sweep_series(plan.bindings, sweep)
+        coeffs = (series @ _to_complex(degree)).view(complex)
     waves = coeffs[..., 1:]
     waves[np.abs(waves) <= HARMONIC_FLOOR * largest] = 0.0
-    cells = any(isinstance(v, np.ndarray) for k, v in plan.bindings.items() if k != sweep)
-    return frequency, coeffs if cells else coeffs[:, 0]
+    return frequency, coeffs
 
 
 def _check_bindings(plan: CircuitPlan, sweep: str) -> None:
@@ -261,29 +270,50 @@ class _Axis:
     preparation's ``alpha`` and ``beta``) and their values at its nodes, one
     row per name.  The counts are a trigonometric polynomial of degree D in
     t, which is f*x for an angle x and chi for a pair, with ``2D + 1`` nodes
-    ``angles`` in t."""
+    ``angles`` in t.
+
+    An angle's axis of :attr:`_CountTensor.series` holds that polynomial's
+    real Fourier coefficients, so its weights at t are ``(1, cos t, sin t,
+    ..., cos Dt, sin Dt)``; a pair's holds the counts at its nodes, so its
+    weights are the trigonometric Lagrange basis
+    prod_{k != j} sin((t - t_k)/2) / sin((t_j - t_k)/2), exact at the nodes.
+    """
 
     names: tuple[str, ...]
     nodes: np.ndarray
     frequency: int  # an angle's f; 0 for a pair
     angles: np.ndarray
-    denominators: np.ndarray
+    denominators: np.ndarray | None  # a pair's Lagrange denominators
 
     def __len__(self) -> int:
         return len(self.angles)
 
-    def weights(self, bindings) -> np.ndarray:
-        """(C or 1, n): the counts at the bound values are these weights
-        times the counts at the nodes, from the trigonometric Lagrange basis
-        prod_{k != j} sin((t - t_k)/2) / sin((t_j - t_k)/2), which is exact
-        at the nodes."""
+    def scalar_weights(self, bindings) -> list[float]:
+        """The weights at values bound to scalars, as floats: numpy's per-call
+        overhead would cost more than the arithmetic."""
         if self.frequency:
-            t = self.frequency * np.asarray(bindings[self.names[0]])
-        else:
-            alpha, beta = (bindings[name] for name in self.names)
-            t = np.arctan2(beta, alpha)
-        weights = _sine_products(t, self.angles) / self.denominators
-        return weights.reshape(-1, len(self))
+            t = self.frequency * bindings[self.names[0]]
+            weights = [1.0]
+            for m in range(1, len(self) // 2 + 1):
+                weights += (math.cos(m * t), math.sin(m * t))
+            return weights
+        alpha, beta = (bindings[name] for name in self.names)
+        t = math.atan2(beta, alpha)
+        half = [math.sin((t - angle) / 2.0) for angle in self.angles.tolist()]
+        return [math.prod(half[:j] + half[j + 1:]) / denominator
+                for j, denominator in enumerate(self.denominators.tolist())]
+
+    def cell_weights(self, bindings) -> np.ndarray:
+        """(C, n): the weights at bound values of which one or both are
+        arrays of C cells."""
+        if self.frequency:
+            t = self.frequency * bindings[self.names[0]]
+            mt = np.multiply.outer(t, np.arange(1, len(self) // 2 + 1))
+            weights = np.ones((len(t), len(self)))
+            weights[:, 1::2], weights[:, 2::2] = np.cos(mt), np.sin(mt)
+            return weights
+        alpha, beta = (bindings[name] for name in self.names)
+        return _sine_products(np.arctan2(beta, alpha), self.angles) / self.denominators
 
 
 def _sine_products(t, angles: np.ndarray) -> np.ndarray:
@@ -303,10 +333,10 @@ def _diagonal(n: int) -> np.ndarray:
 
 
 def _axis(names: tuple[str, ...], nodes: np.ndarray, frequency: int,
-          angles: np.ndarray) -> _Axis:
-    denominators = np.diagonal(_sine_products(angles, angles)).copy()
+          angles: np.ndarray, denominators: np.ndarray | None = None) -> _Axis:
     for array in (nodes, angles, denominators):
-        array.flags.writeable = False
+        if array is not None:
+            array.flags.writeable = False
     return _Axis(names, nodes, frequency, angles, denominators)
 
 
@@ -323,7 +353,8 @@ def _pair_axis(alpha: str, beta: str) -> _Axis:
     quadratic part from its own), and alpha, beta >= 0 puts chi in
     [0, pi/2]."""
     chi = np.arange(5) * (math.pi / 8)
-    return _axis((alpha, beta), np.array([np.cos(chi), np.sin(chi)]), 0, chi)
+    return _axis((alpha, beta), np.array([np.cos(chi), np.sin(chi)]), 0, chi,
+                 np.diagonal(_sine_products(chi, chi)).copy())
 
 
 def _sample(plan: CircuitPlan, axes: list[_Axis]) -> np.ndarray:
@@ -354,38 +385,104 @@ def _sample(plan: CircuitPlan, axes: list[_Axis]) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _CountTensor:
     """Detect-path counts at the product grid of ``axes``' nodes, shape
-    (2, n_1, ..., n_K), read-only."""
+    (2, n_1, ..., n_K), and ``series``, the same with every angle axis in
+    real Fourier form (see :class:`_Axis`); both read-only.
+
+    ``layouts`` caches, per order of the axes, ``series`` with its axes in
+    that order, flattened to (2, K, n_sweep) and contiguous: built by the
+    first sweep that needs it, read-only, at most one per sweep axis and set
+    of cell-bound axes.
+    """
 
     axes: tuple[_Axis, ...]
     counts: np.ndarray
     largest: float  # the largest count
+    series: np.ndarray
+    layouts: dict = field(default_factory=dict)
 
-    def at_sweep_nodes(self, bindings, sweep: str) -> np.ndarray:
-        """(2, C or 1, n_sweep): the counts at the sweep axis's nodes, every
-        other axis contracted with its weights at the bound values.
+    def sweep_series(self, bindings, sweep: str) -> np.ndarray:
+        """The real Fourier form ``(a_0, a_1, b_1, ..., a_D, b_D)`` of the
+        counts in ``sweep``, every other axis contracted with its weights at
+        the bound values: shape (2, n_sweep), or (2, C, n_sweep) when names
+        are bound to arrays of C cells.
 
-        Axes whose names are all bound to scalars go first, each one weight
-        row applied to the whole tensor at once; the axes bound to arrays of
-        C cells follow, longest first, which leaves the least to contract
-        per cell.
+        The axes whose names are all bound to scalars come first in the
+        layout, and the Kronecker product of their weights contracts them in
+        one product; the axes bound to arrays follow, longest first, which
+        leaves the least to contract per cell.
         """
         at = next(k for k, axis in enumerate(self.axes) if axis.names == (sweep,))
-
-        def order(k: int) -> tuple[bool, int]:
-            axis = self.axes[k]
-            return (any(isinstance(bindings[name], np.ndarray) for name in axis.names),
-                    -len(axis))
-
-        others = sorted((k for k in range(len(self.axes)) if k != at), key=order)
-        values = self.counts.transpose([0, *(k + 1 for k in others), at + 1])
+        cells, scalars = [], []
+        for k, axis in enumerate(self.axes):
+            if k != at:
+                cell = any(isinstance(bindings[name], np.ndarray) for name in axis.names)
+                (cells if cell else scalars).append(k)
+        cells.sort(key=lambda k: -len(self.axes[k]))
+        layout = self.layout((*scalars, *cells, at))
+        weights = _kron([self.axes[k].scalar_weights(bindings) for k in scalars])
+        values = weights @ layout.reshape(2, len(weights), -1)
+        if not cells:
+            return values
         values = values.reshape(2, 1, -1)  # (channel, cell, nodes)
-        for k in others:
-            weights = self.axes[k].weights(bindings)
+        for k in cells:
+            weights = self.axes[k].cell_weights(bindings)
             rows = values.reshape(2, values.shape[1], weights.shape[1], -1)
             # one product for every cell, until cells come in; then per cell
             values = (weights @ rows[:, 0] if values.shape[1] == 1
                       else weights[:, None, :] @ rows)
         return values.reshape(2, -1, len(self.axes[at]))
+
+    def layout(self, order: tuple[int, ...]) -> np.ndarray:
+        """``series`` with its axes in ``order``, as (2, K, n_last)."""
+        layout = self.layouts.get(order)
+        if layout is None:
+            layout = np.ascontiguousarray(self.series.transpose(0, *(k + 1 for k in order)))
+            layout = layout.reshape(2, -1, layout.shape[-1])
+            layout.flags.writeable = False
+            self.layouts[order] = layout
+        return layout
+
+
+def _kron(rows: list[list[float]]) -> np.ndarray:
+    """The Kronecker product of ``rows``, flat: each half of the rows
+    multiplied out in floats, then the halves' outer product in one numpy
+    call, which costs less than one call per row."""
+    halves = []
+    for part in (rows[:len(rows) // 2], rows[len(rows) // 2:]):
+        product = [1.0]
+        for row in part:
+            product = [a * b for a in product for b in row]
+        halves.append(product)
+    return np.multiply.outer(*halves).reshape(-1)
+
+
+@functools.cache
+def _to_complex(degree: int) -> np.ndarray:
+    """(2D + 1, 2D + 2): takes a real form ``(a_0, a_1, b_1, ..., a_D, b_D)``
+    to ``(Re c_0, Im c_0, ..., Re c_D, Im c_D)`` of the series ``c_0 = a_0``,
+    ``c_m = (a_m - i b_m)/2``, viewed as complex; exact, since each column
+    holds at most one nonzero entry, 1, 1/2 or -1/2."""
+    matrix = np.zeros((2 * degree + 1, 2 * degree + 2))
+    matrix[0, 0] = 1.0
+    m = np.arange(1, degree + 1)
+    matrix[2 * m - 1, 2 * m], matrix[2 * m, 2 * m + 1] = 0.5, -0.5
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _real_form(values: np.ndarray, axis: int) -> np.ndarray:
+    """``values`` with their ``axis`` of 2D + 1 samples at the equispaced
+    t_j = 2*pi*j/(2D + 1) replaced by the real Fourier coefficients
+    ``(a_0, a_1, b_1, ..., a_D, b_D)`` of the trigonometric polynomial
+    a_0 + sum_m a_m cos(m t) + b_m sin(m t) through them, from one ``rfft``
+    (of 2D + 1 samples, exact for harmonics 0..D without aliasing)."""
+    n = values.shape[axis]
+    spectrum = np.moveaxis(np.fft.rfft(values, axis=axis), axis, -1) / n
+    form = np.empty(spectrum.shape[:-1] + (n,))
+    form[..., 0] = spectrum[..., 0].real
+    form[..., 1::2] = 2.0 * spectrum[..., 1:].real
+    form[..., 2::2] = -2.0 * spectrum[..., 1:].imag
+    return np.moveaxis(form, -1, axis)
 
 
 def _structure(plan: CircuitPlan) -> tuple:
@@ -430,8 +527,12 @@ def _count_tensor(structure: tuple) -> _CountTensor | None:
             return None
     if caught:
         return None
-    counts.flags.writeable = False
-    return _CountTensor(tuple(axes), counts, float(counts.max(initial=0.0)))
+    series = counts
+    for k, axis in enumerate(axes):
+        if axis.frequency:
+            series = _real_form(series, k + 1)
+    counts.flags.writeable = series.flags.writeable = False
+    return _CountTensor(tuple(axes), counts, float(counts.max(initial=0.0)), series)
 
 
 def harmonic_series(coeffs: np.ndarray, frequency: int, grid) -> np.ndarray:
@@ -440,7 +541,9 @@ def harmonic_series(coeffs: np.ndarray, frequency: int, grid) -> np.ndarray:
     ``coeffs`` has shape (..., D + 1); the result has shape (..., len(grid)).
     """
     degree = coeffs.shape[-1] - 1
-    waves = np.exp(1j * frequency * np.outer(np.arange(1, degree + 1), grid))
+    # the harmonics at each point as powers of its one phasor e^{i f x}
+    phasor = np.exp(1j * frequency * np.asarray(grid, dtype=float))
+    waves = phasor ** np.arange(1, degree + 1)[:, None]
     values = coeffs[..., :1].real + 2.0 * (coeffs[..., 1:] @ waves).real
     # squared magnitudes: clip rounding below zero where a count vanishes
     return np.maximum(values, 0.0)

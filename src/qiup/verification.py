@@ -10,12 +10,13 @@ gamma = 0.
 Every cell's counts are a first-order trigonometric series in phi, so the
 (beta1, gamma) count cells and the visibility cells are bound as arrays of
 alpha1, beta1 and gamma, the regime's constants as scalars, and
-:func:`qiup.observables.harmonic_coefficients` gives each cell's series from
-its counts at the 2D + 1 = 3 harmonic sample values of phi.  Those come from
-the circuit's count tensor, which the first comparison in a process builds
-in one batched run and later ones reuse without running the circuit; the
-constants' axes are contracted once, over the whole tensor, before the
-cells' axes.
+:func:`qiup.observables.harmonic_coefficients` gives each cell's series in
+phi.  It reads the circuit's count tensor, which the first comparison in a
+process builds in one batched run and puts into Fourier coefficients in each
+angle; later ones reuse it without running the circuit or an FFT.  The
+constants' axes (alpha2/beta2 and theta) are contracted first, with one
+product over the whole tensor, and only the cells' axes (the alpha1/beta1
+pair and gamma) are weighed per cell.
 
 Both closed-form families are first harmonics in phi too, so the comparison
 works on coefficients: each family's table in :mod:`qiup.reference` gives

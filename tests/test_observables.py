@@ -608,9 +608,73 @@ class TestCountTensor:
         fringe_scan(plans[0], "phi", FULL_PERIOD)  # the least recently used, dropped
         assert len(calls) == len(plans) + 1
         tensor = tensor_of(plans[0])
-        for array in (tensor.counts, *(axis.nodes for axis in tensor.axes)):
+        for array in (tensor.counts, tensor.series, *(axis.nodes for axis in tensor.axes)):
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1.0
+
+    def test_later_sweeps_neither_run_nor_transform(self, monkeypatch):
+        # after the first sweep of each name, sweeps at new scalar and cell
+        # values contract the layouts that it cut, built once and read-only
+        rng = np.random.default_rng(43)
+
+        def plans():
+            rows = [general_fig1_params(rng) for _ in range(3)]
+            cells = dict(rows[0], **{name: np.array([row[name] for row in rows])
+                                     for name in ("alpha1", "beta1", "theta")})
+            return [fig1_preset(rows[0]), fig1_preset(cells)]
+
+        sweeps = ("phi", "theta", "gamma")
+        later = plans()
+        wants = [sampled_coefficients(plan, sweep) for plan in later for sweep in sweeps]
+        for plan in plans():
+            for sweep in sweeps:
+                harmonic_coefficients(plan, sweep)
+        tensor = tensor_of(later[0])
+        layouts = dict(tensor.layouts)
+        # per sweep: every name a scalar, and alpha1, beta1 (and theta) cells
+        assert len(layouts) == 2 * len(sweeps)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a later sweep ran the circuit or transformed counts")
+
+        monkeypatch.setattr(observables, "run_plan", refuse)
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        gots = [harmonic_coefficients(plan, sweep) for plan in later for sweep in sweeps]
+        fringe_scan(later[0], "theta", FULL_PERIOD)
+        for (frequency, got), (want_frequency, want) in zip(gots, wants):
+            assert frequency == want_frequency and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert tensor_of(later[1]) is tensor
+        assert tensor.layouts.keys() == layouts.keys()
+        for order, layout in layouts.items():
+            assert tensor.layouts[order] is layout
+            assert layout.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                layout[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("edges", [
+        pytest.param(dict(alpha1=1.0, beta1=0.0), id="pair-at-1-0"),
+        pytest.param(dict(alpha2=0.0, beta2=1.0), id="pair-at-0-1"),
+        pytest.param(dict(alpha1=math.cos(math.pi / 8), beta1=math.sin(math.pi / 8),
+                          alpha2=math.cos(3 * math.pi / 8), beta2=math.sin(3 * math.pi / 8)),
+                     id="pairs-on-chi-nodes"),
+        pytest.param(dict(theta=2.0 * math.pi * 3 / 9 / 2, gamma=2.0 * math.pi / 3),
+                     id="angles-on-nodes"),
+        pytest.param(dict(theta=-7.3, gamma=40.0, phi=-7.3), id="angles-below-0"),
+        pytest.param(dict(theta=40.0, gamma=-7.3, phi=40.0), id="angles-above-2pi"),
+    ])
+    @pytest.mark.parametrize("sweep", ["phi", "theta", "gamma"])
+    def test_edge_bindings_equal_the_sampled_run(self, edges, sweep):
+        rng = np.random.default_rng(47)
+        rows = [dict(general_fig1_params(rng), **edges) for _ in range(3)]
+        cells = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+        for params in (rows[0], dict(cells, **edges), cells):
+            plan = fig1_preset(params)
+            want = sampled_coefficients(plan, sweep)
+            frequency, got = harmonic_coefficients(plan, sweep)
+            assert tensor_of(plan) is not None
+            assert frequency == want[0] and got.shape == want[1].shape
+            np.testing.assert_allclose(got, want[1], rtol=0, atol=1e-12)
 
 
 def spread_of_v(plan):
