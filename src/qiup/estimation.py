@@ -43,7 +43,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DataFormatError
-from .observables import FringeScan, _set_scan
+from .observables import FringeScan, _basis, _set_scan
 from .reference import REFERENCE_FORMS, harmonics
 
 TWO_PI = 2.0 * math.pi
@@ -56,7 +56,7 @@ REFINE_TOL = 1e-10
 MAX_REFINE_EVALS = 500
 GAMMA_IDENTIFIABLE_MIN = 0.02
 #: A first-harmonic fringe per channel has three unknowns (offset, cosine
-#: and sine amplitude), so fewer distinct phases cannot determine it.
+#: and sine amplitude): fewer phases distinct modulo 2*pi cannot fix it.
 MIN_FIT_PHIS = 3
 #: Goodness-of-fit gates: count data are rejected when their chi^2 is less
 #: likely than a one-sided Gaussian deviation of this many sigma, noiseless
@@ -194,8 +194,8 @@ def _whiten(
     ``B`` is the basis (1, cos phi, sin phi) at every phi and ``R`` the
     triangular factor of the weighted ``B`` (``R^T R`` is its Gram matrix
     ``B^T W B``, and ``R^T z = B^T W y``).  A QR factor, not a Cholesky
-    one, because phases that coincide modulo 2*pi leave the Gram matrix
-    singular.
+    one, because phases that nearly coincide modulo 2*pi leave the Gram
+    matrix ill-conditioned.
     """
     q, r = np.linalg.qr(sqrt_w[:, :, None] * basis)
     return r, np.einsum("cni,cn->ci", q, sqrt_w * y)
@@ -338,13 +338,16 @@ def fit(data: ScanLike, weighting: str = "equal") -> FitResult:
     exceeds ``MODEL_RMS_TOL``.
     """
     phis, y = _channels(data)
-    # both scan types hold strictly increasing phases, so all are distinct
-    if len(phis) < MIN_FIT_PHIS:
-        raise ValueError(
-            f"fit needs at least {MIN_FIT_PHIS} distinct phi values, got {len(phis)}"
-        )
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(phis))):
         raise ValueError("scan contains non-finite values")
+    # phases modulo 2*pi: the sorted gaps above rounding, and the one round the circle
+    wrapped = np.sort(phis % TWO_PI)
+    phases = np.count_nonzero(wrapped[1:] - wrapped[:-1] > 1e-9) + bool(
+        len(phis) and wrapped[0] + TWO_PI - wrapped[-1] > 1e-9)
+    if phases < MIN_FIT_PHIS:
+        raise ValueError(
+            f"fit needs at least {MIN_FIT_PHIS} distinct phases modulo 2*pi, got {phases}"
+        )
 
     if weighting == "equal":
         sqrt_w = np.ones_like(y)
@@ -355,13 +358,13 @@ def fit(data: ScanLike, weighting: str = "equal") -> FitResult:
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
 
-    basis = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)], axis=-1)
-    r, z = _whiten(basis, y, sqrt_w)
+    basis = _basis(1, phis, 1)
+    r, z = _whiten(basis.T, y, sqrt_w)
 
     def model_rss(beta1: float, gamma: float) -> tuple[np.ndarray, float]:
         # from the residuals themselves: |R a - z|^2 leaves out the part of
         # the data outside the first harmonic
-        model = harmonics(REFERENCE_FORMS, beta1, gamma) @ basis.T
+        model = harmonics(REFERENCE_FORMS, beta1, gamma) @ basis
         return model, float(np.sum((sqrt_w * (y - model)) ** 2))
 
     beta1_hat, gamma_hat = _grid_start(r, z)

@@ -149,7 +149,7 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
     numbers; the scan holds it and the counts at it, in grid order, as
     arrays, and builds no per-point record.
 
-    The counts come from :func:`harmonic_coefficients`, whose series is
+    The counts come from the series of :func:`harmonic_coefficients`,
     summed at every grid point, whatever the grid's length or range: the
     first scan of a circuit runs it once, over the product grid of its count
     tensor, and later scans of that circuit run nothing.  An empty grid makes
@@ -164,8 +164,7 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
         )
     phis = np.fromiter(grid, dtype=float)
     if len(phis):
-        frequency, coeffs = harmonic_coefficients(plan, sweep)
-        values = harmonic_series(coeffs, frequency, phis)
+        values = _evaluate(*_series(plan, sweep), phis)
     else:
         _harmonics(plan, sweep)  # the refusals of a nonempty grid, without a run
         values = np.empty((2, 0))
@@ -197,30 +196,27 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
     channels.  When other parameters are bound to arrays of C cells, ``c``
     has shape (2, C, D + 1), one series per cell.
 
-    Those counts come from the circuit's count tensor: the counts at a
-    product grid of nodes over every free parameter, from one batched run of
-    the unbound circuit, kept for the last :data:`TENSOR_CACHE_SIZE` circuits
+    The series comes from the circuit's count tensor, built by one batched
+    run of the unbound circuit over a product grid of nodes of every free
+    parameter and kept for the last :data:`TENSOR_CACHE_SIZE` circuits
     (keyed by sources, pipeline, detect path and band and splitter
-    convention).  Each count is a trigonometric polynomial in every angle,
-    and in ``chi`` for a preparation whose ``alpha`` and ``beta`` are two
-    ``$`` names used nowhere else, with ``(alpha, beta) = (cos chi, sin
-    chi)``.  The tensor keeps each angle's axis as that polynomial's real
-    Fourier coefficients, from one ``rfft`` when it is built, and each
-    pair's as the counts at its nodes.  A call weighs every axis but the
-    sweep's at the bound values: ``(1, cos t, sin t, ...)`` for an angle and
-    trigonometric Lagrange weights for a pair.  The weights of the names
-    bound to scalars contract their axes in one product, which leaves the
-    sweep's coefficients, or, with cells, the axes still to weigh per cell;
-    no call after the build runs an FFT.  A pair is evaluated on the unit
-    circle, at ``(alpha, beta) / sqrt(alpha^2 + beta^2)``: one off it by eps
-    (at most 1e-10 passes the checks) may differ from a run by about eps
-    times the coefficients.  A circuit without a tensor (a free name that is
-    neither, a grid above :data:`TENSOR_MAX_MEMBERS` members, or a run over
-    the grid that raises or warns) runs once per call instead, with the
-    sweep bound to its ``2D + 1`` values and each cell repeated across them,
-    cell-major, and takes the ``rfft`` of the counts there.
-    A circuit with a tensor does not repeat the warning of a run whose
-    splitter input cancels at the bound values alone.
+    convention).  It holds each angle's axis in the real Fourier form
+    ``(a_0, a_1, b_1, ..., a_D, b_D)`` of the counts, and the axis of each
+    preparation whose ``alpha`` and ``beta`` are two ``$`` names used
+    nowhere else as the counts at nodes in ``chi``, ``(alpha, beta) = (cos
+    chi, sin chi)``.  A call weighs every axis but the sweep's at the bound
+    values and returns the sweep's real form as ``c_0 = a_0``, ``c_m = (a_m
+    - i b_m)/2``, running neither the circuit nor an FFT.  A pair is
+    evaluated on the unit circle, at ``(alpha, beta) / sqrt(alpha^2 +
+    beta^2)``: one off it by eps (at most 1e-10 passes the checks) may
+    differ from a run by about eps times the coefficients.  A circuit
+    without a tensor (a free name of neither kind, a grid above
+    :data:`TENSOR_MAX_MEMBERS` members, or a run over the grid that raises
+    or warns) runs once per call instead, with the sweep bound to its
+    ``2D + 1`` values and each cell repeated across them, cell-major, and
+    puts the counts there into the same real form.  A circuit with a tensor
+    does not repeat the warning of a run whose splitter input cancels at
+    the bound values alone.
 
     The checks of a run hold whichever way the counts come: a name that is
     not free raises ``E_UNKNOWN_PARAM``; one that sets a preparation's
@@ -234,6 +230,15 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
     run is set to 0: it is interpolation or rounding residue, and a channel
     that vanishes would otherwise show it as a fringe of any visibility.
     """
+    frequency, series = _series(plan, sweep)
+    waves = (series[..., 1::2] - 1j * series[..., 2::2]) / 2.0
+    return frequency, np.concatenate((series[..., :1], waves), axis=-1)
+
+
+def _series(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarray]:
+    """(f, s): :func:`harmonic_coefficients`' series, checks and floor, with
+    ``s`` in the real form ``(a_0, a_1, b_1, ..., a_D, b_D)`` of each count
+    a_0 + sum_m a_m cos(m f x) + b_m sin(m f x); |c_m| = hypot(a_m, b_m)/2."""
     frequency, degree = _harmonics(plan, sweep)
     _check_bindings(plan, sweep)
     tensor = _count_tensor(_structure(plan))
@@ -241,16 +246,14 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
         counts = _sample(plan, [_angle_axis(sweep, frequency, degree)])
         largest = counts.max(initial=0.0)
         cells = any(isinstance(v, np.ndarray) for k, v in plan.bindings.items() if k != sweep)
-        # rfft of n > 2*degree samples gives n * c_m for harmonics m = 0..degree
-        # without aliasing
-        coeffs = np.fft.rfft(counts if cells else counts[:, 0], axis=-1) / (2 * degree + 1)
+        series = _real_form(counts if cells else counts[:, 0], -1)
     else:
         largest = tensor.largest
         series = tensor.sweep_series(plan.bindings, sweep)
-        coeffs = (series @ _to_complex(degree)).view(complex)
-    waves = coeffs[..., 1:]
-    waves[np.abs(waves) <= HARMONIC_FLOOR * largest] = 0.0
-    return frequency, coeffs
+    cosines, sines = series[..., 1::2], series[..., 2::2]
+    small = np.hypot(cosines, sines) <= 2.0 * HARMONIC_FLOOR * largest
+    cosines[small] = sines[small] = 0.0
+    return frequency, series
 
 
 def _check_bindings(plan: CircuitPlan, sweep: str) -> None:
@@ -273,9 +276,8 @@ class _Axis:
     ``angles`` in t.
 
     An angle's axis of :attr:`_CountTensor.series` holds that polynomial's
-    real Fourier coefficients, so its weights at t are ``(1, cos t, sin t,
-    ..., cos Dt, sin Dt)``; a pair's holds the counts at its nodes, so its
-    weights are the trigonometric Lagrange basis
+    real Fourier form, so its weights at t are the rows of :func:`_basis`;
+    a pair's holds the counts at its nodes, weighed by the Lagrange basis
     prod_{k != j} sin((t - t_k)/2) / sin((t_j - t_k)/2), exact at the nodes.
     """
 
@@ -307,11 +309,7 @@ class _Axis:
         """(C, n): the weights at bound values of which one or both are
         arrays of C cells."""
         if self.frequency:
-            t = self.frequency * bindings[self.names[0]]
-            mt = np.multiply.outer(t, np.arange(1, len(self) // 2 + 1))
-            weights = np.ones((len(t), len(self)))
-            weights[:, 1::2], weights[:, 2::2] = np.cos(mt), np.sin(mt)
-            return weights
+            return _basis(self.frequency, bindings[self.names[0]], len(self) // 2).T
         alpha, beta = (bindings[name] for name in self.names)
         return _sine_products(np.arctan2(beta, alpha), self.angles) / self.denominators
 
@@ -456,33 +454,39 @@ def _kron(rows: list[list[float]]) -> np.ndarray:
     return np.multiply.outer(*halves).reshape(-1)
 
 
-@functools.cache
-def _to_complex(degree: int) -> np.ndarray:
-    """(2D + 1, 2D + 2): takes a real form ``(a_0, a_1, b_1, ..., a_D, b_D)``
-    to ``(Re c_0, Im c_0, ..., Re c_D, Im c_D)`` of the series ``c_0 = a_0``,
-    ``c_m = (a_m - i b_m)/2``, viewed as complex; exact, since each column
-    holds at most one nonzero entry, 1, 1/2 or -1/2."""
-    matrix = np.zeros((2 * degree + 1, 2 * degree + 2))
-    matrix[0, 0] = 1.0
-    m = np.arange(1, degree + 1)
-    matrix[2 * m - 1, 2 * m], matrix[2 * m, 2 * m + 1] = 0.5, -0.5
-    matrix.flags.writeable = False
-    return matrix
-
-
 def _real_form(values: np.ndarray, axis: int) -> np.ndarray:
-    """``values`` with their ``axis`` of 2D + 1 samples at the equispaced
-    t_j = 2*pi*j/(2D + 1) replaced by the real Fourier coefficients
-    ``(a_0, a_1, b_1, ..., a_D, b_D)`` of the trigonometric polynomial
-    a_0 + sum_m a_m cos(m t) + b_m sin(m t) through them, from one ``rfft``
-    (of 2D + 1 samples, exact for harmonics 0..D without aliasing)."""
-    n = values.shape[axis]
-    spectrum = np.moveaxis(np.fft.rfft(values, axis=axis), axis, -1) / n
-    form = np.empty(spectrum.shape[:-1] + (n,))
-    form[..., 0] = spectrum[..., 0].real
-    form[..., 1::2] = 2.0 * spectrum[..., 1:].real
-    form[..., 2::2] = -2.0 * spectrum[..., 1:].imag
-    return np.moveaxis(form, -1, axis)
+    """``values`` with their ``axis`` of 2D + 1 samples at t_j = 2*pi*j/(2D + 1)
+    replaced by the real form of the trigonometric polynomial through them,
+    from one ``rfft`` (exact for harmonics 0..D without aliasing)."""
+    spectrum = np.moveaxis(np.fft.rfft(values, axis=axis), axis, -1) / values.shape[axis]
+    return np.moveaxis(_real(spectrum), -1, axis)
+
+
+def _real(coeffs: np.ndarray) -> np.ndarray:
+    """The real form of ``c_0 + 2 Re sum_m c_m e^{i m t}``, ``coeffs`` (..., D + 1):
+    a_0 = Re c_0, a_m = 2 Re c_m and b_m = -2 Im c_m."""
+    form = np.empty(coeffs.shape[:-1] + (2 * coeffs.shape[-1] - 1,))
+    form[..., 0] = coeffs[..., 0].real
+    form[..., 1::2] = 2.0 * coeffs[..., 1:].real
+    form[..., 2::2] = -2.0 * coeffs[..., 1:].imag
+    return form
+
+
+def _basis(frequency: int, grid, degree: int) -> np.ndarray:
+    """(2D + 1, N): the rows (1, cos f x, sin f x, ..., cos D f x, sin D f x)
+    at the N points x of ``grid``, as powers of each point's phasor e^{i f x}."""
+    phasor = np.exp(1j * frequency * np.asarray(grid, dtype=float))
+    waves = phasor ** np.arange(1, degree + 1)[:, None]
+    rows = np.ones((2 * degree + 1, len(phasor)))
+    rows[1::2], rows[2::2] = waves.real, waves.imag
+    return rows
+
+
+def _evaluate(frequency: int, series: np.ndarray, grid) -> np.ndarray:
+    """Counts at ``grid`` from :func:`_series`' (f, s): shape (..., len(grid))."""
+    values = series @ _basis(frequency, grid, series.shape[-1] // 2)
+    # squared magnitudes: clip rounding below zero where a count vanishes
+    return np.maximum(values, 0.0)
 
 
 def _structure(plan: CircuitPlan) -> tuple:
@@ -540,13 +544,7 @@ def harmonic_series(coeffs: np.ndarray, frequency: int, grid) -> np.ndarray:
 
     ``coeffs`` has shape (..., D + 1); the result has shape (..., len(grid)).
     """
-    degree = coeffs.shape[-1] - 1
-    # the harmonics at each point as powers of its one phasor e^{i f x}
-    phasor = np.exp(1j * frequency * np.asarray(grid, dtype=float))
-    waves = phasor ** np.arange(1, degree + 1)[:, None]
-    values = coeffs[..., :1].real + 2.0 * (coeffs[..., 1:] @ waves).real
-    # squared magnitudes: clip rounding below zero where a count vanishes
-    return np.maximum(values, 0.0)
+    return _evaluate(frequency, _real(coeffs), grid)
 
 
 def visibility(
@@ -557,12 +555,15 @@ def visibility(
     ``phi_at_max`` is the grid point of the maximum (ties resolve to the
     smallest phi); when no grid is supplied the index of the maximum is
     reported instead.  An all-zero channel has visibility 0 by convention.
+    Values must be finite and nonnegative, and a grid as long as they are.
     """
     if len(values) == 0:
         raise ValueError("visibility needs at least one value")
+    if phis is not None and len(phis) != len(values):
+        raise ValueError(f"{len(values)} values but {len(phis)} phis")
     arr = np.asarray(values, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("count values must be nonnegative")
+    if not (np.isfinite(arr).all() and (arr >= 0).all()):
+        raise ValueError("count values must be finite and nonnegative")
     top, bottom = float(arr.max()), float(arr.min())
     arg = int(arr.argmax())
     phi_at_max = float(phis[arg]) if phis is not None else float(arg)

@@ -9,11 +9,11 @@ gamma = 0.
 
 Every cell's counts are a first-order trigonometric series in phi, so the
 (beta1, gamma) count cells and the visibility cells are bound as arrays of
-alpha1, beta1 and gamma, the regime's constants as scalars, and
-:func:`qiup.observables.harmonic_coefficients` gives each cell's series in
-phi.  It reads the circuit's count tensor, which the first comparison in a
-process builds in one batched run and puts into Fourier coefficients in each
-angle; later ones reuse it without running the circuit or an FFT.  The
+alpha1, beta1 and gamma, the regime's constants as scalars, and the
+circuit's count tensor gives each cell's coefficients of (1, cos phi,
+sin phi), the real form in which it holds every angle.  The first comparison
+in a process builds the tensor in one batched run and one FFT per angle;
+later ones reuse it without running the circuit or an FFT.  The
 constants' axes (alpha2/beta2 and theta) are contracted first, with one
 product over the whole tensor, and only the cells' axes (the alpha1/beta1
 pair and gamma) are weighed per cell.
@@ -22,7 +22,7 @@ Both closed-form families are first harmonics in phi too, so the comparison
 works on coefficients: each family's table in :mod:`qiup.reference` gives
 every count cell's coefficients of (1, cos phi, sin phi), those are
 subtracted from the engine's, and the deviation series are summed on the
-count grid with one product against a basis built once per call.  The
+count grid with one product against the basis that sums every scan.  The
 transcribed forms are never evaluated.  The visibility cells' series are
 summed on the finer visibility grid, whose maximum and minimum give each
 visibility.
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import reference
-from .observables import harmonic_coefficients, harmonic_series, visibility
+from .observables import _basis, _evaluate, _series, visibility
 from .plan import fig1_preset
 
 DEFAULT_PHI_POINTS = 64
@@ -112,26 +112,21 @@ def run_verification(
     bindings = regime_params(0.0, 0.0)
     bindings.update(alpha1=np.sqrt(np.maximum(0.0, 1.0 - beta1 * beta1)), beta1=beta1, gamma=gamma)
     plan = replace(fig1_preset(bindings), bs_convention=bs_convention)
-    frequency, coeffs = harmonic_coefficients(plan, "phi")
+    frequency, series = _series(plan, "phi")
 
-    # each count cell's series as coefficients of (1, cos m f phi, sin m f phi),
-    # m = 1..D; fig1's phi has f = 1, so the forms' (1, cos phi, sin phi) are
-    # the first three and every higher harmonic belongs to the engine alone
-    c = coeffs[:, :cells]
-    pairs = np.stack((2.0 * c[..., 1:].real, -2.0 * c[..., 1:].imag), axis=-1)
-    engine = np.concatenate((c[..., :1].real, pairs.reshape(c.shape[:-1] + (-1,))), axis=-1)
-    angles = frequency * np.outer(np.arange(1, c.shape[-1]), phis)
-    waves = np.stack((np.cos(angles), np.sin(angles)), axis=1).reshape(-1, len(phis))
-    basis = np.concatenate((np.ones((1, len(phis))), waves))
+    # fig1's phi has f = 1: the forms' (1, cos phi, sin phi) are the first three
+    # entries of a cell's real form, and every higher harmonic is the engine's
+    engine = series[:, :cells]
     # reference H, V, then evolution H, V; a deviation is no count, so it is
-    # not clipped at 0 as harmonic_series clips counts
+    # not clipped at 0 as counts are
     closed = np.zeros((4,) + engine.shape[1:])
     forms = np.concatenate((reference.REFERENCE_FORMS, reference.EVOLUTION_FORMS))
     closed[..., :3] = reference.harmonics(forms, betas, gammas).swapaxes(1, 2)
+    basis = _basis(frequency, phis, engine.shape[-1] // 2)
     deviation = (np.concatenate((engine, engine)) - closed) @ basis
     worst = np.abs(deviation).max(axis=(1, 2), initial=0.0).tolist()
 
-    vis_counts = harmonic_series(coeffs[1, cells:], frequency, vis_phis)
+    vis_counts = _evaluate(frequency, series[1, cells:], vis_phis)
     expected = reference.visibility_closed(beta1[cells:]).tolist()
     dev_vis = 0.0
     for nv, want in zip(vis_counts, expected):

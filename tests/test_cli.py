@@ -62,6 +62,15 @@ class TestCheck:
         assert cli.main(["check", path]) == 0
         assert capsys.readouterr().out == "0 error(s), 0 warning(s)\n"
 
+    def test_default_band_warns_and_exits_0(self, tmp_path, capsys):
+        path = tmp_path / "plate.qiup"
+        path.write_text("source 1 signal=a idler=a pol=V\nhwp a angle=45\ndetect a signal\n")
+        assert cli.main(["check", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path}:2:1: warning[W_DEFAULT_BAND]: hwp without band= defaults to both bands",
+            "0 error(s), 1 warning(s)",
+        ]
+
     @pytest.mark.parametrize("line,ends", [
         ("bs r -> e e", "outputs"), ("bs2 e e -> x y", "inputs"), ("bs2 e f -> x x", "outputs"),
     ])
@@ -110,6 +119,28 @@ class TestRun:
         )
         assert code == 0
         assert out.read_text().strip() == "n_h=0.125 n_v=1.125"
+
+    @pytest.mark.parametrize("param,message", [
+        ("phi", "expected name=value, got 'phi'"),
+        ("phi=abc", "malformed value in 'phi=abc'"),
+    ])
+    def test_malformed_param_exits_2(self, param, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--preset", "fig1", "--param", param])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_no_circuit_and_no_preset_exits_1(self, capsys):
+        assert cli.main(["run"]) == 1
+        assert "give a circuit file or --preset fig1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "scan"])
+    def test_out_into_a_missing_directory_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.txt"
+        code = cli.main([command, "--preset", "fig1", *REGIME, "--param", "phi=0",
+                         "--out", str(out)])
+        assert code == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
 
     def test_bad_circuit_file_exit1(self, tmp_path, capsys):
         bad = tmp_path / "broken.qiup"
@@ -260,6 +291,14 @@ class TestScan:
         assert data.shots == 5000
         assert len(data.phis) == 32
 
+    def test_default_seed_is_0(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("QIUP_SEED", raising=False)
+        args = ["scan", "--preset", "fig1", *REGIME, "--shots", "50"]
+        unseeded, seeded = tmp_path / "unseeded.csv", tmp_path / "seeded.csv"
+        assert cli.main([*args, "--out", str(unseeded)]) == 0
+        assert cli.main([*args, "--seed", "0", "--out", str(seeded)]) == 0
+        assert unseeded.read_bytes() == seeded.read_bytes()
+
     def test_seed_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QIUP_SEED", "77")
         args = ["scan", "--preset", "fig1", *REGIME, "--points", "16",
@@ -406,13 +445,33 @@ class TestFit:
         assert cli.main(["fit", str(path), "--weighting", weighting]) == 0
         assert "model_rejected" not in capsys.readouterr().out
 
+    def test_phases_that_coincide_modulo_2pi_exit1(self, tmp_path, capsys):
+        # used to print beta1=0.253537586888 gamma=1.06887832741 ... rss=0
+        # converged=true and exit 0
+        path = tmp_path / "one_phase.csv"
+        rows = "".join(f"{p!r},{float(nh_closed(0.2, 0.5, p))!r},"
+                       f"{float(nv_closed(0.2, 0.5, p))!r}\n"
+                       for p in (0.0, 2 * math.pi, 4 * math.pi))
+        path.write_text("# shots=1\nphi,counts_h,counts_v\n" + rows)
+        assert cli.main(["fit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 3 distinct phases modulo 2*pi, got 1" in captured.err
+
+    def test_small_beta1_flags_gamma_and_exits_0(self, tmp_path, capsys):
+        path = oracle_csv(tmp_path, beta1=0.01)
+        assert cli.main(["fit", str(path)]) == 0
+        line = capsys.readouterr().out
+        assert line.startswith("beta1=0.01 ")
+        assert line.split()[-2:] == ["converged=true", "gamma_unidentifiable=true"]
+
     @pytest.mark.parametrize("rows", [1, 2])
     def test_fewer_than_three_phis_exit1(self, tmp_path, capsys, rows):
         path = tmp_path / "short.csv"
         body = "".join(f"{k},{k + 1},{k + 2}\n" for k in range(rows))
         path.write_text("# shots=10\nphi,counts_h,counts_v\n" + body)
         assert cli.main(["fit", str(path)]) == 1
-        assert "at least 3 distinct phi" in capsys.readouterr().err
+        assert "at least 3 distinct phases modulo 2*pi" in capsys.readouterr().err
 
 
 # Runs in a fresh interpreter: calls cli.main for each argv on stdin and

@@ -39,10 +39,12 @@ EVOLUTION = (nh_evolution, nv_evolution)
 
 
 def oracle_scan(beta1: float, gamma: float, points: int = 64,
-                forms=(nh_closed, nv_closed)) -> FringeScan:
-    """Noiseless fringe data generated straight from the closed forms."""
+                forms=(nh_closed, nv_closed), phis=None) -> FringeScan:
+    """Noiseless fringe data generated straight from the closed forms, at
+    ``points`` phases over one period unless ``phis`` are given."""
     nh, nv = forms
-    phis = np.linspace(0.0, TWO_PI, points, endpoint=False)
+    if phis is None:
+        phis = np.linspace(0.0, TWO_PI, points, endpoint=False)
     records = tuple(
         CountResult(float(nh(beta1, gamma, p)), float(nv(beta1, gamma, p))) for p in phis
     )
@@ -323,6 +325,42 @@ class TestFit:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             fit(FringeScan((), (), "o'"))
+
+    @pytest.mark.parametrize("weighting", ["equal", "inverse_variance"])
+    @pytest.mark.parametrize("phis,phases", [
+        pytest.param([0.0, TWO_PI, 2 * TWO_PI], 1, id="one-phase"),
+        pytest.param([0.3, 1.1, 0.3 + TWO_PI, 1.1 + TWO_PI, 1.1 + 3 * TWO_PI], 2,
+                     id="two-phases"),
+    ])
+    def test_phases_that_coincide_modulo_2pi_are_refused(self, phis, phases, weighting):
+        # the model sees phi modulo 2*pi, so these scans do not determine it
+        data = oracle_scan(0.2, 0.5, phis=phis)
+        if weighting == "inverse_variance":
+            data = simulate_measurement(data, shots=100_000, seed=1)
+        message = rf"at least 3 distinct phases modulo 2\*pi, got {phases}$"
+        with pytest.raises(ValueError, match=message):
+            fit(data, weighting=weighting)
+
+    def test_random_single_phase_scans_are_refused(self):
+        # p0 + 2*pi*k differ from p0 by rounding after the reduction modulo 2*pi
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            turns = np.sort(rng.choice(40, size=int(rng.integers(3, 12)), replace=False))
+            data = oracle_scan(rng.uniform(), rng.uniform(0, TWO_PI),
+                               phis=rng.uniform(-20, 20) + TWO_PI * turns)
+            with pytest.raises(ValueError, match="got 1$"):
+                fit(data)
+
+    def test_two_periods_still_fit(self):
+        phis = np.linspace(0.0, 2 * TWO_PI, 64, endpoint=False)
+        result = fit(oracle_scan(0.6, 1.0, phis=phis))
+        assert result.converged and not result.model_rejected
+        assert abs(result.beta1_hat - 0.6) < 1e-6
+        assert circular_distance(result.gamma_hat, 1.0) < 1e-6
+        noisy = simulate_measurement(oracle_scan(0.6, 1.0, phis=phis), shots=100_000, seed=4)
+        result = fit(noisy, weighting="inverse_variance")
+        assert not result.model_rejected
+        assert abs(result.beta1_hat - 0.6) < 0.02
 
     def test_scan_of_another_parameter_rejected(self):
         scan = oracle_scan(0.5, 0.5)

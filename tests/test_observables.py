@@ -927,6 +927,16 @@ class TestVisibility:
         with pytest.raises(ValueError):
             visibility([])
 
+    @pytest.mark.parametrize("phis", [[0.0], [0.0, 1.0, 2.0, 3.0]])
+    def test_grid_of_another_length_rejected(self, phis):
+        with pytest.raises(ValueError, match=f"3 values but {len(phis)} phis"):
+            visibility([1.0, 2.0, 1.5], phis)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_non_finite_or_negative_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            visibility([1.0, bad, 1.5], [0.0, 1.0, 2.0])
+
 
 class TestAggregates:
     def test_signal_completeness_sums_to_two(self):
