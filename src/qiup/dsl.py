@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NoReturn, Union
 
 from .modes import Band, Polarization, WavePlateKind
 
@@ -266,141 +266,75 @@ class _StatementError(Exception):
         super().__init__(str(diag))
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+def _parse_statement(tokens: list[tuple[str, int]], line: int, warn) -> Statement:
+    """Read a line's ``(text, column)`` tokens as its keyword's class's
+    ``syntax`` declares; the first fault raises :class:`_StatementError`."""
 
-    @property
-    def end(self) -> int:
-        return self.column + len(self.text)
+    def fail(code: str, message: str, column: int) -> NoReturn:
+        raise _StatementError(Diagnostic("error", line, column, code, message))
 
-
-class _Cursor:
-    """Token stream for one statement line."""
-
-    def __init__(self, tokens: list[_Token], line: int) -> None:
-        self.tokens = tokens
-        self.line = line
-        self.pos = 0
-
-    @property
-    def keyword(self) -> _Token:
-        return self.tokens[0]
-
-    def span(self) -> Span:
-        return Span(self.line, self.tokens[0].column, self.tokens[-1].end)
-
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def _fail(self, code: str, message: str, token: _Token | None = None) -> None:
-        col = token.column if token else self.tokens[-1].end
-        raise _StatementError(Diagnostic("error", self.line, col, code, message))
-
-    def take(self, what: str) -> _Token:
-        if self.exhausted():
-            self._fail("E_ARITY", f"expected {what} after '{self.tokens[-1].text}'")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def take_literal(self, literal: str) -> _Token:
-        tok = self.take(f"'{literal}'")
-        if tok.text != literal:
-            self._fail("E_ARITY", f"expected '{literal}', got '{tok.text}'", tok)
-        return tok
-
-    def path(self, tok: _Token, what: str) -> str:
-        if "=" in tok.text or tok.text == "->":
-            self._fail("E_ARITY", f"expected {what}, got '{tok.text}'", tok)
-        return tok.text
-
-    def take_kv(self, key: str) -> _Token:
-        tok = self.take(f"'{key}=...'")
-        prefix = key + "="
-        if not tok.text.startswith(prefix):
-            self._fail("E_ARITY", f"expected '{key}=...', got '{tok.text}'", tok)
-        if len(tok.text) == len(prefix):
-            self._fail("E_VALUE", f"empty value for '{key}='", tok)
-        return _Token(tok.text[len(prefix):], tok.line, tok.column + len(prefix))
-
-    def opt_kv(self, key: str) -> _Token | None:
-        if self.exhausted():
-            return None
-        tok = self.tokens[self.pos]
-        if tok.text.startswith(key + "="):
-            return self.take_kv(key)
-        return None
-
-    def number(self, tok: _Token, what: str) -> float:
-        try:
-            value = float(tok.text)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            self._fail("E_NUMBER", f"malformed number for {what}: '{tok.text}'", tok)
-        return value
-
-    def value(self, tok: _Token, what: str) -> Value:
-        if tok.text.startswith("$"):
-            name = tok.text[1:]
-            if not name.isidentifier():
-                self._fail("E_NUMBER", f"malformed parameter reference '{tok.text}'", tok)
-            return ParamRef(name)
-        return self.number(tok, what)
-
-    def choice(self, tok: _Token, table: dict, what: str):
-        if tok.text not in table:
-            expected = "|".join(table)
-            self._fail("E_VALUE", f"expected {what} ({expected}), got '{tok.text}'", tok)
-        return table[tok.text]
-
-    def finish(self) -> None:
-        if not self.exhausted():
-            tok = self.tokens[self.pos]
-            self._fail("E_ARITY", f"unexpected trailing token '{tok.text}'", tok)
-
-
-def _parse_statement(c: _Cursor, warn) -> Statement:
-    """Read the tokens after the keyword as its class's ``syntax`` declares."""
-    keyword = c.keyword
-    if keyword.text not in STATEMENTS:
-        c._fail("E_KEYWORD", f"unknown statement keyword '{keyword.text}'", keyword)
-    cls, fixed = STATEMENTS[keyword.text]
+    keyword, start = tokens[0]
+    if keyword not in STATEMENTS:
+        fail("E_KEYWORD", f"unknown statement keyword '{keyword}'", start)
+    cls, fixed = STATEMENTS[keyword]
     fields = dict(fixed)
+    last, end = tokens[-1]
+    end += len(last)
+    at = 1
     for spec in cls.syntax:
-        if isinstance(spec, str):
-            c.take_literal(spec)
-            continue
-        form, name, reader, what = spec
-        if form == POS:
-            tok = c.take(what)
-        elif form == KEY:
-            tok = c.take_kv(name)
+        if type(spec) is str:  # a literal: a bare token equal to itself
+            form, name, reader, what = POS, None, None, f"'{spec}'"
         else:
-            tok = c.opt_kv(name)
-            if tok is None:
-                if form == DEFAULTED:
-                    warn(Diagnostic("warning", c.line, keyword.column, "W_DEFAULT_BAND",
-                                    f"{keyword.text} without band= defaults to both bands"))
-                continue
+            form, name, reader, what = spec
+        key = "" if form == POS else name + "="
+        if at < len(tokens) and tokens[at][0].startswith(key):
+            text, column = tokens[at]
+            at += 1
+        elif form == OPT or form == DEFAULTED:
+            if form == DEFAULTED:
+                warn(Diagnostic("warning", line, start, "W_DEFAULT_BAND",
+                                f"{keyword} without band= defaults to both bands"))
+            continue
+        elif at == len(tokens):
+            expected = what if form == POS else f"'{key}...'"
+            fail("E_ARITY", f"expected {expected} after '{last}'", end)
+        else:
+            fail("E_ARITY", f"expected '{key}...', got '{tokens[at][0]}'", tokens[at][1])
+        if text == key:  # never for a bare token, which is not empty
+            fail("E_VALUE", f"empty value for '{key}'", column)
+        text, column = text[len(key):], column + len(key)
         if isinstance(reader, dict):
-            fields[name] = c.choice(tok, reader, what)
-        elif reader == VALUE:
-            fields[name] = c.value(tok, what)
-        elif reader == NUMBER:
-            fields[name] = c.number(tok, what)
+            if text not in reader:
+                fail("E_VALUE", f"expected {what} ({'|'.join(reader)}), got '{text}'", column)
+            fields[name] = reader[text]
         elif reader == ID:
             try:
-                fields[name] = int(tok.text)
+                fields[name] = int(text)
             except ValueError:
-                c._fail("E_NUMBER", f"source id must be an integer, got '{tok.text}'", tok)
-        else:  # READ or WRITE, bare or after its key
-            fields[name] = c.path(tok, what)
-    c.finish()
-    return cls(c.span(), **fields)
+                fail("E_NUMBER", f"source id must be an integer, got '{text}'", column)
+        elif reader == VALUE and text.startswith("$"):
+            if not text[1:].isidentifier():
+                fail("E_NUMBER", f"malformed parameter reference '{text}'", column)
+            fields[name] = ParamRef(text[1:])
+        elif reader == VALUE or reader == NUMBER:
+            try:
+                number = float(text)
+            except ValueError:
+                number = math.nan
+            if not math.isfinite(number):
+                fail("E_NUMBER", f"malformed number for {what}: '{text}'", column)
+            fields[name] = number
+        elif reader is None:
+            if text != spec:
+                fail("E_ARITY", f"expected {what}, got '{text}'", column)
+        elif "=" in text or text == "->":  # READ or WRITE: a path, bare or after its key
+            fail("E_ARITY", f"expected {what}, got '{text}'", column)
+        else:
+            fields[name] = text
+    if at < len(tokens):
+        text, column = tokens[at]
+        fail("E_ARITY", f"unexpected trailing token '{text}'", column)
+    return cls(Span(line, start, end), **fields)
 
 
 def parse(text: str) -> ParseResult:
@@ -410,21 +344,20 @@ def parse(text: str) -> ParseResult:
     detect_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        tokens = [
-            _Token(m.group(), lineno, m.start() + 1) for m in _TOKEN_RE.finditer(line)
-        ]
+        tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
         if not tokens:
             continue
-        cursor = _Cursor(tokens, lineno)
-        cursor.pos = 1
         try:
-            stmt = _parse_statement(cursor, diagnostics.append)
-            if isinstance(stmt, DetectStmt) and detect_seen:
-                cursor._fail("E_MULTI_DETECT", "more than one detect statement", tokens[0])
-            detect_seen = detect_seen or isinstance(stmt, DetectStmt)
+            stmt = _parse_statement(tokens, lineno, diagnostics.append)
         except _StatementError as exc:
             diagnostics.append(exc.diag)
             continue
+        if isinstance(stmt, DetectStmt):
+            if detect_seen:
+                diagnostics.append(Diagnostic("error", lineno, tokens[0][1], "E_MULTI_DETECT",
+                                              "more than one detect statement"))
+                continue
+            detect_seen = True
         statements.append(stmt)
     errors = [d for d in diagnostics if d.severity == "error"]
     ast = None if errors else CircuitAst(tuple(statements))

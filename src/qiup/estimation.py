@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -96,9 +97,23 @@ class NoisyScan:
         return scan
 
     def _set(self, phis: np.ndarray, rows, shots: int, seed: int, sweep: str) -> None:
-        if shots < 1:
-            raise ValueError("shots must be a positive integer")
+        """:func:`~qiup.observables._set_scan`'s checks, then the counts'
+        own: nonnegative integers, which are stored as int64 (as the CSV
+        reader refuses anything else)."""
+        shots = _positive_shots(shots)
         _set_scan(self, phis, rows, "count columns", shots=shots, seed=seed, sweep=sweep)
+        counts = self.counts
+        if counts.dtype == np.int64:
+            integral = counts.min(initial=0) >= 0
+        else:
+            counts = counts.astype(float)  # NaN fails every comparison
+            integral = ((counts >= 0) & (counts < 2.0**63) & (counts == np.trunc(counts))).all()
+        if not integral:
+            raise ValueError("counts must be nonnegative integers below 2**63")
+        if counts.dtype != np.int64:
+            counts = counts.astype(np.int64)
+            counts.flags.writeable = False
+            vars(self)["counts"] = counts
 
     @property
     def counts_h(self) -> np.ndarray:
@@ -130,6 +145,18 @@ class FitResult:
 ScanLike = Union[FringeScan, NoisyScan]
 
 
+def _positive_shots(shots) -> int:
+    """``shots`` as an int; anything but a positive integer (``2.5``,
+    ``0``) raises ``ValueError``."""
+    try:
+        shots = operator.index(shots)
+    except TypeError:
+        shots = 0  # not an integer
+    if shots < 1:
+        raise ValueError("shots must be a positive integer")
+    return shots
+
+
 def simulate_measurement(scan: FringeScan, shots: int, seed: int) -> NoisyScan:
     """Draw Poisson counts around ``shots`` times each expectation value.
 
@@ -139,8 +166,7 @@ def simulate_measurement(scan: FringeScan, shots: int, seed: int) -> NoisyScan:
     """
     if not isinstance(scan, FringeScan):
         raise TypeError(f"simulate_measurement needs a FringeScan, got {type(scan).__name__}")
-    if shots < 1:
-        raise ValueError("shots must be a positive integer")
+    shots = _positive_shots(shots)
     rng = np.random.Generator(np.random.PCG64(seed))
     # one draw per point, the H row before the V row
     counts = rng.poisson(shots * scan.counts)

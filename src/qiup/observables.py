@@ -105,17 +105,27 @@ def _set_scan(scan, phis: np.ndarray, rows, what: str, **fields) -> None:
     """Give ``scan`` the read-only arrays ``phis`` and ``counts`` (the two
     ``rows``, H and V, stacked) and its other ``fields``.
 
-    The one check of every scan type: each row as long as ``phis`` and the
-    grid strictly increasing, where NaN fails.  Freezes ``phis`` and an
-    array ``rows`` in place, so callers pass arrays they own.
+    The one check of every scan type: each row as long as ``phis``, then
+    :func:`_check_grid`.  Freezes ``phis`` and an array ``rows`` in place, so
+    callers pass arrays they own.
     """
     if not len(rows[0]) == len(rows[1]) == len(phis):
         raise ValueError(f"phis and {what} must have equal length")
-    if not (phis[1:] > phis[:-1]).all():
-        raise ValueError("scan grid must be strictly increasing")
+    _check_grid(phis)
     counts = np.asarray(rows)
     phis.flags.writeable = counts.flags.writeable = False
     vars(scan).update(fields, phis=phis, counts=counts)
+
+
+def _check_grid(phis: np.ndarray) -> None:
+    """Refuse a scan grid that is not strictly increasing or not finite.
+
+    A NaN fails every comparison, so a grid that increases can be infinite
+    only at its ends."""
+    if not (phis[1:] > phis[:-1]).all():
+        raise ValueError("scan grid must be strictly increasing")
+    if len(phis) and not (math.isfinite(phis[0]) and math.isfinite(phis[-1])):
+        raise ValueError("scan grid values must be finite")
 
 
 def counts(state: BiphotonState, path: str, band: Band) -> CountResult:
@@ -143,11 +153,13 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
 
     The swept name must be a free parameter of the plan, or
     ``E_UNKNOWN_PARAM`` is raised, and an angle: a preparation's ``alpha`` or
-    ``beta`` raises ``ValueError``.  Both are refused whatever the grid, before
-    any run.  Every other free parameter must already be bound to a scalar (an
-    array binding raises ``E_BATCH_SHAPE``).  ``grid`` is any iterable of
-    numbers; the scan holds it and the counts at it, in grid order, as
-    arrays, and builds no per-point record.
+    ``beta`` raises ``ValueError``.  Both are refused before any run, also for
+    an empty grid.  Every other free parameter must already be bound to a
+    scalar (an array binding raises ``E_BATCH_SHAPE``).  ``grid`` is any
+    iterable of numbers; the scan holds it and the counts at it, in grid
+    order, as arrays, and builds no per-point record.  A grid that is not
+    strictly increasing or holds a value that is not finite raises
+    ``ValueError`` before anything is evaluated.
 
     The counts come from the series of :func:`harmonic_coefficients`,
     summed at every grid point, whatever the grid's length or range: the
@@ -163,6 +175,7 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
             f"fringe_scan needs scalar bindings, got arrays for {', '.join(batched)}",
         )
     phis = np.fromiter(grid, dtype=float)
+    _check_grid(phis)
     if len(phis):
         values = _evaluate(*_series(plan, sweep), phis)
     else:

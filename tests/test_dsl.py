@@ -1,10 +1,12 @@
+import ast
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CIRCUITS_DIR
+from conftest import CIRCUITS_DIR, REPO_ROOT
 from qiup import dsl
 from qiup.dsl import ParamRef, PhaseStmt, WavePlateStmt
 from qiup.elements import WavePlateKind
@@ -241,3 +243,97 @@ def test_leftmost_fault_of_a_line_is_reported():
     result = dsl.parse("prepare a idler alpha=x beta=1\n")
     (diag,) = result.errors()
     assert (diag.line, diag.column, diag.code) == (1, 23, "E_NUMBER")
+
+
+# --- every parser branch, pinned by its full diagnostic text --------------
+
+_BRANCHES = [
+    ("keyword", "polerizer x angle=3",
+     ["1:1: error[E_KEYWORD]: unknown statement keyword 'polerizer'"]),
+    ("keyword-alone", "detect",
+     ["1:7: error[E_ARITY]: expected a path identifier after 'detect'"]),
+    ("missing-positional", "bs r -> e",
+     ["1:10: error[E_ARITY]: expected a reflected output path after 'e'"]),
+    ("missing-literal", "bs r",
+     ["1:5: error[E_ARITY]: expected '->' after 'r'"]),
+    ("wrong-literal", "bs r e f",
+     ["1:6: error[E_ARITY]: expected '->', got 'e'"]),
+    ("wrong-colon-literal", "dm a -> signal: b idler r",
+     ["1:19: error[E_ARITY]: expected 'idler:', got 'idler'"]),
+    ("missing-key", "prepare a idler alpha=0 beta=1",
+     ["1:31: error[E_ARITY]: expected 'gamma=...' after 'beta=1'"]),
+    ("missing-first-key", "prepare a idler",
+     ["1:16: error[E_ARITY]: expected 'alpha=...' after 'idler'"]),
+    ("wrong-key", "prepare a idler alpha=0 gamma=0 beta=1",
+     ["1:25: error[E_ARITY]: expected 'beta=...', got 'gamma=0'"]),
+    ("path-with-equals", "bs r=1 -> e f",
+     ["1:4: error[E_ARITY]: expected a path identifier, got 'r=1'"]),
+    ("path-is-arrow", "detect -> signal",
+     ["1:8: error[E_ARITY]: expected a path identifier, got '->'"]),
+    ("key-path-with-equals", "source 1 signal=a=b idler=c pol=V",
+     ["1:17: error[E_ARITY]: expected a signal path identifier, got 'a=b'"]),
+    ("trailing-token", "bs r -> e f g",
+     ["1:13: error[E_ARITY]: unexpected trailing token 'g'"]),
+    ("empty-key", "source 1 signal= idler=a pol=V",
+     ["1:10: error[E_VALUE]: empty value for 'signal='"]),
+    ("empty-optional-key", "source 1 signal=a idler=b pol=V phase=",
+     ["1:33: error[E_VALUE]: empty value for 'phase='"]),
+    ("empty-band", "hwp f angle=45 band=",
+     ["1:16: error[E_VALUE]: empty value for 'band='"]),
+    ("word-outside-table", "merge r Q idler",
+     ["1:9: error[E_VALUE]: expected a polarization (H|V), got 'Q'"]),
+    ("key-word-outside-table", "hwp f angle=45 band=up",
+     ["1:21: error[E_VALUE]: expected a band (signal|idler|both), got 'up'"]),
+    ("malformed-number", "phase r value=abc band=signal",
+     ["1:15: error[E_NUMBER]: malformed number for value: 'abc'"]),
+    ("nan-literal", "phase r value=nan band=signal",
+     ["1:15: error[E_NUMBER]: malformed number for value: 'nan'"]),
+    ("inf-literal", "hwp f angle=inf band=both",
+     ["1:13: error[E_NUMBER]: malformed number for angle: 'inf'"]),
+    ("overflowing-literal", "phase r value=1e400 band=signal",
+     ["1:15: error[E_NUMBER]: malformed number for value: '1e400'"]),
+    ("optional-number", "source 1 signal=a idler=b pol=V phase=-inf",
+     ["1:39: error[E_NUMBER]: malformed number for phase: '-inf'"]),
+    ("reference-in-a-number", "source 1 signal=a idler=b pol=V phase=$x",
+     ["1:39: error[E_NUMBER]: malformed number for phase: '$x'"]),
+    ("malformed-reference", "phase r value=$9bad band=signal",
+     ["1:15: error[E_NUMBER]: malformed parameter reference '$9bad'"]),
+    ("source-id-word", "source x signal=a idler=b pol=V",
+     ["1:8: error[E_NUMBER]: source id must be an integer, got 'x'"]),
+    ("source-id-fraction", "source 1.5 signal=a idler=b pol=V",
+     ["1:8: error[E_NUMBER]: source id must be an integer, got '1.5'"]),
+    ("default-band", "hwp f angle=45",
+     ["1:1: warning[W_DEFAULT_BAND]: hwp without band= defaults to both bands"]),
+    ("default-band-then-error", "hwp f angle=45 extra",
+     ["1:1: warning[W_DEFAULT_BAND]: hwp without band= defaults to both bands",
+      "1:16: error[E_ARITY]: unexpected trailing token 'extra'"]),
+    ("multi-detect", "detect a signal\ndetect b signal",
+     ["2:1: error[E_MULTI_DETECT]: more than one detect statement"]),
+    ("second-detect-own-error", "detect a signal\ndetect b up",
+     ["2:10: error[E_VALUE]: expected a band (signal|idler), got 'up'"]),
+    ("failed-detect-not-counted", "detect a up\ndetect b signal",
+     ["1:10: error[E_VALUE]: expected a band (signal|idler), got 'up'"]),
+]
+
+
+@pytest.mark.parametrize("text, expected", [case[1:] for case in _BRANCHES],
+                         ids=[case[0] for case in _BRANCHES])
+def test_every_parser_branch_message(text, expected):
+    result = dsl.parse(text + "\n")
+    assert [str(diag) for diag in result.diagnostics] == expected
+    assert result.ok == all(" warning[" in line for line in expected)
+
+
+@pytest.mark.parametrize("module", ["dsl", "modes"])
+def test_front_end_imports_only_the_standard_library(module):
+    """``qiup check`` parses and validates with no numpy: the parser and
+    the mode labels it reads import nothing else of qiup, nor any
+    third-party package."""
+    tree = ast.parse((REPO_ROOT / "src" / "qiup" / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert (node.level, node.module) == (1, "modes"), ast.unparse(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, ast.unparse(node)

@@ -221,6 +221,21 @@ class TestSimulateMeasurement:
         with pytest.raises(ValueError):
             simulate_measurement(oracle_scan(0.5, 0.0), shots=0, seed=1)
 
+    @pytest.mark.parametrize("shots", [2.5, 3.0, np.float64(3.0), "3"],
+                             ids=["2.5", "float", "float64", "str"])
+    def test_non_integer_shots_refused_before_any_draw(self, shots, monkeypatch):
+        monkeypatch.setattr(np.random, "Generator", lambda *args: pytest.fail("drew counts"))
+        with pytest.raises(ValueError, match="shots must be a positive integer"):
+            simulate_measurement(oracle_scan(0.5, 0.0), shots=shots, seed=0)
+
+    def test_csv_round_trip(self):
+        noisy = simulate_measurement(oracle_scan(0.8, 0.5), shots=np.int64(1000), seed=4)
+        assert type(noisy.shots) is int
+        back = read_counts_csv(format_counts_csv(noisy))
+        assert isinstance(back, NoisyScan) and back.shots == 1000
+        np.testing.assert_array_equal(back.phis, noisy.phis)
+        np.testing.assert_array_equal(back.counts, noisy.counts)
+
     def test_counts_are_not_drawn_again(self):
         # a NoisyScan has counts, not expectations, in its (2, N) array
         noisy = simulate_measurement(oracle_scan(0.5, 0.0), shots=10, seed=1)
@@ -271,6 +286,41 @@ class TestNoisyScan:
     def test_shots_positive(self):
         with pytest.raises(ValueError, match="shots must be a positive integer"):
             NoisyScan((0.0,), (1,), (1,), shots=0, seed=0)
+
+    @pytest.mark.parametrize("shots", [2.5, 10.0, np.float64(10.0), "10", None],
+                             ids=["2.5", "float", "float64", "str", "None"])
+    def test_shots_must_be_an_integer(self, shots):
+        with pytest.raises(ValueError, match="shots must be a positive integer"):
+            NoisyScan((0.0,), (1,), (1,), shots=shots, seed=0)
+
+    # the first was once accepted, fitted with converged=true and written to
+    # a CSV that read_counts_csv refused with "negative count"
+    @pytest.mark.parametrize("counts_h, counts_v", [
+        ((0.5, 1, 1), (1, -3, 1)), ((1, 1, 1), (1, -3, 1)), ((1, 1, 1), (1, 0.5, 1)),
+        ((1, 1, 1), (1, math.nan, 1)), ((1, 1, 1), (1, math.inf, 1)), ((1, 1, 1), (1, 2.0**63, 1)),
+    ], ids=["fraction-and-negative", "negative", "fraction", "nan", "inf", "2**63"])
+    def test_counts_must_be_nonnegative_integers(self, counts_h, counts_v):
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            NoisyScan((0, 2, 4), counts_h, counts_v, shots=10, seed=0)
+
+    def test_negative_int64_counts_refused(self):
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            NoisyScan._of(np.array([0.0, 1.0]), np.array([[1, 2], [3, -4]]), 10, 0, "phi")
+
+    def test_integral_counts_are_stored_as_int64(self):
+        noisy = NoisyScan((0.0, 1.0), (1.0, 2.0), np.array([3, 4], dtype=np.int32),
+                          shots=10, seed=0)
+        assert noisy.counts.dtype == np.int64 and not noisy.counts.flags.writeable
+        np.testing.assert_array_equal(noisy.counts, ((1, 2), (3, 4)))
+        back = read_counts_csv(format_counts_csv(noisy))
+        np.testing.assert_array_equal(back.counts, noisy.counts)
+        assert back.shots == 10
+
+    @pytest.mark.parametrize("phis", [(math.nan,), (math.inf,), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_grid_refused(self, phis):
+        ones = (1,) * len(phis)
+        with pytest.raises(ValueError, match="scan grid values must be finite"):
+            NoisyScan(phis, ones, ones, shots=10, seed=0)
 
     @pytest.mark.parametrize("phis", [
         (0.0, 1.0, 0.5), (0.0, 1.0, 1.0), (0.0, math.nan, 2.0), (math.nan, math.nan, math.nan),

@@ -26,6 +26,7 @@ from qiup.observables import (
     visibility,
 )
 from qiup import observables
+from qiup.dsl import ParamRef, PrepareStmt
 from qiup.plan import FIG1_SOURCE, PlanError, compile_text, fig1_preset, run_plan
 from qiup.verification import regime_params
 
@@ -33,6 +34,8 @@ H, V = Polarization.H, Polarization.V
 S1 = SourceTag.SOURCE_1
 ROOT8 = 1.0 / (2.0 * math.sqrt(2.0))
 FULL_PERIOD = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+#: Grids that pass the increasing check but not the finite one.
+NON_FINITE_GRIDS = [(math.nan,), (math.inf,), (0.0, math.inf), (-math.inf, 0.0)]
 
 #: Source 1 emits both photons on path a, where the swept phase reaches both;
 #: the idlers share one merged mode, so the signal fringe carries cos(2 phi).
@@ -159,6 +162,21 @@ class TestFringeScan:
         plan = fig1_preset(regime_params(0.5, 0.0))
         with pytest.raises(ValueError, match="scan grid must be strictly increasing"):
             fringe_scan(plan, "phi", grid)
+
+    @pytest.mark.parametrize("grid", NON_FINITE_GRIDS)
+    def test_non_finite_grid_refused_before_any_evaluation(self, grid, monkeypatch):
+        plan = fig1_preset(regime_params(0.5, 0.0))
+        monkeypatch.setattr(observables, "_series", lambda *args: pytest.fail("evaluated"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="scan grid values must be finite"):
+                fringe_scan(plan, "phi", grid)
+
+    @pytest.mark.parametrize("grid", NON_FINITE_GRIDS)
+    def test_non_finite_grid_refused_by_the_constructor(self, grid):
+        records = tuple(CountResult(0.1, 0.2) for _ in grid)
+        with pytest.raises(ValueError, match="scan grid values must be finite"):
+            FringeScan(grid, records, "o'")
 
     def test_records_must_match_the_grid(self):
         with pytest.raises(ValueError, match="phis and records must have equal length"):
@@ -992,3 +1010,39 @@ class TestScanCsv:
         assert isinstance(back, FringeScan)
         np.testing.assert_allclose(back.column("v"), scan.column("v"), rtol=1e-15)
         np.testing.assert_allclose(back.phis, scan.phis, rtol=1e-15)
+
+
+# --- the declared harmonic degree on every shipped circuit -----------------
+
+def _shipped_free_angles():
+    for path in sorted(CIRCUITS_DIR.glob("*.qiup")):
+        plan, _ = compile_text(path.read_text())
+        for name in sorted(plan.free_parameters):
+            if plan.harmonic_degree(name) is not None:
+                yield pytest.param(path, name, id=f"{path.stem}-{name}")
+
+
+@pytest.mark.parametrize("path, sweep", list(_shipped_free_angles()))
+def test_shipped_circuit_counts_stay_within_the_declared_degree(path, sweep):
+    """The count tensor's node count comes from ``harmonic_degree``: a loop
+    of single runs over one period of f*x holds no harmonic above the
+    declared D (which may be loose, so not equal to it), and ``fringe_scan``
+    through the tensor equals that loop."""
+    plan, _ = compile_text(path.read_text())
+    rng = np.random.default_rng(13)
+    bindings = {}
+    for stmt in plan.pipeline:
+        if isinstance(stmt, PrepareStmt) and isinstance(stmt.alpha, ParamRef):
+            chi = rng.uniform(0.0, math.pi / 2)  # a nonnegative pair on the unit circle
+            bindings[stmt.alpha.name], bindings[stmt.beta.name] = math.cos(chi), math.sin(chi)
+    for name in sorted(plan.free_parameters - set(bindings) - {sweep}):
+        bindings[name] = rng.uniform(0.0, 2 * math.pi)
+    plan = plan.bind(bindings)
+    frequency, degree = plan.harmonic_degree(sweep)
+    points = 16 * (degree + 1)
+    grid = 2 * math.pi * np.arange(points) / (points * frequency)
+    loop = np.array([run_plan(plan.bind({sweep: x})).counts_at(plan.detect_path, plan.detect_band)
+                     for x in grid]).T
+    spectrum = np.abs(np.fft.rfft(loop, axis=-1, norm="forward"))
+    assert spectrum[:, degree + 1:].max() <= 1e-12 * loop.max()
+    np.testing.assert_allclose(fringe_scan(plan, sweep, grid).counts, loop, rtol=0, atol=1e-12)
