@@ -23,7 +23,7 @@ import numpy as np
 from .dsl import ParamRef, PrepareStmt
 from .errors import QiupWarning
 from .modes import Band
-from .plan import CircuitPlan, PlanError, _setting, run_plan
+from .plan import CircuitPlan, PlanError, _setting, _Structure, run_plan
 from .state import BiphotonState
 
 #: The most members the count tensor's product grid may hold; a circuit with
@@ -62,9 +62,10 @@ class FringeScan:
     [0, 2pi).
 
     The constructor takes one :class:`CountResult` per point and converts
-    them once; ``records`` rebuilds them from ``counts`` on each access.
-    qiup's own producers build the arrays directly.  Arrays have no single
-    truth value, so scans compare by identity.
+    them once, refusing an expectation that is negative or not finite;
+    ``records`` rebuilds them from ``counts`` on each access.  qiup's own
+    producers build the arrays directly.  Arrays have no single truth value,
+    so scans compare by identity.
     """
 
     phis: np.ndarray
@@ -77,14 +78,17 @@ class FringeScan:
         rows = np.array([[r.n_h for r in records], [r.n_v for r in records]], dtype=float)
         _set_scan(self, np.array(phis, dtype=float), rows, "records",
                   detect_path=detect_path, sweep=sweep)
+        if not ((rows >= 0) & (rows < math.inf)).all():  # NaN fails both
+            raise ValueError("expectations must be finite and nonnegative")
 
     @classmethod
     def _of(cls, phis: np.ndarray, counts: np.ndarray, detect_path: str,
             sweep: str) -> FringeScan:
-        """The scan of arrays it may own and freeze, checked as by the
-        constructor."""
+        """The scan of arrays it may own and freeze, which its producer has
+        checked as the constructor does."""
         scan = object.__new__(cls)
-        _set_scan(scan, phis, counts, "records", detect_path=detect_path, sweep=sweep)
+        phis.flags.writeable = counts.flags.writeable = False
+        vars(scan).update(phis=phis, counts=counts, detect_path=detect_path, sweep=sweep)
         return scan
 
     @property
@@ -105,7 +109,7 @@ def _set_scan(scan, phis: np.ndarray, rows, what: str, **fields) -> None:
     """Give ``scan`` the read-only arrays ``phis`` and ``counts`` (the two
     ``rows``, H and V, stacked) and its other ``fields``.
 
-    The one check of every scan type: each row as long as ``phis``, then
+    The checks of the scan constructors: each row as long as ``phis``, then
     :func:`_check_grid`.  Freezes ``phis`` and an array ``rows`` in place, so
     callers pass arrays they own.
     """
@@ -165,7 +169,7 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
     summed at every grid point, whatever the grid's length or range: the
     first scan of a circuit runs it once, over the product grid of its count
     tensor, and later scans of that circuit run nothing.  An empty grid makes
-    no run.
+    no run, but its bound values pass the same checks.
     """
     batched = sorted(k for k, v in plan.bindings.items() if isinstance(v, np.ndarray))
     if batched:
@@ -179,22 +183,31 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
     if len(phis):
         values = _evaluate(*_series(plan, sweep), phis)
     else:
-        _harmonics(plan, sweep)  # the refusals of a nonempty grid, without a run
+        _checked(plan, sweep)  # the refusals and checks of a nonempty grid, without a run
         values = np.empty((2, 0))
     return FringeScan._of(phis, values, plan.detect_path, sweep)
 
 
-def _harmonics(plan: CircuitPlan, sweep: str) -> tuple[int, int]:
-    """(f, D) of :meth:`CircuitPlan.harmonic_degree`, or the refusal of a
-    sweep that is not a free angle of the plan."""
+def _checked(plan: CircuitPlan, sweep: str) -> tuple[int, int]:
+    """(f, D) of :meth:`CircuitPlan.harmonic_degree` for ``sweep``, after
+    :func:`harmonic_coefficients`' refusals and a run's checks of the other
+    bound values, which raise in pipeline order."""
     if sweep not in plan.free_parameters:
         raise PlanError("E_UNKNOWN_PARAM", f"not free parameters of this plan: {sweep}")
-    harmonics = plan.harmonic_degree(sweep)
+    structure = plan._structure
+    if sweep not in structure.degrees:
+        structure.degrees[sweep] = plan.harmonic_degree(sweep)
+    harmonics = structure.degrees[sweep]
     if harmonics is None:
         raise ValueError(
             f"cannot sweep {sweep!r}: only angles sweep, and {sweep!r} sets a "
             "preparation's alpha or beta, whose pair must stay normalized"
         )
+    bindings = {**plan.bindings, sweep: 0.0}  # bound to its samples in every run
+    bound = plan.free_parameters <= bindings.keys()
+    # with every name bound, only a preparation's checks can fail
+    for stmt in structure.preparations if bound else plan.pipeline:
+        _setting(stmt, bindings)
     return harmonics
 
 
@@ -211,9 +224,11 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
 
     The series comes from the circuit's count tensor, built by one batched
     run of the unbound circuit over a product grid of nodes of every free
-    parameter and kept for the last :data:`TENSOR_CACHE_SIZE` circuits
-    (keyed by sources, pipeline, detect path and band and splitter
-    convention).  It holds each angle's axis in the real Fourier form
+    parameter and kept for the last :data:`TENSOR_CACHE_SIZE` circuits,
+    keyed by the plan's structure (sources, pipeline, detect path and band
+    and splitter convention): a plan hashes it once and :meth:`~CircuitPlan.bind`
+    hands it on, so a re-bound plan reaches its tensor with no rehash or
+    pipeline walk.  It holds each angle's axis in the real Fourier form
     ``(a_0, a_1, b_1, ..., a_D, b_D)`` of the counts, and the axis of each
     preparation whose ``alpha`` and ``beta`` are two ``$`` names used
     nowhere else as the counts at nodes in ``chi``, ``(alpha, beta) = (cos
@@ -231,8 +246,9 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
     does not repeat the warning of a run whose splitter input cancels at
     the bound values alone.
 
-    The checks of a run hold whichever way the counts come: a name that is
-    not free raises ``E_UNKNOWN_PARAM``; one that sets a preparation's
+    The checks of a run hold whichever way the counts come, also for an
+    empty grid of :func:`fringe_scan`: a name that is not free raises
+    ``E_UNKNOWN_PARAM``; one that sets a preparation's
     ``alpha`` or ``beta`` raises ``ValueError``, since the counts are no
     such series in it; a free name left unbound raises ``E_UNBOUND_PARAM``;
     and each preparation checks its bound amplitudes and phase, naming the
@@ -252,9 +268,8 @@ def _series(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarray]:
     """(f, s): :func:`harmonic_coefficients`' series, checks and floor, with
     ``s`` in the real form ``(a_0, a_1, b_1, ..., a_D, b_D)`` of each count
     a_0 + sum_m a_m cos(m f x) + b_m sin(m f x); |c_m| = hypot(a_m, b_m)/2."""
-    frequency, degree = _harmonics(plan, sweep)
-    _check_bindings(plan, sweep)
-    tensor = _count_tensor(_structure(plan))
+    frequency, degree = _checked(plan, sweep)
+    tensor = _count_tensor(plan._structure)
     if tensor is None:
         counts = _sample(plan, [_angle_axis(sweep, frequency, degree)])
         largest = counts.max(initial=0.0)
@@ -267,17 +282,6 @@ def _series(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarray]:
     small = np.hypot(cosines, sines) <= 2.0 * HARMONIC_FLOOR * largest
     cosines[small] = sines[small] = 0.0
     return frequency, series
-
-
-def _check_bindings(plan: CircuitPlan, sweep: str) -> None:
-    """Raise what a run of ``plan`` would raise on its bound values, in
-    pipeline order: ``E_UNBOUND_PARAM`` for a name other than ``sweep`` left
-    unbound, and each preparation's :class:`~qiup.elements.PreparationSpec`
-    checks."""
-    bindings = dict(plan.bindings)
-    bindings[sweep] = 0.0  # bound to its samples in every run
-    for stmt in plan.pipeline:
-        _setting(stmt, bindings)
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,59 +403,57 @@ class _CountTensor:
     (2, n_1, ..., n_K), and ``series``, the same with every angle axis in
     real Fourier form (see :class:`_Axis`); both read-only.
 
-    ``layouts`` caches, per order of the axes, ``series`` with its axes in
-    that order, flattened to (2, K, n_sweep) and contiguous: built by the
-    first sweep that needs it, read-only, at most one per sweep axis and set
-    of cell-bound axes.
+    ``sweeps`` caches what a sweep contracts, per swept name and set of
+    names bound to arrays, built by the first such sweep: see
+    :meth:`contraction`.
     """
 
     axes: tuple[_Axis, ...]
     counts: np.ndarray
     largest: float  # the largest count
     series: np.ndarray
-    layouts: dict = field(default_factory=dict)
+    sweeps: dict = field(default_factory=dict)
 
     def sweep_series(self, bindings, sweep: str) -> np.ndarray:
         """The real Fourier form ``(a_0, a_1, b_1, ..., a_D, b_D)`` of the
         counts in ``sweep``, every other axis contracted with its weights at
         the bound values: shape (2, n_sweep), or (2, C, n_sweep) when names
-        are bound to arrays of C cells.
-
-        The axes whose names are all bound to scalars come first in the
-        layout, and the Kronecker product of their weights contracts them in
-        one product; the axes bound to arrays follow, longest first, which
-        leaves the least to contract per cell.
-        """
-        at = next(k for k, axis in enumerate(self.axes) if axis.names == (sweep,))
-        cells, scalars = [], []
-        for k, axis in enumerate(self.axes):
-            if k != at:
-                cell = any(isinstance(bindings[name], np.ndarray) for name in axis.names)
-                (cells if cell else scalars).append(k)
-        cells.sort(key=lambda k: -len(self.axes[k]))
-        layout = self.layout((*scalars, *cells, at))
-        weights = _kron([self.axes[k].scalar_weights(bindings) for k in scalars])
-        values = weights @ layout.reshape(2, len(weights), -1)
+        are bound to arrays of C cells."""
+        key = sweep, frozenset(k for k, v in bindings.items() if isinstance(v, np.ndarray))
+        if key not in self.sweeps:
+            self.sweeps[key] = self.contraction(*key)
+        scalars, cells, layout = self.sweeps[key]
+        values = _kron([axis.scalar_weights(bindings) for axis in scalars]) @ layout
         if not cells:
             return values
         values = values.reshape(2, 1, -1)  # (channel, cell, nodes)
-        for k in cells:
-            weights = self.axes[k].cell_weights(bindings)
+        for axis in cells:
+            weights = axis.cell_weights(bindings)
             rows = values.reshape(2, values.shape[1], weights.shape[1], -1)
             # one product for every cell, until cells come in; then per cell
             values = (weights @ rows[:, 0] if values.shape[1] == 1
                       else weights[:, None, :] @ rows)
-        return values.reshape(2, -1, len(self.axes[at]))
+        return values.reshape(2, values.shape[1], -1)
 
-    def layout(self, order: tuple[int, ...]) -> np.ndarray:
-        """``series`` with its axes in ``order``, as (2, K, n_last)."""
-        layout = self.layouts.get(order)
-        if layout is None:
-            layout = np.ascontiguousarray(self.series.transpose(0, *(k + 1 for k in order)))
-            layout = layout.reshape(2, -1, layout.shape[-1])
-            layout.flags.writeable = False
-            self.layouts[order] = layout
-        return layout
+    def contraction(self, sweep: str, arrays: frozenset) -> tuple:
+        """(scalar axes, cell axes, layout) of a sweep with the names
+        ``arrays`` bound to arrays: ``layout`` is ``series`` with the axes
+        whose names are all bound to scalars first, flattened to (2, K,
+        rest), contiguous and read-only, so that the Kronecker product of
+        their weights contracts them in one product.  The axes bound to
+        arrays follow, longest first, which leaves the least to contract per
+        cell, and the sweep's comes last."""
+        at = next(k for k, axis in enumerate(self.axes) if axis.names == (sweep,))
+        cells, scalars = [], []
+        for k, axis in enumerate(self.axes):
+            if k != at:
+                (cells if arrays.intersection(axis.names) else scalars).append(k)
+        cells.sort(key=lambda k: -len(self.axes[k]))
+        order = (*scalars, *cells, at)
+        layout = np.ascontiguousarray(self.series.transpose(0, *(k + 1 for k in order)))
+        layout = layout.reshape(2, math.prod(len(self.axes[k]) for k in scalars), -1)
+        layout.flags.writeable = False
+        return [self.axes[k] for k in scalars], [self.axes[k] for k in cells], layout
 
 
 def _kron(rows: list[list[float]]) -> np.ndarray:
@@ -502,14 +504,8 @@ def _evaluate(frequency: int, series: np.ndarray, grid) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
-def _structure(plan: CircuitPlan) -> tuple:
-    """What the counts depend on besides the bindings."""
-    return (plan.sources, plan.pipeline, plan.detect_path, plan.detect_band,
-            plan.bs_convention)
-
-
 @functools.lru_cache(maxsize=TENSOR_CACHE_SIZE)
-def _count_tensor(structure: tuple) -> _CountTensor | None:
+def _count_tensor(structure: _Structure) -> _CountTensor | None:
     """The count tensor of the circuit with this structure, or ``None``
     where it has none (see :func:`harmonic_coefficients`)."""
     sources, pipeline, detect_path, detect_band, bs_convention = structure

@@ -120,7 +120,16 @@ class CircuitPlan:
             raise PlanError(
                 "E_BATCH_SHAPE", f"batched parameters must share one length, got {listed}"
             )
-        return replace(self, bindings=merged)
+        bound = object.__new__(type(self))
+        # a copy, not ``replace``: the bound plan shares this one's structure
+        vars(bound).update(vars(self), _structure=self._structure, bindings=merged)
+        return bound
+
+    @functools.cached_property
+    def _structure(self) -> _Structure:
+        """What the counts depend on besides the bindings (see :class:`_Structure`)."""
+        return _Structure((self.sources, self.pipeline, self.detect_path, self.detect_band,
+                           self.bs_convention))
 
     def harmonic_degree(self, name: str) -> tuple[int, int] | None:
         """(frequency f, degree D) of the detected counts in ``name``.
@@ -160,6 +169,29 @@ class CircuitPlan:
                     span += 1
                     frequency = 1
         return frequency, span // frequency
+
+
+class _Structure(tuple):
+    """A plan's (sources, pipeline, detect path, detect band, splitter
+    convention), which ``bind`` hands on: its count tensor's key, hashed
+    once, and what it fixes for every sweep, ``preparations``, whose bound
+    amplitudes a run checks, and ``degrees``, each swept name's harmonic
+    degree, put there by the name's first sweep."""
+
+    @functools.cached_property
+    def preparations(self) -> tuple[PrepareStmt, ...]:
+        return tuple(s for s in self[1] if isinstance(s, PrepareStmt))
+
+    @functools.cached_property
+    def degrees(self) -> dict[str, tuple[int, int] | None]:
+        return {}
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return super().__hash__()
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _binding_value(name: str, value) -> float | np.ndarray:

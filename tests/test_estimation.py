@@ -422,11 +422,13 @@ class TestFit:
                 fit(data)
 
     def test_non_finite_rejected(self):
-        scan = FringeScan(
-            (0.0, 1.0), (CountResult(0.1, math.inf), CountResult(0.1, 0.2)), "o'"
-        )
-        with pytest.raises(ValueError):
-            fit(scan)
+        records = (CountResult(0.1, math.inf), CountResult(0.1, 0.2))
+        with pytest.raises(ValueError, match="expectations must be finite and nonnegative"):
+            FringeScan((0.0, 1.0), records, "o'")
+        # fit keeps its own check for a scan of arrays that no check has read
+        counts = np.array([[0.1, 0.1], [math.inf, 0.2]])
+        with pytest.raises(ValueError, match="scan contains non-finite values"):
+            fit(FringeScan._of(np.array([0.0, 1.0]), counts, "o'", "phi"))
 
     def test_estimator_bias_bounded(self):
         # spec-level invariant: mean recovered beta1 over 100 seeds stays

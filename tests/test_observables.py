@@ -26,8 +26,10 @@ from qiup.observables import (
     visibility,
 )
 from qiup import observables
-from qiup.dsl import ParamRef, PrepareStmt
-from qiup.plan import FIG1_SOURCE, PlanError, compile_text, fig1_preset, run_plan
+from qiup.dsl import STATEMENTS, ParamRef, PrepareStmt
+from qiup.plan import (
+    FIG1_SOURCE, CircuitPlan, PlanError, compile_text, fig1_preset, run_plan,
+)
 from qiup.verification import regime_params
 
 H, V = Polarization.H, Polarization.V
@@ -177,6 +179,28 @@ class TestFringeScan:
         records = tuple(CountResult(0.1, 0.2) for _ in grid)
         with pytest.raises(ValueError, match="scan grid values must be finite"):
             FringeScan(grid, records, "o'")
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_negative_or_non_finite_expectations_refused(self, bad):
+        records = (CountResult(0.1, 0.2), CountResult(0.1, bad), CountResult(0.3, 0.2))
+        with pytest.raises(ValueError, match="expectations must be finite and nonnegative"):
+            FringeScan((0.0, 1.0, 2.0), records, "o'")
+        with pytest.raises(ValueError, match="expectations must be finite and nonnegative"):
+            FringeScan((0.0, 1.0, 2.0), [CountResult(r.n_v, r.n_h) for r in records], "o'")
+
+    @pytest.mark.parametrize("params, message", [
+        pytest.param({"alpha1": 0.6, "beta1": 0.8}, "unbound parameter 'gamma'", id="unbound"),
+        pytest.param(dict(regime_params(0.5, 0.0), alpha1=0.6, beta1=0.9),
+                     "alpha^2 + beta^2 must be 1, got 1.17", id="not-normalized"),
+    ])
+    def test_empty_grid_checks_the_bound_values(self, params, message, monkeypatch):
+        # the refusal of a one-point grid, without a run or a tensor
+        plan = fig1_unbound(**params)
+        want = outcome(lambda: fringe_scan(plan, "theta", [0.1]))
+        assert message in want[1]
+        calls = record_runs(monkeypatch)
+        assert outcome(lambda: fringe_scan(plan, "theta", [])) == want
+        assert calls == [] and observables._count_tensor.cache_info().currsize == 0
 
     def test_records_must_match_the_grid(self):
         with pytest.raises(ValueError, match="phis and records must have equal length"):
@@ -472,7 +496,7 @@ def sampled_coefficients(plan, sweep):
 
 
 def tensor_of(plan):
-    return observables._count_tensor(observables._structure(plan))
+    return observables._count_tensor(plan._structure)
 
 
 def outcome(call):
@@ -632,7 +656,8 @@ class TestCountTensor:
 
     def test_later_sweeps_neither_run_nor_transform(self, monkeypatch):
         # after the first sweep of each name, sweeps at new scalar and cell
-        # values contract the layouts that it cut, built once and read-only
+        # values contract the layouts that it cut, built once and read-only,
+        # with the axes it sorted
         rng = np.random.default_rng(43)
 
         def plans():
@@ -648,9 +673,9 @@ class TestCountTensor:
             for sweep in sweeps:
                 harmonic_coefficients(plan, sweep)
         tensor = tensor_of(later[0])
-        layouts = dict(tensor.layouts)
+        contractions = dict(tensor.sweeps)
         # per sweep: every name a scalar, and alpha1, beta1 (and theta) cells
-        assert len(layouts) == 2 * len(sweeps)
+        assert len(contractions) == 2 * len(sweeps)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a later sweep ran the circuit or transformed counts")
@@ -663,9 +688,10 @@ class TestCountTensor:
             assert frequency == want_frequency and got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert tensor_of(later[1]) is tensor
-        assert tensor.layouts.keys() == layouts.keys()
-        for order, layout in layouts.items():
-            assert tensor.layouts[order] is layout
+        assert tensor.sweeps.keys() == contractions.keys()
+        for key, contraction in contractions.items():
+            assert tensor.sweeps[key] is contraction
+            layout = contraction[-1]
             assert layout.flags.c_contiguous
             with pytest.raises(ValueError, match="read-only"):
                 layout[0, 0, 0] = 1.0
@@ -754,6 +780,120 @@ def test_checks_raise_what_a_run_raises(params, message):
         with pytest.raises(ValueError) as err:
             call()
         assert message in str(err.value)
+
+
+def count_calls(monkeypatch, cls, name):
+    """A list that grows by one at each call of ``cls.name`` from now on."""
+    calls, method = [], getattr(cls, name)
+
+    def counted(*args):
+        calls.append(args[1:])
+        return method(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+class TestStructure:
+    """A re-bound plan reaches its structure's table and tensor without a
+    pipeline walk or a rehash, and a new structure gets its own."""
+
+    def test_no_structural_work_per_call(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        plans = [fig1_preset(general_fig1_params(rng)) for _ in range(100)]
+        wants = [sampled_coefficients(plan, "theta") for plan in plans]
+        fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "theta", FULL_PERIOD)
+        degrees = count_calls(monkeypatch, CircuitPlan, "harmonic_degree")
+        hashes = [count_calls(monkeypatch, cls, "__hash__")
+                  for cls in {cls for cls, _ in STATEMENTS.values()}]
+        # fresh plans at fresh values, each bound from the preset
+        rng = np.random.default_rng(53)
+        gots = [harmonic_coefficients(fig1_preset(general_fig1_params(rng)), "theta")
+                for _ in plans]
+        assert degrees == [] and all(calls == [] for calls in hashes)
+        for (frequency, got), (want_frequency, want) in zip(gots, wants):
+            assert frequency == want_frequency
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_a_new_structure_gets_its_own_table_and_tensor(self):
+        bound = fig1_preset(general_fig1_params(np.random.default_rng(59)))
+        edited, _ = compile_text(FIG1_SOURCE.replace("hwp f", "qwp f"))
+        others = [replace(bound, bs_convention="hadamard"), bound.without_merges(),
+                  edited.bind(bound.bindings)]
+        wants = [sampled_coefficients(plan, sweep)
+                 for plan in [bound, *others] for sweep in ("theta", "phi")]
+        gots = [harmonic_coefficients(plan, sweep)
+                for plan in [bound, *others] for sweep in ("theta", "phi")]
+        for (frequency, got), (want_frequency, want) in zip(gots, wants):
+            assert frequency == want_frequency
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for other in others:
+            assert other._structure is not bound._structure
+            assert tensor_of(other) is not tensor_of(bound)
+        for k in range(2, len(gots), 2):  # each structure's theta series differs
+            assert np.abs(gots[k][1] - gots[0][1]).max() > 1e-3
+        # a structurally equal plan, compiled separately, finds the tensor
+        twin = compiled(FIG1_SOURCE, **bound.bindings)
+        assert twin._structure is not bound._structure
+        before = observables._count_tensor.cache_info()
+        harmonic_coefficients(twin, "theta")
+        after = observables._count_tensor.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert tensor_of(twin) is tensor_of(bound)
+
+    def test_the_swept_names_own_binding_is_not_checked(self):
+        # the sweep binds gamma to its samples, so an infinite gamma, which
+        # only replace can put there, reads as any other
+        plan = fig1_preset(regime_params(0.5, 0.0))
+        stale = replace(plan, bindings=dict(plan.bindings, gamma=math.inf))
+        for _ in range(2):  # a fresh table, then the same
+            np.testing.assert_array_equal(harmonic_coefficients(stale, "gamma")[1],
+                                          harmonic_coefficients(plan, "gamma")[1])
+
+    @pytest.mark.parametrize("params, sweep, code, message", [
+        pytest.param({}, "bogus", "E_UNKNOWN_PARAM", "not free parameters of this plan: bogus",
+                     id="unknown-param"),
+        pytest.param({}, "beta2", None, "cannot sweep 'beta2'", id="alpha-beta-sweep"),
+        pytest.param({"theta": np.array([0.1, 0.5])}, "phi", "E_BATCH_SHAPE",
+                     "fringe_scan needs scalar bindings", id="batch-shape"),
+        pytest.param({"theta": None}, "phi", "E_UNBOUND_PARAM", "unbound parameter 'theta'",
+                     id="unbound"),
+        pytest.param({"alpha2": -0.6, "beta2": 0.8}, "theta", None,
+                     "preparation amplitudes must be nonnegative", id="negative"),
+        pytest.param({"alpha1": 0.6, "beta1": 0.81}, "phi", None,
+                     "alpha^2 + beta^2 must be 1, got 1.0161", id="not-normalized"),
+        pytest.param({"gamma": math.inf}, "theta", None,
+                     "relative phase must be finite, got inf", id="infinite-phase"),
+        pytest.param({"alpha1": np.array([0.6, 0.6, 0.6]), "beta1": np.array([0.8, 0.8, 0.9])},
+                     "phi", None, "alpha^2 + beta^2 must be 1, got 1.17 (batch member 2)",
+                     id="cell-not-normalized"),
+        # the first prepare fails and the wave plate's name is unbound: the
+        # prepare comes first in the pipeline, so its error wins
+        pytest.param({"alpha1": -0.6, "beta1": 0.8, "theta": None}, "phi", None,
+                     "preparation amplitudes must be nonnegative", id="earlier-failure"),
+    ])
+    def test_same_refusals_first_and_later(self, params, sweep, code, message):
+        """A refusal reads the same on a plan's first sweep, on later ones,
+        on a plan bound afresh after a sibling has swept, and, where a run
+        would raise it, as the run does."""
+        values = {k: v for k, v in dict(BAD_CELL, **params).items() if v is not None}
+        finite = {k: v for k, v in values.items() if not np.isinf(v).any()}
+        parent = compiled(FIG1_SOURCE)
+        if finite != values:  # past bind's finite check, as replace puts it
+            parent = replace(parent, bindings=values)
+        cells = any(isinstance(v, np.ndarray) for v in values.values())
+        sweeps = harmonic_coefficients if cells and code is None else (
+            lambda plan, sweep: fringe_scan(plan, sweep, FULL_PERIOD))
+        plan = parent.bind(finite)
+        first = outcome(lambda: sweeps(plan, sweep))
+        assert first[2] == code and message in first[1]
+        assert outcome(lambda: sweeps(plan, sweep)) == first
+        harmonic_coefficients(parent.bind(BAD_CELL), "theta")  # the table and the tensor
+        assert tensor_of(parent.bind(BAD_CELL)) is not None
+        assert outcome(lambda: sweeps(plan, sweep)) == first
+        assert outcome(lambda: sweeps(parent.bind(finite), sweep)) == first
+        if message.startswith(("unbound", "preparation", "alpha^2", "relative")):
+            assert outcome(lambda: run_plan(plan.bind({sweep: 0.0}))) == first
 
 
 #: fig1's free names, a preparation's pair as one unit.
@@ -904,6 +1044,19 @@ class TestVisibility:
             vis = visibility(scan.column("v"), scan.phis)
             assert vis.value == pytest.approx(expected, abs=1e-12)
             assert vis.phi_at_max == pytest.approx(0.0, abs=1e-15)
+
+    def test_v_visibility_is_constant_in_gamma(self):
+        # the phase rule: only V modes merge, so gamma is a phase on the part
+        # of source 1's idler that overlaps source 2's, and shifts the phi
+        # fringe without changing its amplitude or its mean
+        rng = np.random.default_rng(61)
+        for _ in range(100):
+            params = general_fig1_params(rng)
+            ratios = []
+            for gamma in rng.uniform(0.0, 2 * math.pi, 4):
+                _, coeffs = harmonic_coefficients(fig1_preset(dict(params, gamma=gamma)), "phi")
+                ratios.append(2 * abs(coeffs[1, 1]) / coeffs[1, 0].real)
+            assert np.ptp(ratios) <= 1e-12
 
     def test_v_channel_attains_the_coherence_bound_only_at_theta_90_beta2_1(self):
         # the idlers' normalized overlap, beta1, bounds every signal-side

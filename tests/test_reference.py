@@ -126,3 +126,41 @@ class TestHarmonicTables:
         assert table.shape == (2, 3, 5)
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0, 0] = 1.0
+
+
+class TestExactRules:
+    """Two rules that every unitary evolution of fig1 obeys: the engine's
+    forms keep them and the reference forms break them, which locates A1's
+    deviations."""
+
+    def test_sign_rule(self):
+        # (beta, gamma) and (-beta, gamma + pi) prepare the same state, so
+        # every count's harmonics agree there
+        rng = np.random.default_rng(67)
+        betas = np.concatenate(([0.8, 1.0], rng.uniform(0.0, 1.0, 30)))
+        gammas = rng.uniform(0.0, 2 * math.pi, betas.size)
+        evolution = harmonics(EVOLUTION_FORMS, betas, gammas)
+        flipped = harmonics(EVOLUTION_FORMS, -betas, gammas + math.pi)
+        assert np.abs(evolution - flipped).max() <= 1e-15
+        # the reference forms' -2 beta1 cos(phi) (H) and +2 beta1 cos(phi) (V)
+        # terms are odd in beta1: each breaks the rule by 4 beta1/16
+        gap = harmonics(REFERENCE_FORMS, betas, gammas) - harmonics(
+            REFERENCE_FORMS, -betas, gammas + math.pi)
+        want = np.zeros_like(gap)
+        want[0, 1], want[1, 1] = -4 * betas / 16, 4 * betas / 16
+        assert np.abs(gap - want).max() <= 1e-15
+        np.testing.assert_allclose(gap[:, 1, 0], [-0.2, 0.2], rtol=0, atol=1e-15)
+
+    def test_reference_v_visibility_depends_on_gamma(self):
+        # the engine's V visibility stays 4 beta1/5 at every gamma (the phase
+        # rule, tests/test_observables.py); nv_closed's is 4 beta1 |cos(gamma/2)|/5
+        gammas = np.array([0.0, 1.0, 2.0, 3.0])
+        offset, cosine, sine = harmonics(REFERENCE_FORMS, np.full(4, 0.8), gammas)[1]
+        want = 4 * 0.8 * np.abs(np.cos(gammas / 2)) / 5
+        np.testing.assert_allclose(np.hypot(cosine, sine) / offset, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(want, [0.640, 0.562, 0.346, 0.045], rtol=0, atol=5e-4)
+        phis = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+        for gamma, vis in zip(gammas, want):
+            column = nv_closed(0.8, gamma, phis)
+            assert (np.ptp(column) / (column.max() + column.min())
+                    == pytest.approx(vis, abs=1e-6))
