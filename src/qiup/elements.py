@@ -74,21 +74,25 @@ class PreparationSpec:
     rel_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        # written so that NaN fails each check, member by member for a batch
-        ok = (self.alpha >= 0) & (self.beta >= 0)
-        if not _holds(ok):
-            raise ValueError(
-                "preparation amplitudes must be nonnegative" + _at_failure(ok)[-1]
-            )
-        norm = self.alpha**2 + self.beta**2
-        ok = abs(norm - 1.0) <= 1e-10
-        if not _holds(ok):
-            norm, note = _at_failure(ok, norm)
-            raise ValueError(f"alpha^2 + beta^2 must be 1, got {norm!r}{note}")
-        ok = abs(self.rel_phase) < math.inf  # false for NaN and ±inf
-        if not _holds(ok):
-            rel_phase, note = _at_failure(ok, self.rel_phase)
-            raise ValueError(f"relative phase must be finite, got {rel_phase!r}{note}")
+        _check_preparation(self.alpha, self.beta, self.rel_phase)
+
+
+def _check_preparation(alpha, beta, rel_phase) -> None:
+    """:class:`PreparationSpec`'s checks, in order, for callers that need the
+    checks without the spec."""
+    # written so that NaN fails each check, member by member for a batch
+    ok = (alpha >= 0) & (beta >= 0)
+    if not _holds(ok):
+        raise ValueError("preparation amplitudes must be nonnegative" + _at_failure(ok)[-1])
+    norm = alpha**2 + beta**2
+    ok = abs(norm - 1.0) <= 1e-10
+    if not _holds(ok):
+        norm, note = _at_failure(ok, norm)
+        raise ValueError(f"alpha^2 + beta^2 must be 1, got {norm!r}{note}")
+    ok = abs(rel_phase) < math.inf  # false for NaN and ±inf
+    if not _holds(ok):
+        rel_phase, note = _at_failure(ok, rel_phase)
+        raise ValueError(f"relative phase must be finite, got {rel_phase!r}{note}")
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,16 @@ import functools
 import math
 import warnings
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dsl import ParamRef, PrepareStmt
+from .elements import _check_preparation
 from .errors import QiupWarning
 from .modes import Band
-from .plan import CircuitPlan, PlanError, _setting, _Structure, run_plan
+from .plan import CircuitPlan, PlanError, _preparation, _setting, _Structure, run_plan
 from .state import BiphotonState
 
 #: The most members the count tensor's product grid may hold; a circuit with
@@ -132,6 +133,19 @@ def _check_grid(phis: np.ndarray) -> None:
         raise ValueError("scan grid values must be finite")
 
 
+def _grid(grid: Iterable[float]) -> np.ndarray:
+    """A new float array of the values of ``grid``, a one-dimensional
+    iterable of numbers, or ``ValueError``: a numeric array is copied whole,
+    any other iterable read through ``fromiter``."""
+    if isinstance(grid, np.ndarray) and grid.ndim != 1:
+        raise ValueError(f"grid must be one-dimensional, got shape {grid.shape}")
+    if type(grid) is np.ndarray and grid.dtype.kind in "biuf":
+        return np.array(grid, dtype=float)
+    if not isinstance(grid, Iterable):
+        raise ValueError(f"grid must be an iterable of numbers, got {type(grid).__name__}")
+    return np.fromiter(grid, dtype=float)
+
+
 def counts(state: BiphotonState, path: str, band: Band) -> CountResult:
     """Incoherent H/V squared-amplitude sums for the band photon at ``path``."""
     n_h, n_v = state.counts_at(path, band)
@@ -162,8 +176,8 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
     scalar (an array binding raises ``E_BATCH_SHAPE``).  ``grid`` is any
     iterable of numbers; the scan holds it and the counts at it, in grid
     order, as arrays, and builds no per-point record.  A grid that is not
-    strictly increasing or holds a value that is not finite raises
-    ``ValueError`` before anything is evaluated.
+    one-dimensional, not strictly increasing or holds a value that is not
+    finite raises ``ValueError`` before anything is evaluated.
 
     The counts come from the series of :func:`harmonic_coefficients`,
     summed at every grid point, whatever the grid's length or range: the
@@ -178,7 +192,7 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
             "E_BATCH_SHAPE",
             f"fringe_scan needs scalar bindings, got arrays for {', '.join(batched)}",
         )
-    phis = np.fromiter(grid, dtype=float)
+    phis = _grid(grid)
     _check_grid(phis)
     if len(phis):
         values = _evaluate(*_series(plan, sweep), phis)
@@ -204,10 +218,13 @@ def _checked(plan: CircuitPlan, sweep: str) -> tuple[int, int]:
             "preparation's alpha or beta, whose pair must stay normalized"
         )
     bindings = {**plan.bindings, sweep: 0.0}  # bound to its samples in every run
-    bound = plan.free_parameters <= bindings.keys()
-    # with every name bound, only a preparation's checks can fail
-    for stmt in structure.preparations if bound else plan.pipeline:
-        _setting(stmt, bindings)
+    if plan.free_parameters <= bindings.keys():
+        # with every name bound, only a preparation's checks can fail
+        for stmt in structure.preparations:
+            _check_preparation(*_preparation(stmt, bindings))
+    else:
+        for stmt in plan.pipeline:
+            _setting(stmt, bindings)
     return harmonics
 
 
@@ -294,7 +311,7 @@ class _Axis:
 
     An angle's axis of :attr:`_CountTensor.series` holds that polynomial's
     real Fourier form, so its weights at t are the rows of :func:`_basis`;
-    a pair's holds the counts at its nodes, weighed by the Lagrange basis
+    a pair's holds the counts at its five nodes, weighed by the Lagrange basis
     prod_{k != j} sin((t - t_k)/2) / sin((t_j - t_k)/2), exact at the nodes.
     """
 
@@ -318,9 +335,14 @@ class _Axis:
             return weights
         alpha, beta = (bindings[name] for name in self.names)
         t = math.atan2(beta, alpha)
-        half = [math.sin((t - angle) / 2.0) for angle in self.angles.tolist()]
-        return [math.prod(half[:j] + half[j + 1:]) / denominator
-                for j, denominator in enumerate(self.denominators.tolist())]
+        h0, h1, h2, h3, h4 = (math.sin((t - angle) / 2.0) for angle in self.angles.tolist())
+        d0, d1, d2, d3, d4 = self.denominators.tolist()
+        # each product of the other four sines in index order, as
+        # _sine_products forms it, the leading ones shared
+        h01 = h0 * h1
+        h012 = h01 * h2
+        return [h1 * h2 * h3 * h4 / d0, h0 * h2 * h3 * h4 / d1, h01 * h3 * h4 / d2,
+                h012 * h4 / d3, h012 * h3 / d4]
 
     def cell_weights(self, bindings) -> np.ndarray:
         """(C, n): the weights at bound values of which one or both are
@@ -458,12 +480,12 @@ class _CountTensor:
 
 def _kron(rows: list[list[float]]) -> np.ndarray:
     """The Kronecker product of ``rows``, flat: each half of the rows
-    multiplied out in floats, then the halves' outer product in one numpy
-    call, which costs less than one call per row."""
+    multiplied out in floats, from its first row, then the halves' outer
+    product in one numpy call, which costs less than one call per row."""
     halves = []
     for part in (rows[:len(rows) // 2], rows[len(rows) // 2:]):
-        product = [1.0]
-        for row in part:
+        product = part[0] if part else [1.0]
+        for row in part[1:]:
             product = [a * b for a in product for b in row]
         halves.append(product)
     return np.multiply.outer(*halves).reshape(-1)
@@ -488,9 +510,24 @@ def _real(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _basis(frequency: int, grid, degree: int) -> np.ndarray:
-    """(2D + 1, N): the rows (1, cos f x, sin f x, ..., cos D f x, sin D f x)
-    at the N points x of ``grid``, as powers of each point's phasor e^{i f x}."""
-    phasor = np.exp(1j * frequency * np.asarray(grid, dtype=float))
+    """(2D + 1, N), read-only: the rows (1, cos f x, sin f x, ..., cos D f x,
+    sin D f x) at the N points x of the one-dimensional ``grid``, as powers
+    of each point's phasor e^{i f x}.
+
+    The last :data:`TENSOR_CACHE_SIZE` bases are kept, keyed by the grid's
+    values, so that sweeps re-bound on one grid build its basis once."""
+    return _kept_basis(frequency, np.asarray(grid, dtype=float).tobytes(), degree)
+
+
+@functools.lru_cache(maxsize=TENSOR_CACHE_SIZE)
+def _kept_basis(frequency: int, grid: bytes, degree: int) -> np.ndarray:
+    rows = _build_basis(frequency, np.frombuffer(grid), degree)
+    rows.flags.writeable = False
+    return rows
+
+
+def _build_basis(frequency: int, grid: np.ndarray, degree: int) -> np.ndarray:
+    phasor = np.exp(1j * frequency * grid)
     waves = phasor ** np.arange(1, degree + 1)[:, None]
     rows = np.ones((2 * degree + 1, len(phasor)))
     rows[1::2], rows[2::2] = waves.real, waves.imag
@@ -548,12 +585,19 @@ def _count_tensor(structure: _Structure) -> _CountTensor | None:
     return _CountTensor(tuple(axes), counts, float(counts.max(initial=0.0)), series)
 
 
-def harmonic_series(coeffs: np.ndarray, frequency: int, grid) -> np.ndarray:
+def harmonic_series(coeffs: np.ndarray, frequency: int,
+                    grid: Iterable[float]) -> np.ndarray:
     """Counts at ``grid`` from :func:`harmonic_coefficients`' (f, c).
 
-    ``coeffs`` has shape (..., D + 1); the result has shape (..., len(grid)).
+    ``coeffs`` has shape (..., D + 1); the result has shape (..., N) for a
+    grid of N values.  ``grid`` is any one-dimensional iterable of numbers,
+    in any order; one that is not, or that holds a value that is not
+    finite, raises ``ValueError`` before anything is evaluated.
     """
-    return _evaluate(frequency, _real(coeffs), grid)
+    phis = _grid(grid)
+    if not np.isfinite(phis).all():
+        raise ValueError("grid values must be finite")
+    return _evaluate(frequency, _real(coeffs), phis)
 
 
 def visibility(

@@ -310,16 +310,19 @@ def _resolve(value: Value, bindings: Mapping[str, float], degrees: bool) -> floa
     return math.radians(value) if degrees else value
 
 
+def _preparation(stmt: PrepareStmt, bindings: Mapping[str, float]) -> tuple:
+    """A ``prepare`` statement's (alpha, beta, rel_phase) at ``bindings``,
+    unchecked."""
+    return (_resolve(stmt.alpha, bindings, False), _resolve(stmt.beta, bindings, False),
+            _resolve(stmt.gamma, bindings, True))
+
+
 def _setting(stmt: Statement, bindings: Mapping[str, float]):
     """What ``stmt`` applies at ``bindings``, checked: a
     :class:`PreparationSpec`, a :class:`WavePlateSetting`, a phase, or None
     for a statement without values."""
     if isinstance(stmt, PrepareStmt):
-        return PreparationSpec(
-            alpha=_resolve(stmt.alpha, bindings, False),
-            beta=_resolve(stmt.beta, bindings, False),
-            rel_phase=_resolve(stmt.gamma, bindings, True),
-        )
+        return PreparationSpec(*_preparation(stmt, bindings))
     if isinstance(stmt, WavePlateStmt):
         return WavePlateSetting(stmt.kind, _resolve(stmt.angle, bindings, True))
     if isinstance(stmt, PhaseStmt):

@@ -4,9 +4,11 @@
 closed forms the estimation protocol is defined against, kept verbatim and
 independent of the evolution engine.  The engine itself obeys
 ``nh_evolution`` / ``nv_evolution`` (in the unnormalized two-source
-convention).  The two families agree on fringe visibility and on the
-gamma = 0 fringe shape but differ elsewhere -- ``qiup verify`` reports the
-deviation rather than hiding it.  See README, "Known discrepancies".
+convention).  The two families agree on the gamma = 0 fringe shape and,
+at gamma = 0 only, on the V visibility 4*beta1/5: ``nv_closed``'s is
+4*beta1*|cos(gamma/2)|/5, the engine's the same at every gamma.  They differ
+elsewhere -- ``qiup verify`` reports the deviation rather than hiding it.
+See README, "Known discrepancies".
 
 All functions broadcast over numpy arrays.
 

@@ -38,6 +38,15 @@ ROOT8 = 1.0 / (2.0 * math.sqrt(2.0))
 FULL_PERIOD = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
 #: Grids that pass the increasing check but not the finite one.
 NON_FINITE_GRIDS = [(math.nan,), (math.inf,), (0.0, math.inf), (-math.inf, 0.0)]
+#: Makers of one increasing grid in each form a caller may pass.
+GRID_KINDS = {
+    "list": lambda: np.linspace(0.0, 6.0, 40).tolist(),
+    "tuple": lambda: tuple(np.linspace(0.0, 6.0, 40).tolist()),
+    "generator": lambda: (0.15 * k for k in range(40)),
+    "int": lambda: np.arange(-3, 9),
+    "float32": lambda: np.linspace(0.0, 6.0, 40, dtype=np.float32),
+    "strided": lambda: np.linspace(0.0, 6.0, 120)[::3],
+}
 
 #: Source 1 emits both photons on path a, where the swept phase reaches both;
 #: the idlers share one merged mode, so the signal fringe carries cos(2 phi).
@@ -211,6 +220,21 @@ class TestFringeScan:
         scan = fringe_scan(plan, "phi", (float(p) for p in FULL_PERIOD))
         np.testing.assert_array_equal(scan.phis, FULL_PERIOD)
         np.testing.assert_array_equal(scan.counts, fringe_scan(plan, "phi", FULL_PERIOD).counts)
+
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    def test_every_grid_kind_reads_as_fromiter(self, kind):
+        plan = fig1_preset(regime_params(0.5, 0.0))
+        grid, want = GRID_KINDS[kind](), np.fromiter(GRID_KINDS[kind](), dtype=float)
+        scan = fringe_scan(plan, "theta", grid)
+        assert scan.phis.dtype == np.float64 and scan.phis.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(scan.counts, fringe_scan(plan, "theta", want).counts)
+        if isinstance(grid, np.ndarray):  # copied, not frozen
+            assert grid.flags.writeable and not np.shares_memory(grid, scan.phis)
+
+    @pytest.mark.parametrize("grid", [np.zeros((2, 3)), np.array(0.5), 0.5])
+    def test_grid_must_be_one_dimensional(self, grid):
+        with pytest.raises(ValueError, match="grid must be"):
+            fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "phi", grid)
 
     def test_scan_is_read_only_arrays(self):
         grid = FULL_PERIOD.copy()
@@ -654,6 +678,16 @@ class TestCountTensor:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1.0
 
+    def test_pair_weights_are_the_sine_products(self):
+        axis = observables._pair_axis("alpha1", "beta1")
+        rng = np.random.default_rng(67)
+        points = [*rng.uniform(-1.0, 1.0, size=(1000, 2)).tolist(),
+                  *zip(np.cos(axis.angles).tolist(), np.sin(axis.angles).tolist())]
+        for alpha, beta in points:
+            want = observables._sine_products(math.atan2(beta, alpha), axis.angles)
+            got = axis.scalar_weights({"alpha1": alpha, "beta1": beta})
+            assert got == (want / axis.denominators).tolist()
+
     def test_later_sweeps_neither_run_nor_transform(self, monkeypatch):
         # after the first sweep of each name, sweeps at new scalar and cell
         # values contract the layouts that it cut, built once and read-only,
@@ -814,6 +848,32 @@ class TestStructure:
         for (frequency, got), (want_frequency, want) in zip(gots, wants):
             assert frequency == want_frequency
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_the_grid_is_paid_once(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        plans = [fig1_preset(general_fig1_params(rng)) for _ in range(100)]
+        wants = [sampled_coefficients(plan, "theta") for plan in plans]
+        grid, written = FULL_PERIOD.copy(), np.linspace(0.05, 6.0, 64)
+        expected = [[harmonic_series(coeffs, frequency, points) for points in (grid, written)]
+                    for frequency, coeffs in wants]
+        observables._kept_basis.cache_clear()
+        fringe_scan(plans[0], "theta", grid)
+        builds = count_calls(monkeypatch, observables, "_build_basis")
+        scans = [fringe_scan(plan, "theta", grid) for plan in plans]
+        for scan, (want, _) in zip(scans, expected):
+            np.testing.assert_allclose(scan.counts, want, rtol=0, atol=1e-12)
+        frequency, coeffs = wants[0]
+        basis = observables._basis(frequency, grid, coeffs.shape[-1] - 1)
+        assert builds == []
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 2.0
+        # the key is the grid's values, not the array that holds them
+        grid[:] = written
+        for k in (0, 1):
+            scan = fringe_scan(plans[k], "theta", grid)
+            np.testing.assert_array_equal(scan.phis, written)
+            np.testing.assert_allclose(scan.counts, expected[k][1], rtol=0, atol=1e-12)
+        assert len(builds) == 1
 
     def test_a_new_structure_gets_its_own_table_and_tensor(self):
         bound = fig1_preset(general_fig1_params(np.random.default_rng(59)))
@@ -978,6 +1038,26 @@ def test_scalar_axes_first_gives_each_cells_counts(circuit, data):
     if circuit != "fig1":  # no dense model: the engine's own run
         want = sampled_coefficients(plan, sweep)[1]
         np.testing.assert_allclose(coeffs, want if cells else want[:, None], rtol=0, atol=1e-12)
+
+
+class TestHarmonicSeries:
+    @pytest.mark.parametrize("grid", [
+        [0.0, math.nan], [math.inf, 1.0], (-math.inf,), np.zeros((2, 3)),
+        1.5, np.float64(1.5), np.array(1.5),
+    ])
+    def test_bad_grid_refused_before_any_evaluation(self, grid, monkeypatch):
+        frequency, coeffs = harmonic_coefficients(fig1_preset(regime_params(0.5, 0.0)), "phi")
+        monkeypatch.setattr(observables, "_evaluate", lambda *args: pytest.fail("evaluated"))
+        with pytest.raises(ValueError, match="grid"):
+            harmonic_series(coeffs, frequency, grid)
+
+    def test_any_iterable_in_any_order(self):
+        frequency, coeffs = harmonic_coefficients(fig1_preset(regime_params(0.5, 0.3)), "phi")
+        want = harmonic_series(coeffs, frequency, FULL_PERIOD.tolist())
+        got = harmonic_series(coeffs, frequency, (float(x) for x in FULL_PERIOD))
+        np.testing.assert_array_equal(got, want)
+        backwards = harmonic_series(coeffs, frequency, FULL_PERIOD[::-1])
+        np.testing.assert_allclose(backwards, want[:, ::-1], rtol=0, atol=1e-15)
 
 
 class TestDistinguishableMzi:
