@@ -20,7 +20,12 @@ verify`` reads too.
 
 :func:`fit` reduces the weighted data once to a 3x3 triangular factor ``R``
 of the weighted basis and a 3-vector ``z`` per channel, and from then on
-reads the data only through them and the basis:
+reads the data only through them and the basis.  What depends on the phase
+grid alone is paid once per grid and kept for the last few grids: the count
+of phases distinct modulo 2*pi, the basis and, under equal weights, the QR
+factors ``Q`` and ``R`` of the basis.  Each scan then pays for ``z = Q^T y``
+under equal weights, or for the QR factors of its own weighted basis under
+inverse-variance weights, and for the steps below:
 
 * the coarse grid scores all its nodes with one product of a fixed design
   matrix and the 18 distinct entries of ``B^T W B`` and ``B^T W y``;
@@ -36,6 +41,7 @@ evolution engine do not, and their fit is not an estimate.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -44,7 +50,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DataFormatError
-from .observables import FringeScan, _basis, _set_scan
+from .observables import TENSOR_CACHE_SIZE, FringeScan, _basis, _csv_rows, _set_scan
 from .reference import REFERENCE_FORMS, harmonics
 
 TWO_PI = 2.0 * math.pi
@@ -163,10 +169,20 @@ def simulate_measurement(scan: FringeScan, shots: int, seed: int) -> NoisyScan:
     Sampling uses numpy's PCG64 generator seeded with ``seed``; identical
     inputs give identical counts.  Only a :class:`FringeScan` of
     expectations is drawn around; anything else raises ``TypeError``.
+    ``shots`` that put a mean count beyond the sampler's range, about
+    9.2e18, raise ``ValueError`` before anything is drawn.
     """
     if not isinstance(scan, FringeScan):
         raise TypeError(f"simulate_measurement needs a FringeScan, got {type(scan).__name__}")
     shots = _positive_shots(shots)
+    # numpy's Poisson sampler takes means up to 2**63 - 1 - 10 sqrt(2**63 - 1)
+    most = 2**63 - 1 - 10.0 * math.sqrt(2**63 - 1)
+    peak = float(scan.counts.max(initial=0.0))
+    if peak and shots > most / peak:
+        raise ValueError(
+            f"shots={shots} is beyond the Poisson sampler's range: shots times the "
+            f"largest expectation, {peak:.6g}, must stay below {most:.6g}"
+        )
     rng = np.random.Generator(np.random.PCG64(seed))
     # one draw per point, the H row before the V row
     counts = rng.poisson(shots * scan.counts)
@@ -210,6 +226,35 @@ def _grid_design() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for array in grid:  # shared by every caller
         array.flags.writeable = False
     return grid
+
+
+def _fit_grid(phis: np.ndarray) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(phases, basis, Q, R): what a fit on the grid ``phis`` needs of it.
+
+    ``phases`` counts the values distinct modulo 2*pi, ``basis`` is
+    (1, cos phi, sin phi) at each phi, shape (3, N), and Q and R are the
+    factors of :func:`_whiten` under equal weights, per channel, so that an
+    equal-weight fit only forms ``z = Q^T y``; both are ``None`` on a grid
+    of fewer than ``MIN_FIT_PHIS`` phases.  The last
+    :data:`~qiup.observables.TENSOR_CACHE_SIZE` grids keep theirs, read-only,
+    keyed by the grid's values.
+    """
+    return _kept_fit_grid(np.asarray(phis, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=TENSOR_CACHE_SIZE)
+def _kept_fit_grid(grid: bytes) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    phis = np.frombuffer(grid)
+    # phases modulo 2*pi: the sorted gaps above rounding, and the one round the circle
+    wrapped = np.sort(phis % TWO_PI)
+    phases = np.count_nonzero(wrapped[1:] - wrapped[:-1] > 1e-9) + bool(
+        len(phis) and wrapped[0] + TWO_PI - wrapped[-1] > 1e-9)
+    basis = _basis(1, phis, 1)
+    if phases < MIN_FIT_PHIS:
+        return phases, basis, None, None
+    q, r = np.linalg.qr(np.stack((basis.T, basis.T)))
+    q.flags.writeable = r.flags.writeable = False
+    return phases, basis, q, r
 
 
 def _whiten(
@@ -366,26 +411,22 @@ def fit(data: ScanLike, weighting: str = "equal") -> FitResult:
     phis, y = _channels(data)
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(phis))):
         raise ValueError("scan contains non-finite values")
-    # phases modulo 2*pi: the sorted gaps above rounding, and the one round the circle
-    wrapped = np.sort(phis % TWO_PI)
-    phases = np.count_nonzero(wrapped[1:] - wrapped[:-1] > 1e-9) + bool(
-        len(phis) and wrapped[0] + TWO_PI - wrapped[-1] > 1e-9)
+    phases, basis, q, r = _fit_grid(phis)
     if phases < MIN_FIT_PHIS:
         raise ValueError(
             f"fit needs at least {MIN_FIT_PHIS} distinct phases modulo 2*pi, got {phases}"
         )
 
     if weighting == "equal":
-        sqrt_w = np.ones_like(y)
+        sqrt_w = 1.0
+        z = np.einsum("cni,cn->ci", q, y)
     elif weighting == "inverse_variance":
         if not isinstance(data, NoisyScan):
             raise ValueError("inverse-variance weighting needs integer-count data")
         sqrt_w = np.sqrt(data.shots / np.maximum(data.counts, 1.0))
+        r, z = _whiten(basis.T, y, sqrt_w)
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
-
-    basis = _basis(1, phis, 1)
-    r, z = _whiten(basis.T, y, sqrt_w)
 
     def model_rss(beta1: float, gamma: float) -> tuple[np.ndarray, float]:
         # from the residuals themselves: |R a - z|^2 leaves out the part of
@@ -459,7 +500,7 @@ def infer_alpha1(beta1_hat: float) -> float:
 
 # -- measurement CSV ---------------------------------------------------------
 #
-# Format: an initial comment line ``# shots=N`` (N >= 1), a header
+# Format: an initial comment line ``# shots=N`` (N >= 1, given once), a header
 # ``phi,counts_h,counts_v`` and one row per grid point, phi strictly
 # increasing.  Counts are nonnegative and may be real-valued in synthetic
 # noiseless files.  A scan over another parameter is written with that
@@ -469,12 +510,11 @@ def infer_alpha1(beta1_hat: float) -> float:
 def format_counts_csv(data: ScanLike) -> str:
     """A noisy scan's counts, or a scan's expectations as ``shots=1``."""
     if isinstance(data, NoisyScan):
-        shots, row = data.shots, "{:.17g},{},{}"
+        shots, row = data.shots, "%.17g,%d,%d"
     else:
-        shots, row = 1, "{:.17g},{:.17g},{:.17g}"
-    body = map(row.format, data.phis.tolist(), *data.counts.tolist())
-    header = f"{data.sweep},counts_h,counts_v"
-    return "\n".join([f"# shots={shots}", header, *body]) + "\n"
+        shots, row = 1, "%.17g,%.17g,%.17g"
+    return (f"# shots={shots}\n{data.sweep},counts_h,counts_v\n"
+            + _csv_rows(row, data.phis, data.counts))
 
 
 def read_counts_csv(text: str) -> ScanLike:
@@ -484,28 +524,39 @@ def read_counts_csv(text: str) -> ScanLike:
     :class:`NoisyScan` when all counts are integral, otherwise a normalized
     :class:`FringeScan`.  ``phi,n_h,n_v`` expectation tables (as written by
     ``qiup scan``) yield a :class:`FringeScan` directly.  A negative count,
-    a phi that does not increase on the previous row's and ``shots`` below 1
-    raise :class:`DataFormatError` with the line number; integral counts of
-    2**63 or more, which no int64 holds, raise it without one.
+    a phi that does not increase on the previous row's, ``shots`` below 1
+    and a second ``# shots=`` comment raise :class:`DataFormatError` with
+    the line number of the first faulty line; integral counts of 2**63 or
+    more, which no int64 holds, raise it without one.
+
+    One pass over the lines sorts them into blank, comment, header and data
+    rows; the data rows are then read as columns (:func:`_columns`).
     """
-    shots = None
-    header = None
-    phis: list[float] = []
-    hs: list[float] = []
-    vs: list[float] = []
+    shots = header = fault = None
+    rows: list[str] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             comment = line[1:].strip()
             if comment.startswith("shots="):
+                message = None
                 try:
-                    shots = int(comment[len("shots="):])
-                except ValueError as exc:
-                    raise DataFormatError(f"malformed shots value: {comment!r}", lineno) from exc
-                if shots < 1:
-                    raise DataFormatError(f"shots must be at least 1, got {shots}", lineno)
+                    value = int(comment[len("shots="):])
+                except ValueError:
+                    message = f"malformed shots value: {comment!r}"
+                else:
+                    if value < 1:
+                        message = f"shots must be at least 1, got {value}"
+                    elif shots is not None:
+                        message = "duplicate '# shots=' comment"
+                    shots = value
+                if message is not None:
+                    # raised once the rows above it are read: a faulty one comes first
+                    fault = DataFormatError(message, lineno)
+                    break
             continue
         if header is None:
             header = line.replace(" ", "")
@@ -516,28 +567,14 @@ def read_counts_csv(text: str) -> ScanLike:
                     lineno,
                 )
             continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DataFormatError(f"expected 3 comma-separated fields, got {len(parts)}", lineno)
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise DataFormatError(f"malformed number in {line!r}", lineno) from exc
-        if not all(math.isfinite(x) for x in values):
-            raise DataFormatError(f"non-finite value in {line!r}", lineno)
-        if values[1] < 0 or values[2] < 0:
-            raise DataFormatError(f"negative count in {line!r}", lineno)
-        if phis and values[0] <= phis[-1]:
-            raise DataFormatError(
-                f"phi {values[0]!r} does not increase on the previous row's {phis[-1]!r}",
-                lineno,
-            )
-        phis.append(values[0])
-        hs.append(values[1])
-        vs.append(values[2])
-    if header is None or not phis:
+        rows.append(line)
+        linenos.append(lineno)
+    columns = _columns(rows, linenos)
+    if fault is not None:
+        raise fault
+    if header is None or not rows:
         raise DataFormatError("no data rows found")
-    grid, counts = np.array(phis), np.array((hs, vs))
+    grid, counts = columns[0], columns[1:]
     if header == "phi,n_h,n_v":
         return FringeScan._of(grid, counts, "", "phi")
     if shots is None:
@@ -547,3 +584,59 @@ def read_counts_csv(text: str) -> ScanLike:
             raise DataFormatError("integer counts must be below 2**63")
         return NoisyScan._of(grid, counts.astype(np.int64), shots, 0, "phi")
     return FringeScan._of(grid, counts / shots, "", "phi")
+
+
+def _columns(rows: list[str], linenos: list[int]) -> np.ndarray:
+    """The data rows as the columns phi, counts_h and counts_v, shape (3, n).
+
+    Every field goes through one ``map(float, ...)``, and each row's checks
+    run on arrays: three fields, numbers, finite, nonnegative counts, phi
+    increasing on the row above.  When one fails, the first faulty row is
+    searched for and its fault raised as :class:`DataFormatError` at its
+    line number.
+    """
+    commas = list(map(str.count, rows, itertools.repeat(",")))
+    # the rows above the first that has not three fields, and then above the
+    # first that holds something other than a number
+    whole = len(rows)
+    if commas.count(2) != whole:
+        whole = next(k for k, n in enumerate(commas) if n != 2)
+    try:
+        columns = _floats(rows[:whole])
+    except ValueError:
+        whole = next(k for k in range(whole) if not all(map(_is_number, rows[k].split(","))))
+        columns = _floats(rows[:whole])
+    phis, counts = columns[0], columns[1:]
+    # NaN fails every comparison, and the first faulty row's predecessor is sound
+    faulty = ~np.isfinite(columns).all(axis=0) | (counts < 0).any(axis=0)
+    faulty[1:] |= phis[1:] <= phis[:-1]
+    k = int(np.argmax(faulty)) if faulty.any() else whole
+    if k == len(rows):
+        return columns
+    line, lineno = rows[k], linenos[k]
+    if k == whole and commas[k] != 2:
+        raise DataFormatError(f"expected 3 comma-separated fields, got {commas[k] + 1}", lineno)
+    if k == whole:
+        raise DataFormatError(f"malformed number in {line!r}", lineno)
+    if not np.isfinite(columns[:, k]).all():
+        raise DataFormatError(f"non-finite value in {line!r}", lineno)
+    if (counts[:, k] < 0).any():
+        raise DataFormatError(f"negative count in {line!r}", lineno)
+    raise DataFormatError(
+        f"phi {float(phis[k])!r} does not increase on the previous row's {float(phis[k - 1])!r}",
+        lineno,
+    )
+
+
+def _floats(rows: list[str]) -> np.ndarray:
+    """The columns, shape (3, n), of rows of three comma-separated numbers."""
+    fields = ",".join(rows).split(",") if rows else []
+    return np.fromiter(map(float, fields), float, len(fields)).reshape(-1, 3).T.copy()
+
+
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True

@@ -630,5 +630,16 @@ def visibility(
 def format_scan_csv(scan: FringeScan) -> str:
     """Scan CSV: header ``<sweep>,n_h,n_v`` (``phi,n_h,n_v`` for a phi scan),
     17 significant digits, LF endings."""
-    rows = map("{:.17g},{:.17g},{:.17g}".format, scan.phis.tolist(), *scan.counts.tolist())
-    return "\n".join([f"{scan.sweep},n_h,n_v", *rows]) + "\n"
+    return f"{scan.sweep},n_h,n_v\n" + _csv_rows("%.17g,%.17g,%.17g", scan.phis, scan.counts)
+
+
+def _csv_rows(row: str, phis: np.ndarray, counts: np.ndarray) -> str:
+    """One line per point, the ``%`` template ``row`` applied to its phi and
+    its two counts, each line ended by LF: the body of both scan CSVs.
+
+    One ``%`` over the interleaved columns: ``%.17g`` and ``%d`` write what
+    ``{:.17g}`` and ``{}`` write."""
+    values = [None] * (3 * len(phis))
+    values[0::3] = phis.tolist()
+    values[1::3], values[2::3] = counts.tolist()
+    return f"{row}\n" * len(phis) % tuple(values)

@@ -291,6 +291,14 @@ class TestScan:
         assert data.shots == 5000
         assert len(data.phis) == 32
 
+    def test_shots_beyond_the_poisson_range_exit1(self, tmp_path, capsys):
+        out = tmp_path / "noisy.csv"
+        code = cli.main(["scan", "--preset", "fig1", *REGIME,
+                         "--shots", str(10**20), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and not out.exists()
+        assert f"shots={10**20} is beyond the Poisson sampler's range" in captured.err
+
     def test_default_seed_is_0(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("QIUP_SEED", raising=False)
         args = ["scan", "--preset", "fig1", *REGIME, "--shots", "50"]
@@ -390,6 +398,8 @@ class TestFit:
         ("phi,n_h,n_v\n0,0.1,0.2\n1,0.1,-0.2\n2,0.1,0.2\n", 3, "negative count"),
         ("# shots=10\nphi,counts_h,counts_v\n0,1,2\n2,1,3\n1,1,2\n", 5, "does not increase"),
         ("# shots=0\nphi,counts_h,counts_v\n0,1,2\n1,1,3\n2,1,2\n", 1, "shots"),
+        ("# shots=100000\nphi,counts_h,counts_v\n0,1,2\n1,1,3\n2,1,2\n# shots=200000\n",
+         6, "duplicate '# shots=' comment"),
     ])
     def test_invalid_counts_exit2(self, tmp_path, capsys, text, line, match):
         path = tmp_path / "bad.csv"

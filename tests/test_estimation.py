@@ -1,12 +1,13 @@
 import math
+import random
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qiup import estimation, reference
+from qiup import estimation, observables, reference
 from qiup.errors import DataFormatError
 from qiup.estimation import (
     GRID_BETA_STEP,
@@ -32,6 +33,8 @@ from qiup.reference import (
     nv_evolution,
 )
 from qiup.verification import regime_params
+
+import csv_oracle
 
 TWO_PI = 2.0 * math.pi
 #: The forms the engine obeys, which the fit does not invert.
@@ -227,6 +230,18 @@ class TestSimulateMeasurement:
         monkeypatch.setattr(np.random, "Generator", lambda *args: pytest.fail("drew counts"))
         with pytest.raises(ValueError, match="shots must be a positive integer"):
             simulate_measurement(oracle_scan(0.5, 0.0), shots=shots, seed=0)
+
+    @pytest.mark.parametrize("shots", [10**20, 10**400], ids=["1e20", "1e400"])
+    def test_shots_beyond_the_poisson_range_refused_before_any_draw(self, shots, monkeypatch):
+        monkeypatch.setattr(np.random, "Generator", lambda *args: pytest.fail("drew counts"))
+        with pytest.raises(ValueError, match=f"shots={shots} is beyond the Poisson sampler"):
+            simulate_measurement(oracle_scan(0.5, 0.0), shots=shots, seed=0)
+
+    def test_shots_within_the_poisson_range_draw(self):
+        scan = FringeScan((0.0, 1.0), (CountResult(1.0, 0.0), CountResult(0.5, 0.25)), "o'")
+        noisy = simulate_measurement(scan, shots=2**62, seed=5)
+        assert noisy.counts[1, 0] == 0
+        np.testing.assert_allclose(noisy.counts / 2**62, scan.counts, rtol=1e-8)
 
     def test_csv_round_trip(self):
         noisy = simulate_measurement(oracle_scan(0.8, 0.5), shots=np.int64(1000), seed=4)
@@ -566,6 +581,55 @@ class TestFit:
         noisy = simulate_measurement(oracle_scan(beta1, 2.0), shots=shots, seed=seed)
         assert_fit_at_the_minimum(noisy, weighting)
 
+    def test_equal_weight_fits_on_a_seen_grid_build_no_qr(self, monkeypatch):
+        rng = np.random.default_rng(280)
+        scans = [simulate_measurement(oracle_scan(rng.uniform(0.1, 1.0), rng.uniform(0.0, TWO_PI)),
+                                      shots=100_000, seed=seed) for seed in range(100)]
+        fit(scans[0])
+        qr, factored = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda *args: (factored.append(args), qr(*args))[1])
+        for scan in scans:
+            fit(scan)
+        assert factored == []
+        fit(scans[0], weighting="inverse_variance")  # its weights are the scan's own
+        assert len(factored) == 1
+
+    def test_kept_factors_are_the_equal_weight_whitening(self):
+        rng = np.random.default_rng(281)
+        for k in range(200):
+            points = (5, 16, 64)[k % 3]
+            phis = np.sort(rng.uniform(0.0, TWO_PI, points)) if k % 2 else None
+            scan = oracle_scan(rng.uniform(0.0, 1.0), rng.uniform(0.0, TWO_PI), points, phis=phis)
+            if k % 4 < 2:
+                scan = simulate_measurement(scan, shots=int(10 ** rng.integers(3, 7)), seed=k)
+            phis, y = estimation._channels(scan)
+            _, basis, q, r = estimation._fit_grid(phis)
+            want_r, want_z = estimation._whiten(basis.T, y, np.ones_like(y))
+            assert r.tobytes() == want_r.tobytes()
+            assert np.einsum("cni,cn->ci", q, y).tobytes() == want_z.tobytes()
+
+    def test_kept_grid_facts_are_read_only(self):
+        phases, *arrays = estimation._fit_grid(np.linspace(0.0, TWO_PI, 16, endpoint=False))
+        assert phases == 16
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 2.0
+        assert estimation._kept_fit_grid.cache_info().maxsize == observables.TENSOR_CACHE_SIZE
+
+    def test_a_grid_rewritten_in_place_gets_its_own_entry(self):
+        estimation._kept_fit_grid.cache_clear()
+        grid = np.linspace(0.0, TWO_PI, 16, endpoint=False)
+        first = estimation._fit_grid(grid)
+        assert estimation._fit_grid(grid.copy()) is first  # the key is the grid's values
+        grid[:] = np.linspace(0.5, 3.0, 16)
+        phases, basis, q, r = estimation._fit_grid(grid)
+        assert phases == 16
+        np.testing.assert_array_equal(basis, observables._build_basis(1, grid, 1))
+        np.testing.assert_allclose(q[0] @ r[0], basis.T, rtol=0, atol=1e-14)
+        grid[:] = np.arange(16) * TWO_PI  # one phase modulo 2*pi, and no factors
+        assert estimation._fit_grid(grid)[0::2] == (1, None)
+        assert estimation._kept_fit_grid.cache_info().currsize == 3
+
     def test_summary_format(self):
         result = FitResult(0.6, 1.0, 0.8, 1e-20, True)
         line = result.summary()
@@ -714,3 +778,182 @@ class TestMeasurementCsv:
             assert err.line == 4
         else:
             pytest.fail("expected DataFormatError")
+
+    @pytest.mark.parametrize("text, line", [
+        ("# shots=10\n# shots=10\nphi,counts_h,counts_v\n0,1,2\n", 2),
+        ("# shots=10\nphi,counts_h,counts_v\n0,1,2\n# shots=20\n1,1,2\n", 4),
+        ("phi,n_h,n_v\n0,0.1,0.2\n# shots=1\n#shots= 2\n", 4),
+    ])
+    def test_a_second_shots_comment_is_refused(self, text, line):
+        with pytest.raises(DataFormatError, match="duplicate '# shots=' comment") as err:
+            read_counts_csv(text)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("text, line, match", [
+        # the first faulty line wins, whichever check it fails
+        ("# shots=10\nphi,counts_h,counts_v\n0,1,2\n1,x,2\n# shots=0\n", 4, "malformed"),
+        ("# shots=10\nphi,counts_h,counts_v\n0,1,2\n1,1\n# shots=oops\n", 4, "3 comma"),
+        ("# shots=10\nphi,counts_h,counts_v\n0,1,2\n# shots=-1\n1,x,2\n", 4, "at least 1"),
+        ("# shots=10\nphi,counts_h,counts_v\n0,1,2\n0,-1,2\n1,x\n", 4, "negative"),
+        ("# shots=10\nphi,counts_h,counts_v\n0,1,2\n0,1,2\n1,x\n", 4, "does not increase"),
+        ("# shots=10\nphi,counts_h,counts_v\n0,1,2\n1,1,2\n2,nan,x\n", 5, "malformed"),
+        ("# shots=10\nphi,counts_h,counts_v\n0,1,2\nnan,1,2\n-1,1,2\n", 4, "non-finite"),
+    ])
+    def test_the_first_faulty_line_is_reported(self, text, line, match):
+        with pytest.raises(DataFormatError, match=match) as err:
+            read_counts_csv(text)
+        assert err.value.line == line
+
+    @settings(max_examples=1000)
+    @given(st.integers(0, 2**64 - 1))
+    def test_reader_agrees_with_the_per_line_oracle(self, seed):
+        text = mutated_csv(random.Random(seed))
+        assert read_outcome(read_counts_csv, text) == expected_read_outcome(text)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    def test_writers_round_trip_bytes(self, noisy):
+        rng = np.random.default_rng(28)
+        for _ in range(50):
+            if noisy:
+                shots, seed = int(rng.integers(1, 10**9)), int(rng.integers(2**32))
+                scan = simulate_measurement(random_scan(rng, decades=0), shots, seed)
+            else:
+                scan = random_scan(rng)
+            back = read_counts_csv(format_counts_csv(scan))
+            assert type(back) is type(scan)
+            assert back.phis.tobytes() == scan.phis.tobytes()
+            assert back.counts.dtype == scan.counts.dtype
+            assert back.counts.tobytes() == scan.counts.tobytes()
+            if noisy:
+                assert back.shots == scan.shots
+            else:
+                again = read_counts_csv(format_scan_csv(scan))
+                assert again.phis.tobytes() == scan.phis.tobytes()
+                assert again.counts.tobytes() == scan.counts.tobytes()
+
+    def test_writers_write_what_str_format_writes(self):
+        rng = np.random.default_rng(29)
+        specials = np.array([0.0, -0.0, 5e-324, 1e-310, 1.0, 2.0**63, 1.7976931348623157e308])
+        for k in range(60):
+            scan = random_scan(rng)
+            if k % 3 == 0:  # the extremes of a float's digits
+                counts = rng.choice(specials, size=scan.counts.shape)
+                scan = FringeScan._of(scan.phis.copy(), counts, "o'", "phi")
+            assert format_scan_csv(scan) == braces_scan_csv(scan)
+            assert format_counts_csv(scan) == braces_counts_csv(scan)
+            shots = int(rng.integers(1, 10**6))
+            noisy = simulate_measurement(random_scan(rng, decades=3), shots, k)
+            assert format_counts_csv(noisy) == braces_counts_csv(noisy)
+        big = NoisyScan([0.0, 1.0], [2**63 - 1, 0], [7, 2**62], shots=10**30, seed=0)
+        assert format_counts_csv(big) == braces_counts_csv(big)
+        empty = FringeScan._of(np.zeros(0), np.zeros((2, 0)), "o'", "theta")
+        assert format_scan_csv(empty) == braces_scan_csv(empty) == "theta,n_h,n_v\n"
+        assert format_counts_csv(empty) == braces_counts_csv(empty)
+
+
+def random_scan(rng, decades: int = 300) -> FringeScan:
+    """Expectations below 10**decades at up to 70 random increasing phases."""
+    phis = np.unique(rng.uniform(-10.0, 10.0, int(rng.integers(1, 70))))
+    exponents = rng.integers(-decades, decades, (2, len(phis)), endpoint=True)
+    counts = rng.uniform(0.0, 1.0, (2, len(phis))) * 10.0 ** exponents
+    return FringeScan._of(phis, counts, "o'", "phi")
+
+
+def braces_counts_csv(data) -> str:
+    """format_counts_csv as str.format writes it, a line at a time."""
+    if isinstance(data, NoisyScan):
+        shots, row = data.shots, "{:.17g},{},{}"
+    else:
+        shots, row = 1, "{:.17g},{:.17g},{:.17g}"
+    body = map(row.format, data.phis.tolist(), *data.counts.tolist())
+    return "\n".join([f"# shots={shots}", f"{data.sweep},counts_h,counts_v", *body]) + "\n"
+
+
+def braces_scan_csv(scan) -> str:
+    """format_scan_csv as str.format writes it, a line at a time."""
+    rows = map("{:.17g},{:.17g},{:.17g}".format, scan.phis.tolist(), *scan.counts.tolist())
+    return "\n".join([f"{scan.sweep},n_h,n_v", *rows]) + "\n"
+
+
+#: Fields that break a row, or nearly do.
+ODD_FIELDS = ("x", "", "inf", "-inf", "nan", "NaN", "-1", "-2.5", "-1e-300", "-0", "-0.0",
+              "1e19", "9.3e18", "1_0", " 7 ", "0x1", "1e400", "+3", "\u0663", "1e-400")
+#: Lines that the reader skips, or reads as a shots comment.
+ODD_LINES = ("", "   ", "#", "# note", "# shots=5", "# shots=oops", "# shots=0", "#shots= 12",
+             "# shots=-4", "# shots = 3", "# shots=1_000", "\t# shots=7\t")
+
+
+def mutated_csv(rng: random.Random) -> str:
+    """A counts or scan CSV, sound or broken by up to four random edits: a
+    field dropped, added or replaced by an odd one, phis swapped or made
+    equal, a blank or comment line put anywhere, the header changed; with
+    LF, CRLF or CR endings and spaces around fields."""
+    noisy = rng.random() < 0.5
+    phi_format = rng.choice(("%.17g", "%.2g", "%r"))  # %.2g can repeat a phi
+    rows = []
+    for phi in sorted(rng.uniform(-1.0, 7.0) for _ in range(rng.randint(0, 6))):
+        if noisy:
+            counts = [str(rng.randint(0, 10**6)) for _ in range(2)]
+        else:
+            counts = ["%.17g" % rng.uniform(0.0, 1.0) for _ in range(2)]
+        rows.append([phi_format % phi, *counts])
+    header = "phi,n_h,n_v" if not noisy and rng.random() < 0.5 else "phi,counts_h,counts_v"
+    head = [f"# shots={rng.randint(1, 10**6)}"] if rng.random() < 0.9 else []
+    head.append(header)
+    extra = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choices(range(7), weights=(1, 1, 4, 2, 2, 3, 1))[0]
+        row = rng.choice(rows) if rows else None
+        if kind == 0 and row:
+            del row[rng.randrange(len(row))]
+        elif kind == 1 and row is not None:
+            row.insert(rng.randint(0, len(row)), rng.choice(("1", "2.5", "x")))
+        elif kind == 2 and row:
+            row[rng.randrange(len(row))] = rng.choice(ODD_FIELDS)
+        elif kind == 3 and len(rows) >= 2:
+            i, j = rng.sample(range(len(rows)), 2)
+            if rows[i] and rows[j]:
+                rows[i][0], rows[j][0] = rows[j][0], rows[i][0]
+        elif kind == 4 and len(rows) >= 2:
+            i = rng.randrange(1, len(rows))
+            if rows[i] and rows[i - 1]:
+                rows[i][0] = rows[i - 1][0]
+        elif kind == 5:
+            extra.append(rng.choice(ODD_LINES))
+        elif kind == 6:
+            head[-1] = rng.choice(("phi, counts_h, counts_v", "theta,counts_h,counts_v",
+                                   "phi,counts_h", "phi,n_h,n_v", "phi,counts_h,counts_v"))
+    lines = head + [rng.choice(("", " ")) + rng.choice((",", " ,", ", ", " , ")).join(row)
+                    for row in rows]
+    for line in extra:
+        lines.insert(rng.randint(0, len(lines)), line)
+    if rng.random() < 0.3:  # a broken shots comment at the end, below any faulty row
+        lines.append(rng.choice(("# shots=oops", "# shots=0", "# shots=12")))
+    ending = rng.choice(("\n", "\r\n", "\r"))
+    return ending.join(lines) + rng.choice(("", ending))
+
+
+def read_outcome(reader, text: str) -> tuple:
+    """What ``reader`` makes of ``text``: the scan's type, arrays and shots,
+    or its error's type, message and line."""
+    try:
+        scan = reader(text)
+    except ValueError as err:
+        return type(err).__name__, str(err), getattr(err, "line", None)
+    return (type(scan).__name__, scan.phis.dtype.str, scan.phis.tobytes(),
+            scan.counts.dtype.str, scan.counts.shape, scan.counts.tobytes(),
+            getattr(scan, "shots", None))
+
+
+def expected_read_outcome(text: str) -> tuple:
+    """The per-line oracle's outcome, except that a second ``# shots=``
+    comment is refused at its line unless an earlier line is at fault."""
+    want = read_outcome(csv_oracle.read_counts_csv, text)
+    shots_lines = [lineno for lineno, raw in enumerate(text.splitlines(), start=1)
+                   if raw.strip().startswith("#") and raw.strip()[1:].strip().startswith("shots=")]
+    if len(shots_lines) < 2:
+        return want
+    second = shots_lines[1]
+    if want[0] == "DataFormatError" and want[2] is not None and want[2] <= second:
+        return want
+    return "DataFormatError", f"line {second}: duplicate '# shots=' comment", second
