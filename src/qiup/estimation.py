@@ -44,6 +44,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -170,7 +171,8 @@ def simulate_measurement(scan: FringeScan, shots: int, seed: int) -> NoisyScan:
     inputs give identical counts.  Only a :class:`FringeScan` of
     expectations is drawn around; anything else raises ``TypeError``.
     ``shots`` that put a mean count beyond the sampler's range, about
-    9.2e18, raise ``ValueError`` before anything is drawn.
+    9.2e18, or beyond the largest float for a scan of zeros, raise
+    ``ValueError`` before anything is drawn.
     """
     if not isinstance(scan, FringeScan):
         raise TypeError(f"simulate_measurement needs a FringeScan, got {type(scan).__name__}")
@@ -178,10 +180,12 @@ def simulate_measurement(scan: FringeScan, shots: int, seed: int) -> NoisyScan:
     # numpy's Poisson sampler takes means up to 2**63 - 1 - 10 sqrt(2**63 - 1)
     most = 2**63 - 1 - 10.0 * math.sqrt(2**63 - 1)
     peak = float(scan.counts.max(initial=0.0))
-    if peak and shots > most / peak:
+    # shots times a scan of zeros must still be a float
+    limit = most / peak if peak else sys.float_info.max
+    if shots > limit:
         raise ValueError(
-            f"shots={shots} is beyond the Poisson sampler's range: shots times the "
-            f"largest expectation, {peak:.6g}, must stay below {most:.6g}"
+            f"shots={shots} is beyond the Poisson sampler's range: with a largest "
+            f"expectation of {peak:.6g}, shots must stay below {limit:.6g}"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
     # one draw per point, the H row before the V row

@@ -5,9 +5,10 @@ polynomial of low degree in each free angle, and in ``chi`` for a
 preparation whose ``(alpha, beta) = (cos chi, sin chi)`` pair is free, so its
 values at a product grid of ``2D + 1`` nodes per parameter fix it everywhere.
 The first sweep of a circuit runs it once over that grid, for every free
-parameter at once, and puts each angle's axis into Fourier coefficients with
-one ``rfft``; every later sweep of the circuit, at any bound values and on
-any grid, contracts the cached coefficients and runs nothing, with no FFT.
+parameter at once, and puts every axis into real Fourier coefficients, the
+counts at its nodes times the inverse of the basis there; every later sweep
+of the circuit, at any bound values and on any grid, contracts the cached
+coefficients and runs nothing.
 """
 from __future__ import annotations
 
@@ -235,9 +236,9 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
     m = 0..D, with the frequency f and the degree D of
     :meth:`CircuitPlan.harmonic_degree`.  The counts at the ``2D + 1``
     equispaced values ``2*pi*j/((2D + 1)*f)`` fix the series exactly; ``c``
-    holds their ``rfft`` coefficients, shape (2, D + 1) over the H and V
-    channels.  When other parameters are bound to arrays of C cells, ``c``
-    has shape (2, C, D + 1), one series per cell.
+    holds its coefficients, shape (2, D + 1) over the H and V channels.
+    When other parameters are bound to arrays of C cells, ``c`` has shape
+    (2, C, D + 1), one series per cell.
 
     The series comes from the circuit's count tensor, built by one batched
     run of the unbound circuit over a product grid of nodes of every free
@@ -245,17 +246,16 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
     keyed by the plan's structure (sources, pipeline, detect path and band
     and splitter convention): a plan hashes it once and :meth:`~CircuitPlan.bind`
     hands it on, so a re-bound plan reaches its tensor with no rehash or
-    pipeline walk.  It holds each angle's axis in the real Fourier form
-    ``(a_0, a_1, b_1, ..., a_D, b_D)`` of the counts, and the axis of each
-    preparation whose ``alpha`` and ``beta`` are two ``$`` names used
-    nowhere else as the counts at nodes in ``chi``, ``(alpha, beta) = (cos
-    chi, sin chi)``.  A call weighs every axis but the sweep's at the bound
-    values and returns the sweep's real form as ``c_0 = a_0``, ``c_m = (a_m
-    - i b_m)/2``, running neither the circuit nor an FFT.  A pair is
-    evaluated on the unit circle, at ``(alpha, beta) / sqrt(alpha^2 +
-    beta^2)``: one off it by eps (at most 1e-10 passes the checks) may
-    differ from a run by about eps times the coefficients.  A circuit
-    without a tensor (a free name of neither kind, a grid above
+    pipeline walk.  It holds every axis in the real Fourier form ``(a_0,
+    a_1, b_1, ..., a_D, b_D)`` of the counts in its t: f*x for an angle x,
+    and ``chi = atan2(beta, alpha)`` for a preparation whose ``alpha`` and
+    ``beta`` are two ``$`` names used nowhere else.  A call weighs every
+    axis but the sweep's at the bound values and returns the sweep's real
+    form as ``c_0 = a_0``, ``c_m = (a_m - i b_m)/2``, without running the
+    circuit.  A pair is evaluated on the unit circle, at ``(alpha, beta) /
+    sqrt(alpha^2 + beta^2)``: one off it by eps (at most 1e-10 passes the
+    checks) may differ from a run by about eps times the coefficients.  A
+    circuit without a tensor (a free name of neither kind, a grid above
     :data:`TENSOR_MAX_MEMBERS` members, or a run over the grid that raises
     or warns) runs once per call instead, with the sweep bound to its
     ``2D + 1`` values and each cell repeated across them, cell-major, and
@@ -288,10 +288,11 @@ def _series(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarray]:
     frequency, degree = _checked(plan, sweep)
     tensor = _count_tensor(plan._structure)
     if tensor is None:
-        counts = _sample(plan, [_angle_axis(sweep, frequency, degree)])
+        axis = _angle_axis(sweep, frequency, degree)
+        counts = _sample(plan, [axis])
         largest = counts.max(initial=0.0)
         cells = any(isinstance(v, np.ndarray) for k, v in plan.bindings.items() if k != sweep)
-        series = _real_form(counts if cells else counts[:, 0], -1)
+        series = _real_form(counts if cells else counts[:, 0], axis, -1)
     else:
         largest = tensor.largest
         series = tensor.sweep_series(plan.bindings, sweep)
@@ -306,75 +307,49 @@ class _Axis:
     """One axis of the count tensor: the names it binds (an angle, or a
     preparation's ``alpha`` and ``beta``) and their values at its nodes, one
     row per name.  The counts are a trigonometric polynomial of degree D in
-    t, which is f*x for an angle x and chi for a pair, with ``2D + 1`` nodes
-    ``angles`` in t.
+    t, which is f*x for an angle x and chi = atan2(beta, alpha) for a pair,
+    with ``2D + 1`` nodes ``angles`` in t.
 
-    An angle's axis of :attr:`_CountTensor.series` holds that polynomial's
-    real Fourier form, so its weights at t are the rows of :func:`_basis`;
-    a pair's holds the counts at its five nodes, weighed by the Lagrange basis
-    prod_{k != j} sin((t - t_k)/2) / sin((t_j - t_k)/2), exact at the nodes.
+    Every axis of :attr:`_CountTensor.series` holds that polynomial's real
+    Fourier form (see :func:`_real_form`), so its weights at t are the rows
+    of :func:`_basis`.
     """
 
     names: tuple[str, ...]
     nodes: np.ndarray
-    frequency: int  # an angle's f; 0 for a pair
+    frequency: int  # an angle's f; 1 for a pair
     angles: np.ndarray
-    denominators: np.ndarray | None  # a pair's Lagrange denominators
 
     def __len__(self) -> int:
         return len(self.angles)
 
+    def _t(self, bindings, atan2):
+        """t at the bound values: ``atan2`` is math's for scalars and
+        numpy's for cells."""
+        if len(self.names) == 1:
+            return self.frequency * bindings[self.names[0]]
+        alpha, beta = (bindings[name] for name in self.names)
+        return atan2(beta, alpha)
+
     def scalar_weights(self, bindings) -> list[float]:
         """The weights at values bound to scalars, as floats: numpy's per-call
         overhead would cost more than the arithmetic."""
-        if self.frequency:
-            t = self.frequency * bindings[self.names[0]]
-            weights = [1.0]
-            for m in range(1, len(self) // 2 + 1):
-                weights += (math.cos(m * t), math.sin(m * t))
-            return weights
-        alpha, beta = (bindings[name] for name in self.names)
-        t = math.atan2(beta, alpha)
-        h0, h1, h2, h3, h4 = (math.sin((t - angle) / 2.0) for angle in self.angles.tolist())
-        d0, d1, d2, d3, d4 = self.denominators.tolist()
-        # each product of the other four sines in index order, as
-        # _sine_products forms it, the leading ones shared
-        h01 = h0 * h1
-        h012 = h01 * h2
-        return [h1 * h2 * h3 * h4 / d0, h0 * h2 * h3 * h4 / d1, h01 * h3 * h4 / d2,
-                h012 * h4 / d3, h012 * h3 / d4]
+        t = self._t(bindings, math.atan2)
+        weights = [1.0]
+        for m in range(1, len(self) // 2 + 1):
+            weights += (math.cos(m * t), math.sin(m * t))
+        return weights
 
     def cell_weights(self, bindings) -> np.ndarray:
         """(C, n): the weights at bound values of which one or both are
         arrays of C cells."""
-        if self.frequency:
-            return _basis(self.frequency, bindings[self.names[0]], len(self) // 2).T
-        alpha, beta = (bindings[name] for name in self.names)
-        return _sine_products(np.arctan2(beta, alpha), self.angles) / self.denominators
-
-
-def _sine_products(t, angles: np.ndarray) -> np.ndarray:
-    """prod_{k != j} sin((t - t_k)/2) over the nodes t_k = ``angles``, for
-    each j: shape (..., n)."""
-    half = np.sin((np.asarray(t)[..., None] - angles) / 2.0)
-    others = np.where(_diagonal(len(angles)), 1.0, half[..., None, :])
-    return others.prod(axis=-1)
-
-
-@functools.cache
-def _diagonal(n: int) -> np.ndarray:
-    """The (n, n) boolean identity that masks k = j out of each product."""
-    mask = np.eye(n, dtype=bool)
-    mask.flags.writeable = False
-    return mask
+        return _basis(1, self._t(bindings, np.arctan2), len(self) // 2).T
 
 
 def _axis(names: tuple[str, ...], nodes: np.ndarray, frequency: int,
-          angles: np.ndarray, denominators: np.ndarray | None = None) -> _Axis:
-    for array in (nodes, angles, denominators):
-        if array is not None:
-            array.flags.writeable = False
-    return _Axis(names, nodes, frequency, angles, denominators)
+          angles: np.ndarray) -> _Axis:
+    nodes.flags.writeable = angles.flags.writeable = False
+    return _Axis(names, nodes, frequency, angles)
 
 
 def _angle_axis(name: str, frequency: int, degree: int) -> _Axis:
@@ -390,8 +365,7 @@ def _pair_axis(alpha: str, beta: str) -> _Axis:
     quadratic part from its own), and alpha, beta >= 0 puts chi in
     [0, pi/2]."""
     chi = np.arange(5) * (math.pi / 8)
-    return _axis((alpha, beta), np.array([np.cos(chi), np.sin(chi)]), 0, chi,
-                 np.diagonal(_sine_products(chi, chi)).copy())
+    return _axis((alpha, beta), np.array([np.cos(chi), np.sin(chi)]), 1, chi)
 
 
 def _sample(plan: CircuitPlan, axes: list[_Axis]) -> np.ndarray:
@@ -491,12 +465,21 @@ def _kron(rows: list[list[float]]) -> np.ndarray:
     return np.multiply.outer(*halves).reshape(-1)
 
 
-def _real_form(values: np.ndarray, axis: int) -> np.ndarray:
-    """``values`` with their ``axis`` of 2D + 1 samples at t_j = 2*pi*j/(2D + 1)
-    replaced by the real form of the trigonometric polynomial through them,
-    from one ``rfft`` (exact for harmonics 0..D without aliasing)."""
-    spectrum = np.moveaxis(np.fft.rfft(values, axis=axis), axis, -1) / values.shape[axis]
-    return np.moveaxis(_real(spectrum), -1, axis)
+def _real_form(values: np.ndarray, axis: _Axis, at: int) -> np.ndarray:
+    """``values`` with their dimension ``at``, the counts at ``axis``' nodes,
+    replaced by the real form of the trigonometric polynomial through them:
+    the counts times the inverse of :func:`_build_basis` at the node angles,
+    which on equispaced angles is the ``rfft``'s real form to rounding.
+
+    A pair's basis, on five nodes in [0, pi/2], has a condition number of
+    about 420, so one step of refinement follows, which takes the series
+    back to summing to the counts within a few eps."""
+    basis = _build_basis(1, axis.angles, len(axis) // 2)
+    inverse = np.linalg.inv(basis)
+    counts = np.moveaxis(values, at, -1)
+    series = counts @ inverse
+    series += (counts - series @ basis) @ inverse
+    return np.moveaxis(series, -1, at)
 
 
 def _real(coeffs: np.ndarray) -> np.ndarray:
@@ -579,8 +562,7 @@ def _count_tensor(structure: _Structure) -> _CountTensor | None:
         return None
     series = counts
     for k, axis in enumerate(axes):
-        if axis.frequency:
-            series = _real_form(series, k + 1)
+        series = _real_form(series, axis, k + 1)
     counts.flags.writeable = series.flags.writeable = False
     return _CountTensor(tuple(axes), counts, float(counts.max(initial=0.0)), series)
 

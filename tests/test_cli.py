@@ -62,6 +62,11 @@ class TestCheck:
         assert cli.main(["check", path]) == 0
         assert capsys.readouterr().out == "0 error(s), 0 warning(s)\n"
 
+    def test_compensated_mzi_is_clean(self, capsys):
+        path = str(CIRCUITS_DIR / "compensated_mzi.qiup")
+        assert cli.main(["check", path]) == 0
+        assert capsys.readouterr().out == "0 error(s), 0 warning(s)\n"
+
     def test_default_band_warns_and_exits_0(self, tmp_path, capsys):
         path = tmp_path / "plate.qiup"
         path.write_text("source 1 signal=a idler=a pol=V\nhwp a angle=45\ndetect a signal\n")
@@ -298,6 +303,20 @@ class TestScan:
         captured = capsys.readouterr()
         assert code == 1 and not out.exists()
         assert f"shots={10**20} is beyond the Poisson sampler's range" in captured.err
+
+    def test_shots_beyond_a_float_on_vanishing_counts_exit1(self, tmp_path, capsys):
+        # only the idler reaches r, so every detected signal count is 0
+        path = tmp_path / "idler_only.qiup"
+        path.write_text("source 1 signal=a idler=a pol=V\n"
+                        "dm a -> signal: b idler: r\n"
+                        "phase r value=$phi band=idler\n"
+                        "detect r signal\n")
+        out = tmp_path / "noisy.csv"
+        code = cli.main(["scan", str(path), "--shots", str(10**400), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and not out.exists()
+        assert f"error: shots={10**400} is beyond the Poisson sampler's range" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_default_seed_is_0(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("QIUP_SEED", raising=False)

@@ -237,6 +237,15 @@ class TestSimulateMeasurement:
         with pytest.raises(ValueError, match=f"shots={shots} is beyond the Poisson sampler"):
             simulate_measurement(oracle_scan(0.5, 0.0), shots=shots, seed=0)
 
+    def test_shots_beyond_a_float_refused_on_a_scan_of_zeros(self, monkeypatch):
+        # shots times a zero expectation is 0, but numpy cannot take the int
+        scan = FringeScan((0.0, 1.0), (CountResult(0.0, 0.0),) * 2, "o")
+        monkeypatch.setattr(np.random, "Generator", lambda *args: pytest.fail("drew counts"))
+        with pytest.raises(ValueError, match=f"shots={10**400} is beyond the Poisson sampler"):
+            simulate_measurement(scan, shots=10**400, seed=0)
+        monkeypatch.undo()
+        assert simulate_measurement(scan, shots=10**300, seed=0).counts.tolist() == [[0, 0]] * 2
+
     def test_shots_within_the_poisson_range_draw(self):
         scan = FringeScan((0.0, 1.0), (CountResult(1.0, 0.0), CountResult(0.5, 0.25)), "o'")
         noisy = simulate_measurement(scan, shots=2**62, seed=5)

@@ -678,16 +678,6 @@ class TestCountTensor:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1.0
 
-    def test_pair_weights_are_the_sine_products(self):
-        axis = observables._pair_axis("alpha1", "beta1")
-        rng = np.random.default_rng(67)
-        points = [*rng.uniform(-1.0, 1.0, size=(1000, 2)).tolist(),
-                  *zip(np.cos(axis.angles).tolist(), np.sin(axis.angles).tolist())]
-        for alpha, beta in points:
-            want = observables._sine_products(math.atan2(beta, alpha), axis.angles)
-            got = axis.scalar_weights({"alpha1": alpha, "beta1": beta})
-            assert got == (want / axis.denominators).tolist()
-
     def test_later_sweeps_neither_run_nor_transform(self, monkeypatch):
         # after the first sweep of each name, sweeps at new scalar and cell
         # values contract the layouts that it cut, built once and read-only,
@@ -715,7 +705,7 @@ class TestCountTensor:
             raise AssertionError("a later sweep ran the circuit or transformed counts")
 
         monkeypatch.setattr(observables, "run_plan", refuse)
-        monkeypatch.setattr(np.fft, "rfft", refuse)
+        monkeypatch.setattr(observables, "_real_form", refuse)
         gots = [harmonic_coefficients(plan, sweep) for plan in later for sweep in sweeps]
         fringe_scan(later[0], "theta", FULL_PERIOD)
         for (frequency, got), (want_frequency, want) in zip(gots, wants):
@@ -753,6 +743,25 @@ class TestCountTensor:
             assert tensor_of(plan) is not None
             assert frequency == want[0] and got.shape == want[1].shape
             np.testing.assert_allclose(got, want[1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sweep", ["theta", "phi", "gamma"])
+    def test_sign_rule_on_fig1s_tensor(self, sweep):
+        # (beta1, gamma) and (-beta1, gamma + pi) prepare the same state.  The
+        # engine refuses a negative amplitude, but the tensor's chi axis is a
+        # polynomial in chi = atan2(beta1, alpha1), defined at -chi
+        rng = np.random.default_rng(71)
+        fig1 = fig1_preset(general_fig1_params(rng))
+        tensor, (frequency, _) = tensor_of(fig1), fig1.harmonic_degree(sweep)
+        grid = rng.uniform(0.0, 2.0 * math.pi, 16)
+        shift = math.pi if sweep == "gamma" else 0.0  # the sweep carries gamma's shift
+        for _ in range(200):
+            params = general_fig1_params(rng)
+            mirrored = dict(params, beta1=-params["beta1"], gamma=params["gamma"] + math.pi)
+            values = []
+            for bindings, at in ((params, grid), (mirrored, grid + shift)):
+                series = tensor.sweep_series(bindings, sweep)
+                values.append(series @ observables._basis(frequency, at, series.shape[-1] // 2))
+            np.testing.assert_allclose(values[1], values[0], rtol=0, atol=1e-12)
 
 
 def spread_of_v(plan):
@@ -1115,6 +1124,58 @@ class TestDistinguishableMzi:
         assert visibility(scan.column("v")).value == pytest.approx(0.2965, abs=1e-4)
 
 
+class TestCompensatedMzi:
+    """``circuits/compensated_mzi.qiup``: distinguishable_mzi with a
+    half-wave plate at angle x on both photons of source 1 before the
+    dichroic mirror, where the no-go ends.  Its free names are x, phi and
+    theta."""
+
+    TEXT = (CIRCUITS_DIR / "compensated_mzi.qiup").read_text()
+
+    def test_v_fringe_amplitude_and_flat_h(self):
+        plan = compiled(self.TEXT, x=0.0, theta=0.0)
+        tensor = tensor_of(plan)
+        phi = [axis.names for axis in tensor.axes].index(("phi",))
+        assert np.ptp(tensor.counts[0], axis=phi).max() < 1e-13
+        rng = np.random.default_rng(73)
+        for x, theta in rng.uniform(0.0, math.pi, (200, 2)):
+            _, coeffs = harmonic_coefficients(plan.bind({"x": x, "theta": theta}), "phi")
+            amplitude = math.sin(2 * x) ** 2 * (1 - math.cos(2 * theta)) / 2
+            assert abs(2 * abs(coeffs[1, 1]) - amplitude) <= 1e-12
+            assert np.abs(coeffs[0, 1:]).max() <= 1e-12
+
+    def test_at_45_degrees_the_counts_are_the_pol_v_twins(self):
+        twin = TestDistinguishableMzi.TEXT.replace("pol=H", "pol=V")
+        for theta in np.random.default_rng(79).uniform(0.0, math.pi, 20):
+            got = fringe_scan(compiled(self.TEXT, x=math.pi / 4, theta=theta), "phi", FULL_PERIOD)
+            want = fringe_scan(compiled(twin, theta=theta), "phi", FULL_PERIOD)
+            np.testing.assert_allclose(got.counts, want.counts, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("plate, after", [
+        ("hwp a angle=$x band=idler", "source 2 signal=r idler=r pol=V"),
+        ("hwp a angle=$x band=signal", "source 2 signal=r idler=r pol=V"),
+        ("hwp r angle=$x band=idler", "dm a -> signal: b idler: r"),
+    ], ids=["idler", "signal", "after-the-join"])
+    def test_a_plate_on_one_photon_restores_nothing(self, plate, after):
+        text = TestDistinguishableMzi.TEXT.replace(after, f"{after}\n{plate}")
+        for x, theta in np.random.default_rng(89).uniform(0.0, math.pi, (20, 2)):
+            scan = fringe_scan(compiled(text, x=x, theta=theta), "phi", FULL_PERIOD)
+            assert np.ptp(scan.counts, axis=1).max() <= 1e-12
+
+    def test_the_rotation_is_a_mixture(self):
+        # counts(x) = (1 - p) counts(0) + p counts(45 degrees), p = sin^2 2x:
+        # the fringes cannot tell a coherent polarization offset at the source
+        # from an incoherent H/V emission mixture
+        def scan(x, theta):
+            return fringe_scan(compiled(self.TEXT, x=x, theta=theta), "phi", FULL_PERIOD).counts
+
+        for x, theta in np.random.default_rng(83).uniform(0.0, math.pi, (100, 2)):
+            p = math.sin(2 * x) ** 2
+            np.testing.assert_allclose(
+                scan(x, theta), (1 - p) * scan(0.0, theta) + p * scan(math.pi / 4, theta),
+                rtol=0, atol=1e-12)
+
+
 class TestVisibility:
     def test_engine_visibility_meets_prediction(self):
         for beta1, expected in ((1.0, 0.8), (0.5, 0.4)):
@@ -1253,6 +1314,24 @@ def _shipped_free_angles():
         for name in sorted(plan.free_parameters):
             if plan.harmonic_degree(name) is not None:
                 yield pytest.param(path, name, id=f"{path.stem}-{name}")
+
+
+@pytest.mark.parametrize("path", sorted(CIRCUITS_DIR.glob("*.qiup")), ids=lambda path: path.stem)
+def test_shipped_circuit_series_sums_back_to_the_counts(path):
+    """Every axis of the count tensor, an angle's or a pair's, holds the
+    real Fourier form in its t: summed at the node angles it gives back the
+    counts the build ran.  A circuit with no free name sweeps nothing and
+    has no tensor."""
+    plan, _ = compile_text(path.read_text())
+    tensor = tensor_of(plan)
+    assert (tensor is None) == (not plan.free_parameters)
+    if tensor is None:
+        return
+    values = tensor.series
+    for k, axis in enumerate(tensor.axes):
+        basis = observables._basis(1, axis.angles, len(axis) // 2)
+        values = np.moveaxis(np.moveaxis(values, k + 1, -1) @ basis, -1, k + 1)
+    np.testing.assert_allclose(values, tensor.counts, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("path, sweep", list(_shipped_free_angles()))
