@@ -164,6 +164,15 @@ def _positive_shots(shots) -> int:
     return shots
 
 
+def _decimal(n: int) -> str:
+    """``n`` in decimal, or ``~10^x`` where it has more digits than Python
+    converts to a string."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"~10^{math.log10(n):.6g}"
+
+
 def simulate_measurement(scan: FringeScan, shots: int, seed: int) -> NoisyScan:
     """Draw Poisson counts around ``shots`` times each expectation value.
 
@@ -184,7 +193,7 @@ def simulate_measurement(scan: FringeScan, shots: int, seed: int) -> NoisyScan:
     limit = most / peak if peak else sys.float_info.max
     if shots > limit:
         raise ValueError(
-            f"shots={shots} is beyond the Poisson sampler's range: with a largest "
+            f"shots={_decimal(shots)} is beyond the Poisson sampler's range: with a largest "
             f"expectation of {peak:.6g}, shots must stay below {limit:.6g}"
         )
     rng = np.random.Generator(np.random.PCG64(seed))

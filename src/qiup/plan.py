@@ -405,12 +405,19 @@ FIG1_PARAMETERS = ("alpha1", "beta1", "gamma", "alpha2", "beta2", "phi", "theta"
 _NORM_TOL = 1e-10
 
 
-@functools.cache
-def _fig1_plan() -> CircuitPlan:
-    """The unbound preset, compiled on first use; ``bind`` never mutates it."""
-    plan, diagnostics = compile_text(FIG1_SOURCE)
-    assert plan is not None, diagnostics
-    return plan
+_FIG1_PLANS: dict[str, CircuitPlan] = {}
+
+
+def _fig1_plan(bs_convention: str = "symmetric") -> CircuitPlan:
+    """The unbound preset under ``bs_convention``, compiled on first use and
+    kept, one plan per convention, so that each hashes its structure once
+    and a plan bound from it hands that structure on; ``bind`` never
+    mutates it.  An unknown convention raises ``ValueError``."""
+    if bs_convention not in _FIG1_PLANS:
+        plan, diagnostics = compile_text(FIG1_SOURCE)
+        assert plan is not None, diagnostics
+        _FIG1_PLANS[bs_convention] = replace(plan, bs_convention=bs_convention)
+    return _FIG1_PLANS[bs_convention]
 
 
 def fig1_preset(params: Mapping[str, float]) -> CircuitPlan:

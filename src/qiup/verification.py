@@ -9,35 +9,41 @@ gamma = 0.
 
 Every cell's counts are a first-order trigonometric series in phi, so the
 (beta1, gamma) count cells and the visibility cells are bound as arrays of
-alpha1, beta1 and gamma, the regime's constants as scalars, and the
-circuit's count tensor gives each cell's coefficients of (1, cos phi,
-sin phi), the real form in which it holds every angle.  The first comparison
-in a process builds the tensor in one batched run and one FFT per angle;
-later ones reuse it without running the circuit or an FFT.  The
-constants' axes (alpha2/beta2 and theta) are contracted first, with one
-product over the whole tensor, and only the cells' axes (the alpha1/beta1
-pair and gamma) are weighed per cell.
+alpha1, beta1 and gamma, the regime's constants as scalars, onto a fig1
+plan kept per splitter convention, and the circuit's count tensor gives
+each cell's coefficients of (1, cos phi, sin phi), the real form in which it
+holds every angle.  The first comparison in a process builds the tensor in
+one batched run; later ones reuse it, and the kept plan's structure, without
+running the circuit or redoing any structural work.  The constants' axes
+(alpha2/beta2 and theta) are contracted first, with one product over the
+whole tensor, and only the cells' axes (the alpha1/beta1 pair and gamma)
+are weighed per cell.
 
 Both closed-form families are first harmonics in phi too, so the comparison
 works on coefficients: each family's table in :mod:`qiup.reference` gives
-every count cell's coefficients of (1, cos phi, sin phi), those are
-subtracted from the engine's, and the deviation series are summed on the
-count grid with one product against the basis that sums every scan.  The
-transcribed forms are never evaluated.  The visibility cells' series are
-summed on the finer visibility grid, whose maximum and minimum give each
-visibility.
+every count cell's coefficients of (1, cos phi, sin phi), and those are
+subtracted from the engine's.  The transcribed forms are never evaluated,
+and no series is summed on its whole grid.  A first harmonic
+``a0 + A cos(phi - psi)`` takes its largest value on the grid
+``2*pi*k/N`` at one of the two nodes next to its phase psi, and its
+smallest at one of the two next to psi + pi, so each deviation series is
+evaluated at those four nodes only, for the largest deviation on the count
+grid, and each visibility cell's series at its four nodes of the
+visibility grid, whose largest and smallest count give its visibility.
+The cost of a comparison does not depend on the number of grid points.
 """
 from __future__ import annotations
 
 import math
+import operator
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import reference
-from .observables import _basis, _evaluate, _series, visibility
-from .plan import fig1_preset
+from .observables import _series, visibility
+from .plan import _fig1_plan
 
 DEFAULT_PHI_POINTS = 64
 DEFAULT_BETAS = tuple(round(0.1 * k, 10) for k in range(11))
@@ -45,6 +51,9 @@ DEFAULT_GAMMAS = tuple(k * math.pi / 4 for k in range(8))
 VISIBILITY_BETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 COUNT_TOL = 1e-9
 VISIBILITY_TOL = 1e-3
+#: The finest phi grid: on a finer one, the rounding of a phase in grid steps
+#: would approach the half step within which the extremes' nodes are found.
+MAX_PHI_POINTS = 2**40
 
 
 @dataclass(frozen=True)
@@ -99,8 +108,9 @@ def run_verification(
     bs_convention: str = "symmetric",
 ) -> VerificationReport:
     start = time.perf_counter()
-    phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
-    vis_phis = np.linspace(0.0, 2.0 * math.pi, max(phi_points, 256), endpoint=False)
+    phi_points = operator.index(phi_points)
+    if not 1 <= phi_points <= MAX_PHI_POINTS:
+        raise ValueError(f"the phi grid needs 1 to {MAX_PHI_POINTS} points, got {phi_points}")
     # the (beta1, gamma) count cells, beta1-major, then the visibility cells
     betas = np.repeat(DEFAULT_BETAS, len(DEFAULT_GAMMAS))
     gammas = np.tile(DEFAULT_GAMMAS, len(DEFAULT_BETAS))
@@ -111,26 +121,21 @@ def run_verification(
     # and the names that vary from cell to cell as arrays of all cells
     bindings = regime_params(0.0, 0.0)
     bindings.update(alpha1=np.sqrt(np.maximum(0.0, 1.0 - beta1 * beta1)), beta1=beta1, gamma=gamma)
-    plan = replace(fig1_preset(bindings), bs_convention=bs_convention)
-    frequency, series = _series(plan, "phi")
+    _, series = _series(_fig1_plan(bs_convention).bind(bindings), "phi")
 
-    # fig1's phi has f = 1: the forms' (1, cos phi, sin phi) are the first three
-    # entries of a cell's real form, and every higher harmonic is the engine's
-    engine = series[:, :cells]
     # reference H, V, then evolution H, V; a deviation is no count, so it is
     # not clipped at 0 as counts are
-    closed = np.zeros((4,) + engine.shape[1:])
+    engine = series[:, :cells]
     forms = np.concatenate((reference.REFERENCE_FORMS, reference.EVOLUTION_FORMS))
-    closed[..., :3] = reference.harmonics(forms, betas, gammas).swapaxes(1, 2)
-    basis = _basis(frequency, phis, engine.shape[-1] // 2)
-    deviation = (np.concatenate((engine, engine)) - closed) @ basis
-    worst = np.abs(deviation).max(axis=(1, 2), initial=0.0).tolist()
+    closed = reference.harmonics(forms, betas, gammas).swapaxes(1, 2)
+    deviation = _at_extremes(np.concatenate((engine, engine)) - closed, phi_points)
+    worst = np.abs(deviation).max(axis=(1, 2)).tolist()
 
-    vis_counts = _evaluate(frequency, series[1, cells:], vis_phis)
+    vis_counts = np.maximum(_at_extremes(series[1, cells:], max(phi_points, 256)), 0.0)
     expected = reference.visibility_closed(beta1[cells:]).tolist()
     dev_vis = 0.0
     for nv, want in zip(vis_counts, expected):
-        dev_vis = max(dev_vis, abs(visibility(nv, vis_phis).value - want))
+        dev_vis = max(dev_vis, abs(visibility(nv).value - want))
 
     return VerificationReport(
         max_dev_nh=worst[0],
@@ -138,6 +143,31 @@ def run_verification(
         max_dev_nh_evolution=worst[2],
         max_dev_nv_evolution=worst[3],
         max_dev_visibility=dev_vis,
-        grid_points=cells * len(phis),
+        grid_points=cells * phi_points,
         elapsed_seconds=time.perf_counter() - start,
     )
+
+
+def _at_extremes(series: np.ndarray, points: int) -> np.ndarray:
+    """(..., 4): each first harmonic ``a0 + a1 cos phi + b1 sin phi`` of
+    ``series`` (..., 3) at the four nodes of the grid ``2*pi*k/points`` among
+    which its largest and its smallest value on that grid lie.
+
+    With ``a1 cos phi + b1 sin phi = A cos(phi - psi)``, the largest value
+    sits at one of the two nodes next to psi and the smallest at one of the
+    two next to psi + pi: in grid steps, ``floor(x) + {0, 1}`` for ``x =
+    psi*points/(2*pi)`` and for ``x + points/2``, mod ``points``.  The 1 is
+    added after the floor, so that rounding ``x + 1`` cannot step over a
+    node.  Cosines and sines are taken at those nodes only.  A series of
+    another length is no first harmonic and raises ``ValueError``."""
+    if series.shape[-1] != 3:
+        raise ValueError(
+            f"grid extremes need first harmonics (a0, a1, b1), got {series.shape[-1]} coefficients"
+        )
+    turn = np.arctan2(series[..., 2], series[..., 1]) * (points / (2.0 * math.pi))
+    half = points / 2.0
+    nodes = np.floor(turn[..., None] + (0.0, 0.0, half, half)).astype(np.int64)
+    nodes = (nodes + (0, 1, 0, 1)) % points
+    angles = nodes * (2.0 * math.pi / points)  # as linspace puts them
+    return (series[..., :1] + series[..., 1:2] * np.cos(angles)
+            + series[..., 2:] * np.sin(angles))

@@ -89,6 +89,18 @@ def manual_fig1(*args, **kwargs) -> BiphotonState:
     return state
 
 
+def count_calls(monkeypatch, cls, name):
+    """A list that grows by one at each call of ``cls.name`` from now on."""
+    calls, method = [], getattr(cls, name)
+
+    def counted(*args):
+        calls.append(args[1:])
+        return method(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def record_runs(monkeypatch) -> list[dict]:
     """The bindings of every run_plan call that observables makes from now on.
 

@@ -668,6 +668,13 @@ class TestVerify:
         assert "--grid-points must be at least 1" in err
         assert "zero-size array" not in err
 
+    def test_a_million_grid_points_cost_what_the_default_does(self, capsys):
+        assert cli.main(["verify", "--grid-points", "1000000"]) == 3
+        out = capsys.readouterr().out
+        assert "count grid: 88000000 points in " in out
+        assert "max|dN_H| vs reference closed form: 0.435533 (" in out
+        assert "max|dN_V| vs reference closed form: 0.8125 (" in out
+
     def test_hadamard_convention_also_mismatches(self, capsys):
         assert cli.main(["verify", "--grid-points", "4",
                          "--bs-convention", "hadamard"]) == 3

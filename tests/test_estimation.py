@@ -246,6 +246,14 @@ class TestSimulateMeasurement:
         monkeypatch.undo()
         assert simulate_measurement(scan, shots=10**300, seed=0).counts.tolist() == [[0, 0]] * 2
 
+    @pytest.mark.parametrize("expectation", [0.5, 0.0], ids=["counts", "zeros"])
+    def test_shots_beyond_the_string_conversion_limit_refused(self, expectation, monkeypatch):
+        # Python refuses to convert an int of more than 4300 digits to a string
+        scan = FringeScan((0.0, 1.0), (CountResult(expectation, expectation),) * 2, "o")
+        monkeypatch.setattr(np.random, "Generator", lambda *args: pytest.fail("drew counts"))
+        with pytest.raises(ValueError, match=r"shots=~10\^5000 is beyond the Poisson sampler's range"):
+            simulate_measurement(scan, shots=10**5000, seed=0)
+
     def test_shots_within_the_poisson_range_draw(self):
         scan = FringeScan((0.0, 1.0), (CountResult(1.0, 0.0), CountResult(0.5, 0.25)), "o'")
         noisy = simulate_measurement(scan, shots=2**62, seed=5)

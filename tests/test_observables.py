@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import dense_model
 from conftest import CIRCUITS_DIR
-from engine_helpers import assert_fig1_tensor_run, manual_fig1, record_runs
+from engine_helpers import assert_fig1_tensor_run, count_calls, manual_fig1, record_runs
 from qiup.errors import PreparationConflictError, QiupWarning
 from qiup.estimation import read_counts_csv
 from qiup.modes import Band, Mode, ModePair, Polarization, SourceTag
@@ -823,18 +823,6 @@ def test_checks_raise_what_a_run_raises(params, message):
         with pytest.raises(ValueError) as err:
             call()
         assert message in str(err.value)
-
-
-def count_calls(monkeypatch, cls, name):
-    """A list that grows by one at each call of ``cls.name`` from now on."""
-    calls, method = [], getattr(cls, name)
-
-    def counted(*args):
-        calls.append(args[1:])
-        return method(*args)
-
-    monkeypatch.setattr(cls, name, counted)
-    return calls
 
 
 class TestStructure:

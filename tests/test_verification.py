@@ -5,15 +5,25 @@ Each deviation it reports must equal the maximum over the count grid of
 scans, while the transcribed forms themselves are never called.
 """
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from engine_helpers import count_calls
 from qiup import reference, verification
+from qiup.dsl import STATEMENTS
 from qiup.observables import fringe_scan
-from qiup.plan import fig1_preset
-from qiup.verification import DEFAULT_BETAS, DEFAULT_GAMMAS, regime_params, run_verification
+from qiup.plan import CircuitPlan, fig1_preset
+from qiup.verification import (
+    DEFAULT_BETAS,
+    DEFAULT_GAMMAS,
+    MAX_PHI_POINTS,
+    _at_extremes,
+    regime_params,
+    run_verification,
+)
 
 FORMS = ("nh_closed", "nv_closed", "nh_evolution", "nv_evolution")
 FIELDS = ("max_dev_nh", "max_dev_nv", "max_dev_nh_evolution", "max_dev_nv_evolution")
@@ -35,7 +45,7 @@ def brute_force_deviations(phi_points: int, bs_convention: str) -> list[float]:
 
 
 @pytest.mark.parametrize("bs_convention", ["symmetric", "hadamard"])
-@pytest.mark.parametrize("phi_points", [1, 2, 3, 4, 7, 64])
+@pytest.mark.parametrize("phi_points", [1, 2, 3, 4, 7, 64, 256])
 def test_deviations_are_the_grid_maxima(phi_points, bs_convention):
     report = run_verification(phi_points=phi_points, bs_convention=bs_convention)
     assert report.grid_points == 88 * phi_points
@@ -55,3 +65,71 @@ def test_never_evaluates_the_transcribed_forms(monkeypatch):
             monkeypatch.setattr(module, name, transcribed, raising=False)
     again = run_verification()
     assert replace(again, elapsed_seconds=0.0) == replace(report, elapsed_seconds=0.0)
+
+
+@pytest.mark.parametrize("bs_convention", ["symmetric", "hadamard"])
+def test_no_structural_work_per_call(bs_convention, monkeypatch):
+    report = run_verification(bs_convention=bs_convention)
+    degrees = count_calls(monkeypatch, CircuitPlan, "harmonic_degree")
+    hashes = [count_calls(monkeypatch, cls, "__hash__")
+              for cls in {cls for cls, _ in STATEMENTS.values()}]
+    again = run_verification(bs_convention=bs_convention)
+    assert degrees == [] and all(calls == [] for calls in hashes)
+    assert replace(again, elapsed_seconds=0.0) == replace(report, elapsed_seconds=0.0)
+
+
+def test_memory_does_not_grow_with_the_grid():
+    run_verification(phi_points=10**6)
+    tracemalloc.start()
+    try:
+        report = run_verification(phi_points=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.grid_points == 88 * 10**6
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("phi_points", [0, -1, MAX_PHI_POINTS + 1])
+def test_grid_outside_its_range_refused(phi_points):
+    with pytest.raises(ValueError, match=f"needs 1 to {MAX_PHI_POINTS} points, got {phi_points}"):
+        run_verification(phi_points=phi_points)
+
+
+POINTS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 256, 1000]
+
+
+def extremes_cases() -> list[tuple[float, float, float]]:
+    """(a0, a1, b1): seeded random series, then for each grid the phases on
+    a node, halfway between two, one ulp to either side of each and of
+    +-pi, and a series without a fringe."""
+    rng = np.random.default_rng(3001)
+    cases = [tuple(row) for row in rng.normal(size=(200, 3))]
+    cases += [(0.25, 0.0, 0.0), (-0.5, 0.0, -0.0), (0.0, 0.0, 0.0)]
+    for points in POINTS:
+        for k in range(min(points, 8)):
+            for psi in (2.0 * math.pi * k / points, 2.0 * math.pi * (k + 0.5) / points):
+                for angle in (psi, np.nextafter(psi, -np.inf), np.nextafter(psi, np.inf)):
+                    cases.append((0.3, 1.7 * math.cos(angle), 1.7 * math.sin(angle)))
+    # one ulp below pi, psi*N/(2*pi) reads 31.999999999999996 for N = 64,
+    # and rounding it plus 1 would step over the node at pi
+    for angle in (math.pi, np.nextafter(math.pi, 0.0), np.nextafter(-math.pi, 0.0)):
+        cases.append((-0.1, 2.0 * math.cos(angle), 2.0 * math.sin(angle)))
+    return cases
+
+
+@pytest.mark.parametrize("points", POINTS)
+def test_extremes_are_the_grid_extremes(points):
+    series = np.array(extremes_cases())
+    phis = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
+    grid = series[:, :1] + series[:, 1:2] * np.cos(phis) + series[:, 2:] * np.sin(phis)
+    found = _at_extremes(series, points)
+    scale = np.abs(series[:, 0]) + np.hypot(series[:, 1], series[:, 2])
+    assert (np.abs(found.max(axis=1) - grid.max(axis=1)) <= 1e-15 * scale).all()
+    assert (np.abs(found.min(axis=1) - grid.min(axis=1)) <= 1e-15 * scale).all()
+
+
+@pytest.mark.parametrize("length", [1, 2, 5])
+def test_extremes_refuse_other_series(length):
+    with pytest.raises(ValueError, match=f"first harmonics .* got {length} coefficients"):
+        _at_extremes(np.ones((2, length)), 8)
