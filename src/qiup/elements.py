@@ -34,6 +34,7 @@ BS_CONVENTIONS = {
     "symmetric": np.array([[1.0, 1.0j], [1.0j, 1.0]]) * SQRT_HALF,
     "hadamard": np.array([[1.0, 1.0], [1.0, -1.0]]) * SQRT_HALF,
 }
+_NORM_TOL = 1e-10
 
 
 def bs_matrix(convention: str) -> np.ndarray:
@@ -85,7 +86,7 @@ def _check_preparation(alpha, beta, rel_phase) -> None:
     if not _holds(ok):
         raise ValueError("preparation amplitudes must be nonnegative" + _at_failure(ok)[-1])
     norm = alpha**2 + beta**2
-    ok = abs(norm - 1.0) <= 1e-10
+    ok = abs(norm - 1.0) <= _NORM_TOL
     if not _holds(ok):
         norm, note = _at_failure(ok, norm)
         raise ValueError(f"alpha^2 + beta^2 must be 1, got {norm!r}{note}")

@@ -422,14 +422,12 @@ class _CountTensor:
         values = _kron([axis.scalar_weights(bindings) for axis in scalars]) @ layout
         if not cells:
             return values
-        values = values.reshape(2, 1, -1)  # (channel, cell, nodes)
-        for axis in cells:
-            weights = axis.cell_weights(bindings)
-            rows = values.reshape(2, values.shape[1], weights.shape[1], -1)
-            # one product for every cell, until cells come in; then per cell
-            values = (weights @ rows[:, 0] if values.shape[1] == 1
-                      else weights[:, None, :] @ rows)
-        return values.reshape(2, values.shape[1], -1)
+        # each cell's weights of every cell axis, multiplied out row by row
+        weights = cells[0].cell_weights(bindings)
+        for axis in cells[1:]:
+            row = axis.cell_weights(bindings)
+            weights = (weights[:, :, None] * row[:, None, :]).reshape(len(row), -1)
+        return weights @ values.reshape(2, weights.shape[1], -1)
 
     def contraction(self, sweep: str, arrays: frozenset) -> tuple:
         """(scalar axes, cell axes, layout) of a sweep with the names
@@ -437,14 +435,13 @@ class _CountTensor:
         whose names are all bound to scalars first, flattened to (2, K,
         rest), contiguous and read-only, so that the Kronecker product of
         their weights contracts them in one product.  The axes bound to
-        arrays follow, longest first, which leaves the least to contract per
-        cell, and the sweep's comes last."""
+        arrays follow, in the tensor's order, so that each cell's product of
+        their weights contracts them in one more, and the sweep's comes
+        last."""
         at = next(k for k, axis in enumerate(self.axes) if axis.names == (sweep,))
-        cells, scalars = [], []
-        for k, axis in enumerate(self.axes):
-            if k != at:
-                (cells if arrays.intersection(axis.names) else scalars).append(k)
-        cells.sort(key=lambda k: -len(self.axes[k]))
+        others = [k for k in range(len(self.axes)) if k != at]
+        cells = [k for k in others if arrays.intersection(self.axes[k].names)]
+        scalars = [k for k in others if k not in cells]
         order = (*scalars, *cells, at)
         layout = np.ascontiguousarray(self.series.transpose(0, *(k + 1 for k in order)))
         layout = layout.reshape(2, math.prod(len(self.axes[k]) for k in scalars), -1)

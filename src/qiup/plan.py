@@ -28,6 +28,7 @@ from .dsl import (
     WavePlateStmt,
 )
 from .elements import (
+    _NORM_TOL,
     MergeRule,
     PreparationSpec,
     WavePlateSetting,
@@ -401,8 +402,6 @@ detect o' signal
 """
 
 FIG1_PARAMETERS = ("alpha1", "beta1", "gamma", "alpha2", "beta2", "phi", "theta")
-
-_NORM_TOL = 1e-10
 
 
 _FIG1_PLANS: dict[str, CircuitPlan] = {}

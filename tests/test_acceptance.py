@@ -63,8 +63,8 @@ def test_a1_oracle_equivalence():
         f"max|dN_H|={result.max_dev_nh:.6g}, max|dN_V|={result.max_dev_nv:.6g} "
         f"(tolerance 1e-9). The engine does match the unitarity-consistent "
         f"closed forms to {max(result.max_dev_nh_evolution, result.max_dev_nv_evolution):.3g} "
-        "on the same grid, and both families share the fringe visibility "
-        "4*beta1/5; the reference horizontal form contains fringe terms no "
+        "on the same grid, and at gamma = 0 both families share the fringe "
+        "visibility 4*beta1/5; the reference horizontal form contains fringe terms no "
         "interference pathway of this network can produce. "
         "See README 'Known discrepancies'."
     )

@@ -964,7 +964,6 @@ CELL_CIRCUITS = {
     "distinguishable_mzi": ((("phi",), ("theta",)), ("phi", "theta")),
     "waveplate_prep": ((("phi",), ("h",), ("q",), ("t",)), ("phi", "h", "q", "t")),
 }
-CELLS = 3
 
 
 def draw_unit(unit, rng):
@@ -976,21 +975,21 @@ def draw_unit(unit, rng):
     return {unit[0]: rng.uniform(0.0, 2.0 * math.pi)}
 
 
-def cell_bindings(units, kinds, rng):
-    """(bindings, rows): each unit bound per its kind to ``CELLS`` cells of
+def cell_bindings(units, kinds, size, rng):
+    """(bindings, rows): each unit bound per its kind to ``size`` cells of
     its own values ("cells"), to one value as scalars ("scalar"), or to one
     value with its first name an array that repeats it ("repeated"); and the
     scalar bindings of every cell."""
-    bindings, rows = {}, [{} for _ in range(CELLS)]
+    bindings, rows = {}, [{} for _ in range(size)]
     for unit, kind in zip(units, kinds):
         if kind == "cells":
-            values = [draw_unit(unit, rng) for _ in range(CELLS)]
+            values = [draw_unit(unit, rng) for _ in range(size)]
             bindings.update({name: np.array([v[name] for v in values]) for name in unit})
         else:
-            values = [draw_unit(unit, rng)] * CELLS
+            values = [draw_unit(unit, rng)] * size
             bindings.update(values[0])
             if kind == "repeated":
-                bindings[unit[0]] = np.full(CELLS, values[0][unit[0]])
+                bindings[unit[0]] = np.full(size, values[0][unit[0]])
         for row, value in zip(rows, values):
             row.update(value)
     return bindings, rows
@@ -1005,22 +1004,24 @@ def circuit_plan(circuit, bindings):
 
 @given(circuit=st.sampled_from(sorted(CELL_CIRCUITS)), data=st.data())
 def test_scalar_axes_first_gives_each_cells_counts(circuit, data):
-    """Any names bound to cells, the rest scalars: the count tensor folds the
-    scalar axes first, and each cell's series is still its own."""
+    """Any names bound to any number of cells, one included, the rest
+    scalars: the count tensor folds the scalar axes first, then weighs every
+    cell at once, and each cell's series is still its own."""
     units, sweeps = CELL_CIRCUITS[circuit]
     sweep = data.draw(st.sampled_from(sweeps), label="sweep")
     others = [unit for unit in units if unit != (sweep,)]
     kinds = data.draw(st.lists(st.sampled_from(["scalar", "cells", "repeated"]),
                                min_size=len(others), max_size=len(others)), label="kinds")
+    size = data.draw(st.sampled_from([1, 3, 7]), label="cells")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    bindings, rows = cell_bindings(others, kinds, rng)
+    bindings, rows = cell_bindings(others, kinds, size, rng)
     bindings[sweep] = 0.0
     plan = circuit_plan(circuit, bindings)
     frequency, coeffs = harmonic_coefficients(plan, sweep)
     assert tensor_of(plan) is not None
     cells = any(isinstance(v, np.ndarray) for v in bindings.values())
     coeffs = coeffs if cells else coeffs[:, None]
-    assert coeffs.shape[1] == (CELLS if cells else 1)
+    assert coeffs.shape[1] == (size if cells else 1)
     grid = rng.uniform(0.0, 2.0 * math.pi, 4)
     for i in range(coeffs.shape[1]):
         cell = dict(rows[i], **{sweep: 0.0})

@@ -14,12 +14,13 @@ import pytest
 from engine_helpers import count_calls
 from qiup import reference, verification
 from qiup.dsl import STATEMENTS
-from qiup.observables import fringe_scan
+from qiup.observables import fringe_scan, visibility
 from qiup.plan import CircuitPlan, fig1_preset
 from qiup.verification import (
     DEFAULT_BETAS,
     DEFAULT_GAMMAS,
     MAX_PHI_POINTS,
+    VISIBILITY_BETAS,
     _at_extremes,
     regime_params,
     run_verification,
@@ -133,3 +134,25 @@ def test_extremes_are_the_grid_extremes(points):
 def test_extremes_refuse_other_series(length):
     with pytest.raises(ValueError, match=f"first harmonics .* got {length} coefficients"):
         _at_extremes(np.ones((2, length)), 8)
+
+
+@pytest.mark.parametrize("bs_convention", ["symmetric", "hadamard"])
+@pytest.mark.parametrize("points", POINTS)
+def test_visibility_figure_is_the_per_cell_visibility(points, bs_convention, monkeypatch):
+    """The one-expression visibility figure equals, bit for bit, the largest
+    |visibility(row).value - 4*beta1/5| over the five visibility cells'
+    clipped rows at their grid extremes."""
+    rows = []
+
+    def recorded(series, grid):
+        found = _at_extremes(series, grid)
+        rows.append(found)
+        return found
+
+    monkeypatch.setattr(verification, "_at_extremes", recorded)
+    report = run_verification(phi_points=points, bs_convention=bs_convention)
+    counts = np.maximum(rows[-1], 0.0)
+    assert counts.shape == (len(VISIBILITY_BETAS), 4)
+    want = max(abs(visibility(row).value - 4.0 * beta1 / 5.0)
+               for row, beta1 in zip(counts, VISIBILITY_BETAS))
+    assert report.max_dev_visibility == want
