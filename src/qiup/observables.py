@@ -33,9 +33,10 @@ from .state import BiphotonState
 TENSOR_MAX_MEMBERS = 8192
 #: How many circuits keep their count tensors.
 TENSOR_CACHE_SIZE = 4
-#: A harmonic m >= 1 at or below this many times the largest count of the
-#: tensor or of the sampled run is rounding and reads 0: the scale-free
-#: visibility would turn it into a fringe on a channel that has none.
+#: A coefficient of a series, a_0 included, at or below twice this many times
+#: the largest count of the tensor or of the sampled run is rounding and
+#: reads 0: the scale-free visibility would turn it into a fringe on a
+#: channel that has none, or a flat channel on one that is empty.
 HARMONIC_FLOOR = 64 * np.finfo(float).eps
 
 
@@ -196,7 +197,7 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
     phis = _grid(grid)
     _check_grid(phis)
     if len(phis):
-        values = _evaluate(*_series(plan, sweep), phis)
+        values = _evaluate(*harmonic_coefficients(plan, sweep), phis)
     else:
         _checked(plan, sweep)  # the refusals and checks of a nonempty grid, without a run
         values = np.empty((2, 0))
@@ -230,15 +231,16 @@ def _checked(plan: CircuitPlan, sweep: str) -> tuple[int, int]:
 
 
 def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarray]:
-    """(f, c): the harmonic series of the detect-path counts in ``sweep``.
+    """(f, s): the harmonic series of the detect-path counts in ``sweep``.
 
-    Each count is ``c_0 + 2 Re sum_m c_m e^{i m f x}`` over harmonics
-    m = 0..D, with the frequency f and the degree D of
+    Each count is ``a_0 + sum_m a_m cos(m f x) + b_m sin(m f x)`` over
+    harmonics m = 1..D, with the frequency f and the degree D of
     :meth:`CircuitPlan.harmonic_degree`.  The counts at the ``2D + 1``
-    equispaced values ``2*pi*j/((2D + 1)*f)`` fix the series exactly; ``c``
-    holds its coefficients, shape (2, D + 1) over the H and V channels.
-    When other parameters are bound to arrays of C cells, ``c`` has shape
-    (2, C, D + 1), one series per cell.
+    equispaced values ``2*pi*j/((2D + 1)*f)`` fix the series exactly; ``s``
+    holds its real table ``(a_0, a_1, b_1, ..., a_D, b_D)``, shape
+    (2, 2D + 1) over the H and V channels.  When other parameters are bound
+    to arrays of C cells, ``s`` has shape (2, C, 2D + 1), one table per
+    cell.  A harmonic's amplitude is ``hypot(a_m, b_m)``.
 
     The series comes from the circuit's count tensor, built by one batched
     run of the unbound circuit over a product grid of nodes of every free
@@ -246,13 +248,12 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
     keyed by the plan's structure (sources, pipeline, detect path and band
     and splitter convention): a plan hashes it once and :meth:`~CircuitPlan.bind`
     hands it on, so a re-bound plan reaches its tensor with no rehash or
-    pipeline walk.  It holds every axis in the real Fourier form ``(a_0,
-    a_1, b_1, ..., a_D, b_D)`` of the counts in its t: f*x for an angle x,
-    and ``chi = atan2(beta, alpha)`` for a preparation whose ``alpha`` and
-    ``beta`` are two ``$`` names used nowhere else.  A call weighs every
-    axis but the sweep's at the bound values and returns the sweep's real
-    form as ``c_0 = a_0``, ``c_m = (a_m - i b_m)/2``, without running the
-    circuit.  A pair is evaluated on the unit circle, at ``(alpha, beta) /
+    pipeline walk.  It holds every axis in the same real form of the counts
+    in its t: f*x for an angle x, and ``chi = atan2(beta, alpha)`` for a
+    preparation whose ``alpha`` and ``beta`` are two ``$`` names used
+    nowhere else.  A call weighs every axis but the sweep's at the bound
+    values and returns the sweep's table, without running the circuit.  A
+    pair is evaluated on the unit circle, at ``(alpha, beta) /
     sqrt(alpha^2 + beta^2)``: one off it by eps (at most 1e-10 passes the
     checks) may differ from a run by about eps times the coefficients.  A
     circuit without a tensor (a free name of neither kind, a grid above
@@ -271,20 +272,12 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
     and each preparation checks its bound amplitudes and phase, naming the
     failing cell.
 
-    Either way, a harmonic m >= 1 whose magnitude is at most
-    :data:`HARMONIC_FLOOR` times the largest count of the tensor or of the
-    run is set to 0: it is interpolation or rounding residue, and a channel
-    that vanishes would otherwise show it as a fringe of any visibility.
+    Either way, every coefficient, ``a_0`` included, whose magnitude is at
+    most twice :data:`HARMONIC_FLOOR` times the largest count of the tensor
+    or of the run is set to 0: it is interpolation or rounding residue, and
+    a channel that vanishes would otherwise show it as a fringe of any
+    visibility, or as a flat channel that is not empty.
     """
-    frequency, series = _series(plan, sweep)
-    waves = (series[..., 1::2] - 1j * series[..., 2::2]) / 2.0
-    return frequency, np.concatenate((series[..., :1], waves), axis=-1)
-
-
-def _series(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarray]:
-    """(f, s): :func:`harmonic_coefficients`' series, checks and floor, with
-    ``s`` in the real form ``(a_0, a_1, b_1, ..., a_D, b_D)`` of each count
-    a_0 + sum_m a_m cos(m f x) + b_m sin(m f x); |c_m| = hypot(a_m, b_m)/2."""
     frequency, degree = _checked(plan, sweep)
     tensor = _count_tensor(plan._structure)
     if tensor is None:
@@ -296,9 +289,7 @@ def _series(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarray]:
     else:
         largest = tensor.largest
         series = tensor.sweep_series(plan.bindings, sweep)
-    cosines, sines = series[..., 1::2], series[..., 2::2]
-    small = np.hypot(cosines, sines) <= 2.0 * HARMONIC_FLOOR * largest
-    cosines[small] = sines[small] = 0.0
+    series[np.abs(series) <= 2.0 * HARMONIC_FLOOR * largest] = 0.0
     return frequency, series
 
 
@@ -479,16 +470,6 @@ def _real_form(values: np.ndarray, axis: _Axis, at: int) -> np.ndarray:
     return np.moveaxis(series, -1, at)
 
 
-def _real(coeffs: np.ndarray) -> np.ndarray:
-    """The real form of ``c_0 + 2 Re sum_m c_m e^{i m t}``, ``coeffs`` (..., D + 1):
-    a_0 = Re c_0, a_m = 2 Re c_m and b_m = -2 Im c_m."""
-    form = np.empty(coeffs.shape[:-1] + (2 * coeffs.shape[-1] - 1,))
-    form[..., 0] = coeffs[..., 0].real
-    form[..., 1::2] = 2.0 * coeffs[..., 1:].real
-    form[..., 2::2] = -2.0 * coeffs[..., 1:].imag
-    return form
-
-
 def _basis(frequency: int, grid, degree: int) -> np.ndarray:
     """(2D + 1, N), read-only: the rows (1, cos f x, sin f x, ..., cos D f x,
     sin D f x) at the N points x of the one-dimensional ``grid``, as powers
@@ -515,7 +496,8 @@ def _build_basis(frequency: int, grid: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _evaluate(frequency: int, series: np.ndarray, grid) -> np.ndarray:
-    """Counts at ``grid`` from :func:`_series`' (f, s): shape (..., len(grid))."""
+    """Counts at ``grid`` from :func:`harmonic_coefficients`' (f, s): shape
+    (..., len(grid))."""
     values = series @ _basis(frequency, grid, series.shape[-1] // 2)
     # squared magnitudes: clip rounding below zero where a count vanishes
     return np.maximum(values, 0.0)
@@ -566,17 +548,23 @@ def _count_tensor(structure: _Structure) -> _CountTensor | None:
 
 def harmonic_series(coeffs: np.ndarray, frequency: int,
                     grid: Iterable[float]) -> np.ndarray:
-    """Counts at ``grid`` from :func:`harmonic_coefficients`' (f, c).
+    """Counts at ``grid`` from :func:`harmonic_coefficients`' (f, s).
 
-    ``coeffs`` has shape (..., D + 1); the result has shape (..., N) for a
-    grid of N values.  ``grid`` is any one-dimensional iterable of numbers,
-    in any order; one that is not, or that holds a value that is not
-    finite, raises ``ValueError`` before anything is evaluated.
+    ``coeffs`` is a real table ``(a_0, a_1, b_1, ..., a_D, b_D)`` along its
+    last axis, shape (..., 2D + 1); the result has shape (..., N) for a grid
+    of N values.  A complex table, or one whose last axis has even length,
+    raises ``ValueError``.  ``grid`` is any one-dimensional iterable of
+    numbers, in any order; one that is not, or that holds a value that is
+    not finite, raises ``ValueError`` before anything is evaluated.
     """
+    series = np.asarray(coeffs)
+    if series.dtype.kind == "c" or series.ndim == 0 or series.shape[-1] % 2 == 0:
+        raise ValueError("harmonic_series needs a real table (a_0, a_1, b_1, ..., a_D, b_D) "
+                         f"of odd length, got {series.dtype} of shape {series.shape}")
     phis = _grid(grid)
     if not np.isfinite(phis).all():
         raise ValueError("grid values must be finite")
-    return _evaluate(frequency, _real(coeffs), phis)
+    return _evaluate(frequency, series, phis)
 
 
 def visibility(

@@ -404,27 +404,26 @@ detect o' signal
 FIG1_PARAMETERS = ("alpha1", "beta1", "gamma", "alpha2", "beta2", "phi", "theta")
 
 
-_FIG1_PLANS: dict[str, CircuitPlan] = {}
-
-
-def _fig1_plan(bs_convention: str = "symmetric") -> CircuitPlan:
+@functools.cache
+def _fig1_plan(bs_convention: str) -> CircuitPlan:
     """The unbound preset under ``bs_convention``, compiled on first use and
     kept, one plan per convention, so that each hashes its structure once
     and a plan bound from it hands that structure on; ``bind`` never
     mutates it.  An unknown convention raises ``ValueError``."""
-    if bs_convention not in _FIG1_PLANS:
-        plan, diagnostics = compile_text(FIG1_SOURCE)
-        assert plan is not None, diagnostics
-        _FIG1_PLANS[bs_convention] = replace(plan, bs_convention=bs_convention)
-    return _FIG1_PLANS[bs_convention]
+    plan, diagnostics = compile_text(FIG1_SOURCE)
+    assert plan is not None, diagnostics
+    return replace(plan, bs_convention=bs_convention)
 
 
 def fig1_preset(params: Mapping[str, float]) -> CircuitPlan:
-    """The built-in circuit with all seven parameters bound (angles in radians).
+    """The built-in circuit with its seven parameters bound, and no other
+    name (angles in radians).
 
     Values may be 1-D arrays of one length, as for :meth:`CircuitPlan.bind`.
     Raises :class:`PlanError` with code ``E_MISSING_PARAM`` when a parameter
-    is absent and ``E_NORM`` when either amplitude pair is not normalized.
+    is absent, ``E_NORM`` when either amplitude pair is not normalized, and
+    then what :meth:`CircuitPlan.bind` raises: ``E_UNKNOWN_PARAM`` for a
+    name that is not one of the seven.
     """
     missing = [name for name in FIG1_PARAMETERS if name not in params]
     if missing:
@@ -435,4 +434,4 @@ def fig1_preset(params: Mapping[str, float]) -> CircuitPlan:
         if not _holds(ok):
             norm, note = _at_failure(ok, norm)
             raise PlanError("E_NORM", f"{a}^2 + {b}^2 = {norm!r}, expected 1{note}")
-    return _fig1_plan().bind({name: params[name] for name in FIG1_PARAMETERS})
+    return _fig1_plan("symmetric").bind(params)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference
-from .observables import _series
+from .observables import harmonic_coefficients
 from .plan import _fig1_plan
 
 DEFAULT_PHI_POINTS = 64
@@ -124,7 +124,7 @@ def run_verification(
     # and the names that vary from cell to cell as arrays of all cells
     bindings = regime_params(0.0, 0.0)
     bindings.update(alpha1=np.sqrt(np.maximum(0.0, 1.0 - beta1 * beta1)), beta1=beta1, gamma=gamma)
-    _, series = _series(_fig1_plan(bs_convention).bind(bindings), "phi")
+    _, series = harmonic_coefficients(_fig1_plan(bs_convention).bind(bindings), "phi")
 
     # reference H, V, then evolution H, V; a deviation is no count, so it is
     # not clipped at 0 as counts are

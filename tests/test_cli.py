@@ -12,6 +12,7 @@ import pytest
 from conftest import CIRCUITS_DIR, REPO_ROOT
 from engine_helpers import record_runs
 from qiup import cli
+from qiup.errors import QiupWarning
 from qiup.estimation import fit, format_counts_csv, read_counts_csv, simulate_measurement
 from qiup.observables import CountResult, FringeScan, fringe_scan
 from qiup.plan import fig1_preset, run_plan
@@ -211,6 +212,21 @@ class TestScan:
             assert vis <= 1e-12
         else:
             assert vis == pytest.approx(0.2965, abs=1e-4)
+
+    def test_a_vanishing_channel_prints_zero_and_warns(self, capsys):
+        # theta = 0 and source 2's signal prepared H: N_V is exactly 0, and
+        # the scan prints no rounding residue of its series as a flat channel
+        params = ["alpha1=0.6", "beta1=0.8", "gamma=1", "alpha2=1", "beta2=0", "theta=0"]
+        argv = ["scan", "--preset", "fig1", "--points", "8"]
+        for param in params:
+            argv += ["--param", param]
+        with pytest.warns(QiupWarning, match="all-zero channel"):
+            assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        rows = out.splitlines()
+        assert rows[0] == "phi,n_h,n_v" and len(rows) == 9
+        assert [row.split(",")[2] for row in rows[1:]] == ["0"] * 8
+        assert "visibility=0 " in err
 
     def test_theta_sweep_has_no_visibility_line(self, tmp_path, capsys):
         out = tmp_path / "theta.csv"

@@ -1,10 +1,14 @@
-"""No module of ``qiup`` keeps a module-level import it never uses.
+"""No module of ``qiup`` keeps a module-level import it never uses, and no
+private module-level name goes unread.
 
 Read with the standard library's ``ast``: a name that a module-level
 ``import`` or ``from ... import`` binds must appear as a name somewhere
 else in its module, or in the module's ``__all__``.  The package's
 ``__init__`` re-exports names on purpose and is exempt, and so is
-``from __future__``, which binds nothing.
+``from __future__``, which binds nothing.  A private name (``_x``, not a
+dunder) that a module-level ``def``, ``class`` or assignment binds must be
+read somewhere in the package besides its own definition: as a name, as an
+attribute or as the name a ``from ... import`` takes.
 """
 import ast
 from pathlib import Path
@@ -48,3 +52,61 @@ def test_no_unused_module_level_import(module):
 ])
 def test_unused_imports_found(source, unused):
     assert unused_imports(source) == unused
+
+
+def definitions(stmt: ast.stmt) -> list[str]:
+    """The private names that the module-level statement ``stmt`` binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def reads(node: ast.AST) -> set[str]:
+    """Every name that ``node`` reads as a name, an attribute or an import."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level names of ``sources`` (module name to text)
+    that no module-level statement of any of them reads, other than the one
+    that defines the name."""
+    statements = [(module, stmt) for module, source in sources.items()
+                  for stmt in ast.parse(source).body]
+    read = [reads(stmt) for _, stmt in statements]
+    unread = []
+    for k, (module, stmt) in enumerate(statements):
+        for name in definitions(stmt):
+            if not any(name in names for j, names in enumerate(read) if j != k):
+                unread.append(f"{module}:{name} (line {stmt.lineno})")
+    return unread
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+@pytest.mark.parametrize("sources, unread", [
+    ({"a.py": "def _f(): pass\n"}, ["a.py:_f (line 1)"]),
+    ({"a.py": "def _f(): pass\ndef g(): return _f()\n"}, []),
+    ({"a.py": "def _f(): return _f()\n"}, ["a.py:_f (line 1)"]),
+    ({"a.py": "_X: int = 1\n__all__ = []\n_Y = 2\nprint(_Y)\n"}, ["a.py:_X (line 1)"]),
+    ({"a.py": "class _C: pass\n", "b.py": "from . import a\na._C()\n"}, []),
+    ({"a.py": "_Z = 1\n", "b.py": "from .a import _Z as z\n"}, []),
+])
+def test_unread_private_names_found(sources, unread):
+    assert unread_private_names(sources) == unread

@@ -177,7 +177,8 @@ class TestFringeScan:
     @pytest.mark.parametrize("grid", NON_FINITE_GRIDS)
     def test_non_finite_grid_refused_before_any_evaluation(self, grid, monkeypatch):
         plan = fig1_preset(regime_params(0.5, 0.0))
-        monkeypatch.setattr(observables, "_series", lambda *args: pytest.fail("evaluated"))
+        monkeypatch.setattr(observables, "harmonic_coefficients",
+                            lambda *args: pytest.fail("evaluated"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="scan grid values must be finite"):
@@ -471,7 +472,7 @@ class TestHarmonicScan:
         calls = record_runs(monkeypatch)
         frequency, coeffs = harmonic_coefficients(plan, sweep)
         degree = plan.harmonic_degree(sweep)[1]
-        assert coeffs.shape == (2, len(cells), degree + 1)
+        assert coeffs.shape == (2, len(cells), 2 * degree + 1)
         assert_fig1_tensor_run(calls)
         for i, cell in enumerate(cells):
             want = scan_columns(fringe_scan(fig1_preset(cell), sweep, FULL_PERIOD))
@@ -592,7 +593,8 @@ class TestCountTensor:
         assert tensor_of(plan) is not None
         phis = plan.bindings["phi"]
         # each cell's series at its own phi
-        got = coeffs[..., 0].real + 2.0 * (coeffs[..., 1] * np.exp(1j * frequency * phis)).real
+        got = (coeffs[..., 0] + coeffs[..., 1] * np.cos(frequency * phis)
+               + coeffs[..., 2] * np.sin(frequency * phis))
         for i, row in enumerate(rows):
             want = dense_model.run_fig1(**row).counts("o'")
             np.testing.assert_allclose(got[:, i], want, rtol=0, atol=1e-12)
@@ -860,7 +862,7 @@ class TestStructure:
         for scan, (want, _) in zip(scans, expected):
             np.testing.assert_allclose(scan.counts, want, rtol=0, atol=1e-12)
         frequency, coeffs = wants[0]
-        basis = observables._basis(frequency, grid, coeffs.shape[-1] - 1)
+        basis = observables._basis(frequency, grid, coeffs.shape[-1] // 2)
         assert builds == []
         with pytest.raises(ValueError, match="read-only"):
             basis[0, 0] = 2.0
@@ -1049,6 +1051,29 @@ class TestHarmonicSeries:
         with pytest.raises(ValueError, match="grid"):
             harmonic_series(coeffs, frequency, grid)
 
+    @pytest.mark.parametrize("table", [
+        pytest.param(lambda s: s.astype(complex), id="complex"),
+        pytest.param(lambda s: (s[:, :1] + 1j * s[:, 1:2]) / 2, id="complex-waves"),
+        pytest.param(lambda s: s[:, :2], id="even-length"),
+        pytest.param(lambda s: np.float64(s[0, 0]), id="scalar"),
+    ])
+    def test_bad_table_refused_before_any_evaluation(self, table, monkeypatch):
+        frequency, coeffs = harmonic_coefficients(fig1_preset(regime_params(0.5, 0.3)), "phi")
+        monkeypatch.setattr(observables, "_evaluate", lambda *args: pytest.fail("evaluated"))
+        with pytest.raises(ValueError, match="real table"):
+            harmonic_series(table(coeffs), frequency, FULL_PERIOD)
+
+    @pytest.mark.parametrize("sweep", ["phi", "theta", "gamma"])
+    def test_sums_what_the_scan_sums(self, sweep):
+        rng = np.random.default_rng(97)
+        for _ in range(20):
+            plan = fig1_preset(general_fig1_params(rng))
+            grid = np.sort(rng.uniform(-7.0, 14.0, 33))
+            frequency, coeffs = harmonic_coefficients(plan, sweep)
+            assert coeffs.dtype == float and coeffs.shape[-1] % 2 == 1
+            np.testing.assert_array_equal(harmonic_series(coeffs, frequency, grid),
+                                          fringe_scan(plan, sweep, grid).counts)
+
     def test_any_iterable_in_any_order(self):
         frequency, coeffs = harmonic_coefficients(fig1_preset(regime_params(0.5, 0.3)), "phi")
         want = harmonic_series(coeffs, frequency, FULL_PERIOD.tolist())
@@ -1130,7 +1155,7 @@ class TestCompensatedMzi:
         for x, theta in rng.uniform(0.0, math.pi, (200, 2)):
             _, coeffs = harmonic_coefficients(plan.bind({"x": x, "theta": theta}), "phi")
             amplitude = math.sin(2 * x) ** 2 * (1 - math.cos(2 * theta)) / 2
-            assert abs(2 * abs(coeffs[1, 1]) - amplitude) <= 1e-12
+            assert abs(math.hypot(coeffs[1, 1], coeffs[1, 2]) - amplitude) <= 1e-12
             assert np.abs(coeffs[0, 1:]).max() <= 1e-12
 
     def test_at_45_degrees_the_counts_are_the_pol_v_twins(self):
@@ -1185,15 +1210,15 @@ class TestVisibility:
             ratios = []
             for gamma in rng.uniform(0.0, 2 * math.pi, 4):
                 _, coeffs = harmonic_coefficients(fig1_preset(dict(params, gamma=gamma)), "phi")
-                ratios.append(2 * abs(coeffs[1, 1]) / coeffs[1, 0].real)
+                ratios.append(math.hypot(coeffs[1, 1], coeffs[1, 2]) / coeffs[1, 0])
             assert np.ptp(ratios) <= 1e-12
 
     def test_v_channel_attains_the_coherence_bound_only_at_theta_90_beta2_1(self):
         # the idlers' normalized overlap, beta1, bounds every signal-side
-        # fringe.  The exact visibility 2|c_1|/c_0 of the V channel reaches it
-        # at theta = pi/2 and beta2 = 1 and stays below it elsewhere; the H
-        # channel never fringes.  Read from the coefficients: a sampled grid
-        # misses the maximum at phi = gamma
+        # fringe.  The exact visibility hypot(a_1, b_1)/a_0 of the V channel
+        # reaches it at theta = pi/2 and beta2 = 1 and stays below it
+        # elsewhere; the H channel never fringes.  Read from the coefficients:
+        # a sampled grid misses the maximum at phi = gamma
         rng = np.random.default_rng(23)
         for _ in range(200):
             beta1, gamma = rng.uniform(0.0, 1.0), rng.uniform(0.0, 2 * math.pi)
@@ -1205,11 +1230,25 @@ class TestVisibility:
                                        "theta": theta}, False)):
                 _, coeffs = harmonic_coefficients(fig1_preset(dict(source1, **params)), "phi")
                 assert np.all(coeffs[0, 1:] == 0.0)
-                v_visibility = 2.0 * abs(coeffs[1, 1]) / coeffs[1, 0].real
+                v_visibility = math.hypot(coeffs[1, 1], coeffs[1, 2]) / coeffs[1, 0]
                 if attained:
                     assert v_visibility == pytest.approx(beta1, abs=1e-12)
                 else:
                     assert v_visibility < beta1
+
+    def test_a_vanishing_channel_reads_exactly_zero(self):
+        # theta = 0 and source 2's signal prepared H: N_V is exactly 0, so
+        # every coefficient of its series is rounding, a_0 included, and the
+        # channel reads as empty rather than flat
+        params = {"alpha1": 0.6, "beta1": 0.8, "gamma": 1.0, "alpha2": 1.0, "beta2": 0.0,
+                  "phi": 0.0, "theta": 0.0}
+        plan = fig1_preset(params)
+        _, coeffs = harmonic_coefficients(plan, "phi")
+        assert np.all(coeffs[1] == 0.0) and coeffs[0, 0] > 0.1
+        scan = fringe_scan(plan, "phi", FULL_PERIOD)
+        assert np.all(scan.column("v") == 0.0)
+        with pytest.warns(QiupWarning, match="all-zero"):
+            assert visibility(scan.column("v")).value == 0.0
 
     def test_constant_channel(self):
         vis = visibility([0.3, 0.3, 0.3], [0.0, 1.0, 2.0])

@@ -123,6 +123,13 @@ def test_preset_norm_violation_by_nan(name):
     assert err.value.code == "E_NORM"
 
 
+def test_preset_refuses_a_name_beyond_the_seven():
+    with pytest.raises(PlanError) as err:
+        fig1_preset(dict(EXAMPLE_PARAMS, beta3=0.5))
+    assert err.value.code == "E_UNKNOWN_PARAM"
+    assert "beta3" in str(err.value)
+
+
 def test_bind_unknown_parameter():
     plan, _ = compile_text(FIG1_SOURCE)
     with pytest.raises(PlanError) as err:
@@ -144,7 +151,7 @@ def test_preset_binding_leaves_the_compiled_base_unbound():
     first = fig1_preset(EXAMPLE_PARAMS)
     fig1_preset(dict(EXAMPLE_PARAMS, phi=0.1))
     assert first.bindings["phi"] == EXAMPLE_PARAMS["phi"]
-    assert _fig1_plan().bindings == {}
+    assert _fig1_plan("symmetric").bindings == {}
 
 
 def single_path_plan(lines):
