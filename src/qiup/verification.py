@@ -17,15 +17,15 @@ Both closed-form families are first harmonics in phi too, so the comparison
 works on coefficients: each family's table in :mod:`qiup.reference` gives
 every count cell's coefficients of (1, cos phi, sin phi), and those are
 subtracted from the engine's.  The transcribed forms are never evaluated,
-and no series is summed on its whole grid.  A first harmonic
+and no series is evaluated on its grid.  A first harmonic
 ``a0 + A cos(phi - psi)`` takes its largest value on the grid
-``2*pi*k/N`` at one of the two nodes next to its phase psi, and its
-smallest at one of the two next to psi + pi, so each deviation series is
-evaluated at those four nodes only, for the largest deviation on the count
-grid, and each visibility cell's series at its four nodes of the
-visibility grid, whose largest and smallest count, clipped at 0, give its
-visibility.  The cost of a comparison does not depend on the number of grid
-points.
+``2*pi*k/N`` at the node nearest its phase psi, d grid steps away, and its
+smallest at the node nearest psi + pi, d' steps away, so both read in
+closed form: ``a0 + A cos(2*pi*d/N)`` and ``a0 - A cos(2*pi*d'/N)``.  The
+larger magnitude of a deviation series' two is its largest deviation on the
+count grid, and each visibility cell's two on the visibility grid, clipped
+at 0, give its visibility (top - bottom)/(top + bottom).  The cost of a
+comparison does not depend on the number of grid points.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ VISIBILITY_BETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 COUNT_TOL = 1e-9
 VISIBILITY_TOL = 1e-3
 #: The finest phi grid: on a finer one, the rounding of a phase in grid steps
-#: would approach the half step within which the extremes' nodes are found.
+#: would approach half a step, the most by which a phase misses its nearest node.
 MAX_PHI_POINTS = 2**40
 
 
@@ -107,8 +107,10 @@ def run_verification(
     cells of ``DEFAULT_BETAS`` x ``DEFAULT_GAMMAS`` on the grid
     ``2*pi*k/phi_points``, and its V visibility at gamma = 0 with
     ``4*beta1/5`` over ``VISIBILITY_BETAS`` on the grid of
-    ``max(phi_points, 256)`` points.  ``phi_points`` is an integer: outside
-    1 to :data:`MAX_PHI_POINTS` it raises ``ValueError``, as does a
+    ``max(phi_points, 256)`` points.  Each series' largest and smallest
+    value on a grid are read in closed form, at the nodes nearest its phase
+    and its phase + pi.  ``phi_points`` is an integer: outside 1 to
+    :data:`MAX_PHI_POINTS` it raises ``ValueError``, as does a
     ``bs_convention`` other than ``"symmetric"`` and ``"hadamard"``."""
     start = time.perf_counter()
     phi_points = operator.index(phi_points)
@@ -131,11 +133,10 @@ def run_verification(
     engine = series[:, :cells]
     forms = np.concatenate((reference.REFERENCE_FORMS, reference.EVOLUTION_FORMS))
     closed = reference.harmonics(forms, betas, gammas).swapaxes(1, 2)
-    deviation = _at_extremes(np.concatenate((engine, engine)) - closed, phi_points)
-    worst = np.abs(deviation).max(axis=(1, 2)).tolist()
+    extremes = _grid_extremes(np.concatenate((engine, engine)) - closed, phi_points)
+    worst = np.abs(extremes).max(axis=(0, 2)).tolist()
 
-    vis_counts = np.maximum(_at_extremes(series[1, cells:], max(phi_points, 256)), 0.0)
-    top, bottom = vis_counts.max(axis=1), vis_counts.min(axis=1)
+    top, bottom = np.maximum(_grid_extremes(series[1, cells:], max(phi_points, 256)), 0.0)
     expected = reference.visibility_closed(beta1[cells:])
     dev_vis = np.abs((top - bottom) / (top + bottom) - expected).max()
 
@@ -150,26 +151,28 @@ def run_verification(
     )
 
 
-def _at_extremes(series: np.ndarray, points: int) -> np.ndarray:
-    """(..., 4): each first harmonic ``a0 + a1 cos phi + b1 sin phi`` of
-    ``series`` (..., 3) at the four nodes of the grid ``2*pi*k/points`` among
-    which its largest and its smallest value on that grid lie.
+def _grid_extremes(series: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(top, bottom), each of shape ``series.shape[:-1]``: the largest and
+    the smallest value on the grid ``2*pi*k/points`` of each first harmonic
+    ``a0 + a1 cos phi + b1 sin phi`` of ``series`` (..., 3).
 
-    With ``a1 cos phi + b1 sin phi = A cos(phi - psi)``, the largest value
-    sits at one of the two nodes next to psi and the smallest at one of the
-    two next to psi + pi: in grid steps, ``floor(x) + {0, 1}`` for ``x =
-    psi*points/(2*pi)`` and for ``x + points/2``, mod ``points``.  The 1 is
-    added after the floor, so that rounding ``x + 1`` cannot step over a
-    node.  Cosines and sines are taken at those nodes only.  A series of
-    another length is no first harmonic and raises ``ValueError``."""
+    With ``a1 cos phi + b1 sin phi = A cos(phi - psi)`` and ``x =
+    psi*points/(2*pi)``, the largest value sits at the node nearest psi, d
+    grid steps from it, where d is the distance from x to the nearest
+    integer, so it is ``a0 + A cos(2*pi*d/points)``; the smallest sits at
+    the node nearest psi + pi, d' steps from it for ``x + points/2``, and is
+    ``a0 - A cos(2*pi*d'/points)``.  Cosine is even, so the signed distance
+    serves as d.  A series of another length is no first harmonic and
+    raises ``ValueError``."""
     if series.shape[-1] != 3:
         raise ValueError(
             f"grid extremes need first harmonics (a0, a1, b1), got {series.shape[-1]} coefficients"
         )
-    turn = np.arctan2(series[..., 2], series[..., 1]) * (points / (2.0 * math.pi))
-    half = points / 2.0
-    nodes = np.floor(turn[..., None] + (0.0, 0.0, half, half)).astype(np.int64)
-    nodes = (nodes + (0, 1, 0, 1)) % points
-    angles = nodes * (2.0 * math.pi / points)  # as linspace puts them
-    return (series[..., :1] + series[..., 1:2] * np.cos(angles)
-            + series[..., 2:] * np.sin(angles))
+    a0, a1, b1 = series[..., 0], series[..., 1], series[..., 2]
+    amplitude = np.hypot(a1, b1)
+    turn = np.arctan2(b1, a1) * (points / (2.0 * math.pi))
+    step = 2.0 * math.pi / points
+    top = a0 + amplitude * np.cos(step * (turn - np.rint(turn)))
+    turn += points / 2.0
+    bottom = a0 - amplitude * np.cos(step * (turn - np.rint(turn)))
+    return top, bottom

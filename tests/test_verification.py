@@ -21,7 +21,7 @@ from qiup.verification import (
     DEFAULT_GAMMAS,
     MAX_PHI_POINTS,
     VISIBILITY_BETAS,
-    _at_extremes,
+    _grid_extremes,
     regime_params,
     run_verification,
 )
@@ -124,16 +124,27 @@ def test_extremes_are_the_grid_extremes(points):
     series = np.array(extremes_cases())
     phis = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
     grid = series[:, :1] + series[:, 1:2] * np.cos(phis) + series[:, 2:] * np.sin(phis)
-    found = _at_extremes(series, points)
+    top, bottom = _grid_extremes(series, points)
     scale = np.abs(series[:, 0]) + np.hypot(series[:, 1], series[:, 2])
-    assert (np.abs(found.max(axis=1) - grid.max(axis=1)) <= 1e-15 * scale).all()
-    assert (np.abs(found.min(axis=1) - grid.min(axis=1)) <= 1e-15 * scale).all()
+    assert (np.abs(top - grid.max(axis=1)) <= 1e-15 * scale).all()
+    assert (np.abs(bottom - grid.min(axis=1)) <= 1e-15 * scale).all()
+
+
+def test_extremes_on_the_finest_grid_are_the_harmonics_peaks():
+    """On MAX_PHI_POINTS nodes every phase lies within a vanishing angle of
+    a node, so the extremes are a0 + A and a0 - A."""
+    series = np.random.default_rng(3301).normal(size=(200, 3))
+    amplitude = np.hypot(series[:, 1], series[:, 2])
+    top, bottom = _grid_extremes(series, MAX_PHI_POINTS)
+    scale = np.abs(series[:, 0]) + amplitude
+    assert (np.abs(top - (series[:, 0] + amplitude)) <= 1e-15 * scale).all()
+    assert (np.abs(bottom - (series[:, 0] - amplitude)) <= 1e-15 * scale).all()
 
 
 @pytest.mark.parametrize("length", [1, 2, 5])
 def test_extremes_refuse_other_series(length):
     with pytest.raises(ValueError, match=f"first harmonics .* got {length} coefficients"):
-        _at_extremes(np.ones((2, length)), 8)
+        _grid_extremes(np.ones((2, length)), 8)
 
 
 @pytest.mark.parametrize("bs_convention", ["symmetric", "hadamard"])
@@ -141,18 +152,18 @@ def test_extremes_refuse_other_series(length):
 def test_visibility_figure_is_the_per_cell_visibility(points, bs_convention, monkeypatch):
     """The one-expression visibility figure equals, bit for bit, the largest
     |visibility(row).value - 4*beta1/5| over the five visibility cells'
-    clipped rows at their grid extremes."""
+    clipped rows of their grid extremes (top, bottom)."""
     rows = []
 
     def recorded(series, grid):
-        found = _at_extremes(series, grid)
+        found = _grid_extremes(series, grid)
         rows.append(found)
         return found
 
-    monkeypatch.setattr(verification, "_at_extremes", recorded)
+    monkeypatch.setattr(verification, "_grid_extremes", recorded)
     report = run_verification(phi_points=points, bs_convention=bs_convention)
-    counts = np.maximum(rows[-1], 0.0)
-    assert counts.shape == (len(VISIBILITY_BETAS), 4)
+    counts = np.maximum(np.column_stack(rows[-1]), 0.0)
+    assert counts.shape == (len(VISIBILITY_BETAS), 2)
     want = max(abs(visibility(row).value - 4.0 * beta1 / 5.0)
                for row, beta1 in zip(counts, VISIBILITY_BETAS))
     assert report.max_dev_visibility == want
