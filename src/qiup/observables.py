@@ -15,13 +15,11 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsl import ParamRef, PrepareStmt
 from .elements import _check_preparation
 from .errors import QiupWarning
 from .modes import Band
@@ -137,15 +135,19 @@ def _check_grid(phis: np.ndarray) -> None:
 
 def _grid(grid: Iterable[float]) -> np.ndarray:
     """A new float array of the values of ``grid``, a one-dimensional
-    iterable of numbers, or ``ValueError``: a numeric array is copied whole,
-    any other iterable read through ``fromiter``."""
-    if isinstance(grid, np.ndarray) and grid.ndim != 1:
-        raise ValueError(f"grid must be one-dimensional, got shape {grid.shape}")
-    if type(grid) is np.ndarray and grid.dtype.kind in "biuf":
-        return np.array(grid, dtype=float)
-    if not isinstance(grid, Iterable):
+    iterable of real numbers, or ``ValueError``: an array is copied whole,
+    any other iterable read into one first.  A complex grid is refused, as
+    float conversion would drop its imaginary parts."""
+    if type(grid) is np.ndarray:
+        values = grid
+    elif isinstance(grid, Iterable):
+        values = np.array(list(grid))
+    else:
         raise ValueError(f"grid must be an iterable of numbers, got {type(grid).__name__}")
-    return np.fromiter(grid, dtype=float)
+    if values.ndim != 1 or values.dtype.kind == "c":
+        raise ValueError("grid must be one-dimensional and real, "
+                         f"got {values.dtype} of shape {values.shape}")
+    return np.array(values, dtype=float)
 
 
 def counts(state: BiphotonState, path: str, band: Band) -> CountResult:
@@ -176,10 +178,10 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
     ``beta`` raises ``ValueError``.  Both are refused before any run, also for
     an empty grid.  Every other free parameter must already be bound to a
     scalar (an array binding raises ``E_BATCH_SHAPE``).  ``grid`` is any
-    iterable of numbers; the scan holds it and the counts at it, in grid
-    order, as arrays, and builds no per-point record.  A grid that is not
-    one-dimensional, not strictly increasing or holds a value that is not
-    finite raises ``ValueError`` before anything is evaluated.
+    iterable of real numbers; the scan holds it and the counts at it, in
+    grid order, as arrays, and builds no per-point record.  A grid that is
+    not one-dimensional, not strictly increasing, complex or holds a value
+    that is not finite raises ``ValueError`` before anything is evaluated.
 
     The counts come from the series of :func:`harmonic_coefficients`,
     summed at every grid point, whatever the grid's length or range: the
@@ -211,10 +213,8 @@ def _checked(plan: CircuitPlan, sweep: str) -> tuple[int, int]:
     if sweep not in plan.free_parameters:
         raise PlanError("E_UNKNOWN_PARAM", f"not free parameters of this plan: {sweep}")
     structure = plan._structure
-    if sweep not in structure.degrees:
-        structure.degrees[sweep] = plan.harmonic_degree(sweep)
-    harmonics = structure.degrees[sweep]
-    if harmonics is None:
+    harmonics = structure.kinds[sweep]
+    if harmonics is None or isinstance(harmonics[0], str):
         raise ValueError(
             f"cannot sweep {sweep!r}: only angles sweep, and {sweep!r} sets a "
             "preparation's alpha or beta, whose pair must stay normalized"
@@ -507,30 +507,19 @@ def _evaluate(frequency: int, series: np.ndarray, grid) -> np.ndarray:
 def _count_tensor(structure: _Structure) -> _CountTensor | None:
     """The count tensor of the circuit with this structure, or ``None``
     where it has none (see :func:`harmonic_coefficients`)."""
-    sources, pipeline, detect_path, detect_band, bs_convention = structure
-    uses = Counter(value.name for stmt in pipeline for value in stmt.values()
-                   if isinstance(value, ParamRef))
-    plan = CircuitPlan(sources, pipeline, detect_path, detect_band,
-                       frozenset(uses), {}, bs_convention)
-    pairs = {}
-    for stmt in pipeline:
-        if isinstance(stmt, PrepareStmt):
-            alpha, beta = stmt.alpha, stmt.beta
-            if (isinstance(alpha, ParamRef) and isinstance(beta, ParamRef)
-                    and uses[alpha.name] == uses[beta.name] == 1):
-                pairs[alpha.name] = pairs[beta.name] = _pair_axis(alpha.name, beta.name)
     axes = []
-    for name in uses:  # in order of first use
-        if name in pairs:
-            if pairs[name].names[0] == name:
-                axes.append(pairs[name])
-            continue
-        harmonics = plan.harmonic_degree(name)
-        if harmonics is None:
+    for name, kind in structure.kinds.items():  # in order of first use
+        if kind is None:
             return None
-        axes.append(_angle_axis(name, *harmonics))
+        if isinstance(kind[0], int):
+            axes.append(_angle_axis(name, *kind))
+        elif kind[0] == name:  # a pair, at its alpha
+            axes.append(_pair_axis(*kind))
     if math.prod(len(axis) for axis in axes) > TENSOR_MAX_MEMBERS:
         return None
+    sources, pipeline, detect_path, detect_band, bs_convention = structure
+    plan = CircuitPlan(sources, pipeline, detect_path, detect_band, {}, bs_convention)
+    vars(plan)["_structure"] = structure  # with its table: no second walk
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -552,13 +541,14 @@ def harmonic_series(coeffs: np.ndarray, frequency: int,
 
     ``coeffs`` is a real table ``(a_0, a_1, b_1, ..., a_D, b_D)`` along its
     last axis, shape (..., 2D + 1); the result has shape (..., N) for a grid
-    of N values.  A complex table, or one whose last axis has even length,
-    raises ``ValueError``.  ``grid`` is any one-dimensional iterable of
-    numbers, in any order; one that is not, or that holds a value that is
-    not finite, raises ``ValueError`` before anything is evaluated.
+    of N values.  A table that is not of real numbers (complex, strings,
+    objects), or whose last axis has even length, raises ``ValueError``.
+    ``grid`` is any one-dimensional iterable of real numbers, in any order;
+    one that is not, or that holds a value that is not finite, raises
+    ``ValueError`` before anything is evaluated.
     """
     series = np.asarray(coeffs)
-    if series.dtype.kind == "c" or series.ndim == 0 or series.shape[-1] % 2 == 0:
+    if series.dtype.kind not in "biuf" or series.ndim == 0 or series.shape[-1] % 2 == 0:
         raise ValueError("harmonic_series needs a real table (a_0, a_1, b_1, ..., a_D, b_D) "
                          f"of odd length, got {series.dtype} of shape {series.shape}")
     phis = _grid(grid)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
 
@@ -69,7 +70,6 @@ class CircuitPlan:
     pipeline: tuple[Statement, ...]
     detect_path: str
     detect_band: Band
-    free_parameters: frozenset[str]
     bindings: dict
     bs_convention: str = "symmetric"
 
@@ -88,11 +88,12 @@ class CircuitPlan:
         per element, and every array bound to the plan must have the same
         length B (scalars broadcast).  A run gives one count per member.
 
-        Unknown names fail with ``E_UNKNOWN_PARAM``; NaN or infinite values,
-        in any member, with ``E_NONFINITE_PARAM``, since the engine would
-        carry them through to counts that look valid; and an array that is
-        not 1-D and nonempty, or whose length differs from another bound
-        array's, with ``E_BATCH_SHAPE``.
+        Unknown names fail with ``E_UNKNOWN_PARAM``; NaN, infinite or
+        complex values, in any member, with ``E_NONFINITE_PARAM``, since the
+        engine would carry them through to counts that look valid, or drop
+        their imaginary parts; and an array that is not 1-D and nonempty,
+        or whose length differs from another bound array's, with
+        ``E_BATCH_SHAPE``.
         """
         unknown = sorted(set(params) - self.free_parameters)
         if unknown:
@@ -122,8 +123,8 @@ class CircuitPlan:
                 "E_BATCH_SHAPE", f"batched parameters must share one length, got {listed}"
             )
         bound = object.__new__(type(self))
-        # a copy, not ``replace``: the bound plan shares this one's structure
-        vars(bound).update(vars(self), _structure=self._structure, bindings=merged)
+        # a copy, not ``replace``: it shares this plan's structure and free names
+        vars(bound).update(vars(self), bindings=merged)
         return bound
 
     @functools.cached_property
@@ -131,6 +132,11 @@ class CircuitPlan:
         """What the counts depend on besides the bindings (see :class:`_Structure`)."""
         return _Structure((self.sources, self.pipeline, self.detect_path, self.detect_band,
                            self.bs_convention))
+
+    @functools.cached_property
+    def free_parameters(self) -> frozenset[str]:
+        """The ``$`` names of the pipeline."""
+        return frozenset(self._structure.kinds)
 
     def harmonic_degree(self, name: str) -> tuple[int, int] | None:
         """(frequency f, degree D) of the detected counts in ``name``.
@@ -153,39 +159,50 @@ class CircuitPlan:
         ``alpha`` or ``beta``, whose normalized amplitudes are not of this
         form.
         """
-        if name not in self.free_parameters:
-            return None
-        ref = ParamRef(name)
-        span, frequency = 0, 2
-        for stmt in self.pipeline:
-            if isinstance(stmt, PhaseStmt) and stmt.value == ref:
-                span += 2 if stmt.band is None else 1
-                frequency = 1
-            elif isinstance(stmt, WavePlateStmt) and stmt.angle == ref:
-                span += 8 if stmt.band is None else 4
-            elif isinstance(stmt, PrepareStmt):
-                if ref in (stmt.alpha, stmt.beta):
-                    return None
-                if stmt.gamma == ref:
-                    span += 1
-                    frequency = 1
-        return frequency, span // frequency
+        kind = self._structure.kinds.get(name)
+        return None if kind is None or isinstance(kind[0], str) else kind
 
 
 class _Structure(tuple):
     """A plan's (sources, pipeline, detect path, detect band, splitter
     convention), which ``bind`` hands on: its count tensor's key, hashed
     once, and what it fixes for every sweep, ``preparations``, whose bound
-    amplitudes a run checks, and ``degrees``, each swept name's harmonic
-    degree, put there by the name's first sweep."""
+    amplitudes a run checks, and ``kinds``, the harmonic structure of each
+    ``$`` name."""
 
     @functools.cached_property
     def preparations(self) -> tuple[PrepareStmt, ...]:
         return tuple(s for s in self[1] if isinstance(s, PrepareStmt))
 
     @functools.cached_property
-    def degrees(self) -> dict[str, tuple[int, int] | None]:
-        return {}
+    def kinds(self) -> dict[str, tuple | None]:
+        """Each ``$`` name of the pipeline, in order of first use, with its
+        kind: an angle's ``(f, D)`` (see :meth:`CircuitPlan.harmonic_degree`),
+        the ``(alpha, beta)`` of a preparation whose amplitudes are two names
+        used nowhere else, or ``None`` for any other amplitude name."""
+        uses, spans, steps = Counter(), Counter(), {}
+        amplitudes = []
+        for stmt in self[1]:
+            if isinstance(stmt, PrepareStmt):
+                amplitudes.append((stmt.alpha, stmt.beta))
+                terms = ((stmt.alpha, 0, 0), (stmt.beta, 0, 0), (stmt.gamma, 1, 1))
+            elif isinstance(stmt, PhaseStmt):
+                terms = ((stmt.value, 2 if stmt.band is None else 1, 1),)
+            elif isinstance(stmt, WavePlateStmt):
+                terms = ((stmt.angle, 8 if stmt.band is None else 4, 2),)
+            else:
+                continue
+            for value, span, step in terms:  # a value's exponent span and step
+                if isinstance(value, ParamRef):
+                    uses[value.name] += 1
+                    spans[value.name] += span
+                    steps[value.name] = math.gcd(steps.get(value.name, 2), step)
+        kinds = {name: (steps[name], spans[name] // steps[name]) for name in uses}
+        for pair in amplitudes:
+            names = tuple(v.name for v in pair if isinstance(v, ParamRef))
+            single = len(names) == 2 and uses[names[0]] == uses[names[1]] == 1
+            kinds.update(dict.fromkeys(names, names if single else None))
+        return kinds
 
     @functools.cached_property
     def _hash(self) -> int:
@@ -196,7 +213,15 @@ class _Structure(tuple):
 
 
 def _binding_value(name: str, value) -> float | np.ndarray:
-    """A float, or a read-only float copy of a 1-D nonempty array."""
+    """A float, or a read-only float copy of a 1-D nonempty array; never the
+    real part of a complex value."""
+    if type(value) is float:  # the common case, and the cheapest test
+        return value
+    is_complex = (value.dtype.kind == "c" if isinstance(value, np.ndarray)
+                  else isinstance(value, (complex, np.complexfloating)))
+    if is_complex:
+        raise PlanError("E_NONFINITE_PARAM",
+                        f"parameter values must be finite real numbers, got complex {name}")
     if not isinstance(value, np.ndarray):
         return float(value)
     arr = np.array(value, dtype=float)
@@ -242,7 +267,6 @@ def validate(ast: CircuitAst) -> ValidationResult:
     pipeline: list[Statement] = []
     detects: list[DetectStmt] = []
     written: set[str] = set()
-    params: set[str] = set()
     seen_ids: set[int] = set()
     elements_started = False
 
@@ -269,7 +293,6 @@ def validate(ast: CircuitAst) -> ValidationResult:
             if alias and len(set(paths)) < len(paths):
                 err(stmt, alias[0], f"{alias[1]} {ends} must be distinct paths")
         written.update(stmt.paths(WRITE))
-        params.update(v.name for v in stmt.values() if isinstance(v, ParamRef))
 
     if not sources:
         diags.append(Diagnostic("error", 1, 1, "E_NO_SOURCE", "no source statements"))
@@ -286,7 +309,6 @@ def validate(ast: CircuitAst) -> ValidationResult:
         pipeline=tuple(pipeline),
         detect_path=detect.path,
         detect_band=detect.band,
-        free_parameters=frozenset(params),
         bindings={},
     )
     return ValidationResult(plan, tuple(diags))

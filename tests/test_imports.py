@@ -8,7 +8,9 @@ else in its module, or in the module's ``__all__``.  The package's
 ``from __future__``, which binds nothing.  A private name (``_x``, not a
 dunder) that a module-level ``def``, ``class`` or assignment binds must be
 read somewhere in the package besides its own definition: as a name, as an
-attribute or as the name a ``from ... import`` takes.
+attribute or as the name a ``from ... import`` takes.  And ``observables``
+imports nothing from ``dsl``: sweeps learn a circuit's statements from the
+plan's structure table, so the statement rules stay in ``plan``.
 """
 import ast
 from pathlib import Path
@@ -110,3 +112,39 @@ def test_every_private_name_is_read():
 ])
 def test_unread_private_names_found(sources, unread):
     assert unread_private_names(sources) == unread
+
+
+def imported(source: str) -> set[str]:
+    """Every module and name that ``source``, a module of ``qiup``, imports,
+    dotted from the package: ``from .dsl import ParamRef`` gives
+    ``qiup.dsl`` and ``qiup.dsl.ParamRef``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "qiup" if node.level else ""
+            module = ".".join(part for part in (base, node.module) if part)
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def imports_from(source: str, module: str) -> list[str]:
+    return sorted(name for name in imported(source)
+                  if name == module or name.startswith(module + "."))
+
+
+def test_observables_imports_nothing_from_dsl():
+    assert imports_from((SOURCE / "observables.py").read_text(), "qiup.dsl") == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .dsl import ParamRef\n", ["qiup.dsl", "qiup.dsl.ParamRef"]),
+    ("from . import dsl\n", ["qiup.dsl"]),
+    ("def f():\n    import qiup.dsl\n", ["qiup.dsl"]),
+    ("from qiup.dsl import STATEMENTS as s\n", ["qiup.dsl", "qiup.dsl.STATEMENTS"]),
+    ("from .plan import CircuitPlan\nfrom .dsl_extra import x\n", []),
+])
+def test_imports_from_found(source, found):
+    assert imports_from(source, "qiup.dsl") == found

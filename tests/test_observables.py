@@ -26,7 +26,7 @@ from qiup.observables import (
     visibility,
 )
 from qiup import observables
-from qiup.dsl import STATEMENTS, ParamRef, PrepareStmt
+from qiup.dsl import STATEMENTS, ParamRef, PhaseStmt, PrepareStmt
 from qiup.plan import (
     FIG1_SOURCE, CircuitPlan, PlanError, compile_text, fig1_preset, run_plan,
 )
@@ -236,6 +236,21 @@ class TestFringeScan:
     def test_grid_must_be_one_dimensional(self, grid):
         with pytest.raises(ValueError, match="grid must be"):
             fringe_scan(fig1_preset(regime_params(0.5, 0.0)), "phi", grid)
+
+    @pytest.mark.parametrize("grid", [
+        pytest.param(np.array([0.1 + 2j, 0.5]), id="complex-array"),
+        pytest.param([np.complex128(0.1 + 2j), 0.5], id="numpy-complex-list"),
+        pytest.param([0.1 + 2j, 0.5], id="python-complex-list"),
+        pytest.param((0.1 + 0j, 0.5 + 0j), id="zero-imaginary-tuple"),
+    ])
+    def test_complex_grid_refused_before_any_evaluation(self, grid, monkeypatch):
+        # float conversion would keep the real parts, with at most numpy's warning
+        plan = fig1_preset(regime_params(0.5, 0.0))
+        monkeypatch.setattr(observables, "_evaluate", lambda *args: pytest.fail("evaluated"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid must be one-dimensional and real"):
+                fringe_scan(plan, "phi", grid)
 
     def test_scan_is_read_only_arrays(self):
         grid = FULL_PERIOD.copy()
@@ -900,6 +915,27 @@ class TestStructure:
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert tensor_of(twin) is tensor_of(bound)
 
+    def test_a_replaced_pipeline_has_its_own_names(self, monkeypatch):
+        # fig1 without its phase statement, by ``replace`` on a plan whose
+        # names, degrees and tensor have all been read: none of them carries over
+        plan = fig1_preset(regime_params(0.5, 0.0))
+        harmonic_coefficients(plan, "phi")
+        assert "phi" in plan.free_parameters and plan.harmonic_degree("phi") == (1, 1)
+        pipeline = tuple(s for s in plan.pipeline if not isinstance(s, PhaseStmt))
+        stale = replace(plan, pipeline=pipeline,
+                        bindings={k: v for k, v in plan.bindings.items() if k != "phi"})
+        assert stale.free_parameters == plan.free_parameters - {"phi"}
+        assert stale.harmonic_degree("phi") is None
+        calls = record_runs(monkeypatch)
+        for call in (lambda: stale.bind({"phi": 0.1}),
+                     lambda: fringe_scan(stale, "phi", FULL_PERIOD),
+                     lambda: fringe_scan(stale, "phi", []),
+                     lambda: harmonic_coefficients(stale, "phi")):
+            with pytest.raises(PlanError) as err:
+                call()
+            assert err.value.code == "E_UNKNOWN_PARAM" and "phi" in str(err.value)
+        assert calls == []
+
     def test_the_swept_names_own_binding_is_not_checked(self):
         # the sweep binds gamma to its samples, so an infinite gamma, which
         # only replace can put there, reads as any other
@@ -1054,6 +1090,8 @@ class TestHarmonicSeries:
     @pytest.mark.parametrize("table", [
         pytest.param(lambda s: s.astype(complex), id="complex"),
         pytest.param(lambda s: (s[:, :1] + 1j * s[:, 1:2]) / 2, id="complex-waves"),
+        pytest.param(lambda s: s.astype(str), id="strings"),
+        pytest.param(lambda s: s.astype(object), id="objects"),
         pytest.param(lambda s: s[:, :2], id="even-length"),
         pytest.param(lambda s: np.float64(s[0, 0]), id="scalar"),
     ])
@@ -1332,6 +1370,44 @@ class TestScanCsv:
         assert isinstance(back, FringeScan)
         np.testing.assert_allclose(back.column("v"), scan.column("v"), rtol=1e-15)
         np.testing.assert_allclose(back.phis, scan.phis, rtol=1e-15)
+
+
+class TestStructureTable:
+    """Each ``$`` name's kind, read from one table per structure: an angle's
+    (f, D), an alpha/beta pair, or another amplitude name."""
+
+    def test_fig1_kinds_in_order_of_first_use(self):
+        plan, _ = compile_text(FIG1_SOURCE)
+        pair1, pair2 = ("alpha1", "beta1"), ("alpha2", "beta2")
+        assert list(plan._structure.kinds.items()) == [
+            ("alpha1", pair1), ("beta1", pair1), ("gamma", (1, 1)),
+            ("alpha2", pair2), ("beta2", pair2), ("phi", (1, 1)), ("theta", (2, 4)),
+        ]
+        assert plan.free_parameters == frozenset(plan._structure.kinds)
+        # the tensor's axes, in the same order
+        assert [axis.names for axis in tensor_of(plan).axes] == [
+            pair1, ("gamma",), pair2, ("phi",), ("theta",)]
+
+    @pytest.mark.parametrize("phases, params", [
+        pytest.param("prepare a idler alpha=$a beta=$a gamma=0",
+                     dict(a=math.sqrt(0.5)), id="one-name-twice"),
+        pytest.param("prepare a idler alpha=$a beta=0.8 gamma=0",
+                     dict(a=0.6), id="one-name-and-a-literal"),
+        pytest.param("prepare a idler alpha=$a beta=$b gamma=0\nphase a value=$a band=signal",
+                     dict(a=0.6, b=0.8), id="a-name-also-in-a-phase"),
+    ])
+    def test_an_amplitude_that_is_no_pair(self, phases, params):
+        plan = compiled(BOTH_BANDS_CIRCUIT.format(
+            phases=f"{phases}\nphase a value=$phi band=signal"), theta=0.3, **params)
+        for name in params:
+            assert plan._structure.kinds[name] is None
+            assert plan.harmonic_degree(name) is None
+        assert plan.harmonic_degree("phi") == (1, 1)
+        assert tensor_of(plan) is None
+        np.testing.assert_allclose(
+            scan_columns(fringe_scan(plan, "phi", FULL_PERIOD)),
+            loop_scan(plan, "phi", FULL_PERIOD), rtol=0, atol=1e-12,
+        )
 
 
 # --- the declared harmonic degree on every shipped circuit -----------------

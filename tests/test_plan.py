@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -145,6 +146,32 @@ def test_bind_rejects_nonfinite_values(value):
     assert err.value.code == "E_NONFINITE_PARAM"
     assert f"phi={value!r}" in str(err.value) and "gamma" not in str(err.value)
     assert plan.bindings == {}
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(np.array([1 + 2j, 0.5]), id="complex-array"),
+    pytest.param(np.complex128(1 + 2j), id="numpy-complex"),
+    pytest.param(1 + 2j, id="python-complex"),
+    pytest.param(np.array([0.5 + 0j]), id="zero-imaginary-array"),
+])
+def test_bind_rejects_complex_values(value):
+    # float conversion would keep the real part, with at most numpy's warning
+    plan, _ = compile_text(FIG1_SOURCE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PlanError) as err:
+            plan.bind({"gamma": 1.0, "phi": value})
+    assert err.value.code == "E_NONFINITE_PARAM"
+    assert "must be finite real numbers" in str(err.value) and "phi" in str(err.value)
+    assert plan.bindings == {}
+
+
+def test_bind_hands_on_the_structure_and_free_parameters():
+    base = _fig1_plan("symmetric")
+    bound = fig1_preset(EXAMPLE_PARAMS)
+    assert bound._structure is base._structure
+    assert bound.free_parameters is base.free_parameters
+    assert bound.bind({"phi": 0.1}).free_parameters is base.free_parameters
 
 
 def test_preset_binding_leaves_the_compiled_base_unbound():
