@@ -87,10 +87,6 @@ class Statement:
         """The paths this statement reads (``READ``) or writes (``WRITE``)."""
         return tuple(getattr(self, s[1]) for s in self.syntax if type(s) is tuple and s[2] == role)
 
-    def values(self) -> tuple[Value, ...]:
-        """The fields that may name a free parameter."""
-        return self.paths(VALUE)
-
     def pretty(self) -> str:
         """Canonical text of the statement; parsing it gives an equal one."""
         words = [next(word for word, (cls, fixed) in STATEMENTS.items()

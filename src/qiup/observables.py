@@ -23,7 +23,7 @@ import numpy as np
 from .elements import _check_preparation
 from .errors import QiupWarning
 from .modes import Band
-from .plan import CircuitPlan, PlanError, _preparation, _setting, _Structure, run_plan
+from .plan import CircuitPlan, PlanError, _is_complex, _preparation, _setting, _Structure, run_plan
 from .state import BiphotonState
 
 #: The most members the count tensor's product grid may hold; a circuit with
@@ -136,15 +136,16 @@ def _check_grid(phis: np.ndarray) -> None:
 def _grid(grid: Iterable[float]) -> np.ndarray:
     """A new float array of the values of ``grid``, a one-dimensional
     iterable of real numbers, or ``ValueError``: an array is copied whole,
-    any other iterable read into one first.  A complex grid is refused, as
-    float conversion would drop its imaginary parts."""
+    any other iterable read into one first.  A grid of complex dtype or with
+    a complex element is refused, as float conversion would drop its
+    imaginary parts."""
     if type(grid) is np.ndarray:
         values = grid
     elif isinstance(grid, Iterable):
         values = np.array(list(grid))
     else:
         raise ValueError(f"grid must be an iterable of numbers, got {type(grid).__name__}")
-    if values.ndim != 1 or values.dtype.kind == "c":
+    if values.ndim != 1 or _is_complex(values):
         raise ValueError("grid must be one-dimensional and real, "
                          f"got {values.dtype} of shape {values.shape}")
     return np.array(values, dtype=float)

@@ -212,14 +212,22 @@ class _Structure(tuple):
         return self._hash
 
 
+def _is_complex(value) -> bool:
+    """Whether ``value`` is complex, or an array of complex dtype or with a
+    complex element: float conversion would drop its imaginary parts."""
+    if not isinstance(value, np.ndarray):
+        return isinstance(value, (complex, np.complexfloating))
+    if value.dtype.kind == "O":
+        return any(map(_is_complex, value.flat))
+    return value.dtype.kind == "c"
+
+
 def _binding_value(name: str, value) -> float | np.ndarray:
     """A float, or a read-only float copy of a 1-D nonempty array; never the
     real part of a complex value."""
     if type(value) is float:  # the common case, and the cheapest test
         return value
-    is_complex = (value.dtype.kind == "c" if isinstance(value, np.ndarray)
-                  else isinstance(value, (complex, np.complexfloating)))
-    if is_complex:
+    if _is_complex(value):
         raise PlanError("E_NONFINITE_PARAM",
                         f"parameter values must be finite real numbers, got complex {name}")
     if not isinstance(value, np.ndarray):

@@ -1,9 +1,12 @@
 """Two-photon state as a sum of signal ⊗ idler product terms.
 
 A state is ``Σ_k u_k ⊗ w_k``: each term pairs a signal amplitude map ``u_k``
-with an idler amplitude map ``w_k``, both sparse dicts keyed by packed
-single-photon modes (:func:`qiup.modes.pack_mode`).  Every element acts on one
-photon at a time, as a linear map on its (path, polarization, tag) modes, so
+with an idler amplitude map ``w_k``, both sparse dicts keyed by single-photon
+modes.  A mode key is the label tuple ``(path, pol, tag)``, ``pol`` and ``tag``
+the :class:`~qiup.modes.Polarization` and :class:`~qiup.modes.SourceTag`
+values; the band is the map's slot.  A key refers to nothing outside the
+state, so a state pickled in one process reads back the same in another.
+Every element acts on one photon at a time, as a linear map on its modes, so
 no element adds a term: a pipeline holds one term per source.  One kernel,
 ``_linear``, applies every such map from a table that sends each mode it moves
 to its ``(mode, coefficient)`` targets; each public transform only builds the
@@ -19,10 +22,11 @@ photon can change it.
 
 Queries that name pair entries (``items``, ``amplitude``, ``len``, ``==``,
 ``serialize``, ``path_occupied`` and friends) read the pair map
-``Σ_k u_k(s) w_k(i)``, built on demand; entries at or below ``PRUNE_EPSILON``
-in magnitude are dropped there and only there.  The transforms keep every mode
-they write: a cancelled amplitude adds at most rounding noise to the Gram
-contractions, and a map holds at most (paths x 2 polarizations x 3 tags) modes.
+``Σ_k u_k(s) w_k(i)``, keyed by ``(s, i)`` and built on demand; entries at or
+below ``PRUNE_EPSILON`` in magnitude are dropped there and only there.  The
+transforms keep every mode they write: a cancelled amplitude adds at most
+rounding noise to the Gram contractions, and a map holds at most (paths x 2
+polarizations x 3 tags) modes.
 
 A state may also carry a batch: a single-photon amplitude is then a complex
 scalar or a length-B complex array, one member per batch element (see
@@ -47,19 +51,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import UnitarityError
-from .modes import (
-    IDLER_SHIFT,
-    MODE_MASK,
-    PATH_SHIFT,
-    POL_MASK,
-    SIGNAL_SHIFT,
-    Band,
-    ModePair,
-    Polarization,
-    SourceTag,
-    intern_path,
-    pack_mode,
-)
+from .modes import Band, Mode, ModePair, Polarization, SourceTag
 
 PRUNE_EPSILON = 1e-14
 UNITARITY_TOL = 1e-10
@@ -86,8 +78,27 @@ class SourceSpec:
 
 # -- single-photon transforms --------------------------------------------------
 #
-# ``_linear`` maps an amplitude map ``dict[int, complex]`` over packed modes to
-# a new one, unpruned; inputs are never mutated.
+# ``_linear`` maps an amplitude map ``dict[tuple, complex]`` over
+# ``(path, pol, tag)`` modes to a new one, unpruned; inputs are never mutated.
+
+
+def _path(name: str) -> str:
+    """``name``, or ``ValueError`` if it is no path identifier."""
+    if not name:
+        raise ValueError("path identifier must be a nonempty string")
+    return name
+
+
+def _key(mode: Mode) -> tuple[str, int, int]:
+    """The ``(path, pol, tag)`` key of ``mode``."""
+    return (_path(mode.path), mode.pol.value, mode.tag.value)
+
+
+def _pair(key: tuple) -> ModePair:
+    """The mode pair of a pair-map key."""
+    (sp, spol, stag), (ip, ipol, itag) = key
+    return ModePair(Mode(sp, Polarization(spol), Band.SIGNAL, SourceTag(stag)),
+                    Mode(ip, Polarization(ipol), Band.IDLER, SourceTag(itag)))
 
 
 def _pruned(amps: dict) -> dict:
@@ -152,12 +163,11 @@ def _linear(amps: dict, table: dict) -> dict:
 
 
 @functools.cache
-def _modes(path: str, pols: tuple[int, ...] = (0, 1)) -> tuple[int, ...]:
-    """The packed modes at ``path`` with polarization in ``pols``, tag-major
-    (merged first), so that two paths' tuples pair up mode by mode.  Cached:
-    path indices never change within a process."""
-    idx = intern_path(path)
-    return tuple(pack_mode(idx, pol, tag.value) for tag in SourceTag for pol in pols)
+def _modes(path: str, pols: tuple[int, ...] = (0, 1)) -> tuple[tuple[str, int, int], ...]:
+    """The modes at ``path`` with polarization in ``pols``, tag-major (merged
+    first), so that two paths' tuples pair up mode by mode."""
+    _path(path)
+    return tuple((path, pol, tag.value) for tag in SourceTag for pol in pols)
 
 
 @functools.cache
@@ -177,14 +187,14 @@ def _merge_table(path: str, pol: int) -> dict:
 
 
 @functools.cache
-def _port_modes(in_path: str, out_a: str, out_b: str) -> tuple[tuple[int, int, int], ...]:
+def _port_modes(in_path: str, out_a: str, out_b: str) -> tuple[tuple[tuple, tuple, tuple], ...]:
     """(mode at ``in_path``, its twin at ``out_a``, at ``out_b``) for every
     mode at ``in_path``."""
     return tuple(zip(_modes(in_path), _modes(out_a), _modes(out_b)))
 
 
-def _select(amps: dict, path_idx: int) -> dict:
-    return {m: a for m, a in amps.items() if m >> PATH_SHIFT == path_idx}
+def _select(amps: dict, path: str) -> dict:
+    return {m: a for m, a in amps.items() if m[0] == path}
 
 
 def _inner(x: dict, y: dict) -> complex:
@@ -224,26 +234,23 @@ def _contract(xs: list, gram: list):
 
 
 class BiphotonState:
-    """Sum of signal ⊗ idler product terms over packed single-photon modes."""
+    """Sum of signal ⊗ idler product terms over single-photon modes."""
 
     __slots__ = ("_terms", "_pair_map")
 
     def __init__(self, amplitudes: Mapping[ModePair, complex] | None = None) -> None:
-        packed: dict[int, complex] = {}
+        pairs: dict[tuple, complex] = {}
         for pair, amp in (amplitudes or {}).items():
             amp = complex(amp)
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ValueError(f"non-finite amplitude for {pair}")
-            key = pair.packed()
-            packed[key] = packed.get(key, 0j) + amp
-        self._set_pairs(_pruned(packed))
+            key = (_key(pair.signal), _key(pair.idler))
+            pairs[key] = pairs.get(key, 0j) + amp
+        self._set_pairs(_pruned(pairs))
 
-    def _set_pairs(self, pairs: dict[int, complex]) -> None:
+    def _set_pairs(self, pairs: dict[tuple, complex]) -> None:
         """One product term per (already pruned) pair entry."""
-        self._terms = tuple(
-            ({key >> SIGNAL_SHIFT: amp}, {key & MODE_MASK: 1 + 0j})
-            for key, amp in pairs.items()
-        )
+        self._terms = tuple(({s: amp}, {i: 1 + 0j}) for (s, i), amp in pairs.items())
         self._pair_map = pairs
 
     @classmethod
@@ -253,16 +260,16 @@ class BiphotonState:
         state._pair_map = None
         return state
 
-    def _pairs(self) -> dict[int, complex]:
-        """Packed pair map ``Σ_k u_k(s) w_k(i)``, pruned; built once per state."""
+    def _pairs(self) -> dict[tuple, complex]:
+        """Pair map ``Σ_k u_k(s) w_k(i)`` keyed by ``(s, i)``, pruned; built
+        once per state."""
         if self._pair_map is None:
-            out: dict[int, complex] = {}
+            out: dict[tuple, complex] = {}
             get = out.get
             for u, w in self._terms:
                 for s, a in u.items():
-                    s <<= SIGNAL_SHIFT
                     for i, b in w.items():
-                        key = s | i
+                        key = (s, i)
                         out[key] = get(key, 0j) + a * b
             self._pair_map = _pruned(out)
         return self._pair_map
@@ -287,44 +294,35 @@ class BiphotonState:
         return f"BiphotonState({len(self)} entries, norm_sq={norm:.6g})"
 
     def items(self) -> list[tuple[ModePair, complex]]:
-        """Entries in canonical mode-pair order."""
-        decoded = [(ModePair.from_packed(k), a) for k, a in self._pairs().items()]
-        decoded.sort(key=lambda item: item[0].sort_key())
-        return decoded
+        """Entries in canonical mode-pair order: sorted keys, since a key holds
+        :meth:`ModePair.sort_key`'s labels in its order."""
+        pairs = self._pairs()
+        return [(_pair(k), pairs[k]) for k in sorted(pairs)]
 
     def amplitude(self, pair: ModePair) -> complex:
-        return self._pairs().get(pair.packed(), 0j)
+        return self._pairs().get((_key(pair.signal), _key(pair.idler)), 0j)
 
     def norm_sq(self):
         """``Σ_{k,l} ⟨u_k|u_l⟩⟨w_k|w_l⟩``, clipped at 0; an array for a batch."""
         return _contract([u for u, _ in self._terms], _gram([w for _, w in self._terms]))
 
     def tags_present(self) -> frozenset[SourceTag]:
-        tags = set()
-        for pair, _ in self.items():
-            tags.add(pair.signal.tag)
-            tags.add(pair.idler.tag)
-        return frozenset(tags)
+        return frozenset(SourceTag(m[2]) for key in self._pairs() for m in key)
 
     def paths_present(self) -> frozenset[str]:
-        paths = set()
-        for pair, _ in self.items():
-            paths.add(pair.signal.path)
-            paths.add(pair.idler.path)
-        return frozenset(paths)
+        return frozenset(m[0] for key in self._pairs() for m in key)
 
     def path_occupied(
         self, path: str, band: Band | None = None, pol: Polarization | None = None
     ) -> bool:
         """Whether a pair entry has its ``band`` photon (either, if None) at
         ``path``, with polarization ``pol`` if given."""
-        idx = intern_path(path)
-        shifts = [shift for shift, b in ((SIGNAL_SHIFT, Band.SIGNAL), (IDLER_SHIFT, Band.IDLER))
-                  if band in (None, b)]
+        _path(path)
+        slots = [slot for slot, b in enumerate((Band.SIGNAL, Band.IDLER)) if band in (None, b)]
         for key in self._pairs():
-            for shift in shifts:
-                mode = (key >> shift) & MODE_MASK
-                if mode >> PATH_SHIFT == idx and (pol is None or mode & POL_MASK == pol.value):
+            for slot in slots:
+                mode = key[slot]
+                if mode[0] == path and (pol is None or mode[1] == pol.value):
                     return True
         return False
 
@@ -424,11 +422,11 @@ class BiphotonState:
 
     def restrict_to(self, path: str, band: Band) -> "BiphotonState":
         """Keep only entries whose ``band`` photon sits at ``path``."""
-        idx = intern_path(path)
+        _path(path)
         if band is Band.SIGNAL:
-            terms = ((_select(u, idx), w) for u, w in self._terms)
+            terms = ((_select(u, path), w) for u, w in self._terms)
         else:
-            terms = ((u, _select(w, idx)) for u, w in self._terms)
+            terms = ((u, _select(w, path)) for u, w in self._terms)
         return BiphotonState._wrap(tuple((u, w) for u, w in terms if u and w))
 
     def counts_at(self, path: str, band: Band) -> tuple:
@@ -442,14 +440,14 @@ class BiphotonState:
         the other photon's vectors, whose Gram matrix both share.  Terms with
         no mode at ``path`` add nothing and are left out of both.
         """
-        idx = intern_path(path)
+        _path(path)
         mine = 0 if band is Band.SIGNAL else 1
         hs, vs, ys = [], [], []
         for term in self._terms:
             h, v = {}, {}
             for m, a in term[mine].items():
-                if m >> PATH_SHIFT == idx:
-                    (v if m & POL_MASK else h)[m] = a
+                if m[0] == path:
+                    (v if m[1] else h)[m] = a
             if h or v:
                 hs.append(h)
                 vs.append(v)
@@ -494,9 +492,8 @@ def initial_state(sources: Iterable[SourceSpec]) -> BiphotonState:
         if spec.source_id in seen:
             raise ValueError(f"duplicate source id {spec.source_id}")
         seen.add(spec.source_id)
-        sig = pack_mode(intern_path(spec.signal_path), spec.emitted_pol.value,
-                        spec.source_id)
-        idl = pack_mode(intern_path(spec.idler_path), spec.emitted_pol.value,
-                        spec.source_id)
+        pol = spec.emitted_pol.value
+        sig = (_path(spec.signal_path), pol, spec.source_id)
+        idl = (_path(spec.idler_path), pol, spec.source_id)
         terms.append(({sig: cmath.exp(1j * spec.phase)}, {idl: 1 + 0j}))
     return BiphotonState._wrap(tuple(terms))

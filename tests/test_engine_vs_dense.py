@@ -182,17 +182,18 @@ turns = st.floats(0.0, 2 * math.pi)
 conventions = st.sampled_from(["symmetric", "hadamard"])
 
 
-def engine_mode(mode, band):
+def engine_key(mode):
+    """The engine's ``(path, pol, tag)`` key of a dense model's mode."""
     path, pol, tag = mode
-    return Mode(path, POL_OF[pol], band, TAG_OF[tag])
+    return (path, POL_OF[pol].value, TAG_OF[tag].value)
 
 
 def both_models(terms):
     """The same random state as an engine state, one product term per
     (signal map, idler map), and as a dense amplitude matrix."""
     engine = BiphotonState._wrap(tuple(
-        ({engine_mode(m, Band.SIGNAL).packed(): a for m, a in u.items()},
-         {engine_mode(m, Band.IDLER).packed(): a for m, a in w.items()})
+        ({engine_key(m): a for m, a in u.items()},
+         {engine_key(m): a for m, a in w.items()})
         for u, w in terms
     ))
     dense = dense_model.DenseState()

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qiup.modes import Band, Mode, ModePair, Polarization, SourceTag
+from qiup.state import BiphotonState
 
 PATH_NAMES = st.text(
     alphabet="abcdefgo'xyz_123", min_size=1, max_size=6
@@ -59,4 +60,4 @@ def test_pack_roundtrip(path_s, path_i, pol_s, pol_i, tag_s, tag_i):
         Mode(path_s, pol_s, Band.SIGNAL, tag_s),
         Mode(path_i, pol_i, Band.IDLER, tag_i),
     )
-    assert ModePair.from_packed(pair.packed()) == pair
+    assert BiphotonState({pair: 1.0}).items() == [(pair, 1 + 0j)]

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ GRID_KINDS = {
     "int": lambda: np.arange(-3, 9),
     "float32": lambda: np.linspace(0.0, 6.0, 40, dtype=np.float32),
     "strided": lambda: np.linspace(0.0, 6.0, 120)[::3],
+    "object": lambda: np.array([Fraction(k, 7) for k in range(40)], dtype=object),
 }
 
 #: Source 1 emits both photons on path a, where the swept phase reaches both;
@@ -242,6 +244,12 @@ class TestFringeScan:
         pytest.param([np.complex128(0.1 + 2j), 0.5], id="numpy-complex-list"),
         pytest.param([0.1 + 2j, 0.5], id="python-complex-list"),
         pytest.param((0.1 + 0j, 0.5 + 0j), id="zero-imaginary-tuple"),
+        pytest.param([Fraction(1, 2), np.complex128(1 + 2j)], id="object-list-numpy-complex"),
+        pytest.param([Fraction(1, 2), 1 + 2j], id="object-list-python-complex"),
+        pytest.param(np.array([0.5, np.complex128(1 + 2j)], dtype=object),
+                     id="object-array-numpy-complex"),
+        pytest.param(np.array([0.5, 1 + 2j], dtype=object), id="object-array-python-complex"),
+        pytest.param(np.array([0.5, 0.1 + 0j], dtype=object), id="object-array-zero-imaginary"),
     ])
     def test_complex_grid_refused_before_any_evaluation(self, grid, monkeypatch):
         # float conversion would keep the real parts, with at most numpy's warning

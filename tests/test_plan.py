@@ -153,6 +153,10 @@ def test_bind_rejects_nonfinite_values(value):
     pytest.param(np.complex128(1 + 2j), id="numpy-complex"),
     pytest.param(1 + 2j, id="python-complex"),
     pytest.param(np.array([0.5 + 0j]), id="zero-imaginary-array"),
+    pytest.param(np.array([0.5, np.complex128(1 + 2j)], dtype=object),
+                 id="object-array-numpy-complex"),
+    pytest.param(np.array([0.5, 1 + 2j], dtype=object), id="object-array-python-complex"),
+    pytest.param(np.array(1 + 2j, dtype=object), id="object-scalar-array"),
 ])
 def test_bind_rejects_complex_values(value):
     # float conversion would keep the real part, with at most numpy's warning
@@ -162,7 +166,7 @@ def test_bind_rejects_complex_values(value):
         with pytest.raises(PlanError) as err:
             plan.bind({"gamma": 1.0, "phi": value})
     assert err.value.code == "E_NONFINITE_PARAM"
-    assert "must be finite real numbers" in str(err.value) and "phi" in str(err.value)
+    assert "must be finite real numbers, got complex phi" in str(err.value)
     assert plan.bindings == {}
 
 

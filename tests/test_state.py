@@ -1,5 +1,7 @@
 import cmath
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qiup.errors import PreparationConflictError, UnitarityError
-from qiup.modes import PATH_SHIFT, Band, Mode, ModePair, Polarization, SourceTag, path_name
+from qiup.modes import Band, Mode, ModePair, Polarization, SourceTag
+from qiup.observables import conditional_state, counts
 from qiup import state as state_module
 from qiup.plan import fig1_preset, iter_plan, run_plan
 from qiup.state import PRUNE_EPSILON, BiphotonState, SourceSpec, initial_state
@@ -20,6 +23,7 @@ from qiup.elements import (
     hwp_matrix,
     prepare_beam,
 )
+from test_cli import src_env
 
 H, V = Polarization.H, Polarization.V
 M1, M2, MM = SourceTag.SOURCE_1, SourceTag.SOURCE_2, SourceTag.MERGED
@@ -199,7 +203,7 @@ class TestExactCancellation:
     def test_dark_port_is_left_out(self, convention, dark, bright):
         state = self.interferometer(convention)
         ((signal, _),) = state._terms
-        residual = [abs(a) for m, a in signal.items() if path_name(m >> PATH_SHIFT) == dark]
+        residual = [abs(a) for m, a in signal.items() if m[0] == dark]
         assert residual and 0.0 < max(residual) <= PRUNE_EPSILON
         assert len(state) == 1
         assert state.paths_present() == {bright, "i"}
@@ -225,7 +229,7 @@ class TestExactCancellation:
         for _, state in iter_plan(plan):
             for photon_map in (m for term in state._terms for m in term):
                 assert len(photon_map) <= len(paths) * 2 * 3
-                assert {path_name(m >> PATH_SHIFT) for m in photon_map} <= paths
+                assert {m[0] for m in photon_map} <= paths
 
 
 class TestSerialization:
@@ -252,6 +256,41 @@ class TestSerialization:
         a = two_source_state().apply_pol_unitary("r", hwp_matrix(0.7))
         b = two_source_state().apply_pol_unitary("r", hwp_matrix(0.7))
         assert a.serialize() == b.serialize()
+
+    # Dumps a state on paths a, i, r to argv[1], or first builds a state on
+    # other paths and then loads it; prints the state it holds.
+    PICKLE_SCRIPT = """
+import pickle, sys
+from qiup.elements import hwp_matrix
+from qiup.modes import Band
+from qiup.state import SourceSpec, initial_state
+path, action = sys.argv[1:]
+if action == "dump":
+    state = initial_state([SourceSpec(1, "a", "i"), SourceSpec(2, "r", "i")])
+    state = state.apply_pol_unitary("r", hwp_matrix(0.7), Band.SIGNAL)
+    with open(path, "wb") as f:
+        pickle.dump(state, f)
+else:
+    other = initial_state([SourceSpec(1, "zz", "yy"), SourceSpec(2, "xx", "yy")])
+    other.counts_at("ww", Band.SIGNAL)
+    with open(path, "rb") as f:
+        state = pickle.load(f)
+print(state.serialize())
+"""
+
+    def test_a_pickled_state_reads_back_the_same_in_another_process(self, tmp_path):
+        # the loading process has seen other paths first: a key that pointed
+        # into a process-local table would read back as those paths
+        path = str(tmp_path / "state.pickle")
+        dumped, loaded = (
+            subprocess.run([sys.executable, "-c", self.PICKLE_SCRIPT, path, action],
+                           capture_output=True, text=True, env=src_env(), timeout=120)
+            for action in ("dump", "load")
+        )
+        assert dumped.returncode == 0, dumped.stderr
+        assert loaded.returncode == 0, loaded.stderr
+        assert dumped.stdout.startswith("a,V,1|i,V,1|1,0\nr,H,2|i,V,2|")
+        assert loaded.stdout == dumped.stdout
 
 
 def test_operations_do_not_mutate_input():
@@ -461,6 +500,31 @@ def test_pruning_where_read_matches_pruning_every_step(entries, sequence):
     lazy_lines, eager_lines = ([line.rsplit("|", 1)[0] for line in text.splitlines()]
                                for text in serialized)
     assert lazy_lines == eager_lines
+
+
+EMPTY_PATH_CALLS = {
+    "initial_state-signal": lambda s: initial_state([SourceSpec(1, "", "i")]),
+    "initial_state-idler": lambda s: initial_state([SourceSpec(1, "a", "")]),
+    "constructor": lambda s: BiphotonState({pair("", V, M1, "a", V, M1): 1.0}),
+    "amplitude": lambda s: s.amplitude(pair("a", V, M1, "", V, M1)),
+    "counts_at": lambda s: s.counts_at("", Band.SIGNAL),
+    "path_occupied": lambda s: s.path_occupied(""),
+    "restrict_to": lambda s: s.restrict_to("", Band.IDLER),
+    "counts": lambda s: counts(s, "", Band.SIGNAL),
+    "conditional_state": lambda s: conditional_state(s, "", Band.SIGNAL),
+    "relabel_path-from": lambda s: s.relabel_path("", "a"),
+    "relabel_path-to": lambda s: s.relabel_path("a", ""),
+    "apply_phase_factor": lambda s: s.apply_phase_factor("", 1j),
+    "merge_tags": lambda s: s.merge_tags("", V, Band.SIGNAL),
+    "apply_pol_unitary": lambda s: s.apply_pol_unitary("", hwp_matrix(0.7)),
+    "route_two_port": lambda s: s.route_two_port("a", None, "", "f", np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("call", EMPTY_PATH_CALLS.values(), ids=EMPTY_PATH_CALLS.keys())
+def test_empty_path_is_refused(call):
+    with pytest.raises(ValueError, match="path identifier must be a nonempty string"):
+        call(two_source_state())
 
 
 def test_amplitude_of_absent_pair_is_zero():
