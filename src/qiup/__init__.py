@@ -10,7 +10,6 @@ from .modes import Band, Mode, ModePair, Polarization, SourceTag
 from .state import BiphotonState, SourceSpec, initial_state
 from .elements import (
     MergeRule,
-    PreparationOrder,
     PreparationSpec,
     WavePlateKind,
     WavePlateSetting,
@@ -23,7 +22,6 @@ from .elements import (
     hwp_matrix,
     prepare_beam,
     qwp_matrix,
-    waveplates_to_preparation,
 )
 from .plan import CircuitPlan, PlanError, compile_text, fig1_preset, iter_plan, run_plan
 from .observables import (
@@ -66,7 +64,6 @@ __all__ = [
     "NoisyScan",
     "PlanError",
     "Polarization",
-    "PreparationOrder",
     "PreparationSpec",
     "SourceSpec",
     "SourceTag",
@@ -100,6 +97,5 @@ __all__ = [
     "simulate_measurement",
     "visibility",
     "visibility_closed",
-    "waveplates_to_preparation",
     "__version__",
 ]

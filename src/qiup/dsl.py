@@ -49,7 +49,7 @@ class ParamRef:
         return f"${self.name}"
 
 
-#: A literal number (degrees for angle-like fields) or a named free parameter.
+#: A literal number (degrees in an ``ANGLE`` field) or a named free parameter.
 Value = Union[float, ParamRef]
 
 
@@ -63,18 +63,21 @@ def _fmt_value(v: Value) -> str:
 #   optional one (absent: the field keeps its default, None), ``DEFAULTED`` an
 #   optional ``band=`` that warns ``W_DEFAULT_BAND`` when absent;
 # - reader: ``READ``/``WRITE`` a path the statement reads/writes, ``VALUE`` a
-#   number or ``$name``, ``NUMBER`` a number, ``ID`` an integer, or a word table;
+#   number or ``$name``, ``ANGLE`` the same, read as an angle in degrees when
+#   literal and in radians when bound, ``NUMBER`` a number, ``ID`` an integer,
+#   or a word table;
 # - what: how an error names the token ("expected a path identifier",
 #   "malformed number for alpha").
-# Parsing, printing and validation all read this one declaration.  Entries
-# are plain tuples: a class or dataclass per entry would cost import time.
+# Parsing, printing, validation and a plan's run (through ``value_fields``)
+# all read this one declaration.  Entries are plain tuples: a class or
+# dataclass per entry would cost import time.
 POS, KEY, OPT, DEFAULTED = "pos", "key", "opt", "defaulted"
-READ, WRITE, VALUE, NUMBER, ID = "read", "write", "value", "number", "id"
+READ, WRITE, VALUE, ANGLE, NUMBER, ID = "read", "write", "value", "angle", "number", "id"
 _PATH = (POS, "path", READ, "a path identifier")
 _BAND = (POS, "band", BAND_WORDS, "a band")
 _BAND_OR_BOTH = (DEFAULTED, "band", BAND_OR_BOTH, "a band")
 _POL = (POS, "pol", POL_WORDS, "a polarization")
-_FORMATS = {VALUE: _fmt_value, NUMBER: "{:.17g}".format}
+_FORMATS = {VALUE: _fmt_value, ANGLE: _fmt_value, NUMBER: "{:.17g}".format}
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,14 @@ class Statement:
     span: Span = field(compare=False, repr=False)
 
     syntax = ()
+    #: The fields read as ``VALUE`` or ``ANGLE``, in ``syntax`` order, each with
+    #: whether it is an angle; each class sets it from its ``syntax``.
+    value_fields = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.value_fields = tuple((s[1], s[2] == ANGLE) for s in cls.syntax
+                                 if type(s) is tuple and s[2] in (VALUE, ANGLE))
 
     def paths(self, role: str) -> tuple[str, ...]:
         """The paths this statement reads (``READ``) or writes (``WRITE``)."""
@@ -130,14 +141,14 @@ class PrepareStmt(Statement):
     band: Band = Band.IDLER
     alpha: Value = 0.0
     beta: Value = 1.0
-    gamma: Value = 0.0  # degrees when literal
+    gamma: Value = 0.0
 
     syntax = (
         _PATH,
         _BAND,
         (KEY, "alpha", VALUE, "alpha"),
         (KEY, "beta", VALUE, "beta"),
-        (KEY, "gamma", VALUE, "gamma"),
+        (KEY, "gamma", ANGLE, "gamma"),
     )
 
 
@@ -145,10 +156,10 @@ class PrepareStmt(Statement):
 class WavePlateStmt(Statement):
     kind: WavePlateKind = WavePlateKind.HWP
     path: str = ""
-    angle: Value = 0.0  # degrees when literal
+    angle: Value = 0.0
     band: Band | None = None  # None = both bands
 
-    syntax = (_PATH, (KEY, "angle", VALUE, "angle"), _BAND_OR_BOTH)
+    syntax = (_PATH, (KEY, "angle", ANGLE, "angle"), _BAND_OR_BOTH)
 
 
 @dataclass(frozen=True)
@@ -200,10 +211,10 @@ class DmStmt(Statement):
 @dataclass(frozen=True)
 class PhaseStmt(Statement):
     path: str = ""
-    value: Value = 0.0  # degrees when literal
+    value: Value = 0.0
     band: Band | None = None
 
-    syntax = (_PATH, (KEY, "value", VALUE, "value"), _BAND_OR_BOTH)
+    syntax = (_PATH, (KEY, "value", ANGLE, "value"), _BAND_OR_BOTH)
 
 
 @dataclass(frozen=True)
@@ -308,11 +319,11 @@ def _parse_statement(tokens: list[tuple[str, int]], line: int, warn) -> Statemen
                 fields[name] = int(text)
             except ValueError:
                 fail("E_NUMBER", f"source id must be an integer, got '{text}'", column)
-        elif reader == VALUE and text.startswith("$"):
+        elif (reader == VALUE or reader == ANGLE) and text.startswith("$"):
             if not text[1:].isidentifier():
                 fail("E_NUMBER", f"malformed parameter reference '{text}'", column)
             fields[name] = ParamRef(text[1:])
-        elif reader == VALUE or reader == NUMBER:
+        elif reader == VALUE or reader == ANGLE or reader == NUMBER:
             try:
                 number = float(text)
             except ValueError:

@@ -14,7 +14,6 @@ must hold for every member.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,7 +25,6 @@ from .modes import Band, Polarization, WavePlateKind
 from .state import BiphotonState, _at_failure, _holds
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
-TWO_PI = 2.0 * math.pi
 
 #: Beamsplitter conventions: mode on in_a maps to col-0, in_b to col-1 of a
 #: 2x2 matrix over (out_a, out_b).
@@ -59,11 +57,6 @@ class WavePlateSetting:
         if self.kind is WavePlateKind.HWP:
             return hwp_matrix(self.fast_axis_angle)
         return qwp_matrix(self.fast_axis_angle)
-
-
-class PreparationOrder(enum.Enum):
-    HWP_THEN_QWP = "hwp_then_qwp"
-    QWP_THEN_HWP = "qwp_then_hwp"
 
 
 @dataclass(frozen=True)
@@ -146,27 +139,6 @@ def apply_waveplate(
     band: Band | None = None,
 ) -> BiphotonState:
     return state.apply_pol_unitary(path, setting.matrix(), band)
-
-
-def waveplates_to_preparation(
-    h: float, q: float, order: PreparationOrder = PreparationOrder.HWP_THEN_QWP
-) -> PreparationSpec:
-    """Preparation realized by a wave-plate pair acting on a |V> beam.
-
-    The global phase is discarded; when the H amplitude vanishes the relative
-    phase is reported as 0 by convention.
-    """
-    if order is PreparationOrder.HWP_THEN_QWP:
-        composed = qwp_matrix(q) @ hwp_matrix(h)
-    else:
-        composed = hwp_matrix(h) @ qwp_matrix(q)
-    c_h, c_v = composed @ np.array([0.0, 1.0])
-    alpha, beta = abs(c_h), abs(c_v)
-    if alpha > 1e-12:
-        rel_phase = (cmath.phase(c_v) - cmath.phase(c_h)) % TWO_PI
-    else:
-        rel_phase = 0.0
-    return PreparationSpec(alpha=alpha, beta=beta, rel_phase=rel_phase)
 
 
 def prepare_beam(

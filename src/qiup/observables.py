@@ -23,7 +23,7 @@ import numpy as np
 from .elements import _check_preparation
 from .errors import QiupWarning
 from .modes import Band
-from .plan import CircuitPlan, PlanError, _is_complex, _preparation, _setting, _Structure, run_plan
+from .plan import CircuitPlan, PlanError, _is_complex, _setting, _Structure, _values, run_plan
 from .state import BiphotonState
 
 #: The most members the count tensor's product grid may hold; a circuit with
@@ -224,7 +224,7 @@ def _checked(plan: CircuitPlan, sweep: str) -> tuple[int, int]:
     if plan.free_parameters <= bindings.keys():
         # with every name bound, only a preparation's checks can fail
         for stmt in structure.preparations:
-            _check_preparation(*_preparation(stmt, bindings))
+            _check_preparation(*_values(stmt, bindings))
     else:
         for stmt in plan.pipeline:
             _setting(stmt, bindings)

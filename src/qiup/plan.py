@@ -24,7 +24,6 @@ from .dsl import (
     READ,
     SourceStmt,
     Statement,
-    Value,
     WRITE,
     WavePlateStmt,
 )
@@ -143,21 +142,21 @@ class CircuitPlan:
 
         Each detected amplitude is a Laurent polynomial in ``z = e^{i*name}``;
         its count ``|A|^2`` holds harmonics up to the amplitude's exponent
-        span.  Every statement that references ``$name`` widens that span:
+        span.  Every ``ANGLE`` field that references ``$name`` widens that
+        span by its statement's row in :data:`_RULES`, per photon it acts on
+        (two for ``band=both``):
 
-        - ``phase ... value=$name`` puts ``z`` on each matching photon: 1 for
-          a banded statement, 2 for ``band=both``;
+        - ``phase ... value=$name`` puts ``z`` on each matching photon: 1;
         - a wave plate's entries are ``cos 2x``, ``sin 2x`` and constants, so
-          exponents -2..2 on each matching photon: 4 banded, 8 for both;
+          exponents -2..2 on each matching photon: 4, in steps of 2;
         - ``prepare ... gamma=$name`` puts ``z`` on the V column only (the H
           column never acts on the purely vertical beam it requires): 1.
 
-        Wave-plate exponents step by 2, the others by 1; the frequency f is
-        the gcd of the steps and D = span / f, so each count is a real
-        trigonometric polynomial in ``f*name`` with harmonics 0..D.  Returns
-        ``None`` when ``name`` is not free or enters a preparation's
-        ``alpha`` or ``beta``, whose normalized amplitudes are not of this
-        form.
+        The frequency f is the gcd of the steps and D = span / f, so each
+        count is a real trigonometric polynomial in ``f*name`` with
+        harmonics 0..D.  Returns ``None`` when ``name`` is not free or
+        enters a preparation's ``alpha`` or ``beta``, whose normalized
+        amplitudes are not of this form.
         """
         kind = self._structure.kinds.get(name)
         return None if kind is None or isinstance(kind[0], str) else kind
@@ -183,21 +182,18 @@ class _Structure(tuple):
         uses, spans, steps = Counter(), Counter(), {}
         amplitudes = []
         for stmt in self[1]:
-            if isinstance(stmt, PrepareStmt):
-                amplitudes.append((stmt.alpha, stmt.beta))
-                terms = ((stmt.alpha, 0, 0), (stmt.beta, 0, 0), (stmt.gamma, 1, 1))
-            elif isinstance(stmt, PhaseStmt):
-                terms = ((stmt.value, 2 if stmt.band is None else 1, 1),)
-            elif isinstance(stmt, WavePlateStmt):
-                terms = ((stmt.angle, 8 if stmt.band is None else 4, 2),)
-            else:
-                continue
-            for value, span, step in terms:  # a value's exponent span and step
-                if isinstance(value, ParamRef):
-                    uses[value.name] += 1
-                    spans[value.name] += span
+            values = [(getattr(stmt, name), angle) for name, angle in stmt.value_fields]
+            amplitudes.append([value for value, angle in values if not angle])
+            for value, angle in values:
+                if not isinstance(value, ParamRef):
+                    continue
+                uses[value.name] += 1
+                if angle:  # the row's exponent span per photon, and its step
+                    span, step = _RULES[type(stmt)][0]
+                    spans[value.name] += span if stmt.band is not None else 2 * span
                     steps[value.name] = math.gcd(steps.get(value.name, 2), step)
-        kinds = {name: (steps[name], spans[name] // steps[name]) for name in uses}
+        kinds = {name: (steps[name], spans[name] // steps[name]) if name in steps else None
+                 for name in uses}
         for pair in amplitudes:
             names = tuple(v.name for v in pair if isinstance(v, ParamRef))
             single = len(names) == 2 and uses[names[0]] == uses[names[1]] == 1
@@ -255,13 +251,33 @@ class ValidationResult:
         return self.plan is not None
 
 
-#: Statements whose read paths, and whose written paths, must be distinct:
-#: (code, device noun) of the error otherwise.
-_ALIASES = {
-    DmStmt: ("E_DM_ALIAS", "dichroic"),
-    BsStmt: ("E_BS_ALIAS", "splitter"),
-    Bs2Stmt: ("E_BS_ALIAS", "splitter"),
+#: One row per pipeline statement kind, keyed by its class:
+#: - its ``ANGLE`` field's exponent span in ``z = e^{i x}`` per photon it acts
+#:   on (two for ``band=both``), and the step of those exponents;
+#: - the (code, device noun) of the error when its read paths, or its
+#:   written paths, repeat;
+#: - what it applies, from the statement and its resolved ``value_fields``;
+#: - its run: the public element function, called with the state, the
+#:   statement, what it applies and the splitter convention.
+#: None marks a kind without an angle, a check or values.  ``source`` and
+#: ``detect`` are not pipeline kinds and read ``_NO_RULE``.
+_RULES = {
+    PrepareStmt: ((1, 1), None, lambda s, *values: PreparationSpec(*values),
+                  lambda state, s, spec, _: prepare_beam(state, s.path, s.band, spec)),
+    WavePlateStmt: ((4, 2), None, lambda s, angle: WavePlateSetting(s.kind, angle),
+                    lambda state, s, plate, _: apply_waveplate(state, s.path, plate, s.band)),
+    PhaseStmt: ((1, 1), None, lambda s, phi: phi,
+                lambda state, s, phi, _: apply_phase(state, s.path, phi, s.band)),
+    BsStmt: (None, ("E_BS_ALIAS", "splitter"), None,
+             lambda state, s, _, bs: apply_bs_single(state, s.in_path, s.out_t, s.out_r, bs)),
+    Bs2Stmt: (None, ("E_BS_ALIAS", "splitter"), None,
+              lambda state, s, _, bs: apply_bs_dual(state, s.in_a, s.in_b, s.out_a, s.out_b, bs)),
+    DmStmt: (None, ("E_DM_ALIAS", "dichroic"), None,
+             lambda state, s, *_: apply_dichroic(state, s.in_path, s.signal_out, s.idler_out)),
+    MergeStmt: (None, None, None,
+                lambda state, s, *_: apply_merge(state, [MergeRule(s.path, s.pol, s.band)])),
 }
+_NO_RULE = (None, None, None, None)
 
 
 def validate(ast: CircuitAst) -> ValidationResult:
@@ -274,12 +290,15 @@ def validate(ast: CircuitAst) -> ValidationResult:
     sources: list[SourceStmt] = []
     pipeline: list[Statement] = []
     detects: list[DetectStmt] = []
+    groups = {SourceStmt: sources, DetectStmt: detects}
     written: set[str] = set()
     seen_ids: set[int] = set()
     elements_started = False
 
     for stmt in ast.statements:
-        if isinstance(stmt, SourceStmt):
+        group = groups.get(type(stmt), pipeline)
+        group.append(stmt)
+        if group is sources:
             if elements_started:
                 err(stmt, "E_SOURCE_ORDER", "source statements must precede elements")
             if stmt.source_id not in (1, 2):
@@ -288,14 +307,12 @@ def validate(ast: CircuitAst) -> ValidationResult:
                 err(stmt, "E_DUP_SOURCE", f"duplicate source id {stmt.source_id}")
             else:
                 seen_ids.add(stmt.source_id)
-            sources.append(stmt)
         else:
             elements_started = True
-            (detects if isinstance(stmt, DetectStmt) else pipeline).append(stmt)
         for p in stmt.paths(READ):
             if p not in written:
                 err(stmt, "E_UNKNOWN_PATH", f"path '{p}' is never produced before use")
-        alias = _ALIASES.get(type(stmt))
+        alias = _RULES.get(type(stmt), _NO_RULE)[1]
         for role, ends in ((READ, "inputs"), (WRITE, "outputs")):
             paths = stmt.paths(role)
             if alias and len(set(paths)) < len(paths):
@@ -331,54 +348,29 @@ def compile_text(text: str) -> tuple[CircuitPlan | None, tuple[Diagnostic, ...]]
     return validated.plan, parsed.diagnostics + validated.diagnostics
 
 
-def _resolve(value: Value, bindings: Mapping[str, float], degrees: bool) -> float:
-    """A bound parameter's value, or a literal: literal angles are degrees in
-    the DSL, bound parameters radians."""
-    if isinstance(value, ParamRef):
-        if value.name not in bindings:
-            raise PlanError("E_UNBOUND_PARAM", f"unbound parameter '{value.name}'")
-        return bindings[value.name]
-    return math.radians(value) if degrees else value
-
-
-def _preparation(stmt: PrepareStmt, bindings: Mapping[str, float]) -> tuple:
-    """A ``prepare`` statement's (alpha, beta, rel_phase) at ``bindings``,
-    unchecked."""
-    return (_resolve(stmt.alpha, bindings, False), _resolve(stmt.beta, bindings, False),
-            _resolve(stmt.gamma, bindings, True))
+def _values(stmt: Statement, bindings: Mapping[str, float]) -> list[float]:
+    """The values of ``stmt``'s ``value_fields`` at ``bindings``, unchecked,
+    in radians for angles: a literal angle is in degrees in the DSL, a bound
+    parameter already in radians."""
+    values = []
+    for name, angle in stmt.value_fields:
+        value = getattr(stmt, name)
+        if type(value) is ParamRef:
+            if value.name not in bindings:
+                raise PlanError("E_UNBOUND_PARAM", f"unbound parameter '{value.name}'")
+            value = bindings[value.name]
+        elif angle:
+            value = math.radians(value)
+        values.append(value)
+    return values
 
 
 def _setting(stmt: Statement, bindings: Mapping[str, float]):
-    """What ``stmt`` applies at ``bindings``, checked: a
-    :class:`PreparationSpec`, a :class:`WavePlateSetting`, a phase, or None
-    for a statement without values."""
-    if isinstance(stmt, PrepareStmt):
-        return PreparationSpec(*_preparation(stmt, bindings))
-    if isinstance(stmt, WavePlateStmt):
-        return WavePlateSetting(stmt.kind, _resolve(stmt.angle, bindings, True))
-    if isinstance(stmt, PhaseStmt):
-        return _resolve(stmt.value, bindings, True)
-    return None
-
-
-def _apply(plan: CircuitPlan, stmt: Statement, state: BiphotonState) -> BiphotonState:
-    """The state after one pipeline statement of ``plan``."""
-    b, convention = plan.bindings, plan.bs_convention
-    if isinstance(stmt, PrepareStmt):
-        return prepare_beam(state, stmt.path, stmt.band, _setting(stmt, b))
-    if isinstance(stmt, WavePlateStmt):
-        return apply_waveplate(state, stmt.path, _setting(stmt, b), stmt.band)
-    if isinstance(stmt, BsStmt):
-        return apply_bs_single(state, stmt.in_path, stmt.out_t, stmt.out_r, convention)
-    if isinstance(stmt, Bs2Stmt):
-        return apply_bs_dual(state, stmt.in_a, stmt.in_b, stmt.out_a, stmt.out_b, convention)
-    if isinstance(stmt, DmStmt):
-        return apply_dichroic(state, stmt.in_path, stmt.signal_out, stmt.idler_out)
-    if isinstance(stmt, PhaseStmt):
-        return apply_phase(state, stmt.path, _setting(stmt, b), stmt.band)
-    if isinstance(stmt, MergeStmt):
-        return apply_merge(state, [MergeRule(stmt.path, stmt.pol, stmt.band)])
-    raise TypeError(f"cannot execute statement {stmt!r}")
+    """What ``stmt`` applies at ``bindings``, checked, by its row in
+    :data:`_RULES`: a :class:`PreparationSpec`, a :class:`WavePlateSetting`,
+    a phase, or None for a statement without values."""
+    setting = _RULES.get(type(stmt), _NO_RULE)[2]
+    return None if setting is None else setting(stmt, *_values(stmt, bindings))
 
 
 def _source_state(plan: CircuitPlan) -> BiphotonState:
@@ -389,20 +381,32 @@ def _source_state(plan: CircuitPlan) -> BiphotonState:
     return initial_state(specs)
 
 
+def _states(plan: CircuitPlan) -> Iterator[BiphotonState]:
+    """The state after the sources, then after each pipeline statement, each
+    run by its row in :data:`_RULES`."""
+    bindings, convention = plan.bindings, plan.bs_convention
+    state = _source_state(plan)
+    yield state
+    for stmt in plan.pipeline:
+        run = _RULES.get(type(stmt), _NO_RULE)[3]
+        if run is None:
+            raise TypeError(f"cannot execute statement {stmt!r}")
+        state = run(state, stmt, _setting(stmt, bindings), convention)
+        yield state
+
+
 def iter_plan(plan: CircuitPlan) -> Iterator[tuple[str, BiphotonState]]:
     """Run the plan, yielding (step label, state) after sources and each element."""
-    state = _source_state(plan)
-    yield "sources", state
-    for stmt in plan.pipeline:
-        state = _apply(plan, stmt, state)
+    states = _states(plan)
+    yield "sources", next(states)
+    for stmt, state in zip(plan.pipeline, states):
         yield stmt.pretty(), state
 
 
 def run_plan(plan: CircuitPlan) -> BiphotonState:
     """Evolve the plan's sources through its full pipeline."""
-    state = _source_state(plan)
-    for stmt in plan.pipeline:
-        state = _apply(plan, stmt, state)
+    for state in _states(plan):
+        pass
     return state
 
 

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from qiup import cli
 from qiup.errors import QiupWarning
 from qiup.estimation import fit, format_counts_csv, read_counts_csv, simulate_measurement
 from qiup.observables import CountResult, FringeScan, fringe_scan
-from qiup.plan import fig1_preset, run_plan
+from qiup.plan import fig1_preset, iter_plan, run_plan
 from qiup.reference import nh_closed, nv_closed
 
 FIG1 = str(CIRCUITS_DIR / "fig1.qiup")
@@ -655,6 +656,30 @@ class TestBenchmarkImportContract:
         for k in (0, 17, 63):
             assert theta.records[k].n_h == theta.column("h")[k]
             assert theta.records[k].n_v == theta.column("v")[k]
+
+    @pytest.mark.parametrize("members", [None, 3])
+    def test_traced_replay_equals_iter_plan(self, members, monkeypatch):
+        # perfbench/worker.py layer_round replays each fig1 step of iter_plan
+        # through element_call, the public element functions, and fails a
+        # traced run where a replayed state differs
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_worker", REPO_ROOT / "perfbench" / "worker.py")
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        rng = np.random.default_rng(36)
+        chi1, chi2, gamma, phi, theta = rng.uniform(0.1, 1.4, (5, members or 1))
+        params = {"alpha1": np.cos(chi1), "beta1": np.sin(chi1), "gamma": gamma,
+                  "alpha2": np.cos(chi2), "beta2": np.sin(chi2), "phi": 4 * phi,
+                  "theta": theta}
+        if members is None:
+            params = {k: float(v[0]) for k, v in params.items()}
+        plan = fig1_preset(params)
+        states = [state for _, state in iter_plan(plan)]
+        assert len(states) == 1 + len(plan.pipeline)
+        for stmt, before, after in zip(plan.pipeline, states, states[1:]):
+            name, call = worker.element_call(stmt, plan.bindings)
+            assert call(before) == after, f"{name} at {stmt.pretty()}"
 
     @pytest.mark.parametrize("script", ["worker.py", "selftest.py"])
     def test_every_imported_name_resolves(self, script):

@@ -107,6 +107,16 @@ def test_param_refs_parse():
     assert result.ast.statements[0].value == ParamRef("phi")
 
 
+def test_value_fields_follow_syntax():
+    # VALUE and ANGLE fields, in syntax order, each with whether it is an angle
+    assert dsl.PrepareStmt.value_fields == (("alpha", False), ("beta", False), ("gamma", True))
+    assert WavePlateStmt.value_fields == (("angle", True),)
+    assert PhaseStmt.value_fields == (("value", True),)
+    others = {cls for cls, _ in dsl.STATEMENTS.values()} - {
+        dsl.PrepareStmt, WavePlateStmt, PhaseStmt}
+    assert len(others) == 6 and all(cls.value_fields == () for cls in others)
+
+
 def test_comments_and_blank_lines_ignored():
     result = dsl.parse("\n# a comment\n   \ndetect a signal  # trailing\n")
     assert result.ok

@@ -10,7 +10,6 @@ from qiup import (
     Mode,
     ModePair,
     Polarization,
-    PreparationOrder,
     PreparationSpec,
     SourceSpec,
     SourceTag,
@@ -26,7 +25,6 @@ from qiup import (
     initial_state,
     prepare_beam,
     qwp_matrix,
-    waveplates_to_preparation,
 )
 from qiup.errors import PreparationConflictError, QiupWarning
 
@@ -170,35 +168,6 @@ class TestPreparation:
         assert len(state) == 0
         out = prepare_beam(state, "p", Band.SIGNAL, PreparationSpec(0.6, 0.8, 0.0))
         assert len(out) == 0
-
-
-class TestWavePlatesToPreparation:
-    def test_zero_angles_stay_vertical(self):
-        for order in PreparationOrder:
-            spec = waveplates_to_preparation(0.0, 0.0, order)
-            assert spec.alpha == pytest.approx(0.0, abs=1e-15)
-            assert spec.beta == pytest.approx(1.0, abs=1e-15)
-            assert spec.rel_phase == 0.0
-
-    def test_hwp_22_5_gives_balanced_split(self):
-        spec = waveplates_to_preparation(math.radians(22.5), 0.0)
-        assert spec.alpha == pytest.approx(ROOT_HALF, abs=1e-12)
-        assert spec.beta == pytest.approx(ROOT_HALF, abs=1e-12)
-
-    def test_normalized_on_grid(self):
-        for h in np.linspace(0, math.pi, 20):
-            for q in np.linspace(0, math.pi, 20):
-                spec = waveplates_to_preparation(h, q)
-                assert spec.alpha**2 + spec.beta**2 == pytest.approx(1.0, abs=1e-10)
-
-    def test_matches_direct_matrix_action(self):
-        h, q = 0.31, 1.07
-        spec = waveplates_to_preparation(h, q, PreparationOrder.HWP_THEN_QWP)
-        vec = qwp_matrix(q) @ hwp_matrix(h) @ np.array([0.0, 1.0])
-        assert spec.alpha == pytest.approx(abs(vec[0]), abs=1e-12)
-        assert spec.beta == pytest.approx(abs(vec[1]), abs=1e-12)
-        expected_phase = (np.angle(vec[1]) - np.angle(vec[0])) % (2 * math.pi)
-        assert spec.rel_phase == pytest.approx(expected_phase, abs=1e-12)
 
 
 class TestBeamsplitters:

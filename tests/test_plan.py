@@ -11,6 +11,7 @@ from test_observables import with_options
 from qiup import dsl
 from qiup.dsl import DetectStmt, MergeStmt, Span
 from qiup.modes import Band, Polarization, SourceTag
+from qiup.observables import fringe_scan
 from qiup.plan import (
     FIG1_PARAMETERS,
     FIG1_SOURCE,
@@ -356,6 +357,57 @@ def test_waveplate_prep_circuit_runs():
     assert plan is not None and not [d for d in diagnostics if d.severity == "error"]
     state = run_plan(plan.bind({"phi": 0.4}))
     assert state.norm_sq() == pytest.approx(2.0, abs=1e-12)
+
+
+def test_waveplate_prep_equals_fig1_at_the_plates_preparation():
+    # hwp 22.5 then qwp 0 take |V> to e^{-i pi/4} (|H> + e^{i 270deg}|V>)/sqrt2;
+    # between two sources that global phase shifts the fringe, so fig1
+    # matches at gamma = 270 - 45 degrees, and the relative phase alone is off
+    grid = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    plates, _ = compile_text((CIRCUITS_DIR / "waveplate_prep.qiup").read_text())
+    want = fringe_scan(plates, "phi", grid).counts
+    fig1, _ = compile_text(FIG1_SOURCE)
+    root_half = math.sqrt(0.5)
+    params = {"alpha1": root_half, "beta1": root_half, "alpha2": 0.0, "beta2": 1.0,
+              "theta": math.radians(45)}
+    got = {gamma: fringe_scan(fig1.bind(dict(params, gamma=math.radians(gamma))), "phi", grid)
+           for gamma in (225, 270)}
+    np.testing.assert_allclose(got[225].counts, want, rtol=0, atol=1e-12)
+    assert np.abs(got[270].counts - want).max() > 0.1
+
+
+def test_rules_cover_every_pipeline_kind():
+    from qiup.plan import _RULES
+
+    pipeline_kinds = {cls for word, (cls, _) in dsl.STATEMENTS.items()
+                      if word not in ("source", "detect")}
+    assert set(_RULES) == pipeline_kinds
+    for cls, (angle, _, setting, run) in _RULES.items():
+        assert (angle is not None) == any(is_angle for _, is_angle in cls.value_fields)
+        assert (setting is not None) == bool(cls.value_fields)
+        assert run is not None
+
+
+def test_a_pipeline_statement_without_a_rule():
+    # replace() can put any statement in a pipeline: its names are read as
+    # before, and a run refuses it by name
+    plan = _fig1_plan("symmetric")
+    detect = DetectStmt(Span(1, 1, 1), "o'", Band.SIGNAL)
+    extended = replace(plan, pipeline=plan.pipeline + (detect,))
+    assert extended.free_parameters == frozenset(FIG1_PARAMETERS)
+    bound = extended.bind(EXAMPLE_PARAMS)
+    with pytest.raises(TypeError, match=r"cannot execute statement DetectStmt\("):
+        run_plan(bound)
+    steps = iter_plan(bound)
+    for _ in plan.pipeline:
+        next(steps)
+    with pytest.raises(TypeError, match=r"cannot execute statement DetectStmt\("):
+        list(steps)
+    # a sweep's checks read it as a statement without values
+    phase = dsl.PhaseStmt(Span(1, 1, 1), "o'", dsl.ParamRef("psi"), None)
+    checked = replace(plan, pipeline=plan.pipeline + (detect, phase)).bind(EXAMPLE_PARAMS)
+    with pytest.raises(PlanError, match="unbound parameter 'psi'"):
+        fringe_scan(checked, "phi", [0.0])
 
 
 def test_mini_circuit_counts():
