@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import NoReturn, Union
 
-from .modes import Band, Polarization, WavePlateKind
+from .modes import Band, Polarization, Record, WavePlateKind
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -22,28 +21,34 @@ BAND_OR_BOTH = {"signal": Band.SIGNAL, "idler": Band.IDLER, "both": None}
 POL_WORDS = {"H": Polarization.H, "V": Polarization.V}
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record):
     line: int
     column: int
     end_column: int
 
+    def __init__(self, line: int, column: int, end_column: int) -> None:
+        vars(self).update(line=line, column=column, end_column=end_column)
 
-@dataclass(frozen=True)
-class Diagnostic:
+
+class Diagnostic(Record):
     severity: str  # "error" | "warning"
     line: int
     column: int
     code: str
     message: str
 
+    def __init__(self, severity: str, line: int, column: int, code: str, message: str) -> None:
+        vars(self).update(severity=severity, line=line, column=column, code=code, message=message)
+
     def __str__(self) -> str:
         return f"{self.line}:{self.column}: {self.severity}[{self.code}]: {self.message}"
 
 
-@dataclass(frozen=True)
-class ParamRef:
+class ParamRef(Record):
     name: str
+
+    def __init__(self, name: str) -> None:
+        vars(self).update(name=name)
 
     def __str__(self) -> str:
         return f"${self.name}"
@@ -69,8 +74,8 @@ def _fmt_value(v: Value) -> str:
 # - what: how an error names the token ("expected a path identifier",
 #   "malformed number for alpha").
 # Parsing, printing, validation and a plan's run (through ``value_fields``)
-# all read this one declaration.  Entries are plain tuples: a class or
-# dataclass per entry would cost import time.
+# all read this one declaration.  Entries are plain tuples: a class per entry
+# would cost import time.
 POS, KEY, OPT, DEFAULTED = "pos", "key", "opt", "defaulted"
 READ, WRITE, VALUE, ANGLE, NUMBER, ID = "read", "write", "value", "angle", "number", "id"
 _PATH = (POS, "path", READ, "a path identifier")
@@ -80,14 +85,20 @@ _POL = (POS, "pol", POL_WORDS, "a polarization")
 _FORMATS = {VALUE: _fmt_value, ANGLE: _fmt_value, NUMBER: "{:.17g}".format}
 
 
-@dataclass(frozen=True)
-class Statement:
-    span: Span = field(compare=False, repr=False)
+class Statement(Record):
+    """A parsed statement.  Its ``span`` locates it in the source and is
+    left out of ``==``, ``hash`` and ``repr``."""
 
+    span: Span
+
+    _hidden = ("span",)
     syntax = ()
     #: The fields read as ``VALUE`` or ``ANGLE``, in ``syntax`` order, each with
     #: whether it is an angle; each class sets it from its ``syntax``.
     value_fields = ()
+
+    def __init__(self, span: Span) -> None:
+        vars(self).update(span=span)
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -118,13 +129,12 @@ class Statement:
         return " ".join(words)
 
 
-@dataclass(frozen=True)
 class SourceStmt(Statement):
-    source_id: int = 0
-    signal: str = ""
-    idler: str = ""
-    pol: Polarization = Polarization.V
-    phase: float | None = None  # degrees
+    source_id: int
+    signal: str
+    idler: str
+    pol: Polarization
+    phase: float | None  # degrees
 
     syntax = (
         (POS, "source_id", ID, "a source id"),
@@ -134,14 +144,18 @@ class SourceStmt(Statement):
         (OPT, "phase", NUMBER, "phase"),
     )
 
+    def __init__(self, span: Span, source_id: int = 0, signal: str = "", idler: str = "",
+                 pol: Polarization = Polarization.V, phase: float | None = None) -> None:
+        vars(self).update(span=span, source_id=source_id, signal=signal, idler=idler, pol=pol,
+                          phase=phase)
 
-@dataclass(frozen=True)
+
 class PrepareStmt(Statement):
-    path: str = ""
-    band: Band = Band.IDLER
-    alpha: Value = 0.0
-    beta: Value = 1.0
-    gamma: Value = 0.0
+    path: str
+    band: Band
+    alpha: Value
+    beta: Value
+    gamma: Value
 
     syntax = (
         _PATH,
@@ -151,22 +165,28 @@ class PrepareStmt(Statement):
         (KEY, "gamma", ANGLE, "gamma"),
     )
 
+    def __init__(self, span: Span, path: str = "", band: Band = Band.IDLER, alpha: Value = 0.0,
+                 beta: Value = 1.0, gamma: Value = 0.0) -> None:
+        vars(self).update(span=span, path=path, band=band, alpha=alpha, beta=beta, gamma=gamma)
 
-@dataclass(frozen=True)
+
 class WavePlateStmt(Statement):
-    kind: WavePlateKind = WavePlateKind.HWP
-    path: str = ""
-    angle: Value = 0.0
-    band: Band | None = None  # None = both bands
+    kind: WavePlateKind
+    path: str
+    angle: Value
+    band: Band | None  # None = both bands
 
     syntax = (_PATH, (KEY, "angle", ANGLE, "angle"), _BAND_OR_BOTH)
 
+    def __init__(self, span: Span, kind: WavePlateKind = WavePlateKind.HWP, path: str = "",
+                 angle: Value = 0.0, band: Band | None = None) -> None:
+        vars(self).update(span=span, kind=kind, path=path, angle=angle, band=band)
 
-@dataclass(frozen=True)
+
 class BsStmt(Statement):
-    in_path: str = ""
-    out_t: str = ""
-    out_r: str = ""
+    in_path: str
+    out_t: str
+    out_r: str
 
     syntax = (
         (POS, "in_path", READ, "a path identifier"),
@@ -175,13 +195,15 @@ class BsStmt(Statement):
         (POS, "out_r", WRITE, "a reflected output path"),
     )
 
+    def __init__(self, span: Span, in_path: str = "", out_t: str = "", out_r: str = "") -> None:
+        vars(self).update(span=span, in_path=in_path, out_t=out_t, out_r=out_r)
 
-@dataclass(frozen=True)
+
 class Bs2Stmt(Statement):
-    in_a: str = ""
-    in_b: str = ""
-    out_a: str = ""
-    out_b: str = ""
+    in_a: str
+    in_b: str
+    out_a: str
+    out_b: str
 
     syntax = (
         (POS, "in_a", READ, "a path identifier"),
@@ -191,12 +213,15 @@ class Bs2Stmt(Statement):
         (POS, "out_b", WRITE, "a second output path"),
     )
 
+    def __init__(self, span: Span, in_a: str = "", in_b: str = "", out_a: str = "",
+                 out_b: str = "") -> None:
+        vars(self).update(span=span, in_a=in_a, in_b=in_b, out_a=out_a, out_b=out_b)
 
-@dataclass(frozen=True)
+
 class DmStmt(Statement):
-    in_path: str = ""
-    signal_out: str = ""
-    idler_out: str = ""
+    in_path: str
+    signal_out: str
+    idler_out: str
 
     syntax = (
         (POS, "in_path", READ, "a path identifier"),
@@ -207,31 +232,43 @@ class DmStmt(Statement):
         (POS, "idler_out", WRITE, "the idler output path"),
     )
 
+    def __init__(self, span: Span, in_path: str = "", signal_out: str = "",
+                 idler_out: str = "") -> None:
+        vars(self).update(span=span, in_path=in_path, signal_out=signal_out, idler_out=idler_out)
 
-@dataclass(frozen=True)
+
 class PhaseStmt(Statement):
-    path: str = ""
-    value: Value = 0.0
-    band: Band | None = None
+    path: str
+    value: Value
+    band: Band | None
 
     syntax = (_PATH, (KEY, "value", ANGLE, "value"), _BAND_OR_BOTH)
 
+    def __init__(self, span: Span, path: str = "", value: Value = 0.0,
+                 band: Band | None = None) -> None:
+        vars(self).update(span=span, path=path, value=value, band=band)
 
-@dataclass(frozen=True)
+
 class MergeStmt(Statement):
-    path: str = ""
-    pol: Polarization = Polarization.V
-    band: Band = Band.IDLER
+    path: str
+    pol: Polarization
+    band: Band
 
     syntax = (_PATH, _POL, _BAND)
 
+    def __init__(self, span: Span, path: str = "", pol: Polarization = Polarization.V,
+                 band: Band = Band.IDLER) -> None:
+        vars(self).update(span=span, path=path, pol=pol, band=band)
 
-@dataclass(frozen=True)
+
 class DetectStmt(Statement):
-    path: str = ""
-    band: Band = Band.SIGNAL
+    path: str
+    band: Band
 
     syntax = (_PATH, _BAND)
+
+    def __init__(self, span: Span, path: str = "", band: Band = Band.SIGNAL) -> None:
+        vars(self).update(span=span, path=path, band=band)
 
 
 #: Statement keyword -> (class, fields the keyword fixes).
@@ -249,15 +286,19 @@ STATEMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class CircuitAst:
+class CircuitAst(Record):
     statements: tuple[Statement, ...]
 
+    def __init__(self, statements: tuple[Statement, ...]) -> None:
+        vars(self).update(statements=statements)
 
-@dataclass(frozen=True)
-class ParseResult:
+
+class ParseResult(Record):
     ast: CircuitAst | None
     diagnostics: tuple[Diagnostic, ...]
+
+    def __init__(self, ast: CircuitAst | None, diagnostics: tuple[Diagnostic, ...]) -> None:
+        vars(self).update(ast=ast, diagnostics=diagnostics)
 
     @property
     def ok(self) -> bool:

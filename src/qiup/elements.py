@@ -16,12 +16,11 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreparationConflictError, QiupWarning
-from .modes import Band, Polarization, WavePlateKind
+from .modes import Band, Polarization, Record, WavePlateKind
 from .state import BiphotonState, _at_failure, _holds
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -45,13 +44,12 @@ def bs_matrix(convention: str) -> np.ndarray:
     return BS_CONVENTIONS[convention]
 
 
-@dataclass(frozen=True)
-class WavePlateSetting:
+class WavePlateSetting(Record):
     kind: WavePlateKind
     fast_axis_angle: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fast_axis_angle", self.fast_axis_angle % math.pi)
+    def __init__(self, kind: WavePlateKind, fast_axis_angle: float) -> None:
+        vars(self).update(kind=kind, fast_axis_angle=fast_axis_angle % math.pi)
 
     def matrix(self) -> np.ndarray:
         if self.kind is WavePlateKind.HWP:
@@ -59,16 +57,16 @@ class WavePlateSetting:
         return qwp_matrix(self.fast_axis_angle)
 
 
-@dataclass(frozen=True)
-class PreparationSpec:
+class PreparationSpec(Record):
     """Map a vertically polarized beam to alpha|H> + beta e^{i rel_phase}|V>."""
 
     alpha: float
     beta: float
-    rel_phase: float = 0.0
+    rel_phase: float
 
-    def __post_init__(self) -> None:
-        _check_preparation(self.alpha, self.beta, self.rel_phase)
+    def __init__(self, alpha: float, beta: float, rel_phase: float = 0.0) -> None:
+        _check_preparation(alpha, beta, rel_phase)
+        vars(self).update(alpha=alpha, beta=beta, rel_phase=rel_phase)
 
 
 def _check_preparation(alpha, beta, rel_phase) -> None:
@@ -89,13 +87,15 @@ def _check_preparation(alpha, beta, rel_phase) -> None:
         raise ValueError(f"relative phase must be finite, got {rel_phase!r}{note}")
 
 
-@dataclass(frozen=True)
-class MergeRule:
+class MergeRule(Record):
     """Drop the source tag of modes matching (path, pol, band)."""
 
     path: str
     pol: Polarization
     band: Band
+
+    def __init__(self, path: str, pol: Polarization, band: Band) -> None:
+        vars(self).update(path=path, pol=pol, band=band)
 
 
 def _cos_sin(x) -> tuple:

@@ -45,12 +45,12 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import DataFormatError
+from .modes import Record
 from .observables import TENSOR_CACHE_SIZE, FringeScan, _basis, _csv_rows, _set_scan
 from .reference import REFERENCE_FORMS, harmonics
 
@@ -74,8 +74,7 @@ CHI2_TAIL = 0.5 * math.erfc(CHI2_SIGMAS / math.sqrt(2.0))
 MODEL_RMS_TOL = 1e-6
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class NoisyScan:
+class NoisyScan(Record, eq=False):
     """Integer Poisson counts drawn around ``shots`` times the expectations.
 
     The layout of :class:`~qiup.observables.FringeScan`: read-only arrays
@@ -131,8 +130,7 @@ class NoisyScan:
         return self.counts[1]
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     beta1_hat: float
     gamma_hat: float
     alpha1_hat: float
@@ -421,9 +419,7 @@ def fit(data: ScanLike, weighting: str = "equal") -> FitResult:
     beyond ``CHI2_SIGMAS``; for noiseless expectations, when the residual RMS
     exceeds ``MODEL_RMS_TOL``.
     """
-    phis, y = _channels(data)
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(phis))):
-        raise ValueError("scan contains non-finite values")
+    phis, y = _channels(data)  # finite: every scan constructor and producer refuses NaN and inf
     phases, basis, q, r = _fit_grid(phis)
     if phases < MIN_FIT_PHIS:
         raise ValueError(

@@ -16,13 +16,13 @@ import functools
 import math
 import warnings
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .elements import _check_preparation
 from .errors import QiupWarning
-from .modes import Band
+from .modes import Band, Record
 from .plan import CircuitPlan, PlanError, _is_complex, _setting, _Structure, _values, run_plan
 from .state import BiphotonState
 
@@ -38,22 +38,19 @@ TENSOR_CACHE_SIZE = 4
 HARMONIC_FLOOR = 64 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     """Expectation values of the H and V number operators at a detection path."""
 
     n_h: float
     n_v: float
 
 
-@dataclass(frozen=True)
-class VisibilityResult:
+class VisibilityResult(NamedTuple):
     value: float
     phi_at_max: float
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class FringeScan:
+class FringeScan(Record, eq=False):
     """Detect-path counts over a swept parameter, as arrays.
 
     ``phis``, shape (N,), holds the values of the swept parameter ``sweep``
@@ -182,7 +179,9 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
     iterable of real numbers; the scan holds it and the counts at it, in
     grid order, as arrays, and builds no per-point record.  A grid that is
     not one-dimensional, not strictly increasing, complex or holds a value
-    that is not finite raises ``ValueError`` before anything is evaluated.
+    that is not finite raises ``ValueError`` before anything is evaluated,
+    and one holding a value x whose f*x overflows, for the sweep's frequency
+    f, raises it too: so the counts are finite.
 
     The counts come from the series of :func:`harmonic_coefficients`,
     summed at every grid point, whatever the grid's length or range: the
@@ -294,8 +293,7 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
     return frequency, series
 
 
-@dataclass(frozen=True, eq=False)
-class _Axis:
+class _Axis(Record, eq=False):
     """One axis of the count tensor: the names it binds (an angle, or a
     preparation's ``alpha`` and ``beta``) and their values at its nodes, one
     row per name.  The counts are a trigonometric polynomial of degree D in
@@ -311,6 +309,10 @@ class _Axis:
     nodes: np.ndarray
     frequency: int  # an angle's f; 1 for a pair
     angles: np.ndarray
+
+    def __init__(self, names: tuple[str, ...], nodes: np.ndarray, frequency: int,
+                 angles: np.ndarray) -> None:
+        vars(self).update(names=names, nodes=nodes, frequency=frequency, angles=angles)
 
     def __len__(self) -> int:
         return len(self.angles)
@@ -385,8 +387,7 @@ def _sample(plan: CircuitPlan, axes: list[_Axis]) -> np.ndarray:
     return counts.reshape(2, size, *shape)
 
 
-@dataclass(frozen=True, eq=False)
-class _CountTensor:
+class _CountTensor(Record, eq=False):
     """Detect-path counts at the product grid of ``axes``' nodes, shape
     (2, n_1, ..., n_K), and ``series``, the same with every angle axis in
     real Fourier form (see :class:`_Axis`); both read-only.
@@ -400,7 +401,12 @@ class _CountTensor:
     counts: np.ndarray
     largest: float  # the largest count
     series: np.ndarray
-    sweeps: dict = field(default_factory=dict)
+    sweeps: dict
+
+    def __init__(self, axes: tuple[_Axis, ...], counts: np.ndarray, largest: float,
+                 series: np.ndarray, sweeps: dict | None = None) -> None:
+        vars(self).update(axes=axes, counts=counts, largest=largest, series=series,
+                          sweeps={} if sweeps is None else sweeps)
 
     def sweep_series(self, bindings, sweep: str) -> np.ndarray:
         """The real Fourier form ``(a_0, a_1, b_1, ..., a_D, b_D)`` of the
@@ -489,7 +495,11 @@ def _kept_basis(frequency: int, grid: bytes, degree: int) -> np.ndarray:
 
 
 def _build_basis(frequency: int, grid: np.ndarray, degree: int) -> np.ndarray:
-    phasor = np.exp(1j * frequency * grid)
+    with np.errstate(over="ignore"):
+        angles = frequency * grid
+    if not np.isfinite(angles).all():  # a finite x whose f*x overflows has no phasor
+        raise ValueError(f"grid values times frequency {frequency} must be finite")
+    phasor = np.exp(1j * angles)
     waves = phasor ** np.arange(1, degree + 1)[:, None]
     rows = np.ones((2 * degree + 1, len(phasor)))
     rows[1::2], rows[2::2] = waves.real, waves.imag
@@ -546,7 +556,8 @@ def harmonic_series(coeffs: np.ndarray, frequency: int,
     objects), or whose last axis has even length, raises ``ValueError``.
     ``grid`` is any one-dimensional iterable of real numbers, in any order;
     one that is not, or that holds a value that is not finite, raises
-    ``ValueError`` before anything is evaluated.
+    ``ValueError`` before anything is evaluated, and so does one holding a
+    value x whose ``frequency * x`` overflows.
     """
     series = np.asarray(coeffs)
     if series.dtype.kind not in "biuf" or series.ndim == 0 or series.shape[-1] % 2 == 0:

@@ -41,7 +41,7 @@ from .elements import (
     bs_matrix,
     prepare_beam,
 )
-from .modes import Band
+from .modes import Band, Record
 from .state import (
     BiphotonState,
     SourceSpec,
@@ -241,10 +241,12 @@ def _binding_value(name: str, value) -> float | np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(Record):
     plan: CircuitPlan | None
     diagnostics: tuple[Diagnostic, ...]
+
+    def __init__(self, plan: CircuitPlan | None, diagnostics: tuple[Diagnostic, ...]) -> None:
+        vars(self).update(plan=plan, diagnostics=diagnostics)
 
     @property
     def ok(self) -> bool:

@@ -45,13 +45,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import UnitarityError
-from .modes import Band, Mode, ModePair, Polarization, SourceTag
+from .modes import Band, Mode, ModePair, Polarization, Record, SourceTag
 
 PRUNE_EPSILON = 1e-14
 UNITARITY_TOL = 1e-10
@@ -60,20 +59,21 @@ TWO_PI = 2.0 * math.pi
 _PRUNE_EPSILON_SQ = PRUNE_EPSILON * PRUNE_EPSILON
 
 
-@dataclass(frozen=True)
-class SourceSpec:
+class SourceSpec(Record):
     """One photon-pair source: emission paths, polarization and phase."""
 
     source_id: int
     signal_path: str
     idler_path: str
-    emitted_pol: Polarization = Polarization.V
-    phase: float = 0.0
+    emitted_pol: Polarization
+    phase: float
 
-    def __post_init__(self) -> None:
-        if self.source_id not in (1, 2):
-            raise ValueError(f"source id must be 1 or 2, got {self.source_id}")
-        object.__setattr__(self, "phase", self.phase % TWO_PI)
+    def __init__(self, source_id: int, signal_path: str, idler_path: str,
+                 emitted_pol: Polarization = Polarization.V, phase: float = 0.0) -> None:
+        if source_id not in (1, 2):
+            raise ValueError(f"source id must be 1 or 2, got {source_id}")
+        vars(self).update(source_id=source_id, signal_path=signal_path, idler_path=idler_path,
+                          emitted_pol=emitted_pol, phase=phase % TWO_PI)
 
 
 # -- single-photon transforms --------------------------------------------------

@@ -11,11 +11,19 @@ read somewhere in the package besides its own definition: as a name, as an
 attribute or as the name a ``from ... import`` takes.  And ``observables``
 imports nothing from ``dsl``: sweeps learn a circuit's statements from the
 plan's structure table, so the statement rules stay in ``plan``.
+
+A cold ``import qiup`` creates one dataclass, ``CircuitPlan``: the
+decorator compiles each class's methods when the class is created, in every
+process.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from test_cli import src_env
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "qiup"
 MODULES = sorted(path.name for path in SOURCE.glob("*.py") if path.name != "__init__.py")
@@ -148,3 +156,20 @@ def test_observables_imports_nothing_from_dsl():
 ])
 def test_imports_from_found(source, found):
     assert imports_from(source, "qiup.dsl") == found
+
+
+def test_import_creates_one_dataclass():
+    # README documents dataclasses.replace on plans; every other class of
+    # the loaded modules is a Record or a NamedTuple, and the verification
+    # module, whose report is a dataclass too, loads only for verify
+    script = ("import sys, qiup\n"
+              "print(sorted({f'{v.__module__}.{v.__qualname__}'\n"
+              "              for name, module in list(sys.modules.items())\n"
+              "              if name == 'qiup' or name.startswith('qiup.')\n"
+              "              for v in vars(module).values()\n"
+              "              if isinstance(v, type) and hasattr(v, '__dataclass_fields__')}))\n"
+              "print('qiup.verification' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['qiup.plan.CircuitPlan']", "False"]
