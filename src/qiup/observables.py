@@ -130,6 +130,14 @@ def _check_grid(phis: np.ndarray) -> None:
         raise ValueError("scan grid values must be finite")
 
 
+@functools.lru_cache(maxsize=TENSOR_CACHE_SIZE)
+def _checked_grid(grid: bytes) -> None:
+    """:func:`_check_grid` of the grid whose float values are the bytes
+    ``grid``, kept for the last :data:`TENSOR_CACHE_SIZE` grids that pass,
+    so that scans on one grid check it once."""
+    _check_grid(np.frombuffer(grid))
+
+
 def _grid(grid: Iterable[float]) -> np.ndarray:
     """A new float array of the values of ``grid``, a one-dimensional
     iterable of real numbers, or ``ValueError``: an array is copied whole,
@@ -189,17 +197,16 @@ def fringe_scan(plan: CircuitPlan, sweep: str, grid: Iterable[float]) -> FringeS
     tensor, and later scans of that circuit run nothing.  An empty grid makes
     no run, but its bound values pass the same checks.
     """
-    batched = sorted(k for k, v in plan.bindings.items() if isinstance(v, np.ndarray))
-    if batched:
+    if plan._arrays:
         # the sweep's own batch would pair member j with the j-th sample
-        raise PlanError(
-            "E_BATCH_SHAPE",
-            f"fringe_scan needs scalar bindings, got arrays for {', '.join(batched)}",
-        )
+        listed = ", ".join(sorted(plan._arrays))
+        raise PlanError("E_BATCH_SHAPE",
+                        f"fringe_scan needs scalar bindings, got arrays for {listed}")
     phis = _grid(grid)
-    _check_grid(phis)
+    key = phis.tobytes()
+    _checked_grid(key)
     if len(phis):
-        values = _evaluate(*harmonic_coefficients(plan, sweep), phis)
+        values = _evaluate(*harmonic_coefficients(plan, sweep), key)
     else:
         _checked(plan, sweep)  # the refusals and checks of a nonempty grid, without a run
         values = np.empty((2, 0))
@@ -270,7 +277,9 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
     ``alpha`` or ``beta`` raises ``ValueError``, since the counts are no
     such series in it; a free name left unbound raises ``E_UNBOUND_PARAM``;
     and each preparation checks its bound amplitudes and phase, naming the
-    failing cell.
+    failing cell.  A circuit with a tensor then refuses a bound angle x
+    whose f*x overflows, which has no phasor, with ``E_NONFINITE_PARAM``
+    naming it, x and f.
 
     Either way, every coefficient, ``a_0`` included, whose magnitude is at
     most twice :data:`HARMONIC_FLOOR` times the largest count of the tensor
@@ -288,7 +297,7 @@ def harmonic_coefficients(plan: CircuitPlan, sweep: str) -> tuple[int, np.ndarra
         series = _real_form(counts if cells else counts[:, 0], axis, -1)
     else:
         largest = tensor.largest
-        series = tensor.sweep_series(plan.bindings, sweep)
+        series = tensor.sweep_series(plan.bindings, plan._arrays, sweep)
     series[np.abs(series) <= 2.0 * HARMONIC_FLOOR * largest] = 0.0
     return frequency, series
 
@@ -317,27 +326,28 @@ class _Axis(Record, eq=False):
     def __len__(self) -> int:
         return len(self.angles)
 
-    def _t(self, bindings, atan2):
-        """t at the bound values: ``atan2`` is math's for scalars and
-        numpy's for cells."""
-        if len(self.names) == 1:
-            return self.frequency * bindings[self.names[0]]
-        alpha, beta = (bindings[name] for name in self.names)
-        return atan2(beta, alpha)
-
-    def scalar_weights(self, bindings) -> list[float]:
-        """The weights at values bound to scalars, as floats: numpy's per-call
-        overhead would cost more than the arithmetic."""
-        t = self._t(bindings, math.atan2)
-        weights = [1.0]
-        for m in range(1, len(self) // 2 + 1):
-            weights += (math.cos(m * t), math.sin(m * t))
-        return weights
-
     def cell_weights(self, bindings) -> np.ndarray:
         """(C, n): the weights at bound values of which one or both are
-        arrays of C cells."""
-        return _basis(1, self._t(bindings, np.arctan2), len(self) // 2).T
+        arrays of C cells; an angle whose f*x overflows in any cell raises
+        ``E_NONFINITE_PARAM``."""
+        if len(self.names) == 2:
+            alpha, beta = (bindings[name] for name in self.names)
+            return _basis(1, np.arctan2(beta, alpha), len(self) // 2).T
+        name, = self.names
+        values = bindings[name]
+        with np.errstate(over="ignore"):
+            t = self.frequency * values
+        bad = np.flatnonzero(~np.isfinite(t))
+        if len(bad):
+            raise _overflow(self.frequency, [f"{name}[{i}]={values[i].item()!r}" for i in bad])
+        return _basis(1, t, len(self) // 2).T
+
+
+def _overflow(frequency: int, values: list[str]) -> PlanError:
+    """The refusal of bound angles, each ``values`` entry ``name=x``, whose
+    x times ``frequency`` is not finite: they have no phasor."""
+    return PlanError("E_NONFINITE_PARAM", f"parameter values times their frequency "
+                                          f"{frequency} must be finite: {', '.join(values)}")
 
 
 def _axis(names: tuple[str, ...], nodes: np.ndarray, frequency: int,
@@ -408,16 +418,43 @@ class _CountTensor(Record, eq=False):
         vars(self).update(axes=axes, counts=counts, largest=largest, series=series,
                           sweeps={} if sweeps is None else sweeps)
 
-    def sweep_series(self, bindings, sweep: str) -> np.ndarray:
+    def sweep_series(self, bindings, arrays: frozenset, sweep: str) -> np.ndarray:
         """The real Fourier form ``(a_0, a_1, b_1, ..., a_D, b_D)`` of the
         counts in ``sweep``, every other axis contracted with its weights at
-        the bound values: shape (2, n_sweep), or (2, C, n_sweep) when names
-        are bound to arrays of C cells."""
-        key = sweep, frozenset(k for k, v in bindings.items() if isinstance(v, np.ndarray))
+        the bound values: shape (2, n_sweep), or (2, C, n_sweep) when the
+        names ``arrays`` are bound to arrays of C cells.
+
+        The weights of the axes bound to scalars come from one loop in
+        floats, numpy's per-call overhead costing more than the arithmetic:
+        each half's rows multiplied out, then one product per half.  An
+        angle whose f*x overflows raises ``E_NONFINITE_PARAM`` before its
+        weights."""
+        key = sweep, arrays
         if key not in self.sweeps:
             self.sweeps[key] = self.contraction(*key)
-        scalars, cells, layout = self.sweeps[key]
-        values = _kron([axis.scalar_weights(bindings) for axis in scalars]) @ layout
+        halves, cells, layout = self.sweeps[key]
+        products = []
+        for half in halves:
+            product = [1.0]
+            for names, frequency, degree in half:
+                if len(names) == 1:
+                    t = frequency * bindings[names[0]]
+                    if not math.isfinite(t):
+                        raise _overflow(frequency, [f"{names[0]}={bindings[names[0]]!r}"])
+                else:
+                    t = math.atan2(bindings[names[1]], bindings[names[0]])
+                # (1, cos t, sin t, ..., cos Dt, sin Dt) as powers of e^{it},
+                # finite wherever t is, where m*t may overflow
+                c = cm = math.cos(t)
+                s = sm = math.sin(t)
+                row = [1.0, c, s]
+                for _ in range(1, degree):
+                    cm, sm = cm * c - sm * s, sm * c + cm * s
+                    row += (cm, sm)
+                product = [a * b for a in product for b in row]
+            products.append(product)
+        first, second = products
+        values = (second @ (first @ layout).reshape(len(second), -1)).reshape(2, -1)
         if not cells:
             return values
         # each cell's weights of every cell axis, multiplied out row by row
@@ -428,36 +465,32 @@ class _CountTensor(Record, eq=False):
         return weights @ values.reshape(2, weights.shape[1], -1)
 
     def contraction(self, sweep: str, arrays: frozenset) -> tuple:
-        """(scalar axes, cell axes, layout) of a sweep with the names
-        ``arrays`` bound to arrays: ``layout`` is ``series`` with the axes
-        whose names are all bound to scalars first, flattened to (2, K,
-        rest), contiguous and read-only, so that the Kronecker product of
-        their weights contracts them in one product.  The axes bound to
-        arrays follow, in the tensor's order, so that each cell's product of
-        their weights contracts them in one more, and the sweep's comes
-        last."""
+        """(halves, cell axes, layout) of a sweep with the names ``arrays``
+        bound to arrays.
+
+        The axes whose names are all bound to scalars, in the tensor's
+        order, split into two halves (the second the longer by one for an
+        odd count), each axis as its (names, frequency, degree).
+        ``layout`` is ``series`` with the first half's axes first, flattened
+        to (n_first, n_second * 2 * rest), contiguous and read-only, so that
+        the product of the first half's weights contracts them in one
+        product and the second half's, after the channels, in one more.
+        The axes bound to arrays follow the channels, in the tensor's
+        order, so that each cell's product of their weights contracts them
+        in one more, and the sweep's comes last."""
         at = next(k for k, axis in enumerate(self.axes) if axis.names == (sweep,))
         others = [k for k in range(len(self.axes)) if k != at]
         cells = [k for k in others if arrays.intersection(self.axes[k].names)]
         scalars = [k for k in others if k not in cells]
-        order = (*scalars, *cells, at)
-        layout = np.ascontiguousarray(self.series.transpose(0, *(k + 1 for k in order)))
-        layout = layout.reshape(2, math.prod(len(self.axes[k]) for k in scalars), -1)
+        first, second = scalars[:len(scalars) // 2], scalars[len(scalars) // 2:]
+        order = (*(k + 1 for k in first), *(k + 1 for k in second), 0,
+                 *(k + 1 for k in cells), at + 1)
+        layout = np.ascontiguousarray(self.series.transpose(order))
+        layout = layout.reshape(math.prod(len(self.axes[k]) for k in first), -1)
         layout.flags.writeable = False
-        return [self.axes[k] for k in scalars], [self.axes[k] for k in cells], layout
-
-
-def _kron(rows: list[list[float]]) -> np.ndarray:
-    """The Kronecker product of ``rows``, flat: each half of the rows
-    multiplied out in floats, from its first row, then the halves' outer
-    product in one numpy call, which costs less than one call per row."""
-    halves = []
-    for part in (rows[:len(rows) // 2], rows[len(rows) // 2:]):
-        product = part[0] if part else [1.0]
-        for row in part[1:]:
-            product = [a * b for a in product for b in row]
-        halves.append(product)
-    return np.multiply.outer(*halves).reshape(-1)
+        halves = tuple(tuple((self.axes[k].names, self.axes[k].frequency, len(self.axes[k]) // 2)
+                             for k in half) for half in (first, second))
+        return halves, [self.axes[k] for k in cells], layout
 
 
 def _real_form(values: np.ndarray, axis: _Axis, at: int) -> np.ndarray:
@@ -506,10 +539,10 @@ def _build_basis(frequency: int, grid: np.ndarray, degree: int) -> np.ndarray:
     return rows
 
 
-def _evaluate(frequency: int, series: np.ndarray, grid) -> np.ndarray:
-    """Counts at ``grid`` from :func:`harmonic_coefficients`' (f, s): shape
-    (..., len(grid))."""
-    values = series @ _basis(frequency, grid, series.shape[-1] // 2)
+def _evaluate(frequency: int, series: np.ndarray, grid: bytes) -> np.ndarray:
+    """Counts from :func:`harmonic_coefficients`' (f, s) at the grid whose
+    float values are the bytes ``grid``: shape (..., len(grid))."""
+    values = series @ _kept_basis(frequency, grid, series.shape[-1] // 2)
     # squared magnitudes: clip rounding below zero where a count vanishes
     return np.maximum(values, 0.0)
 
@@ -566,7 +599,7 @@ def harmonic_series(coeffs: np.ndarray, frequency: int,
     phis = _grid(grid)
     if not np.isfinite(phis).all():
         raise ValueError("grid values must be finite")
-    return _evaluate(frequency, series, phis)
+    return _evaluate(frequency, series, phis.tobytes())
 
 
 def visibility(

@@ -100,22 +100,25 @@ class CircuitPlan:
                 "E_UNKNOWN_PARAM",
                 f"not free parameters of this plan: {', '.join(unknown)}",
             )
-        values = {k: _binding_value(k, v) for k, v in params.items()}
+        merged = dict(self.bindings)
+        arrays = set(self._arrays)
         nonfinite = []
-        for k, v in values.items():
-            if isinstance(v, np.ndarray):
+        for k, v in params.items():  # one pass: type, finiteness, batch
+            v = merged[k] = _binding_value(k, v)
+            if type(v) is float:
+                arrays.discard(k)
+                if not math.isfinite(v):
+                    nonfinite.append(f"{k}={v!r}")
+            else:
+                arrays.add(k)
                 bad = np.flatnonzero(~np.isfinite(v))
                 nonfinite += [f"{k}[{i}]={v[i].item()!r}" for i in bad]
-            elif not math.isfinite(v):
-                nonfinite.append(f"{k}={v!r}")
         if nonfinite:
             raise PlanError(
                 "E_NONFINITE_PARAM",
                 f"parameter values must be finite: {', '.join(nonfinite)}",
             )
-        merged = dict(self.bindings)
-        merged.update(values)
-        lengths = {k: len(v) for k, v in merged.items() if isinstance(v, np.ndarray)}
+        lengths = {k: len(merged[k]) for k in arrays}
         if len(set(lengths.values())) > 1:
             listed = ", ".join(f"{k}: {n}" for k, n in sorted(lengths.items()))
             raise PlanError(
@@ -123,8 +126,13 @@ class CircuitPlan:
             )
         bound = object.__new__(type(self))
         # a copy, not ``replace``: it shares this plan's structure and free names
-        vars(bound).update(vars(self), bindings=merged)
+        vars(bound).update(vars(self), bindings=merged, _arrays=frozenset(arrays))
         return bound
+
+    @functools.cached_property
+    def _arrays(self) -> frozenset[str]:
+        """The names bound to arrays, which ``bind`` hands on."""
+        return frozenset(k for k, v in self.bindings.items() if isinstance(v, np.ndarray))
 
     @functools.cached_property
     def _structure(self) -> _Structure:

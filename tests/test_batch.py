@@ -216,6 +216,14 @@ class TestBatchedGuards:
             observables.fringe_scan(plan, "phi", np.linspace(0.0, TWO_PI, 64, endpoint=False))
         assert err.value.code == "E_BATCH_SHAPE" and "theta" in str(err.value)
 
+    def test_fringe_scan_refuses_an_array_that_replace_bound(self):
+        # replace skips bind, so the plan finds its array names itself
+        plan = replace(fig1_preset(EXAMPLE), bindings=dict(EXAMPLE, gamma=np.array([0.1, 0.5])))
+        with pytest.raises(PlanError) as err:
+            observables.fringe_scan(plan, "phi", np.linspace(0.0, TWO_PI, 64, endpoint=False))
+        assert err.value.code == "E_BATCH_SHAPE"
+        assert str(err.value) == "fringe_scan needs scalar bindings, got arrays for gamma"
+
     def test_h_occupancy_conflict_in_any_member(self):
         plan, diagnostics = compile_text(
             "source 1 signal=a idler=a pol=V\n"

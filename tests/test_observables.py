@@ -740,10 +740,49 @@ class TestCountTensor:
         assert tensor.sweeps.keys() == contractions.keys()
         for key, contraction in contractions.items():
             assert tensor.sweeps[key] is contraction
-            layout = contraction[-1]
+            halves, _, layout = contraction
+            # the scalar axes' table split in two: the first half by the rest
+            first = math.prod(2 * degree + 1 for _, _, degree in halves[0])
+            assert layout.ndim == 2 and layout.shape[0] == first
             assert layout.flags.c_contiguous
             with pytest.raises(ValueError, match="read-only"):
-                layout[0, 0, 0] = 1.0
+                layout[0, 0] = 1.0
+
+    @pytest.mark.parametrize("scalars", range(5))
+    @pytest.mark.parametrize("sweep", ["theta", "phi"])
+    def test_two_half_products_equal_the_einsum(self, sweep, scalars):
+        # any ``scalars`` of fig1's four other units bound to scalars and the
+        # rest to two cells: the two products over the halves equal one
+        # einsum of the series with every axis' weights
+        rng = np.random.default_rng(83 + scalars)
+        rows = [general_fig1_params(rng) for _ in range(2)]
+        others = [unit for unit in FIG1_UNITS if unit != (sweep,)]
+        chosen = [others[k] for k in rng.permutation(len(others))[:scalars]]
+        bindings = dict(rows[0])
+        for unit in others:
+            if unit not in chosen:
+                bindings.update({name: np.array([row[name] for row in rows]) for name in unit})
+        plan = fig1_preset(bindings)
+        tensor = tensor_of(fig1_preset(rows[0]))
+        got = tensor.sweep_series(plan.bindings, plan._arrays, sweep)
+        halves = tensor.sweeps[sweep, plan._arrays][0]
+        assert (len(halves[0]), len(halves[1])) == (scalars // 2, scalars - scalars // 2)
+        weights, letters = [], "abcdefg"
+        for axis in tensor.axes:
+            if axis.names == (sweep,):
+                continue
+            values = [np.broadcast_to(bindings[name], 2) for name in axis.names]
+            t = (axis.frequency * values[0] if len(values) == 1
+                 else np.arctan2(values[1], values[0]))
+            weights.append(observables._basis(1, t, len(axis) // 2).T)
+        at = [axis.names for axis in tensor.axes].index((sweep,))
+        axes = letters[:len(tensor.axes)]
+        operands = ",".join([f"z{axes}", *(f"y{a}" for k, a in enumerate(axes) if k != at)])
+        want = np.einsum(f"{operands}->zy{axes[at]}", tensor.series, *weights)
+        if scalars == len(others):
+            want = want[:, 0]
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * tensor.largest)
 
     @pytest.mark.parametrize("edges", [
         pytest.param(dict(alpha1=1.0, beta1=0.0), id="pair-at-1-0"),
@@ -784,7 +823,7 @@ class TestCountTensor:
             mirrored = dict(params, beta1=-params["beta1"], gamma=params["gamma"] + math.pi)
             values = []
             for bindings, at in ((params, grid), (mirrored, grid + shift)):
-                series = tensor.sweep_series(bindings, sweep)
+                series = tensor.sweep_series(bindings, frozenset(), sweep)
                 values.append(series @ observables._basis(frequency, at, series.shape[-1] // 2))
             np.testing.assert_allclose(values[1], values[0], rtol=0, atol=1e-12)
 
@@ -850,6 +889,46 @@ def test_checks_raise_what_a_run_raises(params, message):
         assert message in str(err.value)
 
 
+class TestOverflowingAngles:
+    """A bound angle x whose f*x overflows has no phasor: it is refused by
+    name, value and frequency on the scalar and the cell path, and one whose
+    f*x is finite sweeps like any other, however large."""
+
+    PARAMS = dict(alpha1=0.6, beta1=0.8, gamma=1.1, alpha2=0.28, beta2=0.96, phi=2.3)
+
+    @pytest.mark.parametrize("theta, listed", [
+        pytest.param(1e308, "theta=1e+308", id="scalar"),
+        pytest.param(-1e308, "theta=-1e+308", id="scalar-negative"),
+        pytest.param(np.array([1e308, 0.5, -1e308]), "theta[0]=1e+308, theta[2]=-1e+308",
+                     id="cells"),
+    ])
+    def test_refused_naming_value_and_frequency(self, theta, listed):
+        plan = fig1_preset(dict(self.PARAMS, theta=theta))
+        calls = [lambda: harmonic_coefficients(plan, "phi")]
+        if not isinstance(theta, np.ndarray):
+            calls.append(lambda: fringe_scan(plan, "phi", [0.0, 1.0, 2.0]))
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(PlanError) as err:
+                    call()
+            assert err.value.code == "E_NONFINITE_PARAM"
+            assert str(err.value) == ("parameter values times their frequency 2 must be "
+                                      f"finite: {listed}")
+
+    @pytest.mark.parametrize("cells", [False, True])
+    def test_a_large_finite_product_sweeps(self, cells):
+        # f*x = 1.2e308 is finite, and so are its harmonics' phasors
+        theta = np.array([6e307, 0.5]) if cells else 6e307
+        plan = fig1_preset(dict(self.PARAMS, theta=theta))
+        grid = np.linspace(0.0, 6.0, 5)
+        _, coeffs = harmonic_coefficients(plan, "phi")
+        got = harmonic_series(coeffs[:, 0] if cells else coeffs, 1, grid)
+        want = [dense_model.run_fig1(**dict(self.PARAMS, theta=6e307, phi=x)).counts("o'")
+                for x in grid]
+        np.testing.assert_allclose(got, np.transpose(want), rtol=0, atol=1e-12)
+
+
 class TestStructure:
     """A re-bound plan reaches its structure's table and tensor without a
     pipeline walk or a rehash, and a new structure gets its own."""
@@ -896,6 +975,22 @@ class TestStructure:
             np.testing.assert_array_equal(scan.phis, written)
             np.testing.assert_allclose(scan.counts, expected[k][1], rtol=0, atol=1e-12)
         assert len(builds) == 1
+
+    def test_a_grid_is_checked_once(self, monkeypatch):
+        # per distinct grid, by its values; a refused grid is refused every time
+        plans = [fig1_preset(general_fig1_params(np.random.default_rng(67 + k)))
+                 for k in range(3)]
+        observables._checked_grid.cache_clear()
+        checks = count_calls(monkeypatch, observables, "_check_grid")
+        for plan in plans:
+            fringe_scan(plan, "theta", FULL_PERIOD.copy())
+        assert len(checks) == 1
+        monkeypatch.setattr(observables, "harmonic_coefficients",
+                            lambda *args: pytest.fail("evaluated"))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                fringe_scan(plans[0], "theta", FULL_PERIOD[::-1])
+        assert len(checks) == 3
 
     def test_a_new_structure_gets_its_own_table_and_tensor(self):
         bound = fig1_preset(general_fig1_params(np.random.default_rng(59)))

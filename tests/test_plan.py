@@ -171,6 +171,47 @@ def test_bind_rejects_complex_values(value):
     assert plan.bindings == {}
 
 
+@pytest.mark.parametrize("params, code, message", [
+    pytest.param({"phi": math.nan, "bogus": 1.0, "aaa": 1j}, "E_UNKNOWN_PARAM",
+                 "not free parameters of this plan: aaa, bogus", id="unknown-first"),
+    pytest.param({"phi": math.nan, "gamma": 1j}, "E_NONFINITE_PARAM",
+                 "parameter values must be finite real numbers, got complex gamma",
+                 id="complex-before-nonfinite"),
+    pytest.param({"phi": math.nan, "gamma": np.zeros((2, 2))}, "E_BATCH_SHAPE",
+                 "a batched parameter must be a nonempty 1-D array, got gamma with shape (2, 2)",
+                 id="shape-before-nonfinite"),
+    pytest.param({"phi": np.zeros((2, 2)), "gamma": 1j}, "E_BATCH_SHAPE",
+                 "a batched parameter must be a nonempty 1-D array, got phi with shape (2, 2)",
+                 id="in-order-of-the-values"),
+    pytest.param({"phi": math.inf, "theta": np.array([0.0, math.nan, -math.inf]),
+                  "gamma": np.array([1.0, 2.0, 3.0, 4.0])}, "E_NONFINITE_PARAM",
+                 "parameter values must be finite: phi=inf, theta[1]=nan, theta[2]=-inf",
+                 id="every-nonfinite-before-lengths"),
+    pytest.param({"theta": np.array([0.0, 1.0]), "gamma": np.array([1.0, 2.0, 3.0])},
+                 "E_BATCH_SHAPE", "batched parameters must share one length, got gamma: 3, "
+                 "theta: 2", id="lengths"),
+])
+def test_bind_refusals_and_their_order(params, code, message):
+    plan, _ = compile_text(FIG1_SOURCE)
+    with pytest.raises(PlanError) as err:
+        plan.bind(params)
+    assert (err.value.code, str(err.value)) == (code, message)
+    assert plan.bindings == {}
+
+
+def test_bind_lengths_count_the_arrays_still_bound():
+    plan, _ = compile_text(FIG1_SOURCE)
+    batched = plan.bind({"phi": np.array([0.1, 0.2]), "theta": np.array([0.3, 0.4])})
+    with pytest.raises(PlanError) as err:
+        batched.bind({"phi": 0.5, "gamma": np.array([1.0, 2.0, 3.0])})
+    assert err.value.code == "E_BATCH_SHAPE"
+    assert str(err.value) == "batched parameters must share one length, got gamma: 3, theta: 2"
+    # rebinding each array to a scalar frees the length
+    rebound = batched.bind({"phi": 0.5, "theta": 0.6}).bind({"gamma": np.array([1.0, 2.0, 3.0])})
+    assert rebound._arrays == {"gamma"} and batched._arrays == {"phi", "theta"}
+    assert replace(rebound, bindings=dict(rebound.bindings))._arrays == {"gamma"}
+
+
 def test_bind_hands_on_the_structure_and_free_parameters():
     base = _fig1_plan("symmetric")
     bound = fig1_preset(EXAMPLE_PARAMS)
